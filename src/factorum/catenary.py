@@ -10,8 +10,8 @@ length classes, and the monotone catenary degree is the max of those two.
 
 The catenary degree in the permutable fibers of a transfer map phi
 restricts chains to a fiber: z ~ z' iff the images phi*(z), phi*(z') agree
-up to permutation.  Chains always range over rigid representatives (the
-distances factor through their d-classes, so bottleneck values agree).
+up to permutation.  Every variant is a view on one graph per element: a
+partition of its nodes and the bottleneck inside each part.
 
 Infinity never arises in a bounded computation and is represented by an
 explicit flag, never a sentinel integer.
@@ -20,10 +20,12 @@ explicit flag, never a sentinel integer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .distances import DistanceKind, distance
-from .factorizations import RigidFactorization, rigid_factorizations
+from .factorizations import (RigidFactorization, permutable_factorizations,
+                             rigid_factorizations)
 from .handles import SemigroupHandle
 
 
@@ -59,7 +61,6 @@ def _bottleneck(nodes: Sequence[int], mat) -> Tuple[int, Optional[Tuple[int, int
     max edge of a minimum spanning tree (Prim), plus that edge."""
     if len(nodes) <= 1:
         return 0, None
-    in_tree = {nodes[0]}
     best: Dict[int, Tuple[int, int]] = {
         v: (mat[nodes[0]][v], nodes[0]) for v in nodes[1:]}
     value, arg = 0, None
@@ -68,11 +69,61 @@ def _bottleneck(nodes: Sequence[int], mat) -> Tuple[int, Optional[Tuple[int, int
         w, parent = best.pop(v)
         if w > value:
             value, arg = w, (parent, v)
-        in_tree.add(v)
         for u in list(best):
             if mat[v][u] < best[u][0]:
                 best[u] = (mat[v][u], v)
     return value, arg
+
+
+def _graph(handle: SemigroupHandle, a, kind: DistanceKind):
+    """Nodes, distance matrix and completeness flag of the factorization
+    graph of a.  Under d_len and d_p a distance depends only on the two
+    atom-class multisets and is 0 when they agree, so one node per
+    permutable factorization changes no bottleneck value and no least
+    distance between two lengths; under d* the nodes are rigid."""
+    if kind is DistanceKind.RIGID:
+        fs = rigid_factorizations(handle, a)
+        nodes, complete = fs.factorizations, fs.complete
+    else:
+        classes, complete = permutable_factorizations(handle, a)
+        nodes = tuple(p.representative for p in classes)
+    return nodes, _distance_matrix(handle, kind, nodes), complete
+
+
+def _split(key: Callable) -> Callable:
+    """The view whose parts are the nodes grouped by ``key``, in key order."""
+    def view(nodes, mat):
+        groups: Dict = {}
+        for i, z in enumerate(nodes):
+            groups.setdefault(key(z), []).append(i)
+        return [(groups[k], mat) for k in sorted(groups)]
+    return view
+
+
+_equal = _split(attrgetter("length"))
+
+
+def _adjacent(nodes, mat):
+    # nodes of one length are joined at no cost, so the bottleneck of two
+    # adjacent length classes is the least distance between them
+    by_len = [part for part, _ in _equal(nodes, mat)]
+    cross = [[0 if y.length == z.length else d for z, d in zip(nodes, row)]
+             for y, row in zip(nodes, mat)]
+    return [(k + l, cross) for k, l in zip(by_len, by_len[1:])]
+
+
+def _report(handle, a, kind: DistanceKind, variant: str, view: Callable
+            ) -> CatenaryReport:
+    """Build the graph of a once; ``view`` cuts it into parts, each with its
+    edge weights, and the value is the largest in-part bottleneck."""
+    nodes, mat, complete = _graph(handle, a, kind)
+    value, witness = 0, None
+    for part, weights in view(nodes, mat):
+        v, arg = _bottleneck(part, weights)
+        if v > value:
+            value, witness = v, ChainWitness((nodes[arg[0]], nodes[arg[1]]), v)
+    return CatenaryReport(value, kind, variant, complete,
+                          witness=witness, element=a)
 
 
 def catenary(handle: SemigroupHandle, a, kind: DistanceKind = DistanceKind.PERMUTABLE
@@ -82,71 +133,29 @@ def catenary(handle: SemigroupHandle, a, kind: DistanceKind = DistanceKind.PERMU
     The reported value N is exact for the explored set: the threshold graph
     with edges <= N is connected and with edges <= N-1 it is not.
     """
-    fs = rigid_factorizations(handle, a)
-    facts = list(fs)
-    mat = _distance_matrix(handle, kind, facts)
-    value, arg = _bottleneck(range(len(facts)), mat)
-    witness = None
-    if arg is not None:
-        witness = ChainWitness((facts[arg[0]], facts[arg[1]]), value)
-    return CatenaryReport(value, kind, "plain", fs.complete,
-                          witness=witness, element=a)
+    return _report(handle, a, kind, "plain", _split(lambda z: 0))
 
 
 def equal_catenary(handle, a, kind: DistanceKind = DistanceKind.PERMUTABLE
                    ) -> CatenaryReport:
     """c_{d,eq}(a): chains between equal-length factorizations staying in
     that length class; max over length classes of in-class bottlenecks."""
-    fs = rigid_factorizations(handle, a)
-    facts = list(fs)
-    mat = _distance_matrix(handle, kind, facts)
-    by_len: Dict[int, List[int]] = {}
-    for i, z in enumerate(facts):
-        by_len.setdefault(z.length, []).append(i)
-    value, witness = 0, None
-    for _, idxs in sorted(by_len.items()):
-        v, arg = _bottleneck(idxs, mat)
-        if v > value:
-            value = v
-            witness = ChainWitness((facts[arg[0]], facts[arg[1]]), v)
-    return CatenaryReport(value, kind, "equal", fs.complete,
-                          witness=witness, element=a)
+    return _report(handle, a, kind, "equal", _equal)
 
 
 def adjacent_catenary(handle, a, kind: DistanceKind = DistanceKind.PERMUTABLE
                       ) -> CatenaryReport:
     """c_{d,adj}(a) = max over adjacent k, l in L(a) of
     d_{k,l}(a) = min d(z, z') with |z| = k, |z'| = l."""
-    fs = rigid_factorizations(handle, a)
-    facts = list(fs)
-    mat = _distance_matrix(handle, kind, facts)
-    by_len: Dict[int, List[int]] = {}
-    for i, z in enumerate(facts):
-        by_len.setdefault(z.length, []).append(i)
-    lengths = sorted(by_len)
-    value, witness = 0, None
-    for k, l in zip(lengths, lengths[1:]):
-        best, arg = None, None
-        for i in by_len[k]:
-            for j in by_len[l]:
-                if best is None or mat[i][j] < best:
-                    best, arg = mat[i][j], (i, j)
-        if best is not None and best > value:
-            value = best
-            witness = ChainWitness((facts[arg[0]], facts[arg[1]]), best)
-    return CatenaryReport(value, kind, "adjacent", fs.complete,
-                          witness=witness, element=a)
+    return _report(handle, a, kind, "adjacent", _adjacent)
 
 
 def monotone_catenary(handle, a, kind: DistanceKind = DistanceKind.PERMUTABLE
                       ) -> CatenaryReport:
-    """c_{d,mon}(a) = max(c_{d,eq}(a), c_{d,adj}(a))."""
-    eq = equal_catenary(handle, a, kind)
-    adj = adjacent_catenary(handle, a, kind)
-    pick = eq if eq.value >= adj.value else adj
-    return CatenaryReport(max(eq.value, adj.value), kind, "monotone",
-                          eq.certified and adj.certified,
-                          witness=pick.witness, element=a)
+    """c_{d,mon}(a) = max(c_{d,eq}(a), c_{d,adj}(a)) on one graph (the
+    witness comes from the equal view on a tie)."""
+    return _report(handle, a, kind, "monotone",
+                   lambda nodes, mat: _equal(nodes, mat) + _adjacent(nodes, mat))
 
 
 def monotone_catenary_direct(handle, a, kind: DistanceKind = DistanceKind.PERMUTABLE,
@@ -197,24 +206,17 @@ def catenary_in_fibers(handle, a, kind: DistanceKind, transfer_map
 
     Two rigid factorizations lie in one fiber iff the multisets of
     target-classes of their atom images coincide (d_p of the images is 0).
+    The map sends associated atoms to associated atoms, so every fiber is
+    a union of permutable factorizations.
     """
-    fs = rigid_factorizations(handle, a)
-    facts = list(fs)
-    mat = _distance_matrix(handle, kind, facts)
     target = transfer_map.target
-    fibers: Dict[Tuple, List[int]] = {}
-    for i, z in enumerate(facts):
-        key = tuple(sorted(target.atom_class(transfer_map.apply(u))
-                           for u in z.atoms))
-        fibers.setdefault(key, []).append(i)
-    value, witness = 0, None
-    for key in sorted(fibers):
-        v, arg = _bottleneck(fibers[key], mat)
-        if v > value:
-            value = v
-            witness = ChainWitness((facts[arg[0]], facts[arg[1]]), v)
-    return CatenaryReport(value, kind, "in_fibers", fs.complete,
-                          witness=witness, element=a)
+    return _report(handle, a, kind, "in_fibers", _split(lambda z: tuple(sorted(
+        target.atom_class(transfer_map.apply(u)) for u in z.atoms))))
+
+
+VARIANTS: Dict[str, Callable[..., CatenaryReport]] = {
+    "plain": catenary, "equal": equal_catenary,
+    "adjacent": adjacent_catenary, "monotone": monotone_catenary}
 
 
 def semigroup_catenary(handle, elements: Sequence, kind: DistanceKind,
@@ -222,9 +224,7 @@ def semigroup_catenary(handle, elements: Sequence, kind: DistanceKind,
                        scope_complete: bool = True) -> CatenaryReport:
     """sup of c_d over the explored elements (a certified lower bound for
     the semigroup-level value)."""
-    fn: Callable = {"plain": catenary, "equal": equal_catenary,
-                    "adjacent": adjacent_catenary,
-                    "monotone": monotone_catenary}[variant]
+    fn = VARIANTS[variant]
     value, witness, element, certified = 0, None, None, scope_complete
     for a in elements:
         rep = fn(handle, a, kind)

@@ -14,8 +14,7 @@ from typing import List, Optional
 
 from . import regression as regression_mod
 from .abelianization import abelianize, check_exwt
-from .catenary import (adjacent_catenary, catenary, equal_catenary,
-                       monotone_catenary, semigroup_catenary)
+from .catenary import VARIANTS, semigroup_catenary
 from .distances import (DistanceKind, distance, rigid_distance_alignment)
 from .divisibility import (is_almost_prime_like, is_prime_like, omega_element,
                            omega_semigroup, tame_element, tame_semigroup)
@@ -25,7 +24,7 @@ from .matrices import (FullMatrixHandle, TriangularMatrixHandle, delta_map,
 from .presentation import (ExplorationBudget, Presentation, PresentationError,
                            PresentationSemigroup, check_adyan,
                            parse_presentation)
-from .reports import Certification, InvariantReport
+from .reports import Certification, InvariantReport, certification
 from .zerosum import (BlockMonoidHandle, FiniteAbelianGroup,
                       atoms_of_block_monoid, block_catenary, davenport,
                       maximal_order_bound)
@@ -99,7 +98,7 @@ def cmd_elements(args) -> int:
     els, complete = h.enumerate_elements(args.max_length)
     rep = InvariantReport(
         "elements", [h.format_element(e) for e in els],
-        Certification.EXACT if complete else Certification.LOWER_BOUND,
+        certification(complete),
         _budget_dict(h), warnings=list(h.warnings))
     return _emit([rep], args.format)
 
@@ -109,7 +108,7 @@ def cmd_atoms(args) -> int:
     atoms, complete = h.enumerate_atoms(args.max_length)
     rep = InvariantReport(
         "atoms", [h.format_element(e) for e in atoms],
-        Certification.EXACT if complete else Certification.LOWER_BOUND,
+        certification(complete),
         _budget_dict(h), warnings=list(h.warnings))
     return _emit([rep], args.format)
 
@@ -120,7 +119,7 @@ def cmd_factorize(args) -> int:
     fs = rigid_factorizations(h, el)
     rep = InvariantReport(
         "rigid-factorizations", _fact_strings(h, fs),
-        Certification.EXACT if fs.complete else Certification.LOWER_BOUND,
+        certification(fs.complete),
         _budget_dict(h), warnings=list(h.warnings))
     return _emit([rep], args.format)
 
@@ -132,7 +131,7 @@ def cmd_lengths(args) -> int:
     rep = InvariantReport(
         "length-profile", {"lengths": list(L.lengths), "delta": list(L.delta),
                            "elasticity": L.elasticity},
-        Certification.EXACT if L.certified else Certification.LOWER_BOUND,
+        certification(L.certified),
         _budget_dict(h), warnings=list(h.warnings))
     return _emit([rep], args.format)
 
@@ -158,7 +157,7 @@ def cmd_distance(args) -> int:
         value = distance(h, kind, z, zp)
     rep = InvariantReport(
         f"distance-{kind.value}", value,
-        Certification.EXACT if fs.complete else Certification.LOWER_BOUND,
+        certification(fs.complete),
         _budget_dict(h), witnesses, list(h.warnings))
     return _emit([rep], args.format)
 
@@ -166,8 +165,6 @@ def cmd_distance(args) -> int:
 def cmd_catenary(args) -> int:
     h = _load_engine(args)
     kind = _KINDS[args.kind]
-    fn = {"plain": catenary, "equal": equal_catenary,
-          "adjacent": adjacent_catenary, "monotone": monotone_catenary}[args.variant]
     if args.all:
         els, complete = h.enumerate_elements(args.max_length)
         rep = semigroup_catenary(h, els, kind, args.variant, complete)
@@ -175,9 +172,9 @@ def cmd_catenary(args) -> int:
         cert = Certification.LOWER_BOUND
     elif args.element:
         el = h.element_from_str(args.element)
-        rep = fn(h, el, kind)
+        rep = VARIANTS[args.variant](h, el, kind)
         name = f"catenary-{kind.value}-{args.variant}"
-        cert = Certification.EXACT if rep.certified else Certification.LOWER_BOUND
+        cert = certification(rep.certified)
     else:
         print("error: need --element or --all", file=sys.stderr)
         return 1
@@ -199,8 +196,7 @@ def cmd_omega(args) -> int:
         el = h.element_from_str(args.element)
         rep = omega_element(h, el, divisor, mode)
         name = f"omega-{mode}"
-        cert = (Certification.EXACT if rep.certified
-                else Certification.LOWER_BOUND)
+        cert = certification(rep.certified)
     else:
         els, complete = h.enumerate_elements(args.max_length)
         rep = omega_semigroup(h, divisor, els, mode,
@@ -229,8 +225,7 @@ def cmd_tame(args) -> int:
         el = h.element_from_str(args.element)
         rep = tame_element(h, el, pattern)
         name = "tame"
-        cert = (Certification.EXACT if rep.certified
-                else Certification.LOWER_BOUND)
+        cert = certification(rep.certified)
     else:
         els, complete = h.enumerate_elements(args.max_length)
         rep = tame_semigroup(h, pattern, els,
@@ -264,7 +259,7 @@ def cmd_primelike(args) -> int:
         value["prime_like"] = pl.holds
     out = InvariantReport(
         "prime-like", value,
-        Certification.EXACT if rep.certified else Certification.LOWER_BOUND,
+        certification(rep.certified),
         _budget_dict(h), witnesses, list(h.warnings))
     return _emit([out], args.format)
 
@@ -298,13 +293,15 @@ def cmd_check_wth(args) -> int:
     for a, b, mset in rep.counterexamples[:5]:
         witnesses.append({"pair": [h.format_element(a), h.format_element(b)],
                           "unliftable_multiset": [" ".join(w) for w in mset]})
-    cert = Certification.EXACT if rep.certified else Certification.LOWER_BOUND
+    cert = certification(rep.certified)
     out = InvariantReport("check-wth", value, cert, _budget_dict(h), witnesses,
                           list(h.warnings) + list(rep.notes))
     return _emit([out], args.format)
 
 
 def cmd_zss(args) -> int:
+    if args.zss_command == "order-bound":
+        return cmd_order_bound(args)
     group = _group_from_spec(args.group)
     handle = BlockMonoidHandle(group)
     if args.zss_command == "atoms":
@@ -315,7 +312,7 @@ def cmd_zss(args) -> int:
     elif args.zss_command == "davenport":
         rep = InvariantReport(f"davenport({group.describe()})",
                               davenport(group), Certification.EXACT)
-    elif args.zss_command == "catenary":
+    else:   # catenary
         res = block_catenary(group, max_sequence_length=args.max_len)
         witnesses = []
         if res.element is not None:
@@ -323,13 +320,6 @@ def cmd_zss(args) -> int:
         rep = InvariantReport(f"block-catenary({group.describe()})", res.value,
                               Certification.LOWER_BOUND, witnesses=witnesses,
                               warnings=list(res.notes))
-    else:   # order-bound
-        res = maximal_order_bound(group)
-        rep = InvariantReport(
-            f"order-bound({group.describe()})",
-            {"bound": res.bound, "computed_catenary": res.computed_catenary,
-             "classification": res.classification},
-            Certification.EXACT)
     return _emit([rep], args.format)
 
 
@@ -340,7 +330,7 @@ def cmd_order_bound(args) -> int:
         f"order-bound({group.describe()})",
         {"bound": res.bound, "computed_catenary": res.computed_catenary,
          "classification": res.classification},
-        Certification.EXACT)
+        certification(res.certified))
     return _emit([rep], args.format)
 
 
@@ -360,8 +350,7 @@ def cmd_tri(args) -> int:
     else:   # factorize
         fs = rigid_factorizations(h, m)
         rep = InvariantReport("tri-factorizations", _fact_strings(h, fs),
-                              Certification.EXACT if fs.complete
-                              else Certification.LOWER_BOUND)
+                              certification(fs.complete))
     return _emit([rep], args.format)
 
 
@@ -384,8 +373,7 @@ def cmd_mat(args) -> int:
                               {"lengths": list(L.lengths),
                                "delta": list(L.delta),
                                "elasticity": L.elasticity},
-                              Certification.EXACT if L.certified
-                              else Certification.LOWER_BOUND)
+                              certification(L.certified))
     return _emit([rep], args.format)
 
 
@@ -468,8 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catenary")
     p.add_argument("file")
     p.add_argument("--kind", choices=tuple(_KINDS), default="perm")
-    p.add_argument("--variant", choices=("plain", "equal", "adjacent",
-                                         "monotone"), default="plain")
+    p.add_argument("--variant", choices=tuple(VARIANTS), default="plain")
     p.add_argument("--element", default=None)
     p.add_argument("--all", action="store_true")
     p.add_argument("--max-length", type=int, default=None)

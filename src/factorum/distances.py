@@ -205,15 +205,18 @@ def verify_axioms(handle: SemigroupHandle, kind: DistanceKind,
     checked = 0
     for zs in sample_factorization_sets:
         zs = list(zs)
-        for z in zs:
-            if d(z, z) != 0:
+        n = len(zs)
+        mat = [[d(x, y) for y in zs] for x in zs]
+        for i, z in enumerate(zs):
+            if mat[i][i] != 0:
                 return AxiomReport(kind, checked, False,
                                    f"(D1) d(z,z)!=0 for {z.atoms}")
         for iz, z in enumerate(zs):
-            for zpp in zs[iz + 1:]:
+            for jz in range(iz + 1, n):
+                zpp = zs[jz]
                 checked += 1
-                dv = d(z, zpp)
-                if dv != d(zpp, z):
+                dv = mat[iz][jz]
+                if dv != mat[jz][iz]:
                     return AxiomReport(kind, checked, False, "(D2) asymmetry")
                 lo = abs(z.length - zpp.length)
                 hi = max(z.length, zpp.length, 1)
@@ -233,10 +236,10 @@ def verify_axioms(handle: SemigroupHandle, kind: DistanceKind,
                     if d(left_z, left_zp) != dv or d(right_z, right_zp) != dv:
                         return AxiomReport(kind, checked, False,
                                            "(D4) translation variance")
-        for x in zs:
-            for y in zs:
-                for w in zs:
-                    if d(x, y) > d(x, w) + d(w, y):
+        for x in range(n):
+            for y in range(n):
+                for w in range(n):
+                    if mat[x][y] > mat[x][w] + mat[w][y]:
                         return AxiomReport(kind, checked, False,
                                            "(D3) triangle inequality")
     return AxiomReport(kind, checked, True)

@@ -304,21 +304,22 @@ class PresentationSemigroup(SemigroupHandle):
                     continue
                 if nb in members:
                     continue
-                if len(members) >= self.budget.max_ball_size:
-                    truncated = True
+                # absorb a previously explored overlapping class along with
+                # nb; the size cap holds for absorbed words too
+                prev = self._canon.get(nb)
+                absorbed = self._balls[prev].members if prev is not None else ()
+                for m in (nb, *absorbed):
+                    if len(m) > cap:
+                        escaped = True
+                    elif m not in members:
+                        if len(members) >= self.budget.max_ball_size:
+                            truncated = True
+                            break
+                        members.add(m)
+                        queue.append(m)
+                if truncated:
                     queue = []
                     break
-                members.add(nb)
-                queue.append(nb)
-                # absorb a previously explored overlapping class
-                prev = self._canon.get(nb)
-                if prev is not None:
-                    for m in self._balls[prev].members:
-                        if len(m) <= cap and m not in members:
-                            members.add(m)
-                            queue.append(m)
-                        elif len(m) > cap:
-                            escaped = True
         closed = not escaped and not truncated
         canonical = min(members, key=self.shortlex_key)
         ball = CongruenceBall(seed=word, members=frozenset(members),

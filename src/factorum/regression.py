@@ -31,7 +31,7 @@ from .matrices import (FullMatrixHandle, TriangularMatrixHandle,
                        verify_transfer_properties)
 from .presentation import ExplorationBudget, PresentationSemigroup
 from .presets import ab_ban, anbn, b_an_c, load_preset
-from .reports import Certification
+from .reports import Certification, certification
 from .arith import big_omega, factor, is_prime
 from .zerosum import (FiniteAbelianGroup, block_catenary, davenport,
                       maximal_order_bound)
@@ -62,10 +62,6 @@ class CheckRow:
         return "pass" if self.matches else "FAIL"
 
 
-def _cert(flag: bool) -> Certification:
-    return Certification.EXACT if flag else Certification.LOWER_BOUND
-
-
 def _engine(name: str, budget: Optional[ExplorationBudget],
             default_len: int, default_ball: int = 100_000
             ) -> PresentationSemigroup:
@@ -84,16 +80,16 @@ def case_abc_cb(budget=None) -> List[CheckRow]:
     el = h.element_from_str("a b c")
     L = length_profile(h, el)
     rows = [
-        CheckRow("L(abc)", (2, 3), L.lengths, _cert(L.certified)),
-        CheckRow("Delta(abc)", (1,), L.delta, _cert(L.certified)),
+        CheckRow("L(abc)", (2, 3), L.lengths, certification(L.certified)),
+        CheckRow("Delta(abc)", (1,), L.delta, certification(L.certified)),
     ]
     rep = catenary(h, el, DistanceKind.PERMUTABLE)
-    rows.append(CheckRow("c_p(abc)", 1, rep.value, _cert(rep.certified)))
+    rows.append(CheckRow("c_p(abc)", 1, rep.value, certification(rep.certified)))
     fs = rigid_factorizations(h, el)
     by_len = {z.length: z for z in fs}
     if 2 in by_len and 3 in by_len:
         d = permutable_distance(h, by_len[3], by_len[2])
-        rows.append(CheckRow("d_p([a,b,c],[c,b])", 1, d, _cert(fs.complete)))
+        rows.append(CheckRow("d_p([a,b,c],[c,b])", 1, d, certification(fs.complete)))
     else:
         rows.append(CheckRow("d_p([a,b,c],[c,b])", 1, None,
                              Certification.LOWER_BOUND))
@@ -122,11 +118,11 @@ def case_anbn(budget=None) -> List[CheckRow]:
             cert = cert and rep.certified
             worst = max(worst, rep.value)
         rows.append(CheckRow(f"n={n}: max c_p over |x|<={scope}", 0, worst,
-                             _cert(cert)))
+                             certification(cert)))
         el = h.element_from_str(" ".join(["a"] * n + ["b"] * n))
         rep = catenary(h, el, DistanceKind.RIGID)
         rows.append(CheckRow(f"n={n}: c*(a^n b^n)", 2 * n, rep.value,
-                             _cert(rep.certified)))
+                             certification(rep.certified)))
     return rows
 
 
@@ -137,14 +133,14 @@ def case_ab_cd_cede_ba(budget=None) -> List[CheckRow]:
     rep = omega_semigroup(h, a, els, "atoms",
                           scope="products of <= 6 atoms")
     rows = [CheckRow("omega_p(S, a) over <=6 atoms", 2, rep.value,
-                     _cert(rep.certified and comp))]
+                     certification(rep.certified and comp))]
     ba = h.element_from_str("b a")
     repp = omega_element(h, ba, a, "nonunits")
     rows.append(CheckRow("omega'_p(S, a)", 3, repp.value,
-                         _cert(repp.certified), relation=">="))
+                         certification(repp.certified), relation=">="))
     parts = tuple(h.element_from_str(s) for s in ("c e", "d", "e"))
     k, _, cert = min_subproduct_k(h, parts, a)
-    rows.append(CheckRow("witness (ce, d, e) needs k", 3, k, _cert(cert)))
+    rows.append(CheckRow("witness (ce, d, e) needs k", 3, k, certification(cert)))
     return rows
 
 
@@ -160,9 +156,9 @@ def case_b_an_c(budget=None) -> List[CheckRow]:
             w = omega_semigroup(h, atom, els)
             name = h.format_element(atom)
             rows.append(CheckRow(f"n={n}: t_p(S,{name})", exp_t, t.value,
-                                 _cert(t.certified)))
+                                 certification(t.certified)))
             rows.append(CheckRow(f"n={n}: omega_p(S,{name})", exp_w, w.value,
-                                 _cert(w.certified and comp)))
+                                 certification(w.certified and comp)))
     return rows
 
 
@@ -187,20 +183,20 @@ def case_ab_ban(budget=None) -> List[CheckRow]:
             expected = tuple(sorted(m + 1 + k * (n - 2) for k in range(m + 1)))
             tag = f"n={n},m={m}"
             rows.append(CheckRow(f"{tag}: L(a^m b)", expected, L.lengths,
-                                 _cert(L.certified)))
+                                 certification(L.certified)))
             rows.append(CheckRow(f"{tag}: sup L", m * (n - 1) + 1,
                                  max(L.lengths) if L.lengths else None,
-                                 _cert(L.certified)))
+                                 certification(L.certified)))
             rows.append(CheckRow(f"{tag}: rho(a^m b)",
                                  Fraction(m * (n - 1) + 1, m + 1),
-                                 L.elasticity, _cert(L.certified)))
+                                 L.elasticity, certification(L.certified)))
             rep = catenary(h, el, DistanceKind.PERMUTABLE)
             rows.append(CheckRow(f"{tag}: c_p(a^m b)", n - 2, rep.value,
-                                 _cert(rep.certified)))
+                                 certification(rep.certified)))
             els, comp = h.enumerate_elements(m + 1)
             w = omega_semigroup(h, el, els)
             rows.append(CheckRow(f"{tag}: omega_p(S, a^m b)", m + 1, w.value,
-                                 _cert(w.certified and comp)))
+                                 certification(w.certified and comp)))
     return rows
 
 
@@ -213,7 +209,7 @@ def case_aba_ba3bc(budget=None) -> List[CheckRow]:
         rep = is_almost_prime_like(h, q, els, comp)
         rows.append(CheckRow(f"{h.format_element(q)} almost prime-like "
                              "up to length 10", True, rep.holds,
-                             _cert(rep.certified)))
+                             certification(rep.certified)))
     rep_c = is_almost_prime_like(h, c, els, comp)
     cex = (h.format_element(rep_c.counterexample[0])
            if rep_c.counterexample else None)
@@ -222,8 +218,8 @@ def case_aba_ba3bc(budget=None) -> List[CheckRow]:
     aba = h.element_from_str("a b a")
     va = valuation_set(h, a, aba)
     vb = valuation_set(h, b, aba)
-    rows.append(CheckRow("V_a(aba)", (2, 3), va.values, _cert(va.certified)))
-    rows.append(CheckRow("V_b(aba)", (1, 2), vb.values, _cert(vb.certified)))
+    rows.append(CheckRow("V_a(aba)", (2, 3), va.values, certification(va.certified)))
+    rows.append(CheckRow("V_b(aba)", (1, 2), vb.values, certification(vb.certified)))
     return rows
 
 
@@ -235,9 +231,9 @@ def case_aba_bab(budget=None) -> List[CheckRow]:
     for atom in (a, b):
         t = tame_semigroup(h, [atom], els, scope_certified=comp)
         rows.append(CheckRow(f"t_p(S,{h.format_element(atom)})", 0, t.value,
-                             _cert(t.certified)))
+                             certification(t.certified)))
     pf, compf = permutable_factorizations(h, h.element_from_str("a b a"))
-    rows.append(CheckRow("|Z_p(aba)|", 2, len(pf), _cert(compf),
+    rows.append(CheckRow("|Z_p(aba)|", 2, len(pf), certification(compf),
                          relation=">="))
     return rows
 
@@ -246,7 +242,7 @@ def case_ab_cd(budget=None) -> List[CheckRow]:
     h = _engine("ab_cd", budget, 10)
     rep = check_exwt(h, 4)
     rows = [CheckRow("check_exwt verdict", False, rep.passed,
-                     _cert(rep.certified))]
+                     certification(rep.certified))]
     ab = h.element_from_str("a b")
     dc = h.element_from_str("d c")
     cex = weak_transfer_counterexample(h, ab, dc)
@@ -267,12 +263,12 @@ def case_abc_de(budget=None) -> List[CheckRow]:
     bac = h.element_from_str("b a c")
     L1, L2 = length_profile(h, abc), length_profile(h, bac)
     rows = [
-        CheckRow("L(abc)", (2, 3), L1.lengths, _cert(L1.certified)),
-        CheckRow("L(bac)", (3,), L2.lengths, _cert(L2.certified)),
+        CheckRow("L(abc)", (2, 3), L1.lengths, certification(L1.certified)),
+        CheckRow("L(bac)", (3,), L2.lengths, certification(L2.certified)),
     ]
     rep = check_exwt(h, 4)
     rows.append(CheckRow("no weak transfer to the reduced abelianization",
-                         False, rep.passed, _cert(rep.certified)))
+                         False, rep.passed, certification(rep.certified)))
     return rows
 
 
@@ -330,7 +326,7 @@ def case_triangular(budget=None) -> List[CheckRow]:
                     bad += 1
     rows = [CheckRow(f"T2 permutable factoriality over {total} matrices "
                      "(1 < |det| <= 64, entries <= 16)", 0, bad,
-                     _cert(all_complete))]
+                     certification(all_complete))]
     rng = random.Random(_SEED)
     sample = []
     while len(sample) < 250:
@@ -390,7 +386,7 @@ def case_full_matrices(budget=None) -> List[CheckRow]:
             len_bad += 1
     rows.append(CheckRow(f"L(A) = {{Omega(|det A|)}} on the {len(small)} "
                          "samples with |det| <= 60", 0, len_bad,
-                         _cert(all_cert)))
+                         certification(all_cert)))
     rows.append(CheckRow("atom iff |det| prime on those samples", 0, atom_bad,
                          Certification.EXACT))
     rep = verify_transfer_properties(

@@ -22,6 +22,11 @@ class Certification(str, Enum):
     UNKNOWN = "unknown"
 
 
+def certification(exact: bool) -> Certification:
+    """EXACT when every underlying search closed, LOWER_BOUND otherwise."""
+    return Certification.EXACT if exact else Certification.LOWER_BOUND
+
+
 def render_value(value: Any) -> Any:
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"

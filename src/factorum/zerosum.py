@@ -17,10 +17,10 @@ with the known small-group classification of that catenary degree.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-from .catenary import CatenaryReport, catenary
+from .catenary import CatenaryReport, semigroup_catenary
 from .distances import DistanceKind
 from .handles import DivisorPairs, SemigroupHandle
 
@@ -271,19 +271,15 @@ def block_catenary(group: FiniteAbelianGroup,
     agrees with it.
     """
     handle = BlockMonoidHandle(group, subset, cap)
-    value, witness, element = 0, None, None
-    for seq in zero_sum_sequences(group, handle.subset, max_sequence_length):
-        rep = catenary(handle, seq, kind)
-        if rep.value > value:
-            value, witness, element = rep.value, rep.witness, seq
+    rep = semigroup_catenary(handle, zero_sum_sequences(
+        group, handle.subset, max_sequence_length), kind)
     notes = [f"searched all zero-sum sequences of length <= {max_sequence_length}"]
     known = _classified_catenary(group)
     if known is not None:
-        agreement = "agrees with" if value == known else "below"
+        agreement = "agrees with" if rep.value == known else "below"
         notes.append(f"classification value {known} for {group.describe()}: "
                      f"computed bound {agreement} it")
-    return CatenaryReport(value, kind, "semigroup", True, witness=witness,
-                          element=element, notes=tuple(notes))
+    return replace(rep, variant="semigroup", notes=tuple(notes))
 
 
 _CLASSIFICATION_3 = {(3,), (2, 2), (3, 3)}
@@ -301,12 +297,18 @@ def _classified_catenary(group: FiniteAbelianGroup) -> Optional[int]:
 
 @dataclass(frozen=True)
 class OrderBoundReport:
-    """max(2, c_p(B(C))) for a classical maximal order with class group C."""
+    """max(2, c_p(B(C))) for a classical maximal order with class group C.
+
+    ``certified`` holds when the classification fixes the bound: C is
+    trivial or C2, or C is classified and the computed value meets the
+    classified one.  Otherwise the bound is a bounded-sweep lower bound.
+    """
     group: FiniteAbelianGroup
     bound: int
     computed_catenary: int
     classification: str
     catenary: CatenaryReport
+    certified: bool
 
 
 def maximal_order_bound(group: FiniteAbelianGroup,
@@ -320,16 +322,17 @@ def maximal_order_bound(group: FiniteAbelianGroup,
     rep = block_catenary(group, None, max_sequence_length, cap=cap)
     bound = max(2, rep.value)
     inv = tuple(f for f in invariant_factors(group) if f > 1)
+    known = _classified_catenary(group)
     if not inv:
         classification = ("trivial class group: catenary degree <= 2 and the "
                           "order is d_sim-factorial")
     elif inv == (2,):
         classification = "|C| <= 2: catenary degree <= 2"
-    elif inv in _CLASSIFICATION_3:
-        classification = "catenary degree = 3 exactly for this class group"
-    elif inv in _CLASSIFICATION_4:
-        classification = "catenary degree = 4 exactly for this class group"
+    elif known is not None:
+        classification = f"catenary degree = {known} exactly for this class group"
     else:
         classification = ("outside the quoted classification; the computed "
                           "value is a bounded lower bound")
-    return OrderBoundReport(group, bound, rep.value, classification, rep)
+    certified = not inv or inv == (2,) or rep.value == known
+    return OrderBoundReport(group, bound, rep.value, classification, rep,
+                            certified)

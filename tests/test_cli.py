@@ -140,3 +140,15 @@ def test_regression_budget_starved_exit_two(capsys):
     assert code == 2
     assert "lower-bound" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("command", [("order-bound", "--group", "{}"),
+                                     ("zss", "--group", "{}", "order-bound")])
+@pytest.mark.parametrize("group,certification,exit_code",
+                         [("4", "exact", 0), ("5", "lower-bound", 2)])
+def test_order_bound_certification(capsys, command, group, certification,
+                                   exit_code):
+    argv = [part.format(group) for part in command]
+    code, out, _ = run(capsys, "--format", "json", *argv)
+    payload = json.loads(out)
+    assert code == exit_code and payload["certification"] == certification

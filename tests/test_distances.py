@@ -163,3 +163,19 @@ def test_dstar_zero_iff_equal():
                 same = tuple(u.word for u in z.atoms) == \
                     tuple(u.word for u in zp.atoms)
                 assert (rigid_distance(h, z, zp) == 0) == same
+
+
+def test_verify_axioms_measures_each_pair_once(monkeypatch):
+    # the triangle check reads one matrix per set: n^2 distance calls, not n^3
+    import factorum.distances as distances_mod
+    h = ab_ban(4, 14)
+    fsets = [facts_of(h, "a a b"), facts_of(h, "a a a b")]
+    calls = []
+    real = distances_mod.distance
+    monkeypatch.setattr(distances_mod, "distance",
+                        lambda *args: calls.append(args) or real(*args))
+    rep = verify_axioms(h, DistanceKind.PERMUTABLE, fsets)
+    assert rep.passed and max(len(zs) for zs in fsets) > 2
+    assert len(calls) == sum(len(zs) ** 2 for zs in fsets)
+    assert rep.checked_pairs == sum(len(zs) * (len(zs) - 1) // 2
+                                    for zs in fsets)

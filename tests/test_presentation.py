@@ -7,7 +7,7 @@ from factorum.presentation import (AtomKind, Equality, ExplorationBudget,
                                    PresentationSemigroup,
                                    UndeclaredGeneratorError, check_adyan,
                                    parse_presentation)
-from factorum.presets import ab_ban, engine, load_preset
+from factorum.presets import ab_ban, engine, load_preset, preset_names
 
 
 def make(text, budget=None):
@@ -270,3 +270,20 @@ def test_budget_below_relation_side_rejected():
     from factorum.presentation import BudgetError
     with pytest.raises(BudgetError):
         make("gens: a b\nrel: a b a = b\n", ExplorationBudget(2, 100))
+
+
+@pytest.mark.parametrize("cap", [2, 3, 5, 8, 13, 21])
+def test_ball_size_cap_holds_when_absorbing(cap):
+    # absorbing an earlier overlapping ball must respect max_ball_size too
+    for name in preset_names():
+        h = PresentationSemigroup(load_preset(name), ExplorationBudget(10, cap))
+        h.enumerate_elements(5)
+        for ball in h._balls.values():
+            assert len(ball.members) <= cap
+
+
+def test_ball_truncated_at_cap_while_absorbing():
+    h = PresentationSemigroup(load_preset("aba_b"), ExplorationBudget(10, 3))
+    h.enumerate_elements(7)
+    assert max(len(b.members) for b in h._balls.values()) <= 3
+    assert any(b.truncated for b in h._balls.values())

@@ -206,3 +206,10 @@ def test_maximal_order_bounds():
     assert "= 4" in c4.classification
     c3 = maximal_order_bound(FiniteAbelianGroup((3,)))
     assert c3.bound == 3 and "= 3" in c3.classification
+    # certified only where the classification fixes the bound
+    assert triv.certified and c2.certified and c4.certified and c3.certified
+    c5 = maximal_order_bound(FiniteAbelianGroup((5,)))
+    assert c5.bound == 5 and not c5.certified
+    short = maximal_order_bound(FiniteAbelianGroup((2, 2, 2)),
+                                max_sequence_length=4)
+    assert short.computed_catenary < 4 and not short.certified
