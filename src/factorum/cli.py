@@ -313,7 +313,8 @@ def cmd_zss(args) -> int:
         rep = InvariantReport(f"davenport({group.describe()})",
                               davenport(group), Certification.EXACT)
     else:   # catenary
-        res = block_catenary(group, max_sequence_length=args.max_len)
+        res = block_catenary(
+            group, max_sequence_length=6 if args.max_len is None else args.max_len)
         witnesses = []
         if res.element is not None:
             witnesses.append({"element": handle.format_element(res.element)})
@@ -325,7 +326,7 @@ def cmd_zss(args) -> int:
 
 def cmd_order_bound(args) -> int:
     group = _group_from_spec(args.group)
-    res = maximal_order_bound(group)
+    res = maximal_order_bound(group, args.max_len)
     rep = InvariantReport(
         f"order-bound({group.describe()})",
         {"bound": res.bound, "computed_catenary": res.computed_catenary,
@@ -337,6 +338,7 @@ def cmd_order_bound(args) -> int:
 def cmd_tri(args) -> int:
     m = parse_matrix(args.matrix)
     h = TriangularMatrixHandle(len(m))
+    m = h.matrix(m)
     if args.tri_command == "atom":
         profile = tri_is_atom(m)
         value = {"atom": profile is not None}
@@ -489,11 +491,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True, help="cyclic orders, e.g. 2,2")
     p.add_argument("zss_command", choices=("atoms", "davenport", "catenary",
                                            "order-bound"))
-    p.add_argument("--max-len", type=int, default=6)
+    p.add_argument("--max-len", type=int, default=None,
+                   help="longest zero-sum sequence swept (default: 6 for "
+                        "catenary, 2*D(G) for order-bound)")
     p.set_defaults(func=cmd_zss)
     p = sub.add_parser("order-bound")
     p.add_argument("--group", required=True)
-    p.set_defaults(func=cmd_order_bound)
+    p.set_defaults(func=cmd_order_bound, max_len=None)
     p = sub.add_parser("tri")
     p.add_argument("--matrix", required=True, help='e.g. "2 5; 0 3"')
     p.add_argument("tri_command", choices=("factorize", "atom", "delta"))

@@ -21,7 +21,7 @@ from typing import Dict, FrozenSet, List, Tuple
 from .handles import SemigroupHandle
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RigidFactorization:
     atoms: Tuple
     product: object
@@ -36,7 +36,7 @@ class RigidFactorization:
         return "[" + ", ".join(handle.format_element(u) for u in self.atoms) + "]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PermutableFactorization:
     classes: Tuple          # sorted multiset of atom associate-class keys
     length: int

@@ -203,7 +203,7 @@ def check_adyan(p: Presentation) -> AdyanReport:
     return AdyanReport(left, right, la and ra, la, ra)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CongruenceBall:
     seed: Word
     members: FrozenSet[Word]
@@ -217,7 +217,7 @@ class Equality(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Element:
     """Canonical (shortlex-minimal explored) representative of a class."""
     word: Word
@@ -233,10 +233,19 @@ class AtomKind(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtomAnswer:
     kind: AtomKind
     witness: Optional[Tuple[Element, Element]] = None  # split u, v with uv = w
+
+
+@dataclass(slots=True)
+class _ClassRecord:
+    """What an engine has worked out about one closed congruence class."""
+    element: Element
+    atom: Optional[AtomAnswer] = None
+    divisors: Optional[Tuple[Tuple[Element, Element], ...]] = None
+    non_unique: Tuple[Word, ...] = ()   # atoms with several left quotients
 
 
 class PresentationSemigroup(SemigroupHandle):
@@ -261,6 +270,17 @@ class PresentationSemigroup(SemigroupHandle):
                 self._rules.append((r.rhs, r.lhs))
         self._canon: Dict[Word, Word] = {}
         self._balls: Dict[Word, CongruenceBall] = {}
+        # Per-class memo, keyed by canonical word, for closed balls only.
+        # A closed ball is never absorbed later: rewriting is symmetric, so
+        # a word one rewrite away from a member of a closed ball is either
+        # inside it or longer than its cap, and the latter would have made
+        # the ball escape.  Its members therefore keep their canonical word
+        # and one Element.  An atom answer is kept when its witness factors
+        # are of closed classes too, and a left-divisor list when it is
+        # complete (its atoms and quotients are then all of closed classes).
+        # Answers that rest on a truncated or escaped ball depend on what was
+        # explored before, so they are recomputed on every call.
+        self._classes: Dict[Word, _ClassRecord] = {}
         self.adyan = check_adyan(presentation)
         self.warnings: List[str] = []
         if not self.adyan.is_adyan:
@@ -330,8 +350,27 @@ class PresentationSemigroup(SemigroupHandle):
         return ball
 
     def element(self, word: Word) -> Element:
+        record = self._classes.get(self._canon.get(word))
+        if record is not None:
+            return record.element
         ball = self.congruence_ball(word)
-        return Element(self._canon[word], ball.closed)
+        return self._intern(self._canon[word], ball.closed)
+
+    def _intern(self, canonical: Word, closed: bool) -> Element:
+        """The one Element of a closed class; a fresh one for other balls."""
+        if not closed:
+            return Element(canonical, False)
+        record = self._classes.get(canonical)
+        if record is None:
+            record = self._classes[canonical] = _ClassRecord(Element(canonical))
+        return record.element
+
+    def _record(self, word: Word) -> Optional[_ClassRecord]:
+        """The memo record of the class of word, None unless its ball closed."""
+        record = self._classes.get(self._canon.get(word))
+        if record is None and self.element(word).certified:
+            record = self._classes[self._canon[word]]
+        return record
 
     def element_from_str(self, text: str) -> Element:
         return self.element(self.word_from_str(text))
@@ -354,16 +393,23 @@ class PresentationSemigroup(SemigroupHandle):
     def atom_answer(self, el: Element) -> AtomAnswer:
         if not el.word:
             return AtomAnswer(AtomKind.NO)  # the unit is not an atom
+        record = self._record(el.word)
+        if record is not None and record.atom is not None:
+            return record.atom
         ball = self.congruence_ball(el.word)
-        long_members = sorted((m for m in ball.members if len(m) >= 2),
-                              key=self.shortlex_key)
+        long_members = [m for m in ball.members if len(m) >= 2]
         if long_members:
-            m = long_members[0]
-            return AtomAnswer(AtomKind.NO,
-                              (self.element(m[:1]), self.element(m[1:])))
-        if ball.closed:
-            return AtomAnswer(AtomKind.YES)
-        return AtomAnswer(AtomKind.UNKNOWN)
+            m = min(long_members, key=self.shortlex_key)
+            u, v = self.element(m[:1]), self.element(m[1:])
+            answer = AtomAnswer(AtomKind.NO, (u, v))
+            exact = u.certified and v.certified
+        elif ball.closed:
+            answer, exact = AtomAnswer(AtomKind.YES), True
+        else:
+            return AtomAnswer(AtomKind.UNKNOWN)
+        if record is not None and exact:
+            record.atom = answer
+        return answer
 
     def left_divisors(self, el: Element) -> DivisorPairs:
         """All atoms u with el in u*S, each with its left quotient.
@@ -371,6 +417,11 @@ class PresentationSemigroup(SemigroupHandle):
         Every split of every ball member is tried; for a closed ball this is
         exhaustive, because u.word + quotient.word is itself a member.
         """
+        record = self._record(el.word)
+        if record is not None and record.divisors is not None:
+            for atom_word in record.non_unique:
+                self._warn_non_unique(el, atom_word)
+            return list(record.divisors), True
         ball = self.congruence_ball(el.word)
         complete = ball.closed
         pairs = {}
@@ -388,16 +439,22 @@ class PresentationSemigroup(SemigroupHandle):
                 complete = complete and prefix_el.certified and rest_el.certified
                 pairs[(prefix_el.word, rest_el.word)] = (prefix_el, rest_el)
                 by_atom.setdefault(prefix_el.word, set()).add(rest_el.word)
-        for atom_word, rests in by_atom.items():
-            if len(rests) > 1:
-                msg = ("left quotient of " + self.format_element(el)
-                       + " by " + " ".join(atom_word) + " is not unique; "
-                       "the presentation is not cancellative")
-                if msg not in self.warnings:
-                    self.warnings.append(msg)
+        non_unique = tuple(a for a, rests in by_atom.items() if len(rests) > 1)
+        for atom_word in non_unique:
+            self._warn_non_unique(el, atom_word)
         ordered = [pairs[k] for k in sorted(pairs, key=lambda k: (
             self.shortlex_key(k[0]), self.shortlex_key(k[1])))]
+        if record is not None and complete:
+            record.divisors = tuple(ordered)
+            record.non_unique = non_unique
         return ordered, complete
+
+    def _warn_non_unique(self, el: Element, atom_word: Word) -> None:
+        msg = ("left quotient of " + self.format_element(el)
+               + " by " + " ".join(atom_word) + " is not unique; "
+               "the presentation is not cancellative")
+        if msg not in self.warnings:
+            self.warnings.append(msg)
 
     # enumeration -------------------------------------------------------
 
@@ -422,8 +479,8 @@ class PresentationSemigroup(SemigroupHandle):
                     continue
                 ball = self.congruence_ball(cand)
                 complete = complete and ball.closed
-                if min(ball.members, key=self.shortlex_key) == cand:
-                    out.append(Element(cand, ball.closed))
+                if self._canon[cand] == cand:   # shortlex-least member
+                    out.append(self._intern(cand, ball.closed))
                     stack.append(cand)
         out.sort(key=lambda e: self.shortlex_key(e.word))
         return out, complete

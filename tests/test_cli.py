@@ -152,3 +152,26 @@ def test_order_bound_certification(capsys, command, group, certification,
     code, out, _ = run(capsys, "--format", "json", *argv)
     payload = json.loads(out)
     assert code == exit_code and payload["certification"] == certification
+
+
+@pytest.mark.parametrize("matrix", ["1 0; 1 1", "0 1; 0 1"])
+@pytest.mark.parametrize("command", ["delta", "factorize", "atom"])
+def test_tri_rejects_non_members(capsys, matrix, command):
+    # lower triangular, and singular: neither lies in T_2(Z)*
+    code, out, err = run(capsys, "tri", "--matrix", matrix, command)
+    assert code == 1 and out == ""
+    assert "upper triangular matrix with nonzero det" in err
+
+
+def test_zss_order_bound_honours_max_len(capsys):
+    code, out, _ = run(capsys, "--format", "json", "zss", "--group", "2,2",
+                       "order-bound", "--max-len", "2")
+    payload = json.loads(out)
+    assert code == 2 and payload["certification"] == "lower-bound"
+    assert payload["value"]["computed_catenary"] != 3
+    # without the flag both commands sweep to 2 D(G) and agree
+    code, zss_out, _ = run(capsys, "zss", "--group", "2,2", "order-bound")
+    assert code == 0 and "'computed_catenary': 3" in zss_out
+    assert "[exact]" in zss_out
+    _, top_out, _ = run(capsys, "order-bound", "--group", "2,2")
+    assert top_out == zss_out

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from factorum.presentation import (AtomKind, Equality, ExplorationBudget,
-                                   EmptyRelationSideError, PresentationError,
-                                   PresentationSemigroup,
+from factorum.factorizations import length_profile, rigid_factorizations
+from factorum.presentation import (AtomAnswer, AtomKind, Element, Equality,
+                                   ExplorationBudget, EmptyRelationSideError,
+                                   PresentationError, PresentationSemigroup,
                                    UndeclaredGeneratorError, check_adyan,
                                    parse_presentation)
 from factorum.presets import ab_ban, engine, load_preset, preset_names
@@ -287,3 +290,246 @@ def test_ball_truncated_at_cap_while_absorbing():
     h.enumerate_elements(7)
     assert max(len(b.members) for b in h._balls.values()) <= 3
     assert any(b.truncated for b in h._balls.values())
+
+
+# the per-class memo ------------------------------------------------------------
+
+class UnmemoisedEngine(PresentationSemigroup):
+    """Reference: the word engine answering every query from its balls,
+    with no per-class memo (atom answers and left divisors recomputed,
+    a fresh Element on every call)."""
+
+    def element(self, word):
+        ball = self.congruence_ball(word)
+        return Element(self._canon[word], ball.closed)
+
+    def atom_answer(self, el):
+        if not el.word:
+            return AtomAnswer(AtomKind.NO)
+        ball = self.congruence_ball(el.word)
+        long_members = sorted((m for m in ball.members if len(m) >= 2),
+                              key=self.shortlex_key)
+        if long_members:
+            m = long_members[0]
+            return AtomAnswer(AtomKind.NO,
+                              (self.element(m[:1]), self.element(m[1:])))
+        return AtomAnswer(AtomKind.YES if ball.closed else AtomKind.UNKNOWN)
+
+    def left_divisors(self, el):
+        ball = self.congruence_ball(el.word)
+        complete = ball.closed
+        pairs, by_atom = {}, {}
+        for m in sorted(ball.members, key=self.shortlex_key):
+            for i in range(1, len(m) + 1):
+                prefix_el = self.element(m[:i])
+                ans = self.atom_answer(prefix_el)
+                if ans.kind is AtomKind.UNKNOWN:
+                    complete = False
+                    continue
+                if ans.kind is AtomKind.NO:
+                    continue
+                rest_el = self.element(m[i:])
+                complete = complete and prefix_el.certified and rest_el.certified
+                pairs[(prefix_el.word, rest_el.word)] = (prefix_el, rest_el)
+                by_atom.setdefault(prefix_el.word, set()).add(rest_el.word)
+        for atom_word, rests in by_atom.items():
+            if len(rests) > 1:
+                self._warn_non_unique(el, atom_word)
+        ordered = [pairs[k] for k in sorted(pairs, key=lambda k: (
+            self.shortlex_key(k[0]), self.shortlex_key(k[1])))]
+        return ordered, complete
+
+
+def _answers(h, word):
+    """Every memoised answer about word, with each certification spelled out
+    (Element equality ignores the certified flag)."""
+    el = h.element(word)
+    atom = h.atom_answer(el)
+    pairs, complete = h.left_divisors(el)
+    fs = rigid_factorizations(h, el)
+    return {
+        "element": (el.word, el.certified),
+        "atom": (atom.kind, None if atom.witness is None else
+                 tuple((x.word, x.certified) for x in atom.witness)),
+        "divisors": ([(u.word, u.certified, q.word, q.certified)
+                      for u, q in pairs], complete),
+        "rigid": ([tuple(u.word for u in z.atoms) for z in fs], fs.complete),
+        "lengths": length_profile(h, el),
+    }
+
+
+def _certified_answers(answers):
+    """The answers that claim to be exact: these may not depend on what an
+    engine explored before."""
+    out = {}
+    if answers["element"][1]:
+        out["element"] = answers["element"]
+        witness = answers["atom"][1]
+        if witness is None or all(cert for _, cert in witness):
+            out["atom"] = answers["atom"]
+    for key in ("divisors", "rigid"):
+        if answers[key][1]:
+            out[key] = answers[key]
+    if answers["lengths"].certified:
+        out["lengths"] = answers["lengths"]
+    return out
+
+
+@st.composite
+def _preset_queries(draw):
+    name = draw(st.sampled_from(preset_names()))
+    gens = load_preset(name).generators
+    word = st.lists(st.sampled_from(gens), min_size=1, max_size=5).map(tuple)
+    return name, draw(st.lists(word, min_size=1, max_size=4))
+
+
+def _check_ball_caps(h):
+    for ball in h._balls.values():
+        cap = max(h.budget.max_word_length, len(ball.seed))
+        assert len(ball.members) <= h.budget.max_ball_size
+        assert all(len(m) <= cap for m in ball.members)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_preset_queries())
+def test_warm_engine_answers_like_cold_engines(queries):
+    name, words = queries
+    warm = engine(name)
+    for word in words:
+        cold = _answers(engine(name), word)
+        assert _answers(warm, word) == cold
+        assert _answers(warm, word) == cold   # answered from the memo
+        el = warm.element(word)
+        again = warm.element(el.word)
+        assert again is el if el.certified else again == el
+    for x in words:
+        for y in words:
+            assert warm.equal(x, y) is warm.equal(y, x)
+    _check_ball_caps(warm)
+
+
+def _tiny_budget(name):
+    """The shortest word cap the presentation admits, and balls of <= 5."""
+    sides = [len(side) for r in load_preset(name).relations
+             for side in (r.lhs, r.rhs)]
+    return ExplorationBudget(max(sides, default=1), 5)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_preset_queries())
+def test_tiny_budget_memo_keeps_only_exact_answers(queries):
+    # Balls truncate and escape here, and a closed ball of a word longer
+    # than the word cap can have escaping balls among its factors.  Answers
+    # about a non-closed ball depend on what the engine explored before (a
+    # warm engine may certify what a cold one cannot), so the warm engine
+    # is held to the cold one where both certify, and on every answer to a
+    # memo-free engine asked the same queries in the same order.
+    name, words = queries
+    budget = _tiny_budget(name)
+    warm = engine(name, budget)
+    reference = UnmemoisedEngine(load_preset(name), budget)
+    for word in words:
+        answers = _answers(warm, word)
+        assert answers == _answers(reference, word)
+        assert _answers(warm, word) == _answers(reference, word)
+        exact = _certified_answers(answers)
+        cold = _certified_answers(_answers(engine(name, budget), word))
+        for key in exact.keys() & cold.keys():
+            assert exact[key] == cold[key]
+        el = warm.element(word)
+        assert warm.element(el.word).word == el.word
+    for x in words:
+        for y in words:
+            assert warm.equal(x, y) is warm.equal(y, x)
+    assert warm.warnings == reference.warnings
+    _check_ball_caps(warm)
+    _check_memo_keys(warm)
+
+
+def _check_memo_keys(h):
+    for canonical, record in h._classes.items():
+        assert h._canon[canonical] == canonical
+        assert h._balls[canonical].closed
+        assert record.element.word == canonical and record.element.certified
+        # a memoised answer names only elements of closed classes
+        if record.atom is not None and record.atom.witness is not None:
+            assert all(x.certified for x in record.atom.witness)
+        for u, q in record.divisors or ():
+            assert u.certified and q.certified
+
+
+def test_memo_holds_one_record_per_closed_class():
+    h = engine("abc_cb")
+    el = h.element(("a", "b", "c"))
+    assert h.element(("c", "b")) is el
+    assert h.element_from_str("a b c") is el
+    assert h.multiply(h.element(("a",)), h.element(("b", "c"))) is el
+    assert [w for w in h._classes if ("c", "b") in h.congruence_ball(w).members] \
+        == [("c", "b")]
+    # aba_b: the classes of a^k b a^k are infinite, so those balls escape
+    h = engine("aba_b", _tiny_budget("aba_b"))
+    els, complete = h.enumerate_elements(5)
+    assert not complete
+    for el in els:
+        h.left_divisors(el)
+        assert h.element(el.word).certified == el.certified
+    open_balls = [k for k, b in h._balls.items() if not b.closed]
+    assert open_balls and not set(open_balls) & set(h._classes)
+    _check_memo_keys(h)
+
+
+def test_left_divisor_warnings_repeat_from_the_memo():
+    # <a, b | ab = aa> is not left cancellative: a*b = a*a
+    h = make("gens: a b\nrel: a b = a a\n")
+    el = h.element(("a", "b"))
+    first = h.left_divisors(el)
+    assert any("not unique" in w for w in h.warnings)
+    h.warnings.clear()
+    assert h.left_divisors(el) == first
+    assert any("not unique" in w for w in h.warnings)
+
+
+def test_closed_class_with_escaping_factors_stays_unmemoised():
+    # At word cap 3 the class of aaabc = aacb is closed, but the ball of
+    # its factor acb escapes (acb = aabc), so the atom witness and the
+    # left-divisor list rest on a non-closed ball and are not memoised.
+    # Factoring aaabc then builds the ball of aabc at cap 4, which absorbs
+    # acb and closes: a memoised first answer would now be stale.
+    budget = _tiny_budget("abc_cb")
+    h = engine("abc_cb", budget)
+    reference = UnmemoisedEngine(load_preset("abc_cb"), budget)
+    word = ("a", "a", "a", "b", "c")
+    el = h.element(word)
+    assert el.certified and el.word == ("a", "a", "c", "b")
+    first = _answers(h, word)
+    assert first == _answers(reference, word)
+    assert first["atom"][1] == ((("a",), True), (("a", "c", "b"), False))
+    assert first["divisors"][1] is False
+    second = _answers(h, word)
+    assert second == _answers(reference, word)
+    assert second["atom"][1] == ((("a",), True), (("a", "c", "b"), True))
+    _check_memo_keys(h)
+
+
+def test_incomplete_left_divisors_are_recomputed():
+    # The first answer lists a quotient bba whose ball escapes at word cap
+    # 3; exploring it closes the class of bab and merges bba into it, so
+    # the second answer is shorter and complete.
+    text = "gens: a b\nrel: b b b = b a\n"
+    budget = ExplorationBudget(3, 6)
+    h = make(text, budget)
+    reference = UnmemoisedEngine(parse_presentation(text), budget)
+    word = ("a", "b", "b", "b", "b")
+    el, ref_el = h.element(word), reference.element(word)
+    assert el.certified
+    answers = []
+    for _ in range(2):
+        pairs, complete = h.left_divisors(el)
+        got = ([(u.word, q.word, q.certified) for u, q in pairs], complete)
+        ref_pairs, ref_complete = reference.left_divisors(ref_el)
+        assert got == ([(u.word, q.word, q.certified) for u, q in ref_pairs],
+                       ref_complete)
+        answers.append(got)
+    assert answers[0][1] is False and len(answers[0][0]) == 2
+    assert answers[1] == ([(("a",), ("b", "a", "b"), True)], True)
+    _check_memo_keys(h)
