@@ -12,14 +12,31 @@ The rigid distance is computed through its block-alignment
 characterization: d*(z, z') <= N iff z and z' decompose as
 y1 x1 y2 ... x_{n-1} yn and y1' x1 y2' ... x_{n-1} yn' with the x_i
 literally shared, and the nontrivial gap pairs cost
-sum max(|y_i|, |y_i'|, 1) <= N.  A dynamic program over positions finds
-the optimum; ``rigid_distance_oracle`` re-derives it by exhaustive
-recursion over all block decompositions and exists purely as a test
-oracle.
+sum max(|y_i|, |y_i'|, 1) <= N.
 
-Matched atoms compare by associate class; on handles with nontrivial
-units a shared block must in addition have equal block products (blocks
-are literal common factors).
+That optimum is an edit distance (Wagner-Fischer) on the grid of prefix
+pairs, walked with unit-cost king moves (one atom of z, one of z', or one
+of each) and zero-cost shared blocks.  The two agree because a gap of p
+atoms against q costs max(p, q), which is exactly the fewest king moves
+from (i, j) to (i + p, j + q), and a run of king moves between two
+blocks costs at least the single gap spanning it.  So one forward pass
+over the (k + 1) x (l + 1) table finds the value.  Matched atoms compare
+by associate class, each atom's class computed once per call.  On
+reduced handles every longer shared block is a chain of length-1 blocks,
+so the table costs O(kl).  On handles with nontrivial units a shared
+block must in addition have equal block products (blocks are literal
+common factors), so longer blocks are kept, their products grown one
+atom at a time.
+
+The witness is read backwards from (k, l) and keeps the tie-break of
+the closing-gap program, which closed every gap (p, q) from every cell
+in O(k^2 l^2) (the tests keep it as a reference).  At a cell of value m
+it takes the shortest shared block ending there whose start has value
+m; failing that, one gap from the first cell in row-major order whose
+value plus the gap's cost is m.
+
+``rigid_distance_oracle`` re-derives the value by exhaustive recursion
+over all block decompositions and exists purely as a test oracle.
 """
 
 from __future__ import annotations
@@ -27,9 +44,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .factorizations import RigidFactorization, class_multiset
+from .factorizations import RigidFactorization
 from .handles import SemigroupHandle
 
 
@@ -49,8 +66,8 @@ def length_distance(z: RigidFactorization, zp: RigidFactorization) -> int:
 
 def permutable_distance(handle: SemigroupHandle, z: RigidFactorization,
                         zp: RigidFactorization) -> int:
-    a = Counter(class_multiset(handle, z))
-    b = Counter(class_multiset(handle, zp))
+    a = Counter(map(handle.atom_class, z.atoms))
+    b = Counter(map(handle.atom_class, zp.atoms))
     common = sum((a & b).values())
     return max(z.length - common, zp.length - common)
 
@@ -84,57 +101,104 @@ def rigid_distance(handle: SemigroupHandle, z: RigidFactorization,
 
 def rigid_distance_alignment(handle: SemigroupHandle, z: RigidFactorization,
                              zp: RigidFactorization) -> Tuple[int, Alignment]:
-    """Minimum block-alignment cost together with an optimal alignment."""
+    """Minimum block-alignment cost together with an optimal alignment.
+
+    ``dist[x][y]`` is the block-alignment cost of the prefixes a[:x] and
+    b[:y]: the cheapest walk from (0, 0) in unit king moves and free
+    shared blocks.  The witness is read backwards from (k, l) with the
+    tie-break described in the module docstring.
+    """
     a, b = z.atoms, zp.atoms
     k, l = len(a), len(b)
     if k == 0 and l == 0:
         cost = 0 if handle.key(z.product) == handle.key(zp.product) else 1
         return cost, Alignment((), (cost,) if cost else (), cost)
+    if k == 0 or l == 0:
+        # one gap replaces the whole nonempty side
+        return k + l, Alignment((), (k + l,), k + l)
 
-    INF = k + l + 2
-    dist = [[INF] * (l + 1) for _ in range(k + 1)]
-    prev: List[List[Optional[Tuple[int, int, str]]]] = \
-        [[None] * (l + 1) for _ in range(k + 1)]
-    dist[0][0] = 0
-    for i in range(k + 1):
-        for j in range(l + 1):
-            d = dist[i][j]
-            if d >= INF:
-                continue
-            # close a gap of p atoms in z and q atoms in z' at cost max(p, q)
-            for p in range(k - i + 1):
-                for q in range(l - j + 1):
-                    if p == 0 and q == 0:
-                        continue
-                    nd = d + max(p, q)
-                    if nd < dist[i + p][j + q]:
-                        dist[i + p][j + q] = nd
-                        prev[i + p][j + q] = (i, j, "gap")
-            # extend a shared block (ties resolved toward longer blocks,
-            # for witness readability; the value is unaffected)
-            ell = 0
-            while i + ell < k and j + ell < l and _match(handle, a[i + ell], b[j + ell]):
-                ell += 1
-                if not _block_ok(handle, a, b, i, j, ell):
-                    continue
-                if d <= dist[i + ell][j + ell]:
-                    dist[i + ell][j + ell] = d
-                    prev[i + ell][j + ell] = (i, j, "block")
+    cls = handle.atom_class
+    ca = [cls(u) for u in a]
+    cb = [cls(v) for v in b]
+    reduced = handle.reduced
+
+    def reach(x: int, y: int, limit: int) -> int:
+        # the class-matched run ending at (x, y), cut after its last start
+        # of value <= limit: no longer block can be of use
+        out = ell = 0
+        while ell < x and ell < y and ca[x - ell - 1] == cb[y - ell - 1]:
+            ell += 1
+            if dist[x - ell][y - ell] <= limit:
+                out = ell
+        return out
+
+    dist = [list(range(l + 1))]
+    for x in range(1, k + 1):
+        up, row, cx = dist[-1], [x], ca[x - 1]
+        for y in range(1, l + 1):
+            diag = up[y - 1]
+            best = min(up[y], row[y - 1], diag) + 1
+            if cx == cb[y - 1]:
+                if reduced:
+                    # a longer block is a chain of length-1 blocks
+                    best = min(best, diag)
+                else:
+                    span = reach(x, y, best - 1)
+                    for ell in _shared_blocks(handle, a, b, x, y, span):
+                        best = min(best, dist[x - ell][y - ell])
+            row.append(best)
+        dist.append(row)
     total = dist[k][l]
 
     blocks: List[Tuple[int, int, int]] = []
     gaps: List[int] = []
-    i, j = k, l
-    while (i, j) != (0, 0):
-        pi, pj, kindtag = prev[i][j]
-        if kindtag == "block":
-            blocks.append((pi, pj, i - pi))
+    x, y = k, l
+    while x or y:
+        m = dist[x][y]
+        span = reach(x, y, m)
+        ell = next((e for e in _shared_blocks(handle, a, b, x, y, span)
+                    if dist[x - e][y - e] == m), 0)
+        if ell:
+            blocks.append((x - ell, y - ell, ell))
+            x, y = x - ell, y - ell
         else:
-            gaps.append(max(i - pi, j - pj))
-        i, j = pi, pj
+            i, j = _first_gap_start(dist, x, y, m)
+            gaps.append(max(x - i, y - j))
+            x, y = i, j
     blocks.reverse()
     gaps.reverse()
     return total, Alignment(tuple(blocks), tuple(gaps), total)
+
+
+def _shared_blocks(handle: SemigroupHandle, a: Sequence, b: Sequence,
+                   x: int, y: int, span: int) -> Iterator[int]:
+    """Lengths ell <= span, shortest first, of the shared blocks
+    a[x-ell:x], b[y-ell:y] ending at (x, y).  The caller has matched the
+    atom classes over the whole span; with nontrivial units the block
+    products must agree too, and they grow by one left factor per length."""
+    if handle.reduced:
+        yield from range(1, span + 1)
+        return
+    key, mul = handle.key, handle.multiply
+    pa, pb = a[x - 1], b[y - 1]
+    for ell in range(1, span + 1):
+        if ell > 1:
+            pa, pb = mul(a[x - ell], pa), mul(b[y - ell], pb)
+        if key(pa) == key(pb):
+            yield ell
+
+
+def _first_gap_start(dist: List[List[int]], x: int, y: int,
+                     m: int) -> Tuple[int, int]:
+    """First cell (i, j) in row-major order from which one gap reaches
+    (x, y) at cost m.  A gap costs at least its height and its width, so
+    only the last m rows and columns can hold it."""
+    for i in range(max(0, x - m), x + 1):
+        row = dist[i]
+        for j in range(max(0, y - m), y + 1 if i < x else y):
+            if row[j] + max(x - i, y - j) == m:
+                return i, j
+    raise AssertionError(f"no gap reaches ({x}, {y}) at cost {m}")
 
 
 def rigid_distance_oracle(handle: SemigroupHandle, z: RigidFactorization,

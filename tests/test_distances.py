@@ -2,13 +2,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from factorum.distances import (DistanceKind, InstanceTooLarge, distance,
-                                length_distance, permutable_distance,
+from factorum.distances import (Alignment, DistanceKind, InstanceTooLarge,
+                                distance, length_distance, permutable_distance,
                                 rigid_distance, rigid_distance_alignment,
                                 rigid_distance_oracle, verify_axioms)
 from factorum.factorizations import (RigidFactorization, class_multiset,
                                      rigid_factorizations)
+from factorum.matrices import FullMatrixHandle, TriangularMatrixHandle, mat_det
 from factorum.presets import ab_ban, anbn, engine
 
 
@@ -106,7 +109,6 @@ def test_dp_equals_oracle_with_repeated_atoms():
 
 def test_dp_equals_oracle_on_matrix_factorizations():
     # handles with nontrivial units: shared blocks need equal products
-    from factorum.matrices import TriangularMatrixHandle
     h = TriangularMatrixHandle(2)
     for rows in (((4, 2), (0, 3)), ((2, 5), (0, 2)), ((6, 1), (0, 2))):
         fs = list(rigid_factorizations(h, rows))
@@ -179,3 +181,133 @@ def test_verify_axioms_measures_each_pair_once(monkeypatch):
     assert len(calls) == sum(len(zs) ** 2 for zs in fsets)
     assert rep.checked_pairs == sum(len(zs) * (len(zs) - 1) // 2
                                     for zs in fsets)
+
+
+def closing_gap_reference(handle, z, zp):
+    """The closing-gap dynamic program: from every cell it closes every gap
+    (p, q) at cost max(p, q) and extends every shared block, in
+    O(k^2 l^2).  Kept as the reference for the value and the witness of
+    the king-move table."""
+    a, b = z.atoms, zp.atoms
+    k, l = len(a), len(b)
+    if k == 0 and l == 0:
+        cost = 0 if handle.key(z.product) == handle.key(zp.product) else 1
+        return cost, Alignment((), (cost,) if cost else (), cost)
+
+    def block_ok(i, j, ell):
+        if handle.reduced:
+            return True
+        return handle.key(handle.product(a[i:i + ell])) == \
+            handle.key(handle.product(b[j:j + ell]))
+
+    INF = k + l + 2
+    dist = [[INF] * (l + 1) for _ in range(k + 1)]
+    prev = [[None] * (l + 1) for _ in range(k + 1)]
+    dist[0][0] = 0
+    for i in range(k + 1):
+        for j in range(l + 1):
+            d = dist[i][j]
+            for p in range(k - i + 1):
+                for q in range(l - j + 1):
+                    if p == 0 and q == 0:
+                        continue
+                    nd = d + max(p, q)
+                    if nd < dist[i + p][j + q]:
+                        dist[i + p][j + q] = nd
+                        prev[i + p][j + q] = (i, j, "gap")
+            ell = 0
+            while i + ell < k and j + ell < l and \
+                    handle.atom_class(a[i + ell]) == \
+                    handle.atom_class(b[j + ell]):
+                ell += 1
+                if block_ok(i, j, ell) and d <= dist[i + ell][j + ell]:
+                    dist[i + ell][j + ell] = d
+                    prev[i + ell][j + ell] = (i, j, "block")
+    blocks, gaps = [], []
+    i, j = k, l
+    while (i, j) != (0, 0):
+        pi, pj, tag = prev[i][j]
+        if tag == "block":
+            blocks.append((pi, pj, i - pi))
+        else:
+            gaps.append(max(i - pi, j - pj))
+        i, j = pi, pj
+    total = dist[k][l]
+    return total, Alignment(tuple(reversed(blocks)), tuple(reversed(gaps)),
+                            total)
+
+
+def check_against_reference(h, z, zp):
+    value, al = rigid_distance_alignment(h, z, zp)
+    ref_value, ref = closing_gap_reference(h, z, zp)
+    assert (value, al.blocks, al.gap_costs, al.total) == \
+        (ref_value, ref.blocks, ref.gap_costs, ref.total)
+    assert rigid_distance(h, z, zp) == value
+    if z.length + zp.length <= 10:
+        assert value == rigid_distance_oracle(h, z, zp)
+
+
+_WORD_HANDLES = {
+    "abc_cb": lambda: engine("abc_cb"),
+    "anbn(2)": lambda: anbn(2),
+    "aba_bab": lambda: engine("aba_bab"),
+    "ab_ban(3)": lambda: ab_ban(3),
+}
+
+
+@st.composite
+def _atom_word_pairs(draw):
+    h = _WORD_HANDLES[draw(st.sampled_from(sorted(_WORD_HANDLES)))]()
+    atoms = h.enumerate_atoms(1)[0]
+    words = st.lists(st.sampled_from(atoms), max_size=6)
+    z, zp = (tuple(draw(words)) for _ in range(2))
+    return h, RigidFactorization(z, h.product(z)), \
+        RigidFactorization(zp, h.product(zp))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_atom_word_pairs())
+def test_king_move_table_matches_closing_gap_reference(pair):
+    # value and witness of the O(kl) table against the O(k^2 l^2)
+    # program it replaced, and the value against the exhaustive oracle;
+    # pairs need not share a product, and either side may be empty
+    check_against_reference(*pair)
+
+
+_DIAGONAL = st.integers(-12, 12).filter(bool)
+
+
+@st.composite
+def _matrix_elements(draw):
+    if draw(st.booleans()):
+        h = TriangularMatrixHandle(2)
+        m = ((draw(_DIAGONAL), draw(st.integers(-9, 9))),
+             (0, draw(_DIAGONAL)))
+    else:
+        h = FullMatrixHandle(2)
+        m = tuple(tuple(draw(st.integers(-6, 6)) for _ in range(2))
+                  for _ in range(2))
+    assume(2 <= abs(mat_det(m)) <= 60)
+    return h, m
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_matrix_elements())
+def test_king_move_table_matches_reference_on_matrices(element):
+    # non-reduced handles: shared blocks need equal products, so blocks
+    # longer than one atom matter for both the value and the witness
+    h, m = element
+    fs = list(rigid_factorizations(h, m))
+    for z in fs:
+        for zp in fs:
+            check_against_reference(h, z, zp)
+
+
+def test_witness_takes_the_shortest_block():
+    # a longer shared block ending at the same cell is passed over
+    h = anbn(2)
+    z = seq(h, "a", "a", "b")
+    value, al = rigid_distance_alignment(h, z, z)
+    assert value == 0
+    assert al.blocks == ((0, 0, 1), (1, 1, 1), (2, 2, 1))
+    assert al.gap_costs == ()

@@ -213,3 +213,30 @@ def test_maximal_order_bounds():
     short = maximal_order_bound(FiniteAbelianGroup((2, 2, 2)),
                                 max_sequence_length=4)
     assert short.computed_catenary < 4 and not short.certified
+
+
+def brute_sub_multisets(seq):
+    # every sub-multiset of seq, each with one complement, by index subsets
+    out = {}
+    for k in range(len(seq) + 1):
+        for idx in itertools.combinations(range(len(seq)), k):
+            sub = tuple(seq[i] for i in idx)
+            out.setdefault(sub, tuple(g for i, g in enumerate(seq)
+                                      if i not in idx))
+    return out
+
+
+@pytest.mark.parametrize("orders", [(2, 2, 2), (3, 3)])
+def test_divisor_kernel_matches_brute_sub_multisets(orders):
+    group = FiniteAbelianGroup(orders)
+    h = BlockMonoidHandle(group)
+    seqs = list(zero_sum_sequences(group, None, 6))
+    short = [s for s in seqs if len(s) <= 3]
+    for x in seqs:
+        subs = brute_sub_multisets(x)
+        pairs, complete = h.left_divisor_atoms(x)
+        assert complete
+        assert pairs == [(atom, subs[atom]) for atom in h.atoms
+                         if atom in subs]
+        for b in set(h.atoms) | set(short):
+            assert h.leftright_divides(b, x) == (b in subs)
