@@ -3,10 +3,10 @@ cancellative semigroups given by finite presentations, for monoids of
 zero-sum sequences over finite abelian groups, and for integer triangular
 and full matrix semigroups."""
 
-from .presentation import (AdyanReport, AtomAnswer, AtomKind, CongruenceBall,
-                           Element, EmptyRelationSideError, Equality,
-                           ExplorationBudget, Presentation, PresentationError,
-                           PresentationSemigroup, Relation,
+from .presentation import (AdyanReport, AtomAnswer, AtomKind, BudgetOverride,
+                           CongruenceBall, Element, EmptyRelationSideError,
+                           Equality, ExplorationBudget, Presentation,
+                           PresentationError, PresentationSemigroup, Relation,
                            UndeclaredGeneratorError, check_adyan,
                            parse_presentation)
 from .handles import FactorialVectorHandle, SemigroupHandle

@@ -3,7 +3,8 @@
 Load a presentation file, a finite abelian group, or a matrix; dispatch an
 invariant computation; emit a human table or machine JSON ("factorum/1"
 schema, byte-identical across repeated runs).  Exit codes: 0 success, 2 on
-budget exhaustion with partial results, 1 on input errors.
+budget exhaustion with partial results, 1 on input errors (usage errors
+included).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .divisibility import (is_almost_prime_like, is_prime_like, omega_element,
 from .factorizations import length_profile, rigid_factorizations
 from .matrices import (FullMatrixHandle, TriangularMatrixHandle, delta_map,
                        det_transfer, parse_matrix, snf, tri_is_atom)
-from .presentation import (ExplorationBudget, Presentation, PresentationError,
+from .presentation import (BudgetOverride, Presentation, PresentationError,
                            PresentationSemigroup, check_adyan,
                            parse_presentation)
 from .reports import Certification, InvariantReport, certification
@@ -36,10 +37,7 @@ _KINDS = {"len": DistanceKind.LENGTH, "perm": DistanceKind.PERMUTABLE,
 def _load_engine(args) -> PresentationSemigroup:
     with open(args.file, "r", encoding="utf-8") as fh:
         pres = parse_presentation(fh.read())
-    budget = pres.budget
-    if args.budget_len or args.budget_ball:
-        budget = ExplorationBudget(args.budget_len or budget.max_word_length,
-                                   args.budget_ball or budget.max_ball_size)
+    budget = BudgetOverride(args.budget_len, args.budget_ball).apply(pres.budget)
     return PresentationSemigroup(pres, budget)
 
 
@@ -380,10 +378,7 @@ def cmd_mat(args) -> int:
 
 
 def cmd_regression(args) -> int:
-    budget = None
-    if args.budget_len or args.budget_ball:
-        budget = ExplorationBudget(args.budget_len or 12,
-                                   args.budget_ball or 100_000)
+    budget = BudgetOverride(args.budget_len, args.budget_ball)
     names = regression_mod.CRITERIA
     if args.case:
         if args.case not in names:
@@ -409,8 +404,17 @@ def cmd_regression(args) -> int:
     return 2 if any_bound else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like every other input error: exit code 2 means
+    partial results under an exhausted budget."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="factorum",
         description="factorization-theoretic invariants of noncommutative "
                     "cancellative semigroups")

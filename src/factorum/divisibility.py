@@ -151,11 +151,16 @@ def is_almost_prime_like(handle: SemigroupHandle, q,
     for a in scope_elements:
         fs = rigid_factorizations(handle, a)
         certified = certified and fs.complete
-        with_q = [z for z in fs if occurs_in(handle, q, z)]
-        without_q = [z for z in fs if not occurs_in(handle, q, z)]
-        if with_q and without_q:
-            return AlmostPrimeLikeReport(q, False, True,
-                                         (a, with_q[0], without_q[0]), scope)
+        with_q = without_q = None
+        for z in fs:
+            if occurs_in(handle, q, z):
+                if with_q is None:
+                    with_q = z
+            elif without_q is None:
+                without_q = z
+            if with_q is not None and without_q is not None:
+                return AlmostPrimeLikeReport(q, False, True,
+                                             (a, with_q, without_q), scope)
     return AlmostPrimeLikeReport(q, True, certified, None, scope)
 
 

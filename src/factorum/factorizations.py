@@ -63,11 +63,18 @@ def class_multiset(handle: SemigroupHandle, z: RigidFactorization) -> Tuple:
 _DEPTH_FALLBACK = 64
 
 
-def _atom_tuples(handle: SemigroupHandle, a) -> Tuple[Tuple[Tuple, ...], bool]:
-    """All atom sequences composing to a, with a completeness flag."""
+def _rigid_memo(handle: SemigroupHandle) -> Dict:
+    """Per-handle memo: key -> (atom tuples, complete, depth searched, the
+    FactorizationSet once one was returned complete, else None)."""
     cache = getattr(handle, "_rigid_cache", None)
     if cache is None:
         cache = handle._rigid_cache = {}
+    return cache
+
+
+def _atom_tuples(handle: SemigroupHandle, a) -> Tuple[Tuple[Tuple, ...], bool]:
+    """All atom sequences composing to a, with a completeness flag."""
+    cache = _rigid_memo(handle)
     in_progress = set()
 
     def rec(x, depth_left: int) -> Tuple[Tuple[Tuple, ...], bool]:
@@ -76,7 +83,7 @@ def _atom_tuples(handle: SemigroupHandle, a) -> Tuple[Tuple[Tuple, ...], bool]:
         key = handle.key(x)
         hit = cache.get(key)
         if hit is not None:
-            facts, complete, depth_at = hit
+            facts, complete, depth_at, _ = hit
             if complete or depth_at >= depth_left:
                 return facts, complete
         if key in in_progress:
@@ -99,7 +106,7 @@ def _atom_tuples(handle: SemigroupHandle, a) -> Tuple[Tuple[Tuple, ...], bool]:
         in_progress.discard(key)
         result = tuple(sorted(set(facts), key=lambda f: (
             len(f), tuple(handle.key(u) for u in f))))
-        cache[key] = (result, complete, depth_left)
+        cache[key] = (result, complete, depth_left, None)
         return result, complete
 
     depth = handle.length_cap(a)
@@ -112,13 +119,23 @@ def rigid_factorizations(handle: SemigroupHandle, a) -> FactorizationSet:
     """The set Z*(a) of rigid factorizations of a, within budget.
 
     Every returned sequence recomposes to a; the set is exhaustive iff
-    ``complete`` is True.
+    ``complete`` is True.  A complete set is built once per element and
+    served from the memo afterwards; an incomplete one is rebuilt on every
+    call, since a later search may get further.
     """
-    tuples, complete = _atom_tuples(handle, a)
     if handle.is_unit(a):
         return FactorizationSet((RigidFactorization((), a),), True)
+    cache = _rigid_memo(handle)
+    key = handle.key(a)
+    hit = cache.get(key)
+    if hit is not None and hit[3] is not None and handle.certified(a):
+        return hit[3]
+    tuples, complete = _atom_tuples(handle, a)
     facts = tuple(RigidFactorization(t, a) for t in tuples)
-    return FactorizationSet(facts, complete and handle.certified(a))
+    fs = FactorizationSet(facts, complete and handle.certified(a))
+    if fs.complete:
+        cache[key] = cache[key][:3] + (fs,)
+    return fs
 
 
 def permutable_factorizations(handle: SemigroupHandle, a

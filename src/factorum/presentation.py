@@ -64,6 +64,26 @@ class ExplorationBudget:
 
 
 @dataclass(frozen=True)
+class BudgetOverride:
+    """Budget fields to set in another budget; a field left None keeps the
+    other budget's value."""
+    max_word_length: Optional[int] = None
+    max_ball_size: Optional[int] = None
+
+    def __post_init__(self):
+        for value in (self.max_word_length, self.max_ball_size):
+            if value is not None and value < 1:
+                raise BudgetError("budget bounds must be positive")
+
+    def apply(self, budget: ExplorationBudget) -> ExplorationBudget:
+        return ExplorationBudget(
+            budget.max_word_length if self.max_word_length is None
+            else self.max_word_length,
+            budget.max_ball_size if self.max_ball_size is None
+            else self.max_ball_size)
+
+
+@dataclass(frozen=True)
 class Relation:
     lhs: Word
     rhs: Word
@@ -209,6 +229,9 @@ class CongruenceBall:
     members: FrozenSet[Word]
     closed: bool
     truncated: bool = False
+    # the shortlex-least member of length >= 2, None when every member is a
+    # single letter: its first letter and the rest split the class
+    least_long_member: Optional[Word] = None
 
 
 class Equality(Enum):
@@ -297,7 +320,7 @@ class PresentationSemigroup(SemigroupHandle):
         return word
 
     def shortlex_key(self, word: Word):
-        return (len(word), tuple(self._gidx[g] for g in word))
+        return (len(word), tuple(map(self._gidx.__getitem__, word)))
 
     def _rewrites(self, word: Word):
         for lhs, rhs in self._rules:
@@ -342,8 +365,12 @@ class PresentationSemigroup(SemigroupHandle):
                     break
         closed = not escaped and not truncated
         canonical = min(members, key=self.shortlex_key)
+        least_long = canonical if len(canonical) >= 2 else min(
+            (m for m in members if len(m) >= 2), key=self.shortlex_key,
+            default=None)
         ball = CongruenceBall(seed=word, members=frozenset(members),
-                              closed=closed, truncated=truncated)
+                              closed=closed, truncated=truncated,
+                              least_long_member=least_long)
         for m in members:
             self._canon[m] = canonical
         self._balls[canonical] = ball
@@ -397,9 +424,8 @@ class PresentationSemigroup(SemigroupHandle):
         if record is not None and record.atom is not None:
             return record.atom
         ball = self.congruence_ball(el.word)
-        long_members = [m for m in ball.members if len(m) >= 2]
-        if long_members:
-            m = min(long_members, key=self.shortlex_key)
+        m = ball.least_long_member
+        if m is not None:
             u, v = self.element(m[:1]), self.element(m[1:])
             answer = AtomAnswer(AtomKind.NO, (u, v))
             exact = u.certified and v.certified
@@ -414,8 +440,12 @@ class PresentationSemigroup(SemigroupHandle):
     def left_divisors(self, el: Element) -> DivisorPairs:
         """All atoms u with el in u*S, each with its left quotient.
 
-        Every split of every ball member is tried; for a closed ball this is
-        exhaustive, because u.word + quotient.word is itself a member.
+        Only the first letter of each ball member can be an atom: the
+        presentation is reduced, so a longer prefix is a product of two
+        non-units.  For a closed ball this is exhaustive, because u.word +
+        quotient.word is itself a member.  Members are visited in shortlex
+        order, because the order in which balls are built decides the
+        answers that rest on non-closed balls.
         """
         record = self._record(el.word)
         if record is not None and record.divisors is not None:
@@ -424,21 +454,36 @@ class PresentationSemigroup(SemigroupHandle):
             return list(record.divisors), True
         ball = self.congruence_ball(el.word)
         complete = ball.closed
+        # The longer prefixes are still explored, as before, when the ball is
+        # not closed within the word cap: the balls built for them and for
+        # their atom witnesses can decide later answers.  Otherwise every
+        # class of a factor u of a member is closed too (the words of u's
+        # class, padded by the rest of the member, lie in this class), and a
+        # closed ball has the same members whenever it is built.
+        explore = not ball.closed or len(ball.seed) > self.budget.max_word_length
         pairs = {}
         by_atom: Dict[Word, set] = {}
-        for m in sorted(ball.members, key=self.shortlex_key):
-            for i in range(1, len(m) + 1):
-                prefix_el = self.element(m[:i])
-                ans = self.atom_answer(prefix_el)
-                if ans.kind is AtomKind.UNKNOWN:
+        letter_atoms: Dict[Word, Optional[Element]] = {}   # None: not an atom
+        members = ball.members
+        if len(members) > 1:
+            members = sorted(members, key=self.shortlex_key)
+        for m in members:
+            letter = m[:1]
+            if explore or letter not in letter_atoms:
+                letter_el = self.element(letter)
+                kind = self.atom_answer(letter_el).kind
+                if kind is AtomKind.UNKNOWN:
                     complete = False
-                    continue
-                if ans.kind is AtomKind.NO:
-                    continue
-                rest_el = self.element(m[i:])
-                complete = complete and prefix_el.certified and rest_el.certified
-                pairs[(prefix_el.word, rest_el.word)] = (prefix_el, rest_el)
-                by_atom.setdefault(prefix_el.word, set()).add(rest_el.word)
+                letter_atoms[letter] = letter_el if kind is AtomKind.YES else None
+            atom_el = letter_atoms[letter]
+            if atom_el is not None:
+                rest_el = self.element(m[1:])
+                complete = complete and atom_el.certified and rest_el.certified
+                pairs[(atom_el.word, rest_el.word)] = (atom_el, rest_el)
+                by_atom.setdefault(atom_el.word, set()).add(rest_el.word)
+            if explore:
+                for i in range(2, len(m) + 1):
+                    self.atom_answer(self.element(m[:i]))   # never an atom
         non_unique = tuple(a for a, rests in by_atom.items() if len(rests) > 1)
         for atom_word in non_unique:
             self._warn_non_unique(el, atom_word)

@@ -29,26 +29,29 @@ def engine(name: str, budget: ExplorationBudget | None = None
     return PresentationSemigroup(load_preset(name), budget)
 
 
-def anbn(n: int, max_word_length: int = 0) -> PresentationSemigroup:
+def anbn(n: int, max_word_length: int = 0,
+         max_ball_size: int = 100_000) -> PresentationSemigroup:
     """<a, b | a^n b^n = b^n a^n>."""
     text = f"gens: a b\nrel: {'a ' * n}{'b ' * n}= {'b ' * n}{'a ' * n}\n"
-    budget = ExplorationBudget(max(2 * n, max_word_length, 12))
+    budget = ExplorationBudget(max(2 * n, max_word_length, 12), max_ball_size)
     return PresentationSemigroup(parse_presentation(text), budget)
 
 
-def b_an_c(n: int, max_word_length: int = 0) -> PresentationSemigroup:
+def b_an_c(n: int, max_word_length: int = 0,
+           max_ball_size: int = 100_000) -> PresentationSemigroup:
     """<a, b, c | b a^{n-1} = a^{n-1} c>."""
     if n < 2:
         raise ValueError("need n >= 2")
     text = f"gens: a b c\nrel: b {'a ' * (n - 1)}= {'a ' * (n - 1)}c\n"
-    budget = ExplorationBudget(max(n, max_word_length, 12))
+    budget = ExplorationBudget(max(n, max_word_length, 12), max_ball_size)
     return PresentationSemigroup(parse_presentation(text), budget)
 
 
-def ab_ban(n: int, max_word_length: int = 0) -> PresentationSemigroup:
+def ab_ban(n: int, max_word_length: int = 0,
+           max_ball_size: int = 100_000) -> PresentationSemigroup:
     """<a, b | a b = b a^{n-1}>."""
     if n < 2:
         raise ValueError("need n >= 2")
     text = f"gens: a b\nrel: a b = b {'a ' * (n - 1)}\n"
-    budget = ExplorationBudget(max(n, max_word_length, 12))
+    budget = ExplorationBudget(max(n, max_word_length, 12), max_ball_size)
     return PresentationSemigroup(parse_presentation(text), budget)

@@ -29,7 +29,8 @@ from .matrices import (FullMatrixHandle, TriangularMatrixHandle,
                        delta_transfer_map, det_transfer_map, mat_det,
                        mat_mul, snf, tri_is_atom, tri_left_divisors,
                        verify_transfer_properties)
-from .presentation import ExplorationBudget, PresentationSemigroup
+from .presentation import (BudgetOverride, ExplorationBudget,
+                           PresentationSemigroup)
 from .presets import ab_ban, anbn, b_an_c, load_preset
 from .reports import Certification, certification
 from .arith import big_omega, factor, is_prime
@@ -62,12 +63,18 @@ class CheckRow:
         return "pass" if self.matches else "FAIL"
 
 
-def _engine(name: str, budget: Optional[ExplorationBudget],
+def _budget(override: Optional[BudgetOverride], default_len: int,
+            default_ball: int = 100_000) -> ExplorationBudget:
+    """A case's own budget with the overridden fields replaced."""
+    budget = ExplorationBudget(default_len, default_ball)
+    return budget if override is None else override.apply(budget)
+
+
+def _engine(name: str, override: Optional[BudgetOverride],
             default_len: int, default_ball: int = 100_000
             ) -> PresentationSemigroup:
     p = load_preset(name)
-    if budget is None:
-        budget = ExplorationBudget(default_len, default_ball)
+    budget = _budget(override, default_len, default_ball)
     longest = max(max(len(r.lhs), len(r.rhs)) for r in p.relations) \
         if p.relations else 1
     budget = ExplorationBudget(max(budget.max_word_length, longest),
@@ -109,7 +116,8 @@ def case_anbn(budget=None) -> List[CheckRow]:
     rows = []
     for n in (2, 3):
         scope = 2 * n + 4
-        h = anbn(n, max_word_length=budget.max_word_length if budget else scope)
+        caps = _budget(budget, scope)
+        h = anbn(n, caps.max_word_length, caps.max_ball_size)
         els, comp = h.enumerate_elements(scope)
         worst = 0
         cert = comp
@@ -147,8 +155,8 @@ def case_ab_cd_cede_ba(budget=None) -> List[CheckRow]:
 def case_b_an_c(budget=None) -> List[CheckRow]:
     rows = []
     for n in (2, 3, 4):
-        h = b_an_c(n, max_word_length=(budget.max_word_length if budget
-                                       else 3 * n + 3))
+        caps = _budget(budget, 3 * n + 3)
+        h = b_an_c(n, caps.max_word_length, caps.max_ball_size)
         els, comp = h.enumerate_elements(n + 3)
         a, b, c = (h.element_from_str(x) for x in "abc")
         for atom, exp_t, exp_w in ((a, 0, 1), (b, 1, n), (c, 1, n)):
@@ -176,8 +184,8 @@ def case_ab_ban(budget=None) -> List[CheckRow]:
     rows = []
     for n in (3, 4):
         for m in (1, 2, 3):
-            blen = budget.max_word_length if budget else _ab_ban_budget(n, m)
-            h = ab_ban(n, max_word_length=blen)
+            caps = _budget(budget, _ab_ban_budget(n, m))
+            h = ab_ban(n, caps.max_word_length, caps.max_ball_size)
             el = h.element_from_str(" ".join(["a"] * m + ["b"]))
             L = length_profile(h, el)
             expected = tuple(sorted(m + 1 + k * (n - 2) for k in range(m + 1)))
@@ -490,6 +498,6 @@ CASES: Dict[str, Callable] = {
 CRITERIA = list(CASES)   # one case per acceptance criterion, in order
 
 
-def run_case(name: str, budget: Optional[ExplorationBudget] = None
+def run_case(name: str, budget: Optional[BudgetOverride] = None
              ) -> List[CheckRow]:
     return CASES[name](budget)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from factorum.cli import main
+from factorum.presentation import BudgetOverride, ExplorationBudget
 from importlib import resources
 
 
@@ -175,3 +176,55 @@ def test_zss_order_bound_honours_max_len(capsys):
     assert "[exact]" in zss_out
     _, top_out, _ = run(capsys, "order-bound", "--group", "2,2")
     assert top_out == zss_out
+
+
+@pytest.mark.parametrize("flag", ["--budget-len", "--budget-ball"])
+@pytest.mark.parametrize("command", [
+    ("lengths", pres_path("abc_cb"), "--element", "a b c"),
+    ("regression", "--case", "zero-sum")])
+def test_zero_budget_rejected(capsys, flag, command):
+    code, out, err = run(capsys, flag, "0", *command)
+    assert code == 1 and out == ""
+    assert "budget bounds must be positive" in err
+
+
+def test_regression_keeps_the_cases_own_word_cap(capsys):
+    # overriding the ball size alone leaves each case's word cap (here up
+    # to 30 for <a, b | ab = ba^3>) in place
+    code, out, _ = run(capsys, "--budget-ball", "100000", "regression",
+                       "--case", "length-set-family")
+    assert code == 0 and "lower-bound" not in out and "FAIL" not in out
+    # and the ball size reaches the parametric families too
+    code, out, _ = run(capsys, "--budget-ball", "1", "regression",
+                       "--case", "length-set-family")
+    assert code == 2 and "lower-bound" in out and "FAIL" not in out
+
+
+def test_regression_passes_only_the_given_fields(monkeypatch, capsys):
+    from factorum import regression
+    seen = []
+    monkeypatch.setitem(regression.CASES, "aba_ba3bc",
+                        lambda budget: seen.append(budget) or [])
+    run(capsys, "--budget-ball", "200000", "regression", "--case", "aba_ba3bc")
+    run(capsys, "--budget-len", "20", "regression", "--case", "aba_ba3bc")
+    assert seen == [BudgetOverride(None, 200_000), BudgetOverride(20, None)]
+    # the case's own word cap for aba_ba3bc is 36, and its ball size 200,000
+    assert [regression._budget(b, 36, 200_000) for b in seen] == [
+        ExplorationBudget(36, 200_000), ExplorationBudget(20, 200_000)]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--no-such-option", "parse", pres_path("abc_cb")), "unrecognized"),
+    (("catenary", pres_path("abc_cb"), "--element", "a b c",
+      "--budget-len", "1"), "unrecognized"),
+    (("lengths", pres_path("abc_cb")), "required"),
+    (("zss", "--group", "2", "bogus"), "invalid choice"),
+    (("catenary", pres_path("abc_cb"), "--kind", "bogus"), "invalid choice"),
+])
+def test_usage_errors_exit_one(capsys, argv, message):
+    # exit code 2 is kept for partial results under an exhausted budget
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1 and out == ""
+    assert message in err and "usage:" in err

@@ -88,6 +88,45 @@ def test_almost_prime_like_aba_ba3bc():
     assert h.product(z_without.atoms).word == el.word
 
 
+def _first_with_and_without(h, q, scope):
+    """The counterexample as the two-list check finds it."""
+    for a in scope:
+        fs = rigid_factorizations(h, a)
+        with_q = [z for z in fs if occurs_in(h, q, z)]
+        without_q = [z for z in fs if not occurs_in(h, q, z)]
+        if with_q and without_q:
+            return a, with_q[0], without_q[0]
+    return None
+
+
+@pytest.mark.parametrize("name", ["aba_ba3bc", "ab_cd", "abc_cb",
+                                  "ab_cd_cede_ba", "aba_bab"])
+def test_almost_prime_like_witness_is_first_with_and_without(name):
+    h = engine(name)
+    els, comp = h.enumerate_elements(5)
+    atoms, _ = h.enumerate_atoms(2)
+    for q in atoms:
+        rep = is_almost_prime_like(h, q, els, comp)
+        assert rep.counterexample == _first_with_and_without(h, q, els)
+        assert rep.holds == (rep.counterexample is None)
+
+
+@pytest.mark.parametrize("q,with_q,without_q", [
+    ("a", ["a", "b"], ["c", "d"]),      # [a, b] and [b, a] contain a
+    ("c", ["c", "d"], ["a", "b"]),      # [a, b] and [b, a] do not contain c
+])
+def test_almost_prime_like_witness_takes_the_first_factorizations(
+        q, with_q, without_q):
+    h = make("gens: a b c d\nrel: a b = b a\nrel: a b = c d\n")
+    ab = h.element_from_str("a b")
+    assert len(rigid_factorizations(h, ab)) == 3
+    rep = is_almost_prime_like(h, h.element_from_str(q), [ab])
+    el, z_with, z_without = rep.counterexample
+    assert el == ab and not rep.holds
+    assert [u.word[0] for u in z_with.atoms] == with_q
+    assert [u.word[0] for u in z_without.atoms] == without_q
+
+
 def test_almost_prime_like_free_monoid():
     h = make("gens: a b\n")
     els, comp = h.enumerate_elements(4)

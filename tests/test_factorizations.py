@@ -1,10 +1,14 @@
 from fractions import Fraction
 
-from factorum.factorizations import (length_profile,
+import pytest
+
+from factorum.factorizations import (FactorizationSet, RigidFactorization,
+                                     _atom_tuples, length_profile,
                                      permutable_class_multisets,
                                      permutable_factorizations,
                                      rigid_factorizations)
-from factorum.presentation import PresentationSemigroup, parse_presentation
+from factorum.presentation import (Element, ExplorationBudget,
+                                   PresentationSemigroup, parse_presentation)
 from factorum.presets import ab_ban, anbn, engine
 
 
@@ -123,3 +127,62 @@ def test_incomplete_factorizations_flagged():
     h = engine("aba_b")
     fs = rigid_factorizations(h, h.element_from_str("b"))
     assert not fs.complete
+
+
+def _rebuilt(h, a):
+    """rigid_factorizations without the set memo, as a reference."""
+    tuples, complete = _atom_tuples(h, a)
+    return FactorizationSet(tuple(RigidFactorization(t, a) for t in tuples),
+                            complete and h.certified(a))
+
+
+def _spelled_out(fs):
+    # RigidFactorization equality ignores the certified flags of elements
+    return ([(tuple((u.word, u.certified) for u in z.atoms),
+              z.product.word, z.product.certified) for z in fs], fs.complete)
+
+
+@pytest.mark.parametrize("name,budget,completeness", [
+    ("abc_cb", None, {True}),
+    ("aba_ba3bc", None, {True}),
+    ("aba_b", None, {True, False}),                    # not atomic
+    ("abc_cb", ExplorationBudget(3, 5), {True, False}),
+    ("aba_ba3bc", ExplorationBudget(7, 5), {True, False}),
+])
+def test_factorization_set_memo(name, budget, completeness):
+    # A complete set is built once and then served from the memo; an
+    # incomplete one is rebuilt on every call.  A second engine asked the
+    # same queries in the same order rebuilds every set.
+    h, reference = engine(name, budget), engine(name, budget)
+    els, _ = h.enumerate_elements(4)
+    reference.enumerate_elements(4)
+    seen = set()
+    for el in els:
+        ref_el = reference.element(el.word)
+        first = rigid_factorizations(h, el)
+        assert _spelled_out(first) == _spelled_out(_rebuilt(reference, ref_el))
+        again = rigid_factorizations(h, el)
+        assert _spelled_out(again) == _spelled_out(_rebuilt(reference, ref_el))
+        assert (again is first) == first.complete
+        assert all(z.product == el and h.product(z.atoms) == el for z in again)
+        seen.add(first.complete)
+    assert seen == completeness
+
+
+def test_factorization_set_memo_checks_the_element_certified():
+    h = engine("abc_cb")
+    el = h.element_from_str("a b c")
+    assert rigid_factorizations(h, el).complete
+    fs = rigid_factorizations(h, Element(el.word, False))
+    assert not fs.complete and all(z.product == el for z in fs)
+
+
+def test_incomplete_set_of_a_certified_element_is_rebuilt():
+    # At word cap 3 the class of aaabc = aacb is closed, but the ball of its
+    # factor acb escapes, so the search below it cannot certify.
+    h = engine("abc_cb", ExplorationBudget(3, 5))
+    el = h.element(tuple("aaabc"))
+    first = rigid_factorizations(h, el)
+    assert el.certified and not first.complete
+    again = rigid_factorizations(h, el)
+    assert again is not first and _spelled_out(again) == _spelled_out(first)

@@ -1,13 +1,14 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from factorum.factorizations import length_profile, rigid_factorizations
 from factorum.presentation import (AtomAnswer, AtomKind, Element, Equality,
                                    ExplorationBudget, EmptyRelationSideError,
-                                   PresentationError, PresentationSemigroup,
+                                   Presentation, PresentationError,
+                                   PresentationSemigroup, Relation,
                                    UndeclaredGeneratorError, check_adyan,
                                    parse_presentation)
 from factorum.presets import ab_ban, engine, load_preset, preset_names
@@ -532,4 +533,56 @@ def test_incomplete_left_divisors_are_recomputed():
         answers.append(got)
     assert answers[0][1] is False and len(answers[0][0]) == 2
     assert answers[1] == ([(("a",), ("b", "a", "b"), True)], True)
+    _check_memo_keys(h)
+
+
+# first-letter left divisors -----------------------------------------------------
+
+@st.composite
+def _random_presentations(draw):
+    """A 2- or 3-generator presentation (mostly not Adyan, often not
+    cancellative), a budget that lets balls truncate and escape, and words
+    to ask about."""
+    gens = ("a", "b", "c")[:draw(st.integers(2, 3))]
+    side = st.lists(st.sampled_from(gens), min_size=1, max_size=3).map(tuple)
+    relations = tuple(Relation(lhs, rhs) for lhs, rhs in
+                      draw(st.lists(st.tuples(side, side), min_size=1, max_size=3)))
+    longest = max(len(s) for r in relations for s in (r.lhs, r.rhs))
+    budget = ExplorationBudget(longest + draw(st.integers(0, 2)),
+                               draw(st.integers(2, 40)))
+    word = st.lists(st.sampled_from(gens), min_size=1, max_size=5).map(tuple)
+    return Presentation(gens, relations), budget, draw(
+        st.lists(word, min_size=1, max_size=6))
+
+
+def _divisor_answer(h, word):
+    pairs, complete = h.left_divisors(h.element(word))
+    return [(u.word, u.certified, q.word, q.certified) for u, q in pairs], complete
+
+
+def _case(gens, relations, budget, words):
+    return (Presentation(tuple(gens), tuple(
+        Relation(tuple(lhs), tuple(rhs)) for lhs, rhs in relations)),
+        budget, [tuple(w) for w in words])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_random_presentations())
+# Closed balls seeded by words longer than the word cap: the prefix balls
+# built while listing their divisors certify a later quotient.
+@example(_case("ab", [("ab", "bbb")], ExplorationBudget(3, 14),
+               ["b", "bbbaa", "ba", "aabaa", "aaba"]))
+@example(_case("ab", [("aab", "ba")], ExplorationBudget(3, 22),
+               ["aabbb", "bbab", "ab"]))
+def test_first_letter_divisors_match_all_splits(case):
+    # The engine tries only the first letter of each ball member; the
+    # reference tries every prefix.  Both are asked the same queries in the
+    # same order, so the balls they share were built from the same history.
+    presentation, budget, words = case
+    h = PresentationSemigroup(presentation, budget)
+    reference = UnmemoisedEngine(presentation, budget)
+    for word in words:
+        for _ in range(2):      # the second answer may come from the memo
+            assert _divisor_answer(h, word) == _divisor_answer(reference, word)
+            assert h.warnings == reference.warnings
     _check_memo_keys(h)
