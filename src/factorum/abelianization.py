@@ -61,6 +61,7 @@ class CommutativeVectorSemigroup(SemigroupHandle):
 
     reduced = True
     commutative = True
+    budgeted = True
 
     def __init__(self, generators: Tuple[str, ...],
                  relations: Sequence[Tuple[Vector, Vector]],

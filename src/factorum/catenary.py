@@ -13,19 +13,28 @@ restricts chains to a fiber: z ~ z' iff the images phi*(z), phi*(z') agree
 up to permutation.  Every variant is a view on one graph per element: a
 partition of its nodes and the bottleneck inside each part.
 
+Under d* the graph's nodes are the rigid factorizations.  Under d_len and
+d_p they are the permutable factorizations (one per atom-class multiset),
+and d_p is computed from the multisets.  On commutative handles without
+an exploration budget (block monoids, free abelian monoids) those
+multisets come from one memoised recursion over left quotients, so the
+cost follows the factorization classes, not the rigid orderings; on the
+other handles they are read off the rigid factorizations.
+
 Infinity never arises in a bounded computation and is represented by an
 explicit flag, never a sentinel integer.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .distances import DistanceKind, distance
-from .factorizations import (RigidFactorization, permutable_factorizations,
-                             rigid_factorizations)
+from .factorizations import (PermutableFactorization, RigidFactorization,
+                             permutable_factorizations, rigid_factorizations)
 from .handles import SemigroupHandle
 
 
@@ -75,19 +84,48 @@ def _bottleneck(nodes: Sequence[int], mat) -> Tuple[int, Optional[Tuple[int, int
     return value, arg
 
 
+def _permutable_matrix(classes: Sequence[PermutableFactorization]):
+    """d_p between permutable factorizations, read off their class
+    multisets, each counted once: the larger length minus the size of
+    the common sub-multiset."""
+    counts = [Counter(p.classes) for p in classes]
+    n = len(classes)
+    mat = [[0] * n for _ in range(n)]
+    for i in range(n):
+        ci, li, row = counts[i], classes[i].length, mat[i]
+        for j in range(i + 1, n):
+            cj = counts[j]
+            common = 0
+            for cls, k in ci.items():
+                m = cj.get(cls)
+                if m:
+                    common += k if k < m else m
+            row[j] = mat[j][i] = max(li, classes[j].length) - common
+    return mat
+
+
 def _graph(handle: SemigroupHandle, a, kind: DistanceKind):
     """Nodes, distance matrix and completeness flag of the factorization
-    graph of a.  Under d_len and d_p a distance depends only on the two
-    atom-class multisets and is 0 when they agree, so one node per
-    permutable factorization changes no bottleneck value and no least
-    distance between two lengths; under d* the nodes are rigid."""
+    graph of a.
+
+    Under d* the nodes are the rigid factorizations.  Under d_len and d_p
+    a distance depends only on the two atom-class multisets and is 0 when
+    they agree, so the graph takes one node per class multiset, from
+    ``permutable_factorizations``: that changes no bottleneck value and
+    no least distance between two lengths.  A node stands for its class
+    by the least rigid factorization in it, in the order (length, atom
+    keys), which is what a witness shows; on commutative handles without
+    a budget no other rigid ordering is ever built.  The d_p matrix is
+    read off the class multisets."""
     if kind is DistanceKind.RIGID:
         fs = rigid_factorizations(handle, a)
-        nodes, complete = fs.factorizations, fs.complete
-    else:
-        classes, complete = permutable_factorizations(handle, a)
-        nodes = tuple(p.representative for p in classes)
-    return nodes, _distance_matrix(handle, kind, nodes), complete
+        return (fs.factorizations,
+                _distance_matrix(handle, kind, fs.factorizations), fs.complete)
+    classes, complete = permutable_factorizations(handle, a)
+    nodes = tuple(p.representative for p in classes)
+    mat = _permutable_matrix(classes) if kind is DistanceKind.PERMUTABLE \
+        else _distance_matrix(handle, kind, nodes)
+    return nodes, mat, complete
 
 
 def _split(key: Callable) -> Callable:

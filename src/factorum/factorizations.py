@@ -43,7 +43,7 @@ class PermutableFactorization:
     representative: RigidFactorization
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FactorizationSet:
     factorizations: Tuple[RigidFactorization, ...]
     complete: bool
@@ -123,6 +123,7 @@ def rigid_factorizations(handle: SemigroupHandle, a) -> FactorizationSet:
     served from the memo afterwards; an incomplete one is rebuilt on every
     call, since a later search may get further.
     """
+    handle.require_element(a)
     if handle.is_unit(a):
         return FactorizationSet((RigidFactorization((), a),), True)
     cache = _rigid_memo(handle)
@@ -140,7 +141,24 @@ def rigid_factorizations(handle: SemigroupHandle, a) -> FactorizationSet:
 
 def permutable_factorizations(handle: SemigroupHandle, a
                               ) -> Tuple[Tuple[PermutableFactorization, ...], bool]:
-    """Z_p(a): rigid factorizations up to permutation of associate classes."""
+    """Z_p(a): rigid factorizations up to permutation of associate classes,
+    one per class multiset in multiset order, each represented by its least
+    rigid factorization in the order (length, atom keys).
+
+    On a commutative reduced handle without an exploration budget every
+    ordering of a factorization is one, so that least factorization is its
+    atoms sorted by key: the classes come from
+    ``permutable_class_multisets`` and no rigid ordering is listed.
+    Elsewhere the classes are read off Z*(a), which shares its memo (and,
+    on a presentation, the engine's exploration order) with every later
+    rigid query.
+    """
+    if handle.commutative and handle.reduced and not handle.budgeted:
+        sets, complete = permutable_class_multisets(handle, a)
+        atom, key = handle.class_atom, handle.key
+        return tuple(PermutableFactorization(m, len(m), RigidFactorization(
+            tuple(sorted(map(atom, m), key=key)), a))
+            for m in sorted(sets)), complete
     fs = rigid_factorizations(handle, a)
     seen: Dict[Tuple, RigidFactorization] = {}
     for z in fs:
@@ -154,7 +172,12 @@ def permutable_factorizations(handle: SemigroupHandle, a
 def permutable_class_multisets(handle: SemigroupHandle, a
                                ) -> Tuple[FrozenSet[Tuple], bool]:
     """The set of atom-class multisets of a, computed without materializing
-    rigid factorizations (cheap path for large sample sweeps)."""
+    rigid factorizations: one memoised set per element, built from the
+    sets of its left quotients.  Besides length sets and divisibility, it
+    is the node source of the catenary graph under d_len and d_p on
+    commutative reduced handles without a budget (see
+    ``permutable_factorizations``)."""
+    handle.require_element(a)
     cache = getattr(handle, "_pclass_cache", None)
     if cache is None:
         cache = handle._pclass_cache = {}

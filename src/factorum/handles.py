@@ -8,7 +8,9 @@ semigroups each implement it, so the same code computes their invariants.
 A handle must provide: an equality test (via canonical ``key``), products,
 a unit test, an atom test with an associate test on atoms, and enumeration
 of the atoms that left-divide a given element together with the unique
-left quotient (uniqueness is the cancellativity assumption).
+left quotient (uniqueness is the cancellativity assumption).  A
+commutative reduced handle without an exploration budget also maps an
+associate class back to its atom (``class_atom``).
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ class SemigroupHandle:
     # reduced: trivial unit group, so associate classes of atoms are elements
     reduced = True
     commutative = False
+    # budgeted: answers may rest on a truncated exploration, so which
+    # queries ran before can change later uncertified answers
+    budgeted = False
     name = "semigroup"
 
     # structure ------------------------------------------------------
@@ -50,6 +55,11 @@ class SemigroupHandle:
         """Whether answers about x are exact (no exploration budget was hit)."""
         return True
 
+    def require_element(self, x) -> None:
+        """Raise ValueError when x is not an element of this semigroup.
+        Called once per top-level query; quotients of elements need no
+        check."""
+
     # atoms ------------------------------------------------------------
     def is_atom(self, x) -> bool:
         raise NotImplementedError
@@ -60,6 +70,13 @@ class SemigroupHandle:
 
     def atoms_associated(self, u, v) -> bool:
         return self.atom_class(u) == self.atom_class(v)
+
+    def class_atom(self, c):
+        """The atom of associate class c, on a reduced handle (the inverse
+        of ``atom_class``).  Commutative reduced handles without a budget
+        provide it: their permutable factorizations are built from class
+        multisets alone."""
+        raise NotImplementedError
 
     # divisibility backbone ---------------------------------------------
     def left_divisor_atoms(self, x) -> DivisorPairs:
@@ -114,6 +131,10 @@ class FactorialVectorHandle(SemigroupHandle):
             if c != 1:
                 return (i, c)
         raise ValueError("unit is not an atom")
+
+    def class_atom(self, c):
+        i, p = c
+        return tuple(p if j == i else 1 for j in range(self.n))
 
     def left_divisor_atoms(self, x) -> DivisorPairs:
         pairs = []

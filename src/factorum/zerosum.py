@@ -171,6 +171,24 @@ def davenport(group: FiniteAbelianGroup,
     return max((len(a) for a in atoms), default=0)
 
 
+def _counts(seq: Sequence[GroupElement]) -> Dict[GroupElement, int]:
+    counts: Dict[GroupElement, int] = {}
+    for g in seq:
+        counts[g] = counts.get(g, 0) + 1
+    return counts
+
+
+def _difference(x: ZeroSumSequence, sub: ZeroSumSequence) -> ZeroSumSequence:
+    """x with the sub-multiset sub removed; both sorted, so one merge pass."""
+    rest, i, n = [], 0, len(sub)
+    for g in x:
+        if i < n and sub[i] == g:
+            i += 1
+        else:
+            rest.append(g)
+    return tuple(rest)
+
+
 class BlockMonoidHandle(SemigroupHandle):
     """B(G_P) as a SemigroupHandle: elements are sorted multisets of group
     elements with zero sum, products are multiset unions."""
@@ -183,15 +201,29 @@ class BlockMonoidHandle(SemigroupHandle):
         self.group = group
         self.subset = tuple(sorted(set(subset))) if subset is not None \
             else tuple(group.elements())
+        self._support = frozenset(self.subset)
         self.atoms = atoms_of_block_monoid(group, self.subset, cap)
         self._atom_set = set(self.atoms)
+        # each atom with its term counts, counted once here
+        self._atom_counts = [(atom, tuple(_counts(atom).items()))
+                             for atom in self.atoms]
         self.name = f"B({group.describe()})"
 
     def sequence(self, terms: Sequence[GroupElement]) -> ZeroSumSequence:
         seq = tuple(sorted(self.group.element(tuple(g)) for g in terms))
-        if sequence_sum(self.group, seq) != self.group.zero():
-            raise ValueError("sequence does not have zero sum")
+        self.require_element(seq)
         return seq
+
+    def require_element(self, x) -> None:
+        """Raise ValueError unless x is a sorted zero-sum sequence over G_P."""
+        if not self._support.issuperset(x):
+            outside = next(g for g in x if g not in self._support)
+            raise ValueError(f"sequence {x!r} has the term {outside!r} "
+                             f"outside G_P")
+        if tuple(sorted(x)) != x:
+            raise ValueError(f"sequence {x!r} is not sorted")
+        if any(sum(col) % n for col, n in zip(zip(*x), self.group.orders)):
+            raise ValueError(f"sequence {x!r} does not have zero sum")
 
     def identity(self) -> ZeroSumSequence:
         return ()
@@ -205,26 +237,27 @@ class BlockMonoidHandle(SemigroupHandle):
     def is_atom(self, x) -> bool:
         return x in self._atom_set
 
-    def _contains(self, big, small) -> bool:
-        from collections import Counter
-        cb, cs = Counter(big), Counter(small)
-        return all(cb[g] >= k for g, k in cs.items())
+    def class_atom(self, c):
+        return c
 
     def left_divisor_atoms(self, x) -> DivisorPairs:
+        have = _counts(x)
+        n = len(x)
         pairs = []
-        for atom in self.atoms:
-            if len(atom) > len(x):
+        for atom, need in self._atom_counts:
+            if len(atom) > n:
                 break
-            if self._contains(x, atom):
-                rest = list(x)
-                for g in atom:
-                    rest.remove(g)
-                pairs.append((atom, tuple(rest)))
+            for g, k in need:
+                if have.get(g, 0) < k:
+                    break
+            else:
+                pairs.append((atom, _difference(x, atom)))
         return pairs, True
 
     def leftright_divides(self, b, a) -> bool:
         # commutative: b | a iff b is a sub-multiset of a
-        return self._contains(a, b)
+        have = _counts(a)
+        return all(have.get(g, 0) >= k for g, k in _counts(b).items())
 
     def length_cap(self, x) -> int:
         return len(x)

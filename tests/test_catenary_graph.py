@@ -4,7 +4,15 @@ Under d_len and d_p the library builds its graph on one node per permutable
 factorization.  The oracle below works on all rigid factorizations instead
 and finds each value as the least threshold N whose graph (edges <= N) is
 connected, so it shares no code with the graph views it checks.
+
+``reference_graph`` keeps the node construction the graph had before its
+d_len and d_p nodes came from class multisets; the properties at the end
+require the same graphs, values, certification and witnesses from both.
 """
+
+import importlib
+import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,13 +20,19 @@ from hypothesis import strategies as st
 
 from factorum.catenary import VARIANTS, catenary_in_fibers
 from factorum.distances import DistanceKind, distance
-from factorum.factorizations import rigid_factorizations
-from factorum.matrices import TriangularMatrixHandle, delta_transfer_map
+from factorum.factorizations import class_multiset, rigid_factorizations
+from factorum.handles import FactorialVectorHandle
+from factorum.matrices import (FullMatrixHandle, TriangularMatrixHandle,
+                               delta_transfer_map, det_transfer_map,
+                               identity_transfer_map)
+from factorum.presentation import ExplorationBudget
 from factorum.presets import engine, preset_names
 from factorum.zerosum import (BlockMonoidHandle, FiniteAbelianGroup,
                               zero_sum_sequences)
 
 KINDS = (DistanceKind.LENGTH, DistanceKind.PERMUTABLE)
+# the package re-exports the function ``catenary`` under the module's name
+catenary_module = importlib.import_module("factorum.catenary")
 
 
 def _least_threshold(nodes, d):
@@ -120,3 +134,137 @@ def test_triangular_elements_match_oracle(a, b, d):
         values, complete = oracle(h, m, kind, fiber)
         rep = catenary_in_fibers(h, m, kind, delta)
         assert (rep.value, rep.certified) == (values["fibers"], complete)
+
+
+# the graph under d_len and d_p as it was built before class multisets
+# were its node source: every rigid factorization is listed, each class
+# keeps the first one in the order of Z*(a), (length, atom keys), and
+# every distance is computed pairwise from the representatives
+
+def reference_graph(handle, a, kind):
+    fs = rigid_factorizations(handle, a)
+    first = {}
+    for z in fs:
+        first.setdefault(class_multiset(handle, z), z)
+    nodes = tuple(first[k] for k in sorted(first))
+    mat = [[distance(handle, kind, x, y) for y in nodes] for x in nodes]
+    return nodes, mat, fs.complete
+
+
+def _answers(handle, a, transfer_map):
+    """The graph of a under d_len and d_p, and every report on it as
+    (value, certified, witness endpoints)."""
+    graphs, reports = [], []
+    for kind in KINDS:
+        graphs.append(catenary_module._graph(handle, a, kind))
+        reps = [fn(handle, a, kind) for fn in VARIANTS.values()]
+        reps.append(catenary_in_fibers(handle, a, kind, transfer_map))
+        reports += [(r.value, r.certified,
+                     r.witness.steps if r.witness is not None else None)
+                    for r in reps]
+    return graphs, reports
+
+
+def check_against_reference(make_handle, make_map, elements):
+    """Ask the same elements, in the same order, of two fresh handles: one
+    with the library's graph, one with the reference graph, so that
+    uncertified answers see the same exploration history.  An element is
+    given as a function of the handle.  Returns the reports."""
+    h, ref = make_handle(), make_handle()
+    reports = []
+    for element in elements:
+        got = _answers(h, element(h), make_map(h))
+        with mock.patch.object(catenary_module, "_graph", reference_graph):
+            want = _answers(ref, element(ref), make_map(ref))
+        assert got == want
+        reports += got[1]
+    return reports
+
+
+def _values(xs):
+    return [lambda h, x=x: x for x in xs]
+
+
+BENCH_GROUPS = ((2, 2, 2), (5,), (2, 4), (3, 3))
+_BLOCK_HANDLES = {g: BlockMonoidHandle(FiniteAbelianGroup(g))
+                  for g in BENCH_GROUPS}
+
+
+@st.composite
+def _zero_sum_sequences(draw, orders):
+    # products of atoms, up to eight terms
+    atoms = _BLOCK_HANDLES[orders].atoms
+    seq = ()
+    for i in draw(st.lists(st.integers(0, len(atoms) - 1), min_size=1,
+                           max_size=4)):
+        if len(seq) + len(atoms[i]) <= 8:
+            seq = tuple(sorted(seq + atoms[i]))
+    return seq
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), orders=st.sampled_from(BENCH_GROUPS))
+def test_block_monoid_nodes_match_reference(data, orders):
+    seqs = data.draw(st.lists(_zero_sum_sequences(orders), min_size=1,
+                              max_size=4))
+    check_against_reference(
+        lambda: BlockMonoidHandle(FiniteAbelianGroup(orders)),
+        identity_transfer_map, _values(seqs))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 3), data=st.data())
+def test_factorial_vector_nodes_match_reference(n, data):
+    # at most seven prime factors: the reference lists every ordering
+    h = FactorialVectorHandle(n)
+    vecs = data.draw(st.lists(st.tuples(*[st.integers(1, 60)] * n).filter(
+        lambda v: h.length_cap(v) <= 7), min_size=1, max_size=4))
+    check_against_reference(lambda: FactorialVectorHandle(n),
+                            identity_transfer_map, _values(vecs))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(entries=st.lists(st.tuples(_NONZERO, st.integers(-6, 6), _NONZERO),
+                        min_size=1, max_size=3))
+def test_triangular_nodes_match_reference(entries):
+    mats = [((a, b), (0, d)) for a, b, d in entries]
+    check_against_reference(lambda: TriangularMatrixHandle(2),
+                            delta_transfer_map, _values(mats))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(entries=st.lists(st.tuples(*[st.integers(-4, 4)] * 4), min_size=1,
+                        max_size=3))
+def test_full_matrix_nodes_match_reference(entries):
+    mats = [((a, b), (c, d)) for a, b, c, d in entries
+            if 2 <= abs(a * d - b * c) <= 12]
+    check_against_reference(lambda: FullMatrixHandle(2), det_transfer_map,
+                            _values(mats))
+
+
+TRUNCATING = ExplorationBudget(6, 5)
+
+
+def _words(words):
+    return [lambda h, w=w: h.element_from_str(" ".join(w)) for w in words]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(preset_names()),
+       budget=st.sampled_from((None, TRUNCATING)), data=st.data())
+def test_preset_nodes_match_reference(name, budget, data):
+    gens = engine(name).presentation.generators
+    words = data.draw(st.lists(st.lists(st.sampled_from(gens), min_size=1,
+                                        max_size=5), min_size=1, max_size=4))
+    check_against_reference(lambda: engine(name, budget),
+                            identity_transfer_map, _words(words))
+
+
+@pytest.mark.parametrize("budget", [None, TRUNCATING])
+def test_non_atomic_preset_matches_reference(budget):
+    # every word of length <= 4, in shortlex order; only the powers of a
+    # certify, since b = a b a is not atomic
+    words = [w for n in range(1, 5) for w in itertools.product("ab", repeat=n)]
+    reports = check_against_reference(lambda: engine("aba_b", budget),
+                                      identity_transfer_map, _words(words))
+    assert not all(certified for _, certified, _ in reports)

@@ -1,7 +1,10 @@
 import itertools
+import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorum.catenary import catenary
 from factorum.factorizations import length_profile, rigid_factorizations
@@ -240,3 +243,51 @@ def test_divisor_kernel_matches_brute_sub_multisets(orders):
                          if atom in subs]
         for b in set(h.atoms) | set(short):
             assert h.leftright_divides(b, x) == (b in subs)
+
+
+@st.composite
+def _restricted_block_monoids(draw):
+    # small G (cyclic, C2+C4, C5) and a random nonempty subset G_P
+    orders = draw(st.sampled_from([(2,), (3,), (4,), (6,), (2, 4), (5,)]))
+    group = FiniteAbelianGroup(orders)
+    subset = draw(st.lists(st.sampled_from(group.elements()), min_size=1,
+                           unique=True))
+    return BlockMonoidHandle(group, subset)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(h=_restricted_block_monoids(), data=st.data())
+def test_divisor_kernel_matches_brute_on_restricted_subsets(h, data):
+    # a member of B(G_P): a product of atoms over G_P, at most ten terms
+    x = ()
+    for atom in data.draw(st.lists(st.sampled_from(h.atoms), min_size=1,
+                                   max_size=4)):
+        if len(x) + len(atom) <= 10:
+            x = tuple(sorted(x + atom))
+    subs = brute_sub_multisets(x)
+    pairs, complete = h.left_divisor_atoms(x)
+    assert complete
+    assert pairs == [(atom, subs[atom]) for atom in h.atoms if atom in subs]
+    # candidate divisors: every atom, every sub-multiset of x, and random
+    # sequences over G_P, most of which are not
+    others = data.draw(st.lists(st.lists(st.sampled_from(h.subset),
+                                         max_size=4), max_size=4))
+    for b in set(h.atoms) | set(subs) | {tuple(sorted(o)) for o in others}:
+        assert h.leftright_divides(b, x) == (b in subs)
+
+
+def test_non_members_are_rejected():
+    c3 = BlockMonoidHandle(FiniteAbelianGroup((3,)))
+    restricted = BlockMonoidHandle(FiniteAbelianGroup((3,)), [(0,), (1,)])
+    for h, x in [(c3, ((1,), (1,))), (restricted, ((2,), (1,))),
+                 (restricted, ((1,), (2,))), (c3, ((2,), (1,)))]:
+        for query in (catenary, length_profile, rigid_factorizations):
+            with pytest.raises(ValueError, match=re.escape(repr(x))):
+                query(h, x)
+    with pytest.raises(ValueError, match="outside G_P"):
+        restricted.sequence([(2,), (1,)])
+    with pytest.raises(ValueError, match="zero sum"):
+        c3.sequence([(1,), (1,)])
+    # members, the empty sequence among them, still answer
+    assert length_profile(restricted, ((1,),) * 3).lengths == (1,)
+    assert catenary(c3, ()).value == 0
