@@ -38,13 +38,13 @@ from .factorizations import (PermutableFactorization, RigidFactorization,
 from .handles import SemigroupHandle
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainWitness:
     steps: Tuple[RigidFactorization, ...]
     bound: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CatenaryReport:
     value: int
     kind: DistanceKind

@@ -182,9 +182,11 @@ def permutable_class_multisets(handle: SemigroupHandle, a
     if cache is None:
         cache = handle._pclass_cache = {}
 
-    def rec(x, depth_left: int) -> Tuple[FrozenSet[Tuple], bool]:
+    # the memo keeps each set as a tuple: even an empty frozenset takes
+    # 216 bytes, and a sweep keeps one set per element it met
+    def rec(x, depth_left: int) -> Tuple[Tuple[Tuple, ...], bool]:
         if handle.is_unit(x):
-            return frozenset({()}), True
+            return ((),), True
         key = handle.key(x)
         hit = cache.get(key)
         if hit is not None:
@@ -192,7 +194,7 @@ def permutable_class_multisets(handle: SemigroupHandle, a
             if complete or depth_at >= depth_left:
                 return sets, complete
         if depth_left <= 0:
-            return frozenset(), False
+            return (), False
         pairs, complete = handle.left_divisor_atoms(x)
         out = set()
         for atom, quotient in pairs:
@@ -201,7 +203,7 @@ def permutable_class_multisets(handle: SemigroupHandle, a
             complete = complete and sub_complete
             for m in sub:
                 out.add(tuple(sorted(m + (cls,))))
-        result = frozenset(out)
+        result = tuple(out)
         cache[key] = (result, complete, depth_left)
         return result, complete
 
@@ -209,7 +211,7 @@ def permutable_class_multisets(handle: SemigroupHandle, a
     if depth is None:
         depth = _DEPTH_FALLBACK
     sets, complete = rec(a, depth)
-    return sets, complete and handle.certified(a)
+    return frozenset(sets), complete and handle.certified(a)
 
 
 @dataclass(frozen=True)
