@@ -69,13 +69,17 @@ class CommutativeVectorSemigroup(SemigroupHandle):
         self.generators = generators
         self.budget = budget
         self.n = len(generators)
+        self.relations: Tuple[Tuple[Vector, Vector], ...] = tuple(relations)
         self._rules: List[Tuple[Vector, Vector]] = []
-        for lhs, rhs in relations:
+        for lhs, rhs in self.relations:
             self._rules.append((lhs, rhs))
             if lhs != rhs:
                 self._rules.append((rhs, lhs))
         self._canon: Dict[Vector, Vector] = {}
         self._balls: Dict[Vector, Tuple[FrozenSet[Vector], bool]] = {}
+        # vectors a ball build found already bound in ``_canon``: only such
+        # a re-binding changes what ``element`` answers for an earlier vector
+        self.rebinds = 0
         self.name = "abelianization(" + " ".join(generators) + ")"
 
     def _key(self, v: Vector):
@@ -106,6 +110,8 @@ class CommutativeVectorSemigroup(SemigroupHandle):
         canonical = min(members, key=self._key)
         result = (frozenset(members), closed)
         for m in members:
+            if m in self._canon:
+                self.rebinds += 1
             self._canon[m] = canonical
         self._balls[canonical] = result
         return result
@@ -183,27 +189,84 @@ class CommutativeVectorSemigroup(SemigroupHandle):
         """Bounded necessary condition for cancellativity: no a+c == b+c
         with a != b inside certified balls.  Cancelling a sum of generators
         reduces to cancelling one generator at a time, so c ranges over the
-        unit vectors only.  Returns a violation or None."""
+        unit vectors only.  Returns a violation or None.
+
+        The result is the first violation in the order of the loop over
+        vectors a, then b > a, then generators c, with a and b over vectors
+        of total at most ``max_total`` by (total, vector).  Balls are built
+        by the same first-time ``element`` calls, in the same order, as that
+        loop makes when it calls ``element`` and ``multiply`` for every
+        pair, so the ball cache, and every later uncertified answer, is left
+        as that loop leaves it.  Each vector's element and each class's row
+        of images under the generators are looked up once, and forgotten
+        whenever a ball build re-binds a vector (``rebinds``); a pair of
+        classes whose complete rows share no certified image is skipped."""
         vecs = _vectors_up_to(self.n, max_total)
         gens = [tuple(1 if i == j else 0 for j in range(self.n))
                 for i in range(self.n)]
+        memo: Dict[Vector, Tuple[Vector, bool]] = {}
+        # class -> its certified (generator index, image) pairs, once every
+        # image of the class is in ``memo``
+        images: Dict[Vector, FrozenSet[Tuple[int, Vector]]] = {}
+        rebinds = self.rebinds
+
+        def element(v: Vector) -> Tuple[Vector, bool]:
+            nonlocal rebinds
+            hit = memo.get(v)
+            if hit is None:
+                el = self.element(v)
+                if self.rebinds != rebinds:
+                    rebinds = self.rebinds
+                    memo.clear()
+                    images.clear()
+                hit = memo[v] = (el.coords, el.certified)
+            return hit
+
+        def image(k: Vector, c: Vector) -> Tuple[Vector, bool]:
+            # ``multiply(element(k), element(c))``: the class of c may have
+            # another canonical vector than c itself
+            return element(_add(k, element(c)[0]))
+
+        def row(k: Vector) -> Optional[FrozenSet[Tuple[int, Vector]]]:
+            found = images.get(k)
+            if found is None:
+                hits = []
+                for c in gens:
+                    kc = memo.get(c)
+                    hit = None if kc is None else memo.get(_add(k, kc[0]))
+                    if hit is None:
+                        return None
+                    hits.append(hit)
+                found = images[k] = frozenset(
+                    (i, coords) for i, (coords, certified) in enumerate(hits)
+                    if certified)
+            return found
+
         for a in vecs:
-            ea = self.element(a)
+            ka, ca = element(a)
             for b in vecs:
                 if b <= a:
                     continue
-                eb = self.element(b)
-                if ea.coords == eb.coords:
+                kb, cb = element(b)
+                if ka == kb or not (ca and cb):
                     continue
-                if not (ea.certified and eb.certified):
-                    continue
+                ra, rb = row(ka), row(kb)
+                if ra is not None and rb is not None:
+                    # every call the pair would make has been made before,
+                    # so none of them builds a ball
+                    if ra.isdisjoint(rb):
+                        continue
+                    return (a, b, gens[min(i for i, _ in ra & rb)])
                 for c in gens:
-                    eac = self.multiply(ea, self.element(c))
-                    ebc = self.multiply(eb, self.element(c))
-                    if eac.certified and ebc.certified \
-                            and eac.coords == ebc.coords:
+                    eac = image(ka, c)
+                    ebc = image(kb, c)
+                    if eac[1] and ebc[1] and eac[0] == ebc[0]:
                         return (a, b, c)
         return None
+
+
+def _add(v: Vector, w: Vector) -> Vector:
+    return tuple(x + y for x, y in zip(v, w))
 
 
 def _subvectors(v: Vector):

@@ -10,6 +10,7 @@ included).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import List, Optional
 
@@ -274,7 +275,7 @@ def cmd_abelianize(args) -> int:
         "abelianization", {
             "generators": list(ab.generators),
             "relations": [f"{monomial(lhs)} = {monomial(rhs)}"
-                          for lhs, rhs in ab._rules[::2]],
+                          for lhs, rhs in ab.relations],
             "reduced_within_budget": ab.unit_scan(),
         }, Certification.EXACT, _budget_dict(h), warnings=list(h.warnings))
     return _emit([rep], args.format)
@@ -413,7 +414,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state on it, so every ``main`` call shares it."""
     parser = _Parser(
         prog="factorum",
         description="factorization-theoretic invariants of noncommutative "
@@ -517,8 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.  It may be called
+    repeatedly in one process."""
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (PresentationError, ValueError, OSError) as exc:

@@ -1,8 +1,14 @@
-from factorum.abelianization import (abelianize, check_exwt, equiv_p,
-                                     length_map, weak_transfer_counterexample)
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from factorum.abelianization import (_vectors_up_to, abelianize, check_exwt,
+                                     equiv_p, length_map,
+                                     weak_transfer_counterexample)
 from factorum.factorizations import length_profile, rigid_factorizations
-from factorum.presentation import PresentationSemigroup, parse_presentation
-from factorum.presets import engine
+from factorum.presentation import (ExplorationBudget, PresentationSemigroup,
+                                   parse_presentation)
+from factorum.presets import engine, preset_names
 
 
 def make(text):
@@ -129,3 +135,94 @@ def test_length_map_examples():
     free = make("gens: a b\n")
     rep3 = length_map(free)
     assert rep3 is not None and rep3.transfer_certified
+
+
+def reference_cancellativity_scan(ab, max_total=5):
+    """The scan as one loop over every pair, calling ``element`` and
+    ``multiply`` each time: the order contract of
+    ``CommutativeVectorSemigroup.cancellativity_scan``."""
+    vecs = _vectors_up_to(ab.n, max_total)
+    gens = [tuple(1 if i == j else 0 for j in range(ab.n))
+            for i in range(ab.n)]
+    for a in vecs:
+        ea = ab.element(a)
+        for b in vecs:
+            if b <= a:
+                continue
+            eb = ab.element(b)
+            if ea.coords == eb.coords:
+                continue
+            if not (ea.certified and eb.certified):
+                continue
+            for c in gens:
+                eac = ab.multiply(ea, ab.element(c))
+                ebc = ab.multiply(eb, ab.element(c))
+                if eac.certified and ebc.certified \
+                        and eac.coords == ebc.coords:
+                    return (a, b, c)
+    return None
+
+
+def _scan_and_reference(h, budget, max_total):
+    """Scan two fresh abelianizations, one with each loop; return what each
+    answered and the ball cache each left behind."""
+    answers = []
+    for scan in (lambda ab: ab.cancellativity_scan(max_total),
+                 lambda ab: reference_cancellativity_scan(ab, max_total)):
+        ab = abelianize(h, budget)
+        result = scan(ab)
+        state = (dict(ab._canon), dict(ab._balls), ab.rebinds)
+        answers.append((result, ab.unit_scan(min(6, ab.budget.max_word_length)),
+                        state))
+    return answers
+
+
+def test_cancellativity_scan_finds_violation():
+    # a c = b c with a != b: c cannot be cancelled
+    ab = abelianize(make("gens: a b c\nrel: a c = b c\n"))
+    assert ab.cancellativity_scan() == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_cancellativity_scan_matches_reference_on_presets(name):
+    h = engine(name)
+    new, ref = _scan_and_reference(h, h.budget,
+                                   min(5, h.budget.max_word_length))
+    assert new == ref
+
+
+def _presentation_text(gens, relations):
+    return "gens: " + " ".join(gens) + "\n" + "".join(
+        f"rel: {' '.join(lhs)} = {' '.join(rhs)}\n" for lhs, rhs in relations)
+
+
+@st.composite
+def _scan_cases(draw):
+    """A 2- to 4-generator presentation with 1 to 3 short relations, a
+    budget that lets balls truncate and escape, and a scan bound."""
+    gens = ("a", "b", "c", "d")[:draw(st.integers(2, 4))]
+    side = st.lists(st.sampled_from(gens), min_size=1, max_size=3)
+    relations = draw(st.lists(st.tuples(side, side), min_size=1, max_size=3))
+    budget = draw(st.sampled_from([ExplorationBudget(3, 20),
+                                   ExplorationBudget(4, 8),
+                                   ExplorationBudget(6, 50)]))
+    return _presentation_text(gens, relations), budget, draw(st.integers(1, 5))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_scan_cases())
+# A scan that keeps what it looked up across a re-binding answers
+# differently from the pair loop on these two cases, where a ball build
+# re-binds vectors of earlier non-closed balls ...
+@example((_presentation_text("abcd", [("abb", "ad"), ("bc", "a")]),
+          ExplorationBudget(3, 20), 3))
+@example((_presentation_text("abcd", [("aaa", "b"), ("dc", "abd")]),
+          ExplorationBudget(3, 20), 5))
+# ... and one that forgets the elements but keeps the rows of images, on
+# this one
+@example((_presentation_text("abcd", [("c", "ba"), ("cba", "dac")]),
+          ExplorationBudget(3, 20), 3))
+def test_cancellativity_scan_matches_reference(case):
+    text, budget, max_total = case
+    new, ref = _scan_and_reference(make(text), budget, max_total)
+    assert new == ref

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from factorum.cli import main
+from factorum.cli import build_parser, main
 from factorum.presentation import BudgetOverride, ExplorationBudget
 from importlib import resources
 
@@ -228,3 +228,62 @@ def test_usage_errors_exit_one(capsys, argv, message):
     out, err = capsys.readouterr()
     assert exc.value.code == 1 and out == ""
     assert message in err and "usage:" in err
+
+
+def write_pres(tmp_path, text):
+    path = tmp_path / "p.pres"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("text,relations", [
+    # a relation whose sides have equal exponent vectors stays, and the
+    # next one keeps its orientation
+    ("gens: a b c\nrel: a b = b a\nrel: a c c = b\n",
+     ["a b = a b", "a c^2 = b"]),
+    ("gens: a b c\nrel: a b = b a\nrel: a c = c a\nrel: a c c = b\n",
+     ["a b = a b", "a c = a c", "a c^2 = b"]),
+], ids=["one-commutation", "two-commutations"])
+def test_abelianize_prints_every_relation_as_given(capsys, tmp_path, text,
+                                                   relations):
+    code, out, _ = run(capsys, "--format", "json", "abelianize",
+                       write_pres(tmp_path, text))
+    assert code == 0 and json.loads(out)["value"]["relations"] == relations
+
+
+def test_check_wth_reports_non_cancellative_abelianization(capsys, tmp_path):
+    code, out, _ = run(capsys, "--format", "json", "check-wth",
+                       write_pres(tmp_path, "gens: a b c\nrel: a c = b c\n"))
+    value = json.loads(out)["value"]
+    assert value["abelianization_cancellative_within_budget"] is False
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_keeps_no_state(capsys):
+    a = ("--format", "json", "--budget-len", "5", "lengths",
+         pres_path("abc_cb"), "--element", "a b c")
+    b = ("--budget-len", "7", "catenary", pres_path("ab_cd"), "--kind",
+         "rigid", "--element", "a b")
+    first = run(capsys, *a)
+    other = run(capsys, *b)
+    assert run(capsys, *a) == first != other
+    assert json.loads(first[1])["budget"]["max_word_length"] == 5
+    # a usage error in between changes nothing either
+    with pytest.raises(SystemExit) as exc:
+        main(["lengths", pres_path("abc_cb"), "--z", "1"])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    assert run(capsys, *b) == other
+
+
+def test_help_is_the_same_every_time(capsys):
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] and "usage: factorum" in texts[0]
