@@ -140,6 +140,11 @@ def cmd_distance(args) -> int:
     el = h.element_from_str(args.element)
     fs = rigid_factorizations(h, el)
     facts = list(fs)
+    if not facts:
+        scope = "" if fs.complete else " within budget"
+        print(f"error: element {h.format_element(el)} has no rigid "
+              f"factorizations{scope}", file=sys.stderr)
+        return 1
     if not (0 <= args.z < len(facts) and 0 <= args.zprime < len(facts)):
         print(f"error: factorization index out of range (0..{len(facts)-1})",
               file=sys.stderr)

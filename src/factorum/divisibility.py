@@ -148,12 +148,13 @@ def is_almost_prime_like(handle: SemigroupHandle, q,
     if not handle.is_atom(q):
         raise NotAlmostPrimeLikeError("q must be a certified atom")
     certified = scope_certified
+    cls = handle.atom_class(q)
     for a in scope_elements:
         fs = rigid_factorizations(handle, a)
         certified = certified and fs.complete
         with_q = without_q = None
-        for z in fs:
-            if occurs_in(handle, q, z):
+        for z, classes in zip(fs, fs.atom_classes(handle)):
+            if cls in classes:
                 if with_q is None:
                     with_q = z
             elif without_q is None:
@@ -189,8 +190,8 @@ def valuation_set(handle: SemigroupHandle, q, a,
         return ValuationSet(q, a, (0,), True)
     fs = rigid_factorizations(handle, a)
     cls = handle.atom_class(q)
-    values = sorted({sum(1 for u in z.atoms if handle.atom_class(u) == cls)
-                     for z in fs})
+    values = sorted({classes.count(cls)
+                     for classes in fs.atom_classes(handle)})
     return ValuationSet(q, a, tuple(values), fs.complete)
 
 

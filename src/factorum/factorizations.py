@@ -14,9 +14,9 @@ budget was hit (non-atomic inputs such as <a,b | aba=b> never certify).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .handles import SemigroupHandle
 
@@ -47,12 +47,25 @@ class PermutableFactorization:
 class FactorizationSet:
     factorizations: Tuple[RigidFactorization, ...]
     complete: bool
+    # the atom classes of every factorization, kept by the first
+    # ``atom_classes`` call: only prime-likeness and valuations ask for them
+    _classes: Optional[Tuple[Tuple, ...]] = field(
+        default=None, compare=False, repr=False)
 
     def __len__(self):
         return len(self.factorizations)
 
     def __iter__(self):
         return iter(self.factorizations)
+
+    def atom_classes(self, handle: SemigroupHandle) -> Tuple[Tuple, ...]:
+        """The associate classes of each factorization's atoms, in order,
+        computed once per set (handle is the one the set was built on)."""
+        if self._classes is None:
+            atom_class = handle.atom_class
+            object.__setattr__(self, "_classes", tuple([
+                tuple(map(atom_class, z.atoms)) for z in self.factorizations]))
+        return self._classes
 
 
 def class_multiset(handle: SemigroupHandle, z: RigidFactorization) -> Tuple:
@@ -92,27 +105,39 @@ def _atom_tuples(handle: SemigroupHandle, a) -> Tuple[Tuple[Tuple, ...], bool]:
             return (), False
         in_progress.add(key)
         pairs, complete = handle.left_divisor_atoms(x)
-        facts: List[Tuple] = []
+        # The result is ordered by (length, atom keys).  A quotient's tuples
+        # are in that order already, so prefixing one atom keeps it, and the
+        # first atoms order the rest; only an atom with several quotients (a
+        # non-cancellative presentation) merges their tuples by key.  Every
+        # [atom * unit] with the trailing unit absorbed is x itself, so the
+        # set keeps at most one.
+        singles = set()
+        by_atom: Dict = {}      # atom key -> [(atom, quotient's tuples)]
         for atom, quotient in pairs:
             if handle.is_unit(quotient):
-                # absorb the trailing unit into the atom (the rigid
-                # factorization [u] with u = atom * quotient)
-                facts.append((handle.multiply(atom, quotient),))
+                singles.add((handle.multiply(atom, quotient),))
                 continue
             sub, sub_complete = rec(quotient, depth_left - 1)
             complete = complete and sub_complete
-            for f in sub:
-                facts.append((atom,) + f)
+            by_atom.setdefault(handle.key(atom), []).append((atom, sub))
         in_progress.discard(key)
-        result = tuple(sorted(set(facts), key=lambda f: (
-            len(f), tuple(handle.key(u) for u in f))))
+        facts = list(singles)
+        for atom_key in sorted(by_atom):
+            group = by_atom[atom_key]
+            if len(group) == 1:
+                atom, sub = group[0]
+                facts.extend((atom,) + f for f in sub)
+            else:
+                facts.extend(sorted(
+                    set((atom,) + f for atom, sub in group for f in sub),
+                    key=lambda f: (len(f), tuple(map(handle.key, f)))))
+        # a stable sort by length keeps each length's tuples in atom order
+        facts.sort(key=len)
+        result = tuple(facts)
         cache[key] = (result, complete, depth_left, None)
         return result, complete
 
-    depth = handle.length_cap(a)
-    if depth is None:
-        depth = _DEPTH_FALLBACK
-    return rec(a, depth)
+    return rec(a, _depth(handle, a))
 
 
 def rigid_factorizations(handle: SemigroupHandle, a) -> FactorizationSet:
@@ -132,7 +157,7 @@ def rigid_factorizations(handle: SemigroupHandle, a) -> FactorizationSet:
     if hit is not None and hit[3] is not None and handle.certified(a):
         return hit[3]
     tuples, complete = _atom_tuples(handle, a)
-    facts = tuple(RigidFactorization(t, a) for t in tuples)
+    facts = tuple([RigidFactorization(t, a) for t in tuples])
     fs = FactorizationSet(facts, complete and handle.certified(a))
     if fs.complete:
         cache[key] = cache[key][:3] + (fs,)
@@ -169,6 +194,41 @@ def permutable_factorizations(handle: SemigroupHandle, a
     return out, fs.complete
 
 
+class _ClassMultisetMemo:
+    """Per-handle memo of ``permutable_class_multisets``: key -> (class
+    multisets, complete, depth searched).
+
+    ``length_profile`` may read a certified element's lengths off its
+    complete rigid set instead of walking.  It does so only while every
+    entry is complete (``clean``) and no factorization is longer than the
+    walk's depth, because then the walk would find the same lengths and
+    write only complete entries.  The skipped walks are queued and run
+    before the next walk, so every later walk finds the entries it found
+    when they were not skipped.
+    """
+
+    __slots__ = ("entries", "clean", "skipped")
+
+    def __init__(self):
+        # each set is kept as a tuple: even an empty frozenset takes 216
+        # bytes, and a sweep keeps one set per element it met
+        self.entries: Dict = {}
+        self.clean = True
+        self.skipped: List = []
+
+
+def _class_memo(handle: SemigroupHandle) -> _ClassMultisetMemo:
+    memo = getattr(handle, "_pclass_cache", None)
+    if memo is None:
+        memo = handle._pclass_cache = _ClassMultisetMemo()
+    return memo
+
+
+def _depth(handle: SemigroupHandle, a) -> int:
+    depth = handle.length_cap(a)
+    return _DEPTH_FALLBACK if depth is None else depth
+
+
 def permutable_class_multisets(handle: SemigroupHandle, a
                                ) -> Tuple[FrozenSet[Tuple], bool]:
     """The set of atom-class multisets of a, computed without materializing
@@ -178,17 +238,14 @@ def permutable_class_multisets(handle: SemigroupHandle, a
     commutative reduced handles without a budget (see
     ``permutable_factorizations``)."""
     handle.require_element(a)
-    cache = getattr(handle, "_pclass_cache", None)
-    if cache is None:
-        cache = handle._pclass_cache = {}
+    memo = _class_memo(handle)
+    entries = memo.entries
 
-    # the memo keeps each set as a tuple: even an empty frozenset takes
-    # 216 bytes, and a sweep keeps one set per element it met
     def rec(x, depth_left: int) -> Tuple[Tuple[Tuple, ...], bool]:
         if handle.is_unit(x):
             return ((),), True
         key = handle.key(x)
-        hit = cache.get(key)
+        hit = entries.get(key)
         if hit is not None:
             sets, complete, depth_at = hit
             if complete or depth_at >= depth_left:
@@ -204,13 +261,15 @@ def permutable_class_multisets(handle: SemigroupHandle, a
             for m in sub:
                 out.add(tuple(sorted(m + (cls,))))
         result = tuple(out)
-        cache[key] = (result, complete, depth_left)
+        entries[key] = (result, complete, depth_left)
+        if not complete:
+            memo.clean = False
         return result, complete
 
-    depth = handle.length_cap(a)
-    if depth is None:
-        depth = _DEPTH_FALLBACK
-    sets, complete = rec(a, depth)
+    for skipped in memo.skipped:
+        rec(skipped, _depth(handle, skipped))
+    memo.skipped.clear()
+    sets, complete = rec(a, _depth(handle, a))
     return frozenset(sets), complete and handle.certified(a)
 
 
@@ -223,11 +282,28 @@ class LengthSet:
 
 
 def length_profile(handle: SemigroupHandle, a) -> LengthSet:
-    """L(a) with its distance set and elasticity rho = max/min."""
+    """L(a) with its distance set and elasticity rho = max/min.
+
+    When the memo holds a complete set of rigid factorizations of a
+    certified a, the lengths are read off it where the walk of the class
+    multisets would find the same (see ``_ClassMultisetMemo``): every
+    divisor list below a is then memoised, so that walk would build no ball
+    either.  Otherwise the class multisets are walked.
+    """
     if handle.is_unit(a):
         return LengthSet((0,), (), Fraction(0), True)
-    sets, complete = permutable_class_multisets(handle, a)
-    lengths = tuple(sorted({len(m) for m in sets}))
+    memo = _class_memo(handle)
+    hit = _rigid_memo(handle).get(handle.key(a)) if memo.clean else None
+    found = None
+    if hit is not None and hit[3] is not None and handle.certified(a):
+        found = {len(z.atoms) for z in hit[3]}
+    if found is not None and max(found, default=0) <= _depth(handle, a):
+        memo.skipped.append(a)
+        complete = True
+    else:
+        sets, complete = permutable_class_multisets(handle, a)
+        found = {len(m) for m in sets}
+    lengths = tuple(sorted(found))
     delta = tuple(b - c for c, b in zip(lengths, lengths[1:]))
     if lengths:
         elasticity = Fraction(max(lengths), min(lengths))

@@ -325,9 +325,9 @@ class PresentationSemigroup(SemigroupHandle):
 
     def _rewrites(self, word: Word):
         for lhs, rhs in self._rules:
-            n = len(lhs)
+            first, n = lhs[0], len(lhs)
             for i in range(len(word) - n + 1):
-                if word[i:i + n] == lhs:
+                if word[i] == first and word[i:i + n] == lhs:
                     yield word[:i] + rhs + word[i + n:]
 
     # balls -----------------------------------------------------------
@@ -365,7 +365,8 @@ class PresentationSemigroup(SemigroupHandle):
                     queue = []
                     break
         closed = not escaped and not truncated
-        canonical = min(members, key=self.shortlex_key)
+        canonical = word if len(members) == 1 else min(
+            members, key=self.shortlex_key)
         least_long = canonical if len(canonical) >= 2 else min(
             (m for m in members if len(m) >= 2), key=self.shortlex_key,
             default=None)
@@ -485,11 +486,14 @@ class PresentationSemigroup(SemigroupHandle):
             if explore:
                 for i in range(2, len(m) + 1):
                     self.atom_answer(self.element(m[:i]))   # never an atom
-        non_unique = tuple(a for a, rests in by_atom.items() if len(rests) > 1)
+        non_unique = tuple([a for a, rests in by_atom.items()
+                            if len(rests) > 1])
         for atom_word in non_unique:
             self._warn_non_unique(el, atom_word)
-        ordered = [pairs[k] for k in sorted(pairs, key=lambda k: (
-            self.shortlex_key(k[0]), self.shortlex_key(k[1])))]
+        ordered = list(pairs.values())
+        if len(ordered) > 1:
+            ordered = [pairs[k] for k in sorted(pairs, key=lambda k: (
+                self.shortlex_key(k[0]), self.shortlex_key(k[1])))]
         if record is not None and complete:
             record.divisors = tuple(ordered)
             record.non_unique = non_unique
@@ -550,6 +554,9 @@ class PresentationSemigroup(SemigroupHandle):
 
     def key(self, x: Element):
         return x.word
+
+    def atom_class(self, u: Element):
+        return u.word           # reduced: an atom's class is its element
 
     def is_unit(self, x: Element) -> bool:
         return not x.word

@@ -65,6 +65,21 @@ def test_distance_rigid_includes_alignment(capsys):
     assert any("alignment_blocks" in w for w in payload["witnesses"])
 
 
+def test_distance_on_an_element_without_factorizations(capsys):
+    # <a, b | aba = b> is not atomic: no search finds a factorization of b
+    code, out, err = run(capsys, "distance", pres_path("aba_b"),
+                         "--element", "b", "--z", "0", "--zprime", "0")
+    assert code == 1 and out == ""
+    assert err == ("error: element b has no rigid factorizations "
+                   "within budget\n")
+
+
+def test_distance_index_out_of_range(capsys):
+    code, _, err = run(capsys, "distance", pres_path("abc_cb"),
+                       "--element", "a b c", "--z", "0", "--zprime", "2")
+    assert code == 1 and "index out of range (0..1)" in err
+
+
 def test_omega_command(capsys):
     # semigroup-level values are honest lower bounds: exit code 2
     code, out, _ = run(capsys, "omega", pres_path("ab_cd_cede_ba"),

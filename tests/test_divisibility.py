@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
-from factorum.divisibility import (DivisibilityKind, NotAlmostPrimeLikeError,
+from factorum.divisibility import (AlmostPrimeLikeReport, DivisibilityKind,
+                                   NotAlmostPrimeLikeError, ValuationSet,
                                    divides, divides_p, is_almost_prime_like,
                                    is_prime_like, min_subproduct_k, occurs_in,
                                    omega_element, omega_semigroup,
@@ -10,9 +12,11 @@ from factorum.divisibility import (DivisibilityKind, NotAlmostPrimeLikeError,
                                    valuation_set)
 from factorum.factorizations import (permutable_factorizations,
                                      rigid_factorizations)
+from factorum.matrices import (FullMatrixHandle, TriangularMatrixHandle,
+                               mat_det)
 from factorum.presentation import (ExplorationBudget, PresentationSemigroup,
                                    parse_presentation)
-from factorum.presets import ab_ban, b_an_c, engine
+from factorum.presets import ab_ban, b_an_c, engine, preset_names
 
 
 def make(text, mwl=12):
@@ -280,3 +284,122 @@ def test_permutable_factoriality_iff_prime_like_atoms():
         except NotAlmostPrimeLikeError:
             flags.append(False)
     assert not all(flags)
+
+
+# the class tuples shared by a set's queries against per-atom loops -------
+
+
+def _apl_reference(h, q, scope, scope_certified=True, scope_label=""):
+    """is_almost_prime_like as a loop of occurs_in over every factorization,
+    each asking atom_class of every atom."""
+    if not h.is_atom(q):
+        raise NotAlmostPrimeLikeError("q must be a certified atom")
+    certified = scope_certified
+    for a in scope:
+        fs = rigid_factorizations(h, a)
+        certified = certified and fs.complete
+        with_q = without_q = None
+        for z in fs:
+            if occurs_in(h, q, z):
+                if with_q is None:
+                    with_q = z
+            elif without_q is None:
+                without_q = z
+            if with_q is not None and without_q is not None:
+                return AlmostPrimeLikeReport(q, False, True,
+                                             (a, with_q, without_q),
+                                             scope_label)
+    return AlmostPrimeLikeReport(q, True, certified, None, scope_label)
+
+
+def _valuation_reference(h, q, a):
+    if h.is_unit(a):
+        return ValuationSet(q, a, (0,), True)
+    fs = rigid_factorizations(h, a)
+    cls = h.atom_class(q)
+    values = sorted({sum(1 for u in z.atoms if h.atom_class(u) == cls)
+                     for z in fs})
+    return ValuationSet(q, a, tuple(values), fs.complete)
+
+
+def _spell(h, x):
+    return h.format_element(x), h.certified(x)
+
+
+def _apl_spelled(h, rep):
+    cex = rep.counterexample and (
+        _spell(h, rep.counterexample[0]),
+        [_spell(h, u) for u in rep.counterexample[1].atoms],
+        [_spell(h, u) for u in rep.counterexample[2].atoms])
+    return _spell(h, rep.atom), rep.holds, rep.certified, cex, rep.scope
+
+
+def _check_sweep(make, atoms, elements):
+    """The apl-sweep's queries on one handle, the references on another,
+    element by element and then over the whole scope."""
+    h, ref = make(), make()
+    xs, ys = [], []
+    for element in elements:
+        x, y = element(h), element(ref)
+        xs.append(x)
+        ys.append(y)
+        for q in atoms:
+            got = is_almost_prime_like(h, q(h), [x])
+            want = _apl_reference(ref, q(ref), [y])
+            assert _apl_spelled(h, got) == _apl_spelled(ref, want)
+        for q in atoms:
+            got, want = valuation_set(h, q(h), x), \
+                _valuation_reference(ref, q(ref), y)
+            assert (got.values, got.certified) == (want.values, want.certified)
+    reports = []
+    for q in atoms:
+        got = is_almost_prime_like(h, q(h), xs, False, "scope")
+        want = _apl_reference(ref, q(ref), ys, False, "scope")
+        assert _apl_spelled(h, got) == _apl_spelled(ref, want)
+        reports.append(got)
+    return reports
+
+
+@pytest.mark.parametrize("name", preset_names())
+@pytest.mark.parametrize("budget", [None, ExplorationBudget(6, 5)])
+def test_sweep_queries_match_the_per_atom_loops(name, budget):
+    probe = engine(name, budget)
+    words = [w for n in range(1, 5)
+             for w in itertools.product(probe.presentation.generators,
+                                        repeat=n)]
+    random.Random(name).shuffle(words)
+    atoms = [lambda e, g=g: e.element((g,))
+             for g in probe.presentation.generators
+             if probe.is_atom(probe.element((g,)))]
+    _check_sweep(lambda: engine(name, budget), atoms,
+                 [lambda e, w=w: e.element(w) for w in words[:250]])
+
+
+def test_sweep_queries_keep_the_first_counterexample():
+    atoms = [lambda e, g=g: e.element((g,)) for g in "abc"]
+    words = [w for n in range(1, 6) for w in itertools.product("abc",
+                                                               repeat=n)]
+    reports = _check_sweep(lambda: engine("aba_ba3bc"), atoms,
+                           [lambda e, w=w: e.element(w) for w in words])
+    assert [r.holds for r in reports] == [True, True, False]
+    assert reports[2].counterexample[0].word == ("a", "b", "a")
+
+
+@pytest.mark.parametrize("make", [TriangularMatrixHandle, FullMatrixHandle])
+def test_matrix_sweep_queries_match_the_per_atom_loops(make):
+    # atom_class is not the key here: (position, prime) on T2(Z), |det| on
+    # M2(Z), so associated atoms count as one
+    rng = random.Random(7)
+    lower = (lambda: 0) if make is TriangularMatrixHandle \
+        else (lambda: rng.randint(-4, 4))
+    matrices = []
+    while len(matrices) < 40:
+        m = ((rng.randint(-4, 4), rng.randint(-4, 4)),
+             (lower(), rng.randint(-4, 4)))
+        if 2 <= abs(mat_det(m)) <= 24:
+            matrices.append(m)
+    atoms = [lambda e, m=m: m for m in (((2, 0), (0, 1)), ((1, 0), (0, 2)),
+                                        ((3, 1), (0, 1)), ((1, 1), (0, 3)))]
+    reports = _check_sweep(lambda: make(2), atoms,
+                           [lambda e, m=m: m for m in matrices])
+    assert all(r.holds for r in reports)

@@ -1,15 +1,22 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from factorum.factorizations import (FactorizationSet, RigidFactorization,
-                                     _atom_tuples, length_profile,
+from factorum.factorizations import (FactorizationSet, LengthSet,
+                                     RigidFactorization, _atom_tuples,
+                                     length_profile,
                                      permutable_class_multisets,
                                      permutable_factorizations,
                                      rigid_factorizations)
+from factorum.matrices import (FullMatrixHandle, TriangularMatrixHandle,
+                               mat_det)
 from factorum.presentation import (Element, ExplorationBudget,
                                    PresentationSemigroup, parse_presentation)
-from factorum.presets import ab_ban, anbn, engine
+from factorum.presets import ab_ban, anbn, engine, preset_names
 
 
 def test_rigid_abc_cb():
@@ -186,3 +193,239 @@ def test_incomplete_set_of_a_certified_element_is_rebuilt():
     assert el.certified and not first.complete
     again = rigid_factorizations(h, el)
     assert again is not first and _spelled_out(again) == _spelled_out(first)
+
+
+# the sweep's shortcuts against the computations they replace ---------------
+
+TRUNCATING = ExplorationBudget(6, 5)
+
+
+def _reference_profile(h, a):
+    """length_profile from a walk of the class multisets alone, as it was
+    computed before it could read a complete rigid set."""
+    if h.is_unit(a):
+        return LengthSet((0,), (), Fraction(0), True)
+    sets, complete = permutable_class_multisets(h, a)
+    lengths = tuple(sorted({len(m) for m in sets}))
+    return LengthSet(
+        lengths, tuple(b - c for c, b in zip(lengths, lengths[1:])),
+        Fraction(max(lengths), min(lengths)) if lengths else Fraction(0),
+        complete)
+
+
+def _replay(h, ref, ops, element):
+    """Ask h and ref the same queries in the same order; h answers lengths
+    with length_profile, ref with the class-multiset walk."""
+    for op, raw in ops:
+        x, y = element(h, raw), element(ref, raw)
+        if op in ("rigid", "both"):
+            fs, want = rigid_factorizations(h, x), rigid_factorizations(ref, y)
+            assert (_tuples_spelled(h, (z.atoms for z in fs)), fs.complete) \
+                == (_tuples_spelled(ref, (z.atoms for z in want)),
+                    want.complete)
+        if op in ("lengths", "both"):
+            assert length_profile(h, x) == _reference_profile(ref, y)
+        if op == "classes":
+            assert permutable_class_multisets(h, x) == \
+                permutable_class_multisets(ref, y)
+
+
+_OPS = st.sampled_from(("rigid", "lengths", "both", "classes"))
+
+
+def _tight_budget(name):
+    """The least word cap the preset accepts: a class met through a longer
+    word closes under that word's cap, and can have factorizations longer
+    than its own."""
+    relations = engine(name).presentation.relations
+    return ExplorationBudget(max(len(w) for r in relations
+                                 for w in (r.lhs, r.rhs)), 100_000)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(name=st.sampled_from(preset_names()),
+       budget=st.sampled_from(("preset", "truncating", "tight")),
+       warm=st.booleans(), data=st.data())
+def test_length_profile_matches_the_class_multiset_walk(name, budget, warm,
+                                                        data):
+    budget = {"preset": None, "truncating": TRUNCATING,
+              "tight": _tight_budget(name)}[budget]
+    h, ref = engine(name, budget), engine(name, budget)
+    gens = h.presentation.generators
+    ops = data.draw(st.lists(st.tuples(_OPS, st.lists(
+        st.sampled_from(gens), min_size=1, max_size=8)), max_size=16))
+    if warm:
+        for e in (h, ref):
+            for el in e.enumerate_elements(4)[0]:
+                rigid_factorizations(e, el)
+    _replay(h, ref, ops, lambda e, word: e.element(tuple(word)))
+
+
+_ENTRY = st.integers(-6, 6)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(make=st.sampled_from((TriangularMatrixHandle, FullMatrixHandle)),
+       data=st.data())
+def test_matrix_length_profile_matches_the_class_multiset_walk(make, data):
+    h, ref = make(2), make(2)
+    lower = st.just(0) if make is TriangularMatrixHandle else _ENTRY
+    matrices = st.tuples(st.tuples(_ENTRY, _ENTRY), st.tuples(lower, _ENTRY)
+                         ).filter(lambda m: 1 <= abs(mat_det(m)) <= 24)
+    ops = data.draw(st.lists(st.tuples(_OPS, matrices), min_size=1,
+                             max_size=10))
+    _replay(h, ref, ops, lambda e, m: m)
+
+
+def test_length_profile_reads_a_complete_set_and_queues_the_walk():
+    h, ref = engine("aba_ba3bc"), engine("aba_ba3bc")
+    x, y = h.element_from_str("a b a a"), ref.element_from_str("a b a a")
+    rigid_factorizations(h, x)
+    rigid_factorizations(ref, y)
+    calls = []
+    walk = h.left_divisor_atoms
+    h.left_divisor_atoms = lambda el: calls.append(el) or walk(el)
+    assert length_profile(h, x) == _reference_profile(ref, y)
+    assert calls == [] and h._pclass_cache.skipped == [x]
+    # the next walk first runs the skipped one, so its memo matches
+    b = h.element_from_str("b")
+    assert permutable_class_multisets(h, b) == \
+        permutable_class_multisets(ref, ref.element_from_str("b"))
+    assert calls and h._pclass_cache.skipped == []
+    assert h._pclass_cache.entries == ref._pclass_cache.entries
+
+
+def test_length_profile_walks_once_an_entry_is_incomplete():
+    # an incomplete entry may be read by the walk the shortcut would skip
+    h, ref = engine("aba_ba3bc", TRUNCATING), engine("aba_ba3bc", TRUNCATING)
+    for e, profile in ((h, length_profile), (ref, _reference_profile)):
+        assert not profile(e, e.element_from_str("a a b a")).certified
+        assert rigid_factorizations(e, e.element_from_str("a a a b")).complete
+    assert not h._pclass_cache.clean
+    calls = []
+    walk = h.left_divisor_atoms
+    h.left_divisor_atoms = lambda el: calls.append(el) or walk(el)
+    x, y = h.element_from_str("a a a b"), ref.element_from_str("a a a b")
+    assert length_profile(h, x) == _reference_profile(ref, y)
+    assert calls and h._pclass_cache.skipped == []
+
+
+def test_length_profile_walks_when_a_factorization_outruns_the_depth():
+    # At word cap 4, b a = c e d e, and the class of c b a closes when it is
+    # met through c c e d e (cap 5).  Its rigid set reuses the complete set
+    # of b a and has the length 5, but the walk from c b a searches to
+    # depth 4 only: the lengths must come from that walk.
+    budget = ExplorationBudget(4, 100_000)
+    h, ref = engine("ab_cd_cede_ba", budget), engine("ab_cd_cede_ba", budget)
+    for e in (h, ref):
+        rigid_factorizations(e, e.element(tuple("ba")))
+    x, y = h.element(tuple("ccede")), ref.element(tuple("ccede"))
+    fs = rigid_factorizations(h, x)
+    rigid_factorizations(ref, y)
+    assert x.word == tuple("cba") and x.certified and fs.complete
+    assert max(len(z.atoms) for z in fs) == 5
+    profile = length_profile(h, x)
+    assert profile == _reference_profile(ref, y)
+    assert profile.lengths == (3,) and not profile.certified
+
+
+def _sorted_reference(h, a, cache):
+    """_atom_tuples as it was: every quotient's tuples prefixed by its atom,
+    then sorted(set(...)) by (length, atom keys)."""
+    in_progress = set()
+
+    def rec(x, depth_left):
+        if h.is_unit(x):
+            return ((),), True
+        key = h.key(x)
+        hit = cache.get(key)
+        if hit is not None and (hit[1] or hit[2] >= depth_left):
+            return hit[0], hit[1]
+        if key in in_progress or depth_left <= 0:
+            return (), False
+        in_progress.add(key)
+        pairs, complete = h.left_divisor_atoms(x)
+        facts = []
+        for atom, quotient in pairs:
+            if h.is_unit(quotient):
+                facts.append((h.multiply(atom, quotient),))
+                continue
+            sub, sub_complete = rec(quotient, depth_left - 1)
+            complete = complete and sub_complete
+            facts.extend((atom,) + f for f in sub)
+        in_progress.discard(key)
+        result = tuple(sorted(set(facts), key=lambda f: (
+            len(f), tuple(h.key(u) for u in f))))
+        cache[key] = (result, complete, depth_left)
+        return result, complete
+
+    depth = h.length_cap(a)
+    return rec(a, 64 if depth is None else depth)
+
+
+def _tuples_spelled(h, tuples):
+    return [tuple((h.format_element(u), h.certified(u)) for u in t)
+            for t in tuples]
+
+
+def _check_atom_tuples(make, elements):
+    """_atom_tuples on one handle against the sorting reference on another,
+    both asked the same elements in the same order."""
+    h, ref, cache = make(), make(), {}
+    results = []
+    for element in elements:
+        got, complete = _atom_tuples(h, element(h))
+        want, want_complete = _sorted_reference(ref, element(ref), cache)
+        assert (_tuples_spelled(h, got), complete) == \
+            (_tuples_spelled(ref, want), want_complete)
+        results.append(got)
+    return h, ref, results
+
+
+@pytest.mark.parametrize("name", preset_names())
+@pytest.mark.parametrize("budget", [None, TRUNCATING])
+def test_atom_tuples_keep_the_sorted_order(name, budget):
+    gens = engine(name).presentation.generators
+    words = [w for n in range(1, 6) for w in itertools.product(gens, repeat=n)]
+    random.Random(name).shuffle(words)
+    h, ref, _ = _check_atom_tuples(
+        lambda: engine(name, budget),
+        [lambda e, w=w: e.element(w) for w in words[:400]])
+    assert h.warnings == ref.warnings
+
+
+@pytest.mark.parametrize("text,merged", [
+    # b = a b a is not atomic: a left-divides b a with two quotients,
+    # neither of which has a factorization
+    ("gens: a b\nrel: a b a = b\n", False),
+    # a b = a c is not left cancellative: both quotients of a b b by a
+    # factor, and their tuples are merged under the atom a
+    ("gens: a b c\nrel: a b = a c\n", True),
+])
+def test_atom_tuples_merge_an_atom_with_two_quotients(text, merged):
+    gens = parse_presentation(text).generators
+    words = [w for n in range(1, 5) for w in itertools.product(gens, repeat=n)]
+    h, ref, results = _check_atom_tuples(
+        lambda: PresentationSemigroup(parse_presentation(text)),
+        [lambda e, w=w: e.element(w) for w in words])
+    assert any("is not unique" in w for w in h.warnings)
+    assert h.warnings == ref.warnings
+    assert any(len(r) > 1 for r in results) == merged
+
+
+@pytest.mark.parametrize("make", [TriangularMatrixHandle, FullMatrixHandle])
+def test_matrix_atom_tuples_keep_the_sorted_order(make):
+    # an atom's divisor pairs end in units, which are absorbed into it
+    rng = random.Random(3)
+    lower = (lambda: 0) if make is TriangularMatrixHandle \
+        else (lambda: rng.randint(-5, 5))
+    matrices = []
+    while len(matrices) < 60:
+        m = ((rng.randint(-5, 5), rng.randint(-5, 5)),
+             (lower(), rng.randint(-5, 5)))
+        if 2 <= abs(mat_det(m)) <= 24:
+            matrices.append(m)
+    _, _, results = _check_atom_tuples(lambda: make(2),
+                                       [lambda e, m=m: m for m in matrices])
+    assert any(len(t) == 1 for r in results for t in r)
+    assert any(len(r) > 1 for r in results)
