@@ -10,6 +10,7 @@ included).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 from typing import List, Optional
@@ -42,9 +43,13 @@ def _load_engine(args) -> PresentationSemigroup:
     return PresentationSemigroup(pres, budget)
 
 
-def _budget_dict(h: PresentationSemigroup) -> dict:
-    return {"max_word_length": h.budget.max_word_length,
-            "max_ball_size": h.budget.max_ball_size}
+def _report(h: PresentationSemigroup, invariant: str, value, cert,
+            witnesses=(), notes=()) -> InvariantReport:
+    """A presentation command's report: the engine's budget, then its
+    warnings (read after the computation, which may add some) and the
+    command's notes."""
+    return InvariantReport(invariant, value, cert, dataclasses.asdict(h.budget),
+                           list(witnesses), list(h.warnings) + list(notes))
 
 
 def _group_from_spec(spec: str) -> FiniteAbelianGroup:
@@ -52,87 +57,71 @@ def _group_from_spec(spec: str) -> FiniteAbelianGroup:
     return FiniteAbelianGroup(orders)
 
 
-def _emit(reports: List[InvariantReport], fmt: str) -> int:
-    exit_code = 0
-    for rep in reports:
-        if fmt == "json":
-            print(rep.to_json())
-        else:
-            print(rep.to_table())
-        if rep.certification is not Certification.EXACT:
-            exit_code = 2
-    return exit_code
+def _emit(rep: InvariantReport, fmt: str) -> int:
+    print(rep.to_json() if fmt == "json" else rep.to_table())
+    return 0 if rep.certification is Certification.EXACT else 2
 
 
 def _fact_strings(h, fs) -> list:
     return [[h.format_element(u) for u in z.atoms] for z in fs]
 
 
+def _length_value(L) -> dict:
+    return {"lengths": list(L.lengths), "delta": list(L.delta),
+            "elasticity": L.elasticity}
+
+
+def _lower_bound_note(scope: str) -> str:
+    return "semigroup-level value: certified lower bound over " + scope
+
+
 def cmd_parse(args) -> int:
     h = _load_engine(args)
     p = h.presentation
-    rep = InvariantReport(
-        "presentation", {
-            "generators": list(p.generators),
-            "relations": [" ".join(r.lhs) + " = " + " ".join(r.rhs)
-                          for r in p.relations],
-        }, Certification.EXACT, _budget_dict(h), warnings=list(h.warnings))
-    return _emit([rep], args.format)
+    return _emit(_report(h, "presentation", {
+        "generators": list(p.generators),
+        "relations": [" ".join(r.lhs) + " = " + " ".join(r.rhs)
+                      for r in p.relations],
+    }, Certification.EXACT), args.format)
 
 
 def cmd_adyan(args) -> int:
     h = _load_engine(args)
     rep = check_adyan(h.presentation)
-    out = InvariantReport("adyan", {
+    return _emit(_report(h, "adyan", {
         "is_adyan": rep.is_adyan,
         "left_graph": [list(e) for e in rep.left_edges],
         "right_graph": [list(e) for e in rep.right_edges],
         "cancellativity": "certified" if rep.is_adyan else "assumed",
-    }, Certification.EXACT, _budget_dict(h))
-    return _emit([out], args.format)
+    }, Certification.EXACT), args.format)
 
 
 def cmd_elements(args) -> int:
     h = _load_engine(args)
     els, complete = h.enumerate_elements(args.max_length)
-    rep = InvariantReport(
-        "elements", [h.format_element(e) for e in els],
-        certification(complete),
-        _budget_dict(h), warnings=list(h.warnings))
-    return _emit([rep], args.format)
+    return _emit(_report(h, "elements", [h.format_element(e) for e in els],
+                         certification(complete)), args.format)
 
 
 def cmd_atoms(args) -> int:
     h = _load_engine(args)
     atoms, complete = h.enumerate_atoms(args.max_length)
-    rep = InvariantReport(
-        "atoms", [h.format_element(e) for e in atoms],
-        certification(complete),
-        _budget_dict(h), warnings=list(h.warnings))
-    return _emit([rep], args.format)
+    return _emit(_report(h, "atoms", [h.format_element(e) for e in atoms],
+                         certification(complete)), args.format)
 
 
 def cmd_factorize(args) -> int:
     h = _load_engine(args)
-    el = h.element_from_str(args.element)
-    fs = rigid_factorizations(h, el)
-    rep = InvariantReport(
-        "rigid-factorizations", _fact_strings(h, fs),
-        certification(fs.complete),
-        _budget_dict(h), warnings=list(h.warnings))
-    return _emit([rep], args.format)
+    fs = rigid_factorizations(h, h.element_from_str(args.element))
+    return _emit(_report(h, "rigid-factorizations", _fact_strings(h, fs),
+                         certification(fs.complete)), args.format)
 
 
 def cmd_lengths(args) -> int:
     h = _load_engine(args)
-    el = h.element_from_str(args.element)
-    L = length_profile(h, el)
-    rep = InvariantReport(
-        "length-profile", {"lengths": list(L.lengths), "delta": list(L.delta),
-                           "elasticity": L.elasticity},
-        certification(L.certified),
-        _budget_dict(h), warnings=list(h.warnings))
-    return _emit([rep], args.format)
+    L = length_profile(h, h.element_from_str(args.element))
+    return _emit(_report(h, "length-profile", _length_value(L),
+                         certification(L.certified)), args.format)
 
 
 def cmd_distance(args) -> int:
@@ -142,13 +131,11 @@ def cmd_distance(args) -> int:
     facts = list(fs)
     if not facts:
         scope = "" if fs.complete else " within budget"
-        print(f"error: element {h.format_element(el)} has no rigid "
-              f"factorizations{scope}", file=sys.stderr)
-        return 1
+        raise ValueError(f"element {h.format_element(el)} has no rigid "
+                         f"factorizations{scope}")
     if not (0 <= args.z < len(facts) and 0 <= args.zprime < len(facts)):
-        print(f"error: factorization index out of range (0..{len(facts)-1})",
-              file=sys.stderr)
-        return 1
+        raise ValueError(
+            f"factorization index out of range (0..{len(facts)-1})")
     kind = _KINDS[args.kind]
     z, zp = facts[args.z], facts[args.zprime]
     witnesses = [{"z": _fact_strings(h, [z])[0],
@@ -159,11 +146,8 @@ def cmd_distance(args) -> int:
                           "gap_costs": list(alignment.gap_costs)})
     else:
         value = distance(h, kind, z, zp)
-    rep = InvariantReport(
-        f"distance-{kind.value}", value,
-        certification(fs.complete),
-        _budget_dict(h), witnesses, list(h.warnings))
-    return _emit([rep], args.format)
+    return _emit(_report(h, f"distance-{kind.value}", value,
+                         certification(fs.complete), witnesses), args.format)
 
 
 def cmd_catenary(args) -> int:
@@ -180,15 +164,13 @@ def cmd_catenary(args) -> int:
         name = f"catenary-{kind.value}-{args.variant}"
         cert = certification(rep.certified)
     else:
-        print("error: need --element or --all", file=sys.stderr)
-        return 1
+        raise ValueError("need --element or --all")
     witnesses = []
     if rep.witness is not None:
         witnesses.append({"chain": _fact_strings(h, rep.witness.steps),
                           "bound": rep.witness.bound})
-    out = InvariantReport(name, rep.value, cert, _budget_dict(h), witnesses,
-                          list(h.warnings) + list(rep.notes))
-    return _emit([out], args.format)
+    return _emit(_report(h, name, rep.value, cert, witnesses, rep.notes),
+                 args.format)
 
 
 def cmd_omega(args) -> int:
@@ -207,8 +189,7 @@ def cmd_omega(args) -> int:
                               scope=f"elements of length <= {args.max_length}")
         name = f"omega-{mode}-semigroup"
         cert = Certification.LOWER_BOUND
-        notes.append("semigroup-level value: certified lower bound over "
-                     + rep.scope)
+        notes.append(_lower_bound_note(rep.scope))
     witnesses = []
     if rep.witness:
         witnesses.append({
@@ -216,9 +197,8 @@ def cmd_omega(args) -> int:
             "parts": [h.format_element(p) for p in rep.witness.parts],
             "min_k": rep.witness.min_k,
             "subproduct_indices": list(rep.witness.subproduct)})
-    out = InvariantReport(name, rep.value, cert, _budget_dict(h), witnesses,
-                          list(h.warnings) + notes)
-    return _emit([out], args.format)
+    return _emit(_report(h, name, rep.value, cert, witnesses, notes),
+                 args.format)
 
 
 def cmd_tame(args) -> int:
@@ -237,12 +217,10 @@ def cmd_tame(args) -> int:
                              scope_certified=complete)
         name = "tame-semigroup"
         cert = Certification.LOWER_BOUND
-        notes.append("semigroup-level value: certified lower bound over "
-                     + rep.scope)
-    out = InvariantReport(
-        name, rep.value, cert, _budget_dict(h),
-        [repr(rep.witness)] if rep.witness else [], list(h.warnings) + notes)
-    return _emit([out], args.format)
+        notes.append(_lower_bound_note(rep.scope))
+    witnesses = [repr(rep.witness)] if rep.witness else []
+    return _emit(_report(h, name, rep.value, cert, witnesses, notes),
+                 args.format)
 
 
 def cmd_primelike(args) -> int:
@@ -261,11 +239,8 @@ def cmd_primelike(args) -> int:
     elif rep.holds:
         pl = is_prime_like(h, q, els, complete)
         value["prime_like"] = pl.holds
-    out = InvariantReport(
-        "prime-like", value,
-        certification(rep.certified),
-        _budget_dict(h), witnesses, list(h.warnings))
-    return _emit([out], args.format)
+    return _emit(_report(h, "prime-like", value, certification(rep.certified),
+                         witnesses), args.format)
 
 
 def cmd_abelianize(args) -> int:
@@ -276,14 +251,12 @@ def cmd_abelianize(args) -> int:
         return " ".join(f"{g}^{e}" if e > 1 else g
                         for g, e in zip(ab.generators, vec) if e) or "1"
 
-    rep = InvariantReport(
-        "abelianization", {
-            "generators": list(ab.generators),
-            "relations": [f"{monomial(lhs)} = {monomial(rhs)}"
-                          for lhs, rhs in ab.relations],
-            "reduced_within_budget": ab.unit_scan(),
-        }, Certification.EXACT, _budget_dict(h), warnings=list(h.warnings))
-    return _emit([rep], args.format)
+    return _emit(_report(h, "abelianization", {
+        "generators": list(ab.generators),
+        "relations": [f"{monomial(lhs)} = {monomial(rhs)}"
+                      for lhs, rhs in ab.relations],
+        "reduced_within_budget": ab.unit_scan(),
+    }, Certification.EXACT), args.format)
 
 
 def cmd_check_wth(args) -> int:
@@ -297,10 +270,8 @@ def cmd_check_wth(args) -> int:
     for a, b, mset in rep.counterexamples[:5]:
         witnesses.append({"pair": [h.format_element(a), h.format_element(b)],
                           "unliftable_multiset": [" ".join(w) for w in mset]})
-    cert = certification(rep.certified)
-    out = InvariantReport("check-wth", value, cert, _budget_dict(h), witnesses,
-                          list(h.warnings) + list(rep.notes))
-    return _emit([out], args.format)
+    return _emit(_report(h, "check-wth", value, certification(rep.certified),
+                         witnesses, rep.notes), args.format)
 
 
 def cmd_zss(args) -> int:
@@ -325,7 +296,7 @@ def cmd_zss(args) -> int:
         rep = InvariantReport(f"block-catenary({group.describe()})", res.value,
                               Certification.LOWER_BOUND, witnesses=witnesses,
                               warnings=list(res.notes))
-    return _emit([rep], args.format)
+    return _emit(rep, args.format)
 
 
 def cmd_order_bound(args) -> int:
@@ -336,7 +307,7 @@ def cmd_order_bound(args) -> int:
         {"bound": res.bound, "computed_catenary": res.computed_catenary,
          "classification": res.classification},
         certification(res.certified))
-    return _emit([rep], args.format)
+    return _emit(rep, args.format)
 
 
 def cmd_tri(args) -> int:
@@ -357,7 +328,7 @@ def cmd_tri(args) -> int:
         fs = rigid_factorizations(h, m)
         rep = InvariantReport("tri-factorizations", _fact_strings(h, fs),
                               certification(fs.complete))
-    return _emit([rep], args.format)
+    return _emit(rep, args.format)
 
 
 def cmd_mat(args) -> int:
@@ -375,12 +346,9 @@ def cmd_mat(args) -> int:
                               Certification.EXACT)
     else:   # lengths
         L = length_profile(h, m)
-        rep = InvariantReport("mat-lengths",
-                              {"lengths": list(L.lengths),
-                               "delta": list(L.delta),
-                               "elasticity": L.elasticity},
+        rep = InvariantReport("mat-lengths", _length_value(L),
                               certification(L.certified))
-    return _emit([rep], args.format)
+    return _emit(rep, args.format)
 
 
 def cmd_regression(args) -> int:
@@ -388,9 +356,8 @@ def cmd_regression(args) -> int:
     names = regression_mod.CRITERIA
     if args.case:
         if args.case not in names:
-            print(f"error: unknown case {args.case!r}; available: "
-                  + ", ".join(names), file=sys.stderr)
-            return 1
+            raise ValueError(f"unknown case {args.case!r}; available: "
+                             + ", ".join(names))
         names = [args.case]
     any_fail = False
     any_bound = False

@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 from .distances import permutable_distance
 from .factorizations import (RigidFactorization, permutable_factorizations,
                              rigid_factorizations)
-from .handles import SemigroupHandle
+from .handles import SemigroupHandle, UnsupportedOperation
 from .presentation import PresentationSemigroup
 
 
@@ -49,20 +49,14 @@ class NotAlmostPrimeLikeError(ValueError):
     pass
 
 
-class UnsupportedOperation(NotImplementedError):
-    pass
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DivisibilityAnswer:
     holds: Optional[bool]     # None = unknown within budget
     certified: bool
 
 
 def _divides_p_cached(handle: SemigroupHandle, b, a) -> DivisibilityAnswer:
-    cache = getattr(handle, "_divp_cache", None)
-    if cache is None:
-        cache = handle._divp_cache = {}
+    cache = handle.memo.divides_p
     key = (handle.key(b), handle.key(a))
     hit = cache.get(key)
     if hit is not None:
@@ -103,24 +97,8 @@ def divides_p(handle: SemigroupHandle, b, a) -> DivisibilityAnswer:
 def _divides_leftright(handle: SemigroupHandle, b, a) -> DivisibilityAnswer:
     if handle.is_unit(b):
         return DivisibilityAnswer(True, True)
-    custom = getattr(handle, "leftright_divides", None)
-    if custom is not None:
-        return DivisibilityAnswer(bool(custom(b, a)), True)
-    if isinstance(handle, PresentationSemigroup):
-        # a in S b S iff some ball member of a has a contiguous factor equal
-        # to b; exhaustive whenever the ball is closed
-        ball = handle.congruence_ball(a.word)
-        for m in sorted(ball.members, key=handle.shortlex_key):
-            for i in range(len(m) + 1):
-                for j in range(i, len(m) + 1):
-                    mid = m[i:j]
-                    if not mid:
-                        continue
-                    if handle.element(mid).word == b.word:
-                        return DivisibilityAnswer(True, True)
-        return DivisibilityAnswer(False if ball.closed else None, ball.closed)
-    raise UnsupportedOperation(
-        f"left-right divisibility is not implemented for {handle.name}")
+    holds = handle.leftright_divides(b, a)
+    return DivisibilityAnswer(holds, holds is not None)
 
 
 def occurs_in(handle: SemigroupHandle, q, z: RigidFactorization) -> bool:
@@ -129,7 +107,7 @@ def occurs_in(handle: SemigroupHandle, q, z: RigidFactorization) -> bool:
     return any(handle.atom_class(u) == cls for u in z.atoms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlmostPrimeLikeReport:
     atom: object
     holds: bool
@@ -165,7 +143,7 @@ def is_almost_prime_like(handle: SemigroupHandle, q,
     return AlmostPrimeLikeReport(q, True, certified, None, scope)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValuationSet:
     atom: object
     element: object
@@ -195,7 +173,7 @@ def valuation_set(handle: SemigroupHandle, q, a,
     return ValuationSet(q, a, tuple(values), fs.complete)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrimeLikeReport:
     atom: object
     holds: bool

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from .handles import SemigroupHandle
 
@@ -76,18 +76,9 @@ def class_multiset(handle: SemigroupHandle, z: RigidFactorization) -> Tuple:
 _DEPTH_FALLBACK = 64
 
 
-def _rigid_memo(handle: SemigroupHandle) -> Dict:
-    """Per-handle memo: key -> (atom tuples, complete, depth searched, the
-    FactorizationSet once one was returned complete, else None)."""
-    cache = getattr(handle, "_rigid_cache", None)
-    if cache is None:
-        cache = handle._rigid_cache = {}
-    return cache
-
-
 def _atom_tuples(handle: SemigroupHandle, a) -> Tuple[Tuple[Tuple, ...], bool]:
     """All atom sequences composing to a, with a completeness flag."""
-    cache = _rigid_memo(handle)
+    cache = handle.memo.rigid
     in_progress = set()
 
     def rec(x, depth_left: int) -> Tuple[Tuple[Tuple, ...], bool]:
@@ -151,16 +142,16 @@ def rigid_factorizations(handle: SemigroupHandle, a) -> FactorizationSet:
     handle.require_element(a)
     if handle.is_unit(a):
         return FactorizationSet((RigidFactorization((), a),), True)
-    cache = _rigid_memo(handle)
-    key = handle.key(a)
-    hit = cache.get(key)
-    if hit is not None and hit[3] is not None and handle.certified(a):
-        return hit[3]
+    memo = handle.memo
+    fs = memo.complete_set(handle, a)
+    if fs is not None:
+        return fs
     tuples, complete = _atom_tuples(handle, a)
     facts = tuple([RigidFactorization(t, a) for t in tuples])
     fs = FactorizationSet(facts, complete and handle.certified(a))
     if fs.complete:
-        cache[key] = cache[key][:3] + (fs,)
+        key = handle.key(a)
+        memo.rigid[key] = memo.rigid[key][:3] + (fs,)
     return fs
 
 
@@ -194,36 +185,6 @@ def permutable_factorizations(handle: SemigroupHandle, a
     return out, fs.complete
 
 
-class _ClassMultisetMemo:
-    """Per-handle memo of ``permutable_class_multisets``: key -> (class
-    multisets, complete, depth searched).
-
-    ``length_profile`` may read a certified element's lengths off its
-    complete rigid set instead of walking.  It does so only while every
-    entry is complete (``clean``) and no factorization is longer than the
-    walk's depth, because then the walk would find the same lengths and
-    write only complete entries.  The skipped walks are queued and run
-    before the next walk, so every later walk finds the entries it found
-    when they were not skipped.
-    """
-
-    __slots__ = ("entries", "clean", "skipped")
-
-    def __init__(self):
-        # each set is kept as a tuple: even an empty frozenset takes 216
-        # bytes, and a sweep keeps one set per element it met
-        self.entries: Dict = {}
-        self.clean = True
-        self.skipped: List = []
-
-
-def _class_memo(handle: SemigroupHandle) -> _ClassMultisetMemo:
-    memo = getattr(handle, "_pclass_cache", None)
-    if memo is None:
-        memo = handle._pclass_cache = _ClassMultisetMemo()
-    return memo
-
-
 def _depth(handle: SemigroupHandle, a) -> int:
     depth = handle.length_cap(a)
     return _DEPTH_FALLBACK if depth is None else depth
@@ -238,8 +199,8 @@ def permutable_class_multisets(handle: SemigroupHandle, a
     commutative reduced handles without a budget (see
     ``permutable_factorizations``)."""
     handle.require_element(a)
-    memo = _class_memo(handle)
-    entries = memo.entries
+    memo = handle.memo
+    entries = memo.classes
 
     def rec(x, depth_left: int) -> Tuple[Tuple[Tuple, ...], bool]:
         if handle.is_unit(x):
@@ -273,7 +234,7 @@ def permutable_class_multisets(handle: SemigroupHandle, a
     return frozenset(sets), complete and handle.certified(a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LengthSet:
     lengths: Tuple[int, ...]         # sorted
     delta: Tuple[int, ...]           # gaps between consecutive lengths
@@ -286,17 +247,15 @@ def length_profile(handle: SemigroupHandle, a) -> LengthSet:
 
     When the memo holds a complete set of rigid factorizations of a
     certified a, the lengths are read off it where the walk of the class
-    multisets would find the same (see ``_ClassMultisetMemo``): every
+    multisets would find the same (see ``HandleMemo``): every
     divisor list below a is then memoised, so that walk would build no ball
     either.  Otherwise the class multisets are walked.
     """
     if handle.is_unit(a):
         return LengthSet((0,), (), Fraction(0), True)
-    memo = _class_memo(handle)
-    hit = _rigid_memo(handle).get(handle.key(a)) if memo.clean else None
-    found = None
-    if hit is not None and hit[3] is not None and handle.certified(a):
-        found = {len(z.atoms) for z in hit[3]}
+    memo = handle.memo
+    fs = memo.complete_set(handle, a) if memo.clean else None
+    found = None if fs is None else {len(z.atoms) for z in fs}
     if found is not None and max(found, default=0) <= _depth(handle, a):
         memo.skipped.append(a)
         complete = True

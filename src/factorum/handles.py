@@ -10,16 +10,59 @@ a unit test, an atom test with an associate test on atoms, and enumeration
 of the atoms that left-divide a given element together with the unique
 left quotient (uniqueness is the cancellativity assumption).  A
 commutative reduced handle without an exploration budget also maps an
-associate class back to its atom (``class_atom``).
+associate class back to its atom (``class_atom``).  Every handle keeps
+the answers derived from its factorization sets in one ``memo``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterable, List, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from .arith import factor, is_prime
 
 DivisorPairs = Tuple[List[Tuple[Any, Any]], bool]
+
+
+class UnsupportedOperation(NotImplementedError):
+    pass
+
+
+class HandleMemo:
+    """The factorization-derived answers kept for one handle instance.
+
+    ``rigid``: key -> (atom tuples, complete, depth searched, the
+    ``FactorizationSet`` once one was returned complete, else None).
+    ``classes``: key -> (class multisets, complete, depth searched), each
+    set kept as a tuple: even an empty frozenset takes 216 bytes, and a
+    sweep keeps one set per element it met.
+    ``divides_p``: (key of b, key of a) -> ``DivisibilityAnswer``.
+
+    ``length_profile`` may read a certified element's lengths off its
+    complete rigid set instead of walking the class multisets.  It does so
+    only while every ``classes`` entry is complete (``clean``) and no
+    factorization is longer than the walk's depth, because then the walk
+    would find the same lengths and write only complete entries.  The
+    skipped walks are queued in ``skipped`` and run before the next walk,
+    so every later walk finds the entries it found when they were not
+    skipped.
+    """
+
+    __slots__ = ("rigid", "classes", "clean", "skipped", "divides_p")
+
+    def __init__(self):
+        self.rigid: Dict = {}
+        self.classes: Dict = {}
+        self.clean = True
+        self.skipped: List = []
+        self.divides_p: Dict = {}
+
+    def complete_set(self, handle: SemigroupHandle, x):
+        """The complete factorization set held for x when x is certified,
+        else None."""
+        hit = self.rigid.get(handle.key(x))
+        if hit is not None and hit[3] is not None and handle.certified(x):
+            return hit[3]
+        return None
 
 
 class SemigroupHandle:
@@ -30,6 +73,19 @@ class SemigroupHandle:
     # queries ran before can change later uncertified answers
     budgeted = False
     name = "semigroup"
+
+    # the one place this handle's factorization sets, class multisets and
+    # ``divides_p`` answers are kept; a new handle starts cold
+    memo: HandleMemo
+
+    def __new__(cls, *args, **kwargs):
+        # set before __init__ as a plain attribute, so the handle classes
+        # need no change; a functools.cached_property would write the
+        # instance __dict__ and, on CPython 3.11, slow every later
+        # attribute load on the handle (about 10% of a class-multiset walk)
+        handle = super().__new__(cls)
+        handle.memo = HandleMemo()
+        return handle
 
     # structure ------------------------------------------------------
     def identity(self):
@@ -79,6 +135,12 @@ class SemigroupHandle:
         raise NotImplementedError
 
     # divisibility backbone ---------------------------------------------
+    def leftright_divides(self, b, a) -> Optional[bool]:
+        """Whether a lies in H*b*H: True, False, or None when unknown
+        within the budget."""
+        raise UnsupportedOperation(
+            f"left-right divisibility is not implemented for {self.name}")
+
     def left_divisor_atoms(self, x) -> DivisorPairs:
         """All atoms u with x in u*H, as (u, quotient) pairs, plus a
         completeness flag (False when a search was truncated)."""

@@ -573,6 +573,17 @@ class PresentationSemigroup(SemigroupHandle):
     def left_divisor_atoms(self, x: Element) -> DivisorPairs:
         return self.left_divisors(x)
 
+    def leftright_divides(self, b: Element, a: Element) -> Optional[bool]:
+        # a in S b S iff some ball member of a has a contiguous factor equal
+        # to b; exhaustive whenever the ball is closed
+        ball = self.congruence_ball(a.word)
+        for m in sorted(ball.members, key=self.shortlex_key):
+            for i in range(len(m)):
+                for j in range(i + 1, len(m) + 1):
+                    if self.element(m[i:j]).word == b.word:
+                        return True
+        return False if ball.closed else None
+
     def length_cap(self, x: Element) -> int:
         return max(self.budget.max_word_length, len(x.word))
 

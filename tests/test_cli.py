@@ -302,3 +302,31 @@ def test_help_is_the_same_every_time(capsys):
         assert exc.value.code == 0
         texts.append(capsys.readouterr().out)
     assert texts[0] == texts[1] and "usage: factorum" in texts[0]
+
+
+NON_ADYAN_WARNING = \
+    "presentation is not certified Adyan; cancellativity is assumed"
+
+
+@pytest.mark.parametrize("command", [
+    ["parse"], ["adyan"], ["elements", "--max-length", "3"],
+    ["atoms", "--max-length", "3"], ["factorize", "--element", "a b"],
+    ["lengths", "--element", "a b"],
+    ["distance", "--element", "a b", "--z", "0", "--zprime", "1"],
+    ["catenary", "--element", "a b"],
+    ["omega", "--divisor", "b", "--element", "a b"],
+    ["tame", "--pattern", "b", "--element", "a b"],
+    ["primelike", "--atom", "b", "--max-length", "3"], ["abelianize"],
+    ["check-wth", "--max-length", "3"],
+], ids=lambda command: command[0])
+def test_presentation_reports_carry_budget_and_warnings(capsys, tmp_path,
+                                                        command):
+    path = tmp_path / "non_adyan.pres"
+    path.write_text("gens: a b\nrel: a b = b b\n")
+    code, out, _ = run(capsys, "--format", "json", "--budget-len", "5",
+                       command[0], str(path), *command[1:])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["budget"] == {"max_ball_size": 100_000,
+                                 "max_word_length": 5}
+    assert NON_ADYAN_WARNING in payload["warnings"]

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from factorum.divisibility import (AlmostPrimeLikeReport, DivisibilityKind,
-                                   NotAlmostPrimeLikeError, ValuationSet,
+                                   NotAlmostPrimeLikeError,
+                                   UnsupportedOperation, ValuationSet,
                                    divides, divides_p, is_almost_prime_like,
                                    is_prime_like, min_subproduct_k, occurs_in,
                                    omega_element, omega_semigroup,
@@ -29,6 +30,16 @@ def test_divides_p_ab_cd_cede_ba():
     a = h.element_from_str("a")
     cd = h.element_from_str("c d")
     assert divides_p(h, a, cd).holds   # cd = ab, so a |_p cd
+
+
+@pytest.mark.parametrize("make", [TriangularMatrixHandle, FullMatrixHandle])
+def test_leftright_divides_unsupported_on_matrices(make):
+    h = make(2)
+    b, a = ((2, 0), (0, 1)), ((2, 0), (0, 3))
+    with pytest.raises(UnsupportedOperation) as exc:
+        divides(h, DivisibilityKind.LEFT_RIGHT, b, a)
+    assert str(exc.value) == \
+        f"left-right divisibility is not implemented for {h.name}"
 
 
 def test_divides_reflexive_on_atoms():

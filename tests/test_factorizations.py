@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factorum.divisibility import divides_p, is_almost_prime_like
 from factorum.factorizations import (FactorizationSet, LengthSet,
                                      RigidFactorization, _atom_tuples,
                                      length_profile,
@@ -195,6 +196,21 @@ def test_incomplete_set_of_a_certified_element_is_rebuilt():
     assert again is not first and _spelled_out(again) == _spelled_out(first)
 
 
+def test_memo_belongs_to_one_handle():
+    h, other = engine("aba_ba3bc"), engine("aba_ba3bc")
+    els, complete = h.enumerate_elements(4)
+    q = h.element_from_str("b")
+    is_almost_prime_like(h, q, els, complete)
+    for el in els:
+        length_profile(h, el)
+        divides_p(h, q, el)
+    assert h.memo.rigid and h.memo.classes and h.memo.divides_p
+    memo = other.memo
+    assert (memo.rigid, memo.classes, memo.skipped, memo.divides_p) == \
+        ({}, {}, [], {})
+    assert memo.clean and memo is not h.memo
+
+
 # the sweep's shortcuts against the computations they replace ---------------
 
 TRUNCATING = ExplorationBudget(6, 5)
@@ -286,13 +302,13 @@ def test_length_profile_reads_a_complete_set_and_queues_the_walk():
     walk = h.left_divisor_atoms
     h.left_divisor_atoms = lambda el: calls.append(el) or walk(el)
     assert length_profile(h, x) == _reference_profile(ref, y)
-    assert calls == [] and h._pclass_cache.skipped == [x]
+    assert calls == [] and h.memo.skipped == [x]
     # the next walk first runs the skipped one, so its memo matches
     b = h.element_from_str("b")
     assert permutable_class_multisets(h, b) == \
         permutable_class_multisets(ref, ref.element_from_str("b"))
-    assert calls and h._pclass_cache.skipped == []
-    assert h._pclass_cache.entries == ref._pclass_cache.entries
+    assert calls and h.memo.skipped == []
+    assert h.memo.classes == ref.memo.classes
 
 
 def test_length_profile_walks_once_an_entry_is_incomplete():
@@ -301,13 +317,13 @@ def test_length_profile_walks_once_an_entry_is_incomplete():
     for e, profile in ((h, length_profile), (ref, _reference_profile)):
         assert not profile(e, e.element_from_str("a a b a")).certified
         assert rigid_factorizations(e, e.element_from_str("a a a b")).complete
-    assert not h._pclass_cache.clean
+    assert not h.memo.clean
     calls = []
     walk = h.left_divisor_atoms
     h.left_divisor_atoms = lambda el: calls.append(el) or walk(el)
     x, y = h.element_from_str("a a a b"), ref.element_from_str("a a a b")
     assert length_profile(h, x) == _reference_profile(ref, y)
-    assert calls and h._pclass_cache.skipped == []
+    assert calls and h.memo.skipped == []
 
 
 def test_length_profile_walks_when_a_factorization_outruns_the_depth():
