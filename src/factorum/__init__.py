@@ -21,8 +21,7 @@ from .distances import (Alignment, AxiomReport, DistanceKind,
                         verify_axioms)
 from .catenary import (CatenaryReport, ChainWitness, adjacent_catenary,
                        catenary, catenary_in_fibers, equal_catenary,
-                       monotone_catenary, monotone_catenary_direct,
-                       semigroup_catenary)
+                       monotone_catenary, semigroup_catenary)
 from .divisibility import (AlmostPrimeLikeReport, DivisibilityKind,
                            NotAlmostPrimeLikeError, OmegaReport, TameReport,
                            ValuationSet, divides, divides_p,

@@ -17,9 +17,11 @@ Under d* the graph's nodes are the rigid factorizations.  Under d_len and
 d_p they are the permutable factorizations (one per atom-class multiset),
 and d_p is computed from the multisets.  On commutative handles without
 an exploration budget (block monoids, free abelian monoids) those
-multisets come from one memoised recursion over left quotients, so the
-cost follows the factorization classes, not the rigid orderings; on the
-other handles they are read off the rigid factorizations.
+multisets come from one memoised recursion over the quotients by a cover
+of atoms that meets every factorization (on a block monoid, the atoms
+holding the element's least term), so the cost follows the factorization
+classes, not the rigid orderings; on the other handles they are read off
+the rigid factorizations.
 
 Infinity never arises in a bounded computation and is represented by an
 explicit flag, never a sentinel integer.
@@ -27,7 +29,6 @@ explicit flag, never a sentinel integer.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Dict, Optional, Sequence, Tuple
@@ -84,23 +85,29 @@ def _bottleneck(nodes: Sequence[int], mat) -> Tuple[int, Optional[Tuple[int, int
     return value, arg
 
 
+def _occurrences(classes: Tuple) -> frozenset:
+    """A sorted multiset as a set: the k-th copy of a class is (class, k),
+    so two multisets share exactly the pairs of their common sub-multiset."""
+    out, prev, k = [], None, 0
+    for cls in classes:
+        k = k + 1 if cls == prev else 0
+        out.append((cls, k))
+        prev = cls
+    return frozenset(out)
+
+
 def _permutable_matrix(classes: Sequence[PermutableFactorization]):
     """d_p between permutable factorizations, read off their class
     multisets, each counted once: the larger length minus the size of
     the common sub-multiset."""
-    counts = [Counter(p.classes) for p in classes]
+    sets = [_occurrences(p.classes) for p in classes]
     n = len(classes)
     mat = [[0] * n for _ in range(n)]
     for i in range(n):
-        ci, li, row = counts[i], classes[i].length, mat[i]
+        si, li, row = sets[i], classes[i].length, mat[i]
         for j in range(i + 1, n):
-            cj = counts[j]
-            common = 0
-            for cls, k in ci.items():
-                m = cj.get(cls)
-                if m:
-                    common += k if k < m else m
-            row[j] = mat[j][i] = max(li, classes[j].length) - common
+            lj = classes[j].length
+            row[j] = mat[j][i] = (li if li > lj else lj) - len(si & sets[j])
     return mat
 
 
@@ -153,8 +160,11 @@ def _adjacent(nodes, mat):
 def _report(handle, a, kind: DistanceKind, variant: str, view: Callable
             ) -> CatenaryReport:
     """Build the graph of a once; ``view`` cuts it into parts, each with its
-    edge weights, and the value is the largest in-part bottleneck."""
+    edge weights, and the value is the largest in-part bottleneck.  A graph
+    of fewer than two nodes has no edge: its value is 0, with no witness."""
     nodes, mat, complete = _graph(handle, a, kind)
+    if len(nodes) < 2:
+        return CatenaryReport(0, kind, variant, complete, element=a)
     value, witness = 0, None
     for part, weights in view(nodes, mat):
         v, arg = _bottleneck(part, weights)
@@ -194,48 +204,6 @@ def monotone_catenary(handle, a, kind: DistanceKind = DistanceKind.PERMUTABLE
     witness comes from the equal view on a tie)."""
     return _report(handle, a, kind, "monotone",
                    lambda nodes, mat: _equal(nodes, mat) + _adjacent(nodes, mat))
-
-
-def monotone_catenary_direct(handle, a, kind: DistanceKind = DistanceKind.PERMUTABLE,
-                             max_factorizations: int = 12) -> CatenaryReport:
-    """Direct monotone-chain search (exponential; gated to tiny instances).
-
-    Verifies the decomposition c_mon = max(c_eq, c_adj) on instances with
-    at most ``max_factorizations`` rigid factorizations.
-    """
-    fs = rigid_factorizations(handle, a)
-    facts = list(fs)
-    if len(facts) > max_factorizations:
-        raise ValueError("instance too large for the direct monotone search")
-    mat = _distance_matrix(handle, kind, facts)
-    n = len(facts)
-
-    def connected_monotone(i: int, j: int, bound: int) -> bool:
-        if facts[i].length > facts[j].length:
-            i, j = j, i
-        lo, hi = facts[i].length, facts[j].length
-        seen = {i}
-        queue = [i]
-        while queue:
-            u = queue.pop()
-            if u == j:
-                return True
-            for v in range(n):
-                if v in seen or mat[u][v] > bound:
-                    continue
-                if facts[u].length <= facts[v].length <= hi and facts[v].length >= lo:
-                    seen.add(v)
-                    queue.append(v)
-        return j in seen
-
-    value = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            bound = 0
-            while not connected_monotone(i, j, bound):
-                bound += 1
-            value = max(value, bound)
-    return CatenaryReport(value, kind, "monotone-direct", fs.complete, element=a)
 
 
 def catenary_in_fibers(handle, a, kind: DistanceKind, transfer_map

@@ -10,12 +10,10 @@ included).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 from typing import List, Optional
 
-from . import regression as regression_mod
 from .abelianization import abelianize, check_exwt
 from .catenary import VARIANTS, semigroup_catenary
 from .distances import (DistanceKind, distance, rigid_distance_alignment)
@@ -48,7 +46,9 @@ def _report(h: PresentationSemigroup, invariant: str, value, cert,
     """A presentation command's report: the engine's budget, then its
     warnings (read after the computation, which may add some) and the
     command's notes."""
-    return InvariantReport(invariant, value, cert, dataclasses.asdict(h.budget),
+    budget = {"max_word_length": h.budget.max_word_length,
+              "max_ball_size": h.budget.max_ball_size}
+    return InvariantReport(invariant, value, cert, budget,
                            list(witnesses), list(h.warnings) + list(notes))
 
 
@@ -352,6 +352,8 @@ def cmd_mat(args) -> int:
 
 
 def cmd_regression(args) -> int:
+    # imported here, so that no other command compiles the regression cases
+    from . import regression as regression_mod
     budget = BudgetOverride(args.budget_len, args.budget_ball)
     names = regression_mod.CRITERIA
     if args.case:

@@ -7,9 +7,12 @@ factorizations are rigid ones up to permutation and associativity of the
 atoms, i.e. multisets of associate classes.  Length sets, distance sets
 and elasticities are derived from these.
 
-Enumeration recurses on the handle's left-divisor atoms; completeness is
-certified exactly when every sub-search was certified and no recursion
-budget was hit (non-atomic inputs such as <a,b | aba=b> never certify).
+Rigid enumeration recurses on the handle's left-divisor atoms.  The class
+multisets recurse only on a cover: dividing atoms such that every
+factorization holds one of them (on a block monoid, the atoms holding the
+least term).  Completeness is certified exactly when every sub-search was
+certified and no recursion budget was hit (non-atomic inputs such as
+<a,b | aba=b> never certify).
 """
 
 from __future__ import annotations
@@ -194,13 +197,17 @@ def permutable_class_multisets(handle: SemigroupHandle, a
                                ) -> Tuple[FrozenSet[Tuple], bool]:
     """The set of atom-class multisets of a, computed without materializing
     rigid factorizations: one memoised set per element, built from the
-    sets of its left quotients.  Besides length sets and divisibility, it
-    is the node source of the catenary graph under d_len and d_p on
-    commutative reduced handles without a budget (see
+    sets of the quotients by the handle's covering atoms
+    (``covering_divisor_atoms``).  Every factorization of x holds one of
+    those atoms u, and drops to a factorization of x/u without it, so each
+    multiset of x is one of x/u's plus u.  Besides length sets and
+    divisibility, it is the node source of the catenary graph under d_len
+    and d_p on commutative reduced handles without a budget (see
     ``permutable_factorizations``)."""
     handle.require_element(a)
     memo = handle.memo
     entries = memo.classes
+    cover, atom_class = handle.covering_divisor_atoms, handle.atom_class
 
     def rec(x, depth_left: int) -> Tuple[Tuple[Tuple, ...], bool]:
         if handle.is_unit(x):
@@ -213,10 +220,10 @@ def permutable_class_multisets(handle: SemigroupHandle, a
                 return sets, complete
         if depth_left <= 0:
             return (), False
-        pairs, complete = handle.left_divisor_atoms(x)
+        pairs, complete = cover(x)
         out = set()
         for atom, quotient in pairs:
-            cls = handle.atom_class(atom)
+            cls = atom_class(atom)
             sub, sub_complete = rec(quotient, depth_left - 1)
             complete = complete and sub_complete
             for m in sub:

@@ -8,10 +8,12 @@ semigroups each implement it, so the same code computes their invariants.
 A handle must provide: an equality test (via canonical ``key``), products,
 a unit test, an atom test with an associate test on atoms, and enumeration
 of the atoms that left-divide a given element together with the unique
-left quotient (uniqueness is the cancellativity assumption).  A
-commutative reduced handle without an exploration budget also maps an
-associate class back to its atom (``class_atom``).  Every handle keeps
-the answers derived from its factorization sets in one ``memo``.
+left quotient (uniqueness is the cancellativity assumption).  A handle may
+narrow those atoms to a cover that meets every factorization
+(``covering_divisor_atoms``).  A commutative reduced handle without an
+exploration budget also maps an associate class back to its atom
+(``class_atom``).  Every handle keeps the answers derived from its
+factorization sets in one ``memo``.
 """
 
 from __future__ import annotations
@@ -146,6 +148,17 @@ class SemigroupHandle:
         completeness flag (False when a search was truncated)."""
         raise NotImplementedError
 
+    def covering_divisor_atoms(self, x) -> DivisorPairs:
+        """Atoms dividing x, with their quotients, such that every
+        factorization of x contains at least one of them; same pair and
+        flag shape as ``left_divisor_atoms``.
+
+        Recursing through these finds every factorization class of x: if a
+        factorization z of x contains u, then z - u factors x/u.  The
+        default is every left divisor, since every factorization has a
+        first atom."""
+        return self.left_divisor_atoms(x)
+
     def length_cap(self, x) -> int | None:
         """Upper bound on factorization lengths of x, if one is known."""
         return None
@@ -208,6 +221,17 @@ class FactorialVectorHandle(SemigroupHandle):
                 quot = tuple(v // p if j == i else v for j, v in enumerate(x))
                 pairs.append((atom, quot))
         return pairs, True
+
+    def covering_divisor_atoms(self, x) -> DivisorPairs:
+        # every factorization of x holds e_i(p), for the first nontrivial
+        # slot i and the least prime p dividing it
+        for i, c in enumerate(x):
+            if c != 1:
+                p = min(factor(c))
+                atom = tuple(p if j == i else 1 for j in range(self.n))
+                quot = tuple(v // p if j == i else v for j, v in enumerate(x))
+                return [(atom, quot)], True
+        return [], True
 
     def length_cap(self, x) -> int:
         return sum(sum(factor(c).values()) for c in x if c != 1)

@@ -207,6 +207,10 @@ class BlockMonoidHandle(SemigroupHandle):
         # each atom with its term counts, counted once here
         self._atom_counts = [(atom, tuple(_counts(atom).items()))
                              for atom in self.atoms]
+        # the same, grouped by first (least) term, each group in atom order
+        self._atoms_by_first: Dict[GroupElement, List] = {}
+        for entry in self._atom_counts:
+            self._atoms_by_first.setdefault(entry[0][0], []).append(entry)
         self.name = f"B({group.describe()})"
 
     def sequence(self, terms: Sequence[GroupElement]) -> ZeroSumSequence:
@@ -241,10 +245,22 @@ class BlockMonoidHandle(SemigroupHandle):
         return c
 
     def left_divisor_atoms(self, x) -> DivisorPairs:
+        return self._dividing(x, self._atom_counts)
+
+    def covering_divisor_atoms(self, x) -> DivisorPairs:
+        # some atom of every factorization of x holds its least term x[0],
+        # and that term is then the atom's first
+        if not x:
+            return [], True
+        return self._dividing(x, self._atoms_by_first.get(x[0], ()))
+
+    def _dividing(self, x, candidates) -> DivisorPairs:
+        """The candidate atoms (each with its term counts, shortest first)
+        that divide x, with their quotients."""
         have = _counts(x)
         n = len(x)
         pairs = []
-        for atom, need in self._atom_counts:
+        for atom, need in candidates:
             if len(atom) > n:
                 break
             for g, k in need:

@@ -1,7 +1,6 @@
 from factorum.catenary import (adjacent_catenary, catenary,
                                catenary_in_fibers, equal_catenary,
-                               monotone_catenary, monotone_catenary_direct,
-                               semigroup_catenary)
+                               monotone_catenary, semigroup_catenary)
 from factorum.distances import DistanceKind, distance
 from factorum.factorizations import length_profile, rigid_factorizations
 from factorum.matrices import TriangularMatrixHandle, delta_transfer_map
@@ -110,6 +109,45 @@ def test_threshold_connectivity_exactness():
     assert connected(n) and not connected(n - 1)
 
 
+def monotone_catenary_direct(handle, a, kind, max_factorizations=12):
+    """Direct monotone-chain search over the rigid factorizations, the
+    oracle for ``monotone_catenary`` (exponential, so gated to tiny
+    instances): for each pair, the least bound at which a chain of steps
+    within the bound joins them with lengths that never decrease."""
+    facts = list(rigid_factorizations(handle, a))
+    if len(facts) > max_factorizations:
+        raise ValueError("instance too large for the direct monotone search")
+    n = len(facts)
+    mat = [[distance(handle, kind, x, y) for y in facts] for x in facts]
+
+    def connected_monotone(i, j, bound):
+        if facts[i].length > facts[j].length:
+            i, j = j, i
+        lo, hi = facts[i].length, facts[j].length
+        seen = {i}
+        queue = [i]
+        while queue:
+            u = queue.pop()
+            if u == j:
+                return True
+            for v in range(n):
+                if v in seen or mat[u][v] > bound:
+                    continue
+                if facts[u].length <= facts[v].length <= hi and facts[v].length >= lo:
+                    seen.add(v)
+                    queue.append(v)
+        return j in seen
+
+    value = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            bound = 0
+            while not connected_monotone(i, j, bound):
+                bound += 1
+            value = max(value, bound)
+    return value
+
+
 def test_monotone_decomposition_matches_direct_search():
     checked = 0
     for h in (engine("abc_cb"), ab_ban(3), ab_ban(4, 14), anbn(2)):
@@ -119,7 +157,7 @@ def test_monotone_decomposition_matches_direct_search():
             if not fs.complete or len(fs) > 12:
                 continue
             for kind in (DistanceKind.PERMUTABLE, DistanceKind.RIGID):
-                direct = monotone_catenary_direct(h, el, kind).value
+                direct = monotone_catenary_direct(h, el, kind)
                 assert monotone_catenary(h, el, kind).value == direct
                 checked += 1
     assert checked > 20
@@ -170,3 +208,37 @@ def test_semigroup_catenary():
     fels, _ = free.enumerate_elements(5)
     for kind in DistanceKind:
         assert semigroup_catenary(free, fels, kind).value == 0
+
+
+def _single_node_cases():
+    c3 = BlockMonoidHandle(FiniteAbelianGroup((3,)))
+    free = PresentationSemigroup(parse_presentation("gens: a\n"))
+    aba_b = engine("aba_b")
+    return [
+        (c3, c3.sequence([(1,), (1,), (2,), (2,)]), True),
+        (c3, c3.sequence([(1,)] * 3), True),
+        (engine("abc_cb"), engine("abc_cb").element_from_str("b"), True),
+        (free, free.element_from_str("a a a"), True),
+        # non-atomic: no factorization is ever found, nor certified
+        (aba_b, aba_b.element_from_str("b"), False),
+    ]
+
+
+def test_single_node_graphs_answer_zero_without_witness():
+    from factorum.factorizations import permutable_factorizations
+    from factorum.matrices import identity_transfer_map
+    for h, el, certified in _single_node_cases():
+        idmap = identity_transfer_map(h)
+        for kind in DistanceKind:
+            nodes = rigid_factorizations(h, el).factorizations \
+                if kind is DistanceKind.RIGID \
+                else permutable_factorizations(h, el)[0]
+            assert len(nodes) <= 1
+            reps = [fn(h, el, kind) for fn in (catenary, equal_catenary,
+                                               adjacent_catenary,
+                                               monotone_catenary)]
+            reps.append(catenary_in_fibers(h, el, kind, idmap))
+            for rep in reps:
+                assert (rep.value, rep.witness, rep.certified) == \
+                    (0, None, certified)
+                assert rep.kind is kind and rep.element == el

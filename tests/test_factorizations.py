@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorum.divisibility import divides_p, is_almost_prime_like
+from factorum.handles import FactorialVectorHandle
 from factorum.factorizations import (FactorizationSet, LengthSet,
                                      RigidFactorization, _atom_tuples,
                                      length_profile,
@@ -18,6 +20,8 @@ from factorum.matrices import (FullMatrixHandle, TriangularMatrixHandle,
 from factorum.presentation import (Element, ExplorationBudget,
                                    PresentationSemigroup, parse_presentation)
 from factorum.presets import ab_ban, anbn, engine, preset_names
+from factorum.zerosum import (BlockMonoidHandle, FiniteAbelianGroup,
+                              sequence_sum)
 
 
 def test_rigid_abc_cb():
@@ -445,3 +449,81 @@ def test_matrix_atom_tuples_keep_the_sorted_order(make):
                                        [lambda e, m=m: m for m in matrices])
     assert any(len(t) == 1 for r in results for t in r)
     assert any(len(r) > 1 for r in results)
+
+
+def _all_divisor_class_multisets(h, a, cache):
+    """permutable_class_multisets as it was: the class multisets of a, built
+    from those of its quotients by every atom that divides it."""
+    def rec(x):
+        if h.is_unit(x):
+            return {()}
+        key = h.key(x)
+        if key not in cache:
+            pairs, complete = h.left_divisor_atoms(x)
+            assert complete
+            cache[key] = {tuple(sorted(m + (h.atom_class(u),)))
+                          for u, q in pairs for m in rec(q)}
+        return cache[key]
+    return rec(a)
+
+
+def _brute_block_divisors(h, x):
+    """Every atom of h that is a sub-multiset of x, in atom order, with the
+    rest of x."""
+    have = Counter(x)
+    out = []
+    for atom in h.atoms:
+        if not Counter(atom) - have:
+            rest = have - Counter(atom)
+            out.append((atom, tuple(sorted(rest.elements()))))
+    return out
+
+
+_COVER_GROUPS = {g: BlockMonoidHandle(FiniteAbelianGroup(g))
+                 for g in ((2, 2, 2), (5,), (6,), (2, 4), (3, 3))}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(g=st.sampled_from(sorted(_COVER_GROUPS)), data=st.data())
+def test_cover_recursion_matches_the_all_divisor_recursion(g, data):
+    h = _COVER_GROUPS[g]
+    # a sorted zero-sum sequence: random terms, closed by the negated sum
+    terms = data.draw(st.lists(st.sampled_from(h.subset), min_size=1,
+                               max_size=9))
+    last = h.group.neg(sequence_sum(h.group, terms))
+    x = h.sequence(terms + ([last] if last != h.group.zero() else []))
+    expected = _all_divisor_class_multisets(h, x, {})
+    sets, complete = permutable_class_multisets(h, x)
+    assert complete and sets == expected
+    # a fresh handle, whose memo holds nothing the warm one met before
+    fresh = BlockMonoidHandle(h.group)
+    assert permutable_class_multisets(fresh, x) == (expected, True)
+    pairs, complete = h.left_divisor_atoms(x)
+    assert complete and pairs == _brute_block_divisors(h, x)
+    cover, complete = h.covering_divisor_atoms(x)
+    assert complete and cover == [(u, q) for u, q in pairs if u[0] == x[0]]
+    assert all(any(u in m for u, _ in cover) for m in expected)
+
+
+def _brute_vector_divisors(x):
+    out = []
+    for i, c in enumerate(x):
+        for p in range(2, c + 1):
+            if c % p == 0 and all(p % d for d in range(2, p)):
+                out.append((tuple(p if j == i else 1 for j in range(len(x))),
+                            x[:i] + (c // p,) + x[i + 1:]))
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(x=st.integers(1, 3).flatmap(
+    lambda n: st.tuples(*[st.integers(1, 96)] * n)))
+def test_vector_cover_recursion_matches_the_all_divisor_recursion(x):
+    h = FactorialVectorHandle(len(x))
+    expected = _all_divisor_class_multisets(h, x, {})
+    assert permutable_class_multisets(h, x) == (expected, True)
+    pairs, complete = h.left_divisor_atoms(x)
+    assert complete and pairs == _brute_vector_divisors(x)
+    cover, complete = h.covering_divisor_atoms(x)
+    assert complete and len(cover) == (0 if h.is_unit(x) else 1)
+    assert cover == pairs[:1]
