@@ -8,8 +8,10 @@ arise inside certified balls (a unit scan guards this), so the reduced
 abelianization coincides with the abelianization.
 
 Two elements are related by equiv_p when they admit rigid factorizations
-with the same multiset of atom associate-classes.  The canonical map to
-the reduced abelianization is a weak transfer homomorphism iff whenever
+with the same multiset of atom associate-classes, i.e. share a permutable
+factorization; equiv_p and the checker read those multisets off
+``permutable_factorizations``.  The canonical map to the reduced
+abelianization is a weak transfer homomorphism iff whenever
 a equiv_p b, *every* atom multiset of a is matched by one of b; the
 bounded checker scans all explored equiv_p-related pairs for exactly this
 condition and returns the blocking pair and factorization otherwise.
@@ -28,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .factorizations import rigid_factorizations
+from .factorizations import permutable_factorizations
 from .handles import DivisorPairs, SemigroupHandle
 from .presentation import (Element, ExplorationBudget, Presentation,
                            PresentationSemigroup)
@@ -319,10 +321,9 @@ def _multiset_map(handle: PresentationSemigroup, elements: Sequence[Element]
     out = {}
     complete = True
     for a in elements:
-        fs = rigid_factorizations(handle, a)
-        complete = complete and fs.complete
-        out[a] = frozenset(tuple(sorted(handle.atom_class(u) for u in z.atoms))
-                           for z in fs)
+        pfs, a_complete = permutable_factorizations(handle, a)
+        complete = complete and a_complete
+        out[a] = frozenset(p.classes for p in pfs)
     return out, complete
 
 
@@ -330,14 +331,12 @@ def equiv_p(handle: PresentationSemigroup, a: Element, b: Element
             ) -> EquivPAnswer:
     """a equiv_p b iff they admit factorizations matching up to permutation
     of associates."""
-    fa = rigid_factorizations(handle, a)
-    fb = rigid_factorizations(handle, b)
-    sets_a = {tuple(sorted(handle.atom_class(u) for u in z.atoms)): z for z in fa}
-    sets_b = {tuple(sorted(handle.atom_class(u) for u in z.atoms)): z for z in fb}
-    shared = sorted(set(sets_a) & set(sets_b))
-    certified = fa.complete and fb.complete
+    pa, a_complete = permutable_factorizations(handle, a)
+    pb, b_complete = permutable_factorizations(handle, b)
+    shared = {p.classes for p in pa}.intersection(p.classes for p in pb)
+    certified = a_complete and b_complete
     if shared:
-        return EquivPAnswer(True, EquivPWitness((a, b), shared[0]), True)
+        return EquivPAnswer(True, EquivPWitness((a, b), min(shared)), True)
     return EquivPAnswer(False if certified else None, None, certified)
 
 

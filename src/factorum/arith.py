@@ -6,7 +6,7 @@ elasticities); determinants stay small, so trial division is plenty.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 
 def is_prime(n: int) -> bool:
@@ -38,17 +38,6 @@ def factor(n: int) -> Dict[int, int]:
         d += 1 if d == 2 else 2
     if n > 1:
         out[n] = out.get(n, 0) + 1
-    return out
-
-
-def prime_multiset(n: int) -> List[int]:
-    """Sorted list of prime factors of |n| with multiplicity (empty for ±1)."""
-    if abs(n) == 1:
-        return []
-    fac = factor(n)
-    out: List[int] = []
-    for p in sorted(fac):
-        out.extend([p] * fac[p])
     return out
 
 

@@ -15,13 +15,14 @@ partition of its nodes and the bottleneck inside each part.
 
 Under d* the graph's nodes are the rigid factorizations.  Under d_len and
 d_p they are the permutable factorizations (one per atom-class multiset),
-and d_p is computed from the multisets.  On commutative handles without
-an exploration budget (block monoids, free abelian monoids) those
-multisets come from one memoised recursion over the quotients by a cover
-of atoms that meets every factorization (on a block monoid, the atoms
-holding the element's least term), so the cost follows the factorization
-classes, not the rigid orderings; on the other handles they are read off
-the rigid factorizations.
+and d_p is computed from the multisets by the one comparison of class
+multisets, ``factorizations._class_occurrences``.  On commutative handles
+without an exploration budget (block monoids, free abelian monoids)
+those multisets come from one memoised recursion over the quotients by a
+cover of atoms that meets every factorization (on a block monoid, the
+atoms holding the element's least term), so the cost follows the
+factorization classes, not the rigid orderings; on the other handles
+they are read off the rigid factorizations.
 
 Infinity never arises in a bounded computation and is represented by an
 explicit flag, never a sentinel integer.
@@ -35,7 +36,8 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .distances import DistanceKind, distance
 from .factorizations import (PermutableFactorization, RigidFactorization,
-                             permutable_factorizations, rigid_factorizations)
+                             _class_occurrences, permutable_factorizations,
+                             rigid_factorizations)
 from .handles import SemigroupHandle
 
 
@@ -85,22 +87,11 @@ def _bottleneck(nodes: Sequence[int], mat) -> Tuple[int, Optional[Tuple[int, int
     return value, arg
 
 
-def _occurrences(classes: Tuple) -> frozenset:
-    """A sorted multiset as a set: the k-th copy of a class is (class, k),
-    so two multisets share exactly the pairs of their common sub-multiset."""
-    out, prev, k = [], None, 0
-    for cls in classes:
-        k = k + 1 if cls == prev else 0
-        out.append((cls, k))
-        prev = cls
-    return frozenset(out)
-
-
 def _permutable_matrix(classes: Sequence[PermutableFactorization]):
     """d_p between permutable factorizations, read off their class
     multisets, each counted once: the larger length minus the size of
     the common sub-multiset."""
-    sets = [_occurrences(p.classes) for p in classes]
+    sets = [_class_occurrences(p.classes) for p in classes]
     n = len(classes)
     mat = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -211,13 +202,13 @@ def catenary_in_fibers(handle, a, kind: DistanceKind, transfer_map
     """c_d(a, phi): chains restricted to permutable fibers of the map.
 
     Two rigid factorizations lie in one fiber iff the multisets of
-    target-classes of their atom images coincide (d_p of the images is 0).
+    target-classes of their atom images, phi*(z), coincide (d_p of the
+    images is 0).
     The map sends associated atoms to associated atoms, so every fiber is
     a union of permutable factorizations.
     """
-    target = transfer_map.target
-    return _report(handle, a, kind, "in_fibers", _split(lambda z: tuple(sorted(
-        target.atom_class(transfer_map.apply(u)) for u in z.atoms))))
+    return _report(handle, a, kind, "in_fibers",
+                   _split(transfer_map._image_classes))
 
 
 VARIANTS: Dict[str, Callable[..., CatenaryReport]] = {

@@ -218,7 +218,13 @@ def cmd_tame(args) -> int:
         name = "tame-semigroup"
         cert = Certification.LOWER_BOUND
         notes.append(_lower_bound_note(rep.scope))
-    witnesses = [repr(rep.witness)] if rep.witness else []
+    witnesses = []
+    if rep.witness:
+        el, z, zp = rep.witness
+        # an atom's class on a presentation is its word
+        witnesses.append({"element": h.format_element(el),
+                          "from": [" ".join(w) for w in z],
+                          "to": [" ".join(w) for w in zp]})
     return _emit(_report(h, name, rep.value, cert, witnesses, notes),
                  args.format)
 
@@ -403,72 +409,41 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override max congruence-ball size")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def pres_cmd(name, fn, **extra):
+    def pres_cmd(name, fn, **options):
+        # a presentation subcommand: the file, then one ``--option`` per
+        # keyword (underscores become dashes), in the order given
         p = sub.add_parser(name)
         p.add_argument("file", help="presentation file")
-        for arg, kw in extra.items():
-            p.add_argument(arg.replace("_", "-"), **kw)
+        for opt, kw in options.items():
+            p.add_argument("--" + opt.replace("_", "-"), **kw)
         p.set_defaults(func=fn)
-        return p
 
+    kind = dict(choices=tuple(_KINDS), default="perm")
     pres_cmd("parse", cmd_parse)
     pres_cmd("adyan", cmd_adyan)
-    p = sub.add_parser("elements")
-    p.add_argument("file")
-    p.add_argument("--max-length", type=int, default=None)
-    p.set_defaults(func=cmd_elements)
-    p = sub.add_parser("atoms")
-    p.add_argument("file")
-    p.add_argument("--max-length", type=int, default=None)
-    p.set_defaults(func=cmd_atoms)
-    p = sub.add_parser("factorize")
-    p.add_argument("file")
-    p.add_argument("--element", required=True)
-    p.set_defaults(func=cmd_factorize)
-    p = sub.add_parser("lengths")
-    p.add_argument("file")
-    p.add_argument("--element", required=True)
-    p.set_defaults(func=cmd_lengths)
-    p = sub.add_parser("distance")
-    p.add_argument("file")
-    p.add_argument("--kind", choices=tuple(_KINDS), default="perm")
-    p.add_argument("--element", required=True)
-    p.add_argument("--z", type=int, required=True,
-                   help="factorization index (enumeration order)")
-    p.add_argument("--zprime", type=int, required=True)
-    p.set_defaults(func=cmd_distance)
-    p = sub.add_parser("catenary")
-    p.add_argument("file")
-    p.add_argument("--kind", choices=tuple(_KINDS), default="perm")
-    p.add_argument("--variant", choices=tuple(VARIANTS), default="plain")
-    p.add_argument("--element", default=None)
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--max-length", type=int, default=None)
-    p.set_defaults(func=cmd_catenary)
-    p = sub.add_parser("omega")
-    p.add_argument("file")
-    p.add_argument("--divisor", required=True)
-    p.add_argument("--element", default=None,
-                   help="omit for the semigroup-level value")
-    p.add_argument("--nonunits", action="store_true")
-    p.add_argument("--max-length", type=int, default=6)
-    p.set_defaults(func=cmd_omega)
-    p = sub.add_parser("tame")
-    p.add_argument("file")
-    p.add_argument("--pattern", nargs="+", required=True)
-    p.add_argument("--element", default=None)
-    p.add_argument("--max-length", type=int, default=6)
-    p.set_defaults(func=cmd_tame)
-    p = sub.add_parser("primelike")
-    p.add_argument("file")
-    p.add_argument("--atom", required=True)
-    p.add_argument("--max-length", type=int, default=6)
-    p.set_defaults(func=cmd_primelike)
+    pres_cmd("elements", cmd_elements, max_length=dict(type=int, default=None))
+    pres_cmd("atoms", cmd_atoms, max_length=dict(type=int, default=None))
+    pres_cmd("factorize", cmd_factorize, element=dict(required=True))
+    pres_cmd("lengths", cmd_lengths, element=dict(required=True))
+    pres_cmd("distance", cmd_distance, kind=kind, element=dict(required=True),
+             z=dict(type=int, required=True,
+                    help="factorization index (enumeration order)"),
+             zprime=dict(type=int, required=True))
+    pres_cmd("catenary", cmd_catenary, kind=kind,
+             variant=dict(choices=tuple(VARIANTS), default="plain"),
+             element=dict(default=None), all=dict(action="store_true"),
+             max_length=dict(type=int, default=None))
+    pres_cmd("omega", cmd_omega, divisor=dict(required=True),
+             element=dict(default=None,
+                          help="omit for the semigroup-level value"),
+             nonunits=dict(action="store_true"),
+             max_length=dict(type=int, default=6))
+    pres_cmd("tame", cmd_tame, pattern=dict(nargs="+", required=True),
+             element=dict(default=None), max_length=dict(type=int, default=6))
+    pres_cmd("primelike", cmd_primelike, atom=dict(required=True),
+             max_length=dict(type=int, default=6))
     pres_cmd("abelianize", cmd_abelianize)
-    p = sub.add_parser("check-wth")
-    p.add_argument("file")
-    p.add_argument("--max-length", type=int, default=4)
-    p.set_defaults(func=cmd_check_wth)
+    pres_cmd("check-wth", cmd_check_wth, max_length=dict(type=int, default=4))
     p = sub.add_parser("zss")
     p.add_argument("--group", required=True, help="cyclic orders, e.g. 2,2")
     p.add_argument("zss_command", choices=("atoms", "davenport", "catenary",

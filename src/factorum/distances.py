@@ -4,7 +4,9 @@ Three distances ship, ordered coarsest to finest on same-product pairs:
 
 * length distance  ``| |z| - |z'| |`` (the coarsest possible distance);
 * permutable distance ``max(k - n, l - n)`` where n is the size of the
-  largest common sub-multiset of atom associate-classes;
+  largest common sub-multiset of atom associate-classes, read off the
+  occurrence sets of ``factorizations._class_occurrences`` (the one
+  comparison of class multisets, shared with |_p and t_p);
 * rigid distance: minimum cost of replacing blocks of consecutive atoms,
   one replacement of m atoms by n new ones costing max(m, n, 1).
 
@@ -41,12 +43,12 @@ over all block decompositions and exists purely as a test oracle.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .factorizations import RigidFactorization
+from .factorizations import (RigidFactorization, _class_occurrences,
+                             class_multiset)
 from .handles import SemigroupHandle
 
 
@@ -66,10 +68,9 @@ def length_distance(z: RigidFactorization, zp: RigidFactorization) -> int:
 
 def permutable_distance(handle: SemigroupHandle, z: RigidFactorization,
                         zp: RigidFactorization) -> int:
-    a = Counter(map(handle.atom_class, z.atoms))
-    b = Counter(map(handle.atom_class, zp.atoms))
-    common = sum((a & b).values())
-    return max(z.length - common, zp.length - common)
+    common = _class_occurrences(class_multiset(handle, z)) \
+        & _class_occurrences(class_multiset(handle, zp))
+    return max(z.length, zp.length) - len(common)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ Two divisibility relations are implemented.  Left-right divisibility,
 b | a iff a lies in H*b*H, and divisibility up to permutation, b |_p a iff
 a multiset of atom classes of some factorization of b injects into one of
 some factorization of a.  For atoms the two agree; for general elements
-they differ.
+they differ.  |_p is a subset test on the occurrence sets of
+``factorizations._class_occurrences``, the one comparison of class
+multisets, which also gives d_p.
 
 An atom q is almost prime-like when q dividing a product forces q to
 divide a factor; equivalently (for atomic semigroups), q occurs in one
@@ -19,7 +21,8 @@ u_{s(1)}...u_{s(k)} taken along increasing positions s(1) < ... < s(k).
 omega'_p(a, b) ranges over all decompositions of a into non-unit factors
 instead.  The permutable tame degree t_p(a, x) measures how far an
 arbitrary permutable factorization of a is from one containing the
-pattern x.
+pattern x; containment and distance both compare the occurrence sets of
+the class multisets of ``permutable_factorizations``.
 
 Semigroup-level values are suprema; bounded enumeration reports them as
 certified lower bounds with the exploration scope embedded.
@@ -28,14 +31,13 @@ certified lower bounds with the exploration scope embedded.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
-from .distances import permutable_distance
-from .factorizations import (RigidFactorization, permutable_factorizations,
-                             rigid_factorizations)
+from .factorizations import (RigidFactorization, _class_occurrences,
+                             permutable_class_multisets,
+                             permutable_factorizations, rigid_factorizations)
 from .handles import SemigroupHandle, UnsupportedOperation
 from .presentation import PresentationSemigroup
 
@@ -65,19 +67,15 @@ def _divides_p_cached(handle: SemigroupHandle, b, a) -> DivisibilityAnswer:
         ans = DivisibilityAnswer(True, True)
         cache[key] = ans
         return ans
-    from .factorizations import permutable_class_multisets
     b_sets, b_complete = permutable_class_multisets(handle, b)
     a_sets, a_complete = permutable_class_multisets(handle, a)
-    for bm in b_sets:
-        cb = Counter(bm)
-        for am in a_sets:
-            ca = Counter(am)
-            if all(ca[c] >= k for c, k in cb.items()):
-                ans = DivisibilityAnswer(True, True)
-                cache[key] = ans
-                return ans
-    certified = b_complete and a_complete
-    ans = DivisibilityAnswer(False if certified else None, certified)
+    a_occs = [_class_occurrences(m) for m in a_sets]
+    if any(ob <= oa for ob in map(_class_occurrences, b_sets)
+           for oa in a_occs):
+        ans = DivisibilityAnswer(True, True)
+    else:
+        certified = b_complete and a_complete
+        ans = DivisibilityAnswer(False if certified else None, certified)
     cache[key] = ans
     return ans
 
@@ -317,11 +315,6 @@ class TameReport:
     scope: str = ""
 
 
-def _pattern_divides(pattern_classes: Counter, z_classes: Tuple) -> bool:
-    cz = Counter(z_classes)
-    return all(cz[c] >= k for c, k in pattern_classes.items())
-
-
 def tame_element(handle: SemigroupHandle, a,
                  pattern: Sequence) -> TameReport:
     """t_p(a, x) for a pattern x given as a sequence of atoms: 0 when no
@@ -331,16 +324,18 @@ def tame_element(handle: SemigroupHandle, a,
         if not handle.is_atom(u):
             raise ValueError(
                 f"pattern entry {handle.format_element(u)} is not an atom")
-    pat = Counter(handle.atom_class(u) for u in pattern)
+    pat = _class_occurrences(sorted(map(handle.atom_class, pattern)))
     pfs, complete = permutable_factorizations(handle, a)
-    qualifying = [p for p in pfs if _pattern_divides(pat, p.classes)]
+    occs = [_class_occurrences(p.classes) for p in pfs]
+    qualifying = [(zp, op) for zp, op in zip(pfs, occs) if pat <= op]
     if not qualifying:
         return TameReport(tuple(pattern), 0, complete, None)
     value, witness = 0, None
-    for z in pfs:
+    for z, oz in zip(pfs, occs):
+        # d_p(z, z') = max(|z|, |z'|) - |gcd(z, z')|; the first nearest wins
         best, arg = None, None
-        for zp in qualifying:
-            d = permutable_distance(handle, z.representative, zp.representative)
+        for zp, op in qualifying:
+            d = max(z.length, zp.length) - len(oz & op)
             if best is None or d < best:
                 best, arg = d, zp
         if best > value:

@@ -76,6 +76,20 @@ def class_multiset(handle: SemigroupHandle, z: RigidFactorization) -> Tuple:
     return tuple(sorted(handle.atom_class(u) for u in z.atoms))
 
 
+def _class_occurrences(classes: Tuple) -> FrozenSet[Tuple]:
+    """A sorted class multiset as a set: the k-th copy of a class is
+    (class, k).  Two multisets then share exactly the pairs of their common
+    sub-multiset (the gcd of two permutable factorizations), and one is a
+    sub-multiset of the other iff its set is a subset.  This is the one
+    comparison of class multisets behind d_p, |_p and t_p."""
+    out, prev, k = [], None, 0
+    for cls in classes:
+        k = k + 1 if cls == prev else 0
+        out.append((cls, k))
+        prev = cls
+    return frozenset(out)
+
+
 _DEPTH_FALLBACK = 64
 
 

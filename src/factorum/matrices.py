@@ -261,9 +261,6 @@ class TriangularMatrixHandle(SemigroupHandle):
         profile = annihilator_profile(u)
         return (profile.position, profile.prime)
 
-    def atoms_associated(self, u: Mat, v: Mat) -> bool:
-        return tri_atoms_associated(u, v)
-
     def left_divisor_atoms(self, x: Mat) -> DivisorPairs:
         return tri_left_divisors(x, self.det_cap), True
 
@@ -499,6 +496,12 @@ class TransferMap:
     def apply(self, x):
         return self.fn(x)
 
+    def _image_classes(self, z) -> Tuple:
+        """phi*(z): the sorted multiset of target classes of the images of
+        the atoms of the rigid factorization z."""
+        atom_class, apply = self.target.atom_class, self.apply
+        return tuple(sorted(atom_class(apply(u)) for u in z.atoms))
+
 
 def delta_transfer_map(handle: TriangularMatrixHandle) -> TransferMap:
     target = FactorialVectorHandle(handle.n)
@@ -537,7 +540,7 @@ def verify_transfer_properties(tmap: TransferMap, sample: Sequence,
     """Check (T1) unit fibers, atom preservation, the (WT2) lifting of
     target factorizations up to permutation, isoatomicity, and the
     homomorphism law, over the given sample of source elements."""
-    from .factorizations import permutable_class_multisets
+    from .factorizations import permutable_class_multisets, rigid_factorizations
 
     src, tgt = tmap.source, tmap.target
     units_ok = atoms_ok = lifting_ok = iso_ok = hom_ok = True
@@ -556,16 +559,12 @@ def verify_transfer_properties(tmap: TransferMap, sample: Sequence,
             break
 
     if counterexample is None:
-        from .factorizations import rigid_factorizations
         for a in sample:
             if src.is_unit(a):
                 continue
             tgt_sets, _ = permutable_class_multisets(tgt, tmap.apply(a))
             fs = rigid_factorizations(src, a)
-            images = set()
-            for z in fs:
-                images.add(tuple(sorted(tgt.atom_class(tmap.apply(u))
-                                        for u in z.atoms)))
+            images = {tmap._image_classes(z) for z in fs}
             if fs.complete and not tgt_sets <= images:
                 lifting_ok = False
                 missing = sorted(tgt_sets - images)[0]
@@ -575,36 +574,24 @@ def verify_transfer_properties(tmap: TransferMap, sample: Sequence,
 
     if counterexample is None:
         atoms = [a for a in sample if not src.is_unit(a) and src.is_atom(a)]
-        count = 0
-        for i, u in enumerate(atoms):
-            for v in atoms[i + 1:]:
-                count += 1
-                if count > pair_limit:
-                    break
-                tu, tv = tmap.apply(u), tmap.apply(v)
-                if tgt.atom_class(tu) == tgt.atom_class(tv) \
-                        and not src.atoms_associated(u, v):
-                    iso_ok = False
-                    counterexample = (f"isoatomicity fails: {src.format_element(u)}"
-                                      f" vs {src.format_element(v)}")
-                    break
-            if not iso_ok or count > pair_limit:
+        for u, v in itertools.islice(itertools.combinations(atoms, 2),
+                                     pair_limit):
+            tu, tv = tmap.apply(u), tmap.apply(v)
+            if tgt.atom_class(tu) == tgt.atom_class(tv) \
+                    and not src.atoms_associated(u, v):
+                iso_ok = False
+                counterexample = (f"isoatomicity fails: {src.format_element(u)}"
+                                  f" vs {src.format_element(v)}")
                 break
 
     if counterexample is None:
-        count = 0
-        for a in sample:
-            for b in sample:
-                count += 1
-                if count > pair_limit:
-                    break
-                lhs = tmap.apply(src.multiply(a, b))
-                rhs = tgt.multiply(tmap.apply(a), tmap.apply(b))
-                if tgt.key(lhs) != tgt.key(rhs):
-                    hom_ok = False
-                    counterexample = "homomorphism law fails"
-                    break
-            if not hom_ok or count > pair_limit:
+        for a, b in itertools.islice(itertools.product(sample, sample),
+                                     pair_limit):
+            lhs = tmap.apply(src.multiply(a, b))
+            rhs = tgt.multiply(tmap.apply(a), tmap.apply(b))
+            if tgt.key(lhs) != tgt.key(rhs):
+                hom_ok = False
+                counterexample = "homomorphism law fails"
                 break
 
     return TransferReport(tmap.name, units_ok, atoms_ok, lifting_ok, iso_ok,

@@ -93,6 +93,16 @@ def test_tame_command(capsys):
     assert code == 2 and "tame-semigroup: 0 [lower-bound]" in out
 
 
+def test_tame_element_witness_is_rendered_like_the_others(capsys):
+    code, out, _ = run(capsys, "--format", "json", "tame", pres_path("abc_de"),
+                       "--pattern", "a", "--element", "d e")
+    rep = json.loads(out)
+    assert code == 0
+    assert (rep["value"], rep["certification"]) == (3, "exact")
+    assert rep["witnesses"] == [
+        {"element": "d e", "from": ["d", "e"], "to": ["a", "b", "c"]}]
+
+
 def test_primelike_command(capsys):
     code, out, _ = run(capsys, "primelike", pres_path("aba_ba3bc"),
                        "--atom", "c", "--max-length", "5")

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,10 +10,13 @@ from factorum.distances import (Alignment, DistanceKind, InstanceTooLarge,
                                 distance, length_distance, permutable_distance,
                                 rigid_distance, rigid_distance_alignment,
                                 rigid_distance_oracle, verify_axioms)
-from factorum.factorizations import (RigidFactorization, class_multiset,
+from factorum.divisibility import tame_element
+from factorum.factorizations import (RigidFactorization, _class_occurrences,
+                                     class_multiset, permutable_factorizations,
                                      rigid_factorizations)
 from factorum.matrices import FullMatrixHandle, TriangularMatrixHandle, mat_det
-from factorum.presets import ab_ban, anbn, engine
+from factorum.presentation import ExplorationBudget
+from factorum.presets import ab_ban, anbn, engine, preset_names
 
 
 def facts_of(h, text):
@@ -311,3 +315,96 @@ def test_witness_takes_the_shortest_block():
     assert value == 0
     assert al.blocks == ((0, 0, 1), (1, 1, 1), (2, 2, 1))
     assert al.gap_costs == ()
+
+
+# the one comparison of class multisets ----------------------------------
+
+# classes of one handle share a type: small ints, or words
+_CLASS_ALPHABETS = [(0, 1, 2, 3), (("a",), ("b",), ("a", "b"), ("c", "b"))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_class_occurrences_give_the_common_sub_multiset(data):
+    # the size of the common sub-multiset and the containment test, both
+    # against a Counter reference, on random sorted class multisets
+    alphabet = data.draw(st.sampled_from(_CLASS_ALPHABETS))
+    x, y = (tuple(sorted(data.draw(st.lists(st.sampled_from(alphabet),
+                                            max_size=8))))
+            for _ in range(2))
+    cx, cy = Counter(x), Counter(y)
+    ox, oy = _class_occurrences(x), _class_occurrences(y)
+    assert len(ox) == len(x)
+    assert len(ox & oy) == sum((cx & cy).values())
+    assert (ox <= oy) == all(cy[c] >= k for c, k in cx.items())
+    assert (oy <= ox) == all(cx[c] >= k for c, k in cy.items())
+
+
+def _counter_permutable_distance(h, z, zp):
+    a = Counter(map(h.atom_class, z.atoms))
+    b = Counter(map(h.atom_class, zp.atoms))
+    common = sum((a & b).values())
+    return max(z.length - common, zp.length - common)
+
+
+def _tame_reference(h, a, pattern):
+    """t_p(a, x) without occurrence sets: d_p recomputed from the atoms of
+    each pair of representatives, and pattern containment by Counter."""
+    for u in pattern:
+        assert h.is_atom(u)
+    pat = Counter(h.atom_class(u) for u in pattern)
+    pfs, complete = permutable_factorizations(h, a)
+    qualifying = [p for p in pfs
+                  if all(Counter(p.classes)[c] >= k for c, k in pat.items())]
+    if not qualifying:
+        return 0, complete, None
+    value, witness = 0, None
+    for z in pfs:
+        best, arg = None, None
+        for zp in qualifying:
+            d = _counter_permutable_distance(h, z.representative,
+                                             zp.representative)
+            if best is None or d < best:
+                best, arg = d, zp
+        if best > value:
+            value, witness = best, (a, z.classes, arg.classes)
+    return value, complete, witness
+
+
+def _tame_cases(make_handle, elements, patterns):
+    # one handle for the subject, one for the reference, queried in the
+    # same order, so an uncertified answer sees the same exploration
+    h, ref = make_handle(), make_handle()
+    for a in elements:
+        for pattern in patterns:
+            rep = tame_element(h, a, pattern)
+            assert (rep.value, rep.certified, rep.witness) \
+                == _tame_reference(ref, a, pattern), (a, pattern)
+
+
+@pytest.mark.parametrize("name", preset_names())
+@pytest.mark.parametrize("budget", [None, ExplorationBudget(6, 40)])
+def test_tame_element_matches_the_loop_over_representatives(name, budget):
+    h = engine(name, budget)
+    elements = h.enumerate_elements(3)[0]
+    atoms = h.enumerate_atoms(2)[0][:4]
+    patterns = [[u] for u in atoms] + [list(p) for p in
+                                       itertools.combinations(atoms, 2)]
+    _tame_cases(lambda: engine(name, budget), elements, patterns)
+
+
+def test_tame_element_matches_the_loop_over_representatives_on_t2():
+    # a non-reduced handle whose classes are (position, prime); each element
+    # has one permutable factorization (delta transfers to a free abelian
+    # monoid), so every value is 0: this checks the pattern test and the
+    # certification on a handle with units
+    h = TriangularMatrixHandle(2)
+    elements = [((d1, b), (0, d2)) for d1 in (1, 2, 3, 4, 6)
+                for d2 in (1, 2, 3, 4, 6) for b in (0, 1, 3)
+                if d1 * d2 > 1]
+    atoms = [((2, 0), (0, 1)), ((2, 1), (0, 1)), ((1, 0), (0, 2)),
+             ((3, 0), (0, 1)), ((1, 1), (0, 3))]
+    assert all(h.is_atom(u) for u in atoms)
+    patterns = [[u] for u in atoms] + [[atoms[0], atoms[2]],
+                                       [atoms[0], atoms[0]]]
+    _tame_cases(lambda: TriangularMatrixHandle(2), elements, patterns)
