@@ -13,11 +13,16 @@ Smith Normal Form A = U*C*V (U, V unimodular, descending divisibility
 c_{i+1,i+1} | c_{i,i}) makes |det| a transfer homomorphism to N_{>0};
 atoms are the matrices of prime |determinant|.
 
-Left-divisor enumeration is original plumbing: candidate atoms are
-parameterized by a position/prime and off-diagonal residues mod p, kept
-when the inverse times A stays integral, and deduplicated up to right-unit
-multiplication so that each rigid-factorization branch is produced once.
-Exhaustiveness is cross-checked against brute scans in the test suite.
+Both semigroups list atom left divisors through one Hermite enumerator.
+An atom U of prime index p left-divides A iff A's column lattice lies in
+U's, an index-p lattice between it and Z^n; up to right units U is that
+lattice's Hermite form: diag(1, .., p, .., 1) with p at (k, k) and
+residues mod p in row k right of it.  Each form is kept when U^{-1} A is
+integral, so each rigid-factorization branch is produced once.  On T_n(Z)
+the same forms serve, with k at a diagonal position p divides: a right
+unit clears column k above the diagonal and moves row k only by multiples
+of p, and U^{-1} A is upper triangular with A.  Exhaustiveness is
+cross-checked against brute scans in the test suite.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .arith import factor, is_prime
+from .arith import big_omega, factor, is_prime
 from .handles import DivisorPairs, FactorialVectorHandle, SemigroupHandle
 
 Mat = Tuple[Tuple[int, ...], ...]
@@ -74,12 +79,23 @@ def is_upper_triangular(a: Mat) -> bool:
 
 
 def parse_matrix(text: str) -> Mat:
-    """Rows separated by ';', entries by spaces: "2 5; 0 3"."""
+    """Rows separated by ';', entries by spaces: "2 5; 0 3".  A malformed
+    row or entry is named by its position, counted from 1."""
     rows = [r.split() for r in text.split(";")]
-    m = mat(rows)
-    if any(len(row) != len(m) for row in m):
-        raise ValueError("matrix must be square")
-    return m
+    if rows == [[]]:
+        raise ValueError("empty matrix")
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(rows):
+            raise ValueError(f"row {i} has {len(row)} "
+                             f"entr{'y' if len(row) == 1 else 'ies'}, "
+                             f"expected {len(rows)}")
+        for j, entry in enumerate(row, start=1):
+            try:
+                int(entry)
+            except ValueError:
+                raise ValueError(f"row {i}, column {j}: {entry!r} is not an "
+                                 "integer") from None
+    return mat(rows)
 
 
 def format_matrix(a: Mat) -> str:
@@ -182,62 +198,70 @@ def delta_map(a: Mat) -> Tuple[int, ...]:
     return tuple(abs(a[i][i]) for i in range(len(a)))
 
 
-def tri_left_divisors(a: Mat, det_cap: int = 1_000_000,
-                      dedupe: bool = True) -> List[Tuple[Mat, Mat]]:
-    """All atoms U left-dividing a (up to right units) with quotients.
-
-    Candidates place a prime p | |a_mm| at position m with off-diagonal
-    residues mod p in row m (right of the diagonal) and column m (above
-    it); a candidate survives iff U^{-1} A is integral upper triangular.
-    With dedupe=True right-associated candidates collapse, so each rigid
-    branch appears once.
-    """
+def _hermite_divisors(a: Mat,
+                      pairs: Sequence[Tuple[int, int]]) -> List[Tuple[Mat, Mat]]:
+    """The atoms U left-dividing a, with quotients U^{-1} a, in Hermite form
+    for each (position k, prime p) pair in the given order: p at (k, k)
+    and residues mod p in row k right of it."""
     n = len(a)
-    d = mat_det(a)
+    found: List[Tuple[Mat, Mat]] = []
+    for k, p in pairs:
+        for residues in itertools.product(range(p), repeat=n - 1 - k):
+            u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+            u[k][k] = p
+            u[k][k + 1:] = residues
+            um = tuple(tuple(row) for row in u)
+            q = _solve_upper(um, a)
+            if q is not None:
+                found.append((um, q))
+    return found
+
+
+def tri_left_divisors(a: Mat, det_cap: int = 1_000_000) -> List[Tuple[Mat, Mat]]:
+    """All atoms U left-dividing a in T_n(Z)*, one per right-associate
+    class, with quotients: the Hermite forms at each position m and prime
+    p | a_mm, m first and then p."""
+    d = abs(mat_det(a))
     if d == 0 or not is_upper_triangular(a):
         raise ValueError("need an upper triangular matrix with nonzero det")
-    if abs(d) > det_cap:
-        raise DetTooLargeError(f"|det| = {abs(d)} exceeds cap {det_cap}")
-    found: List[Tuple[Mat, Mat]] = []
-    for m in range(n):
-        for p in sorted(factor(abs(a[m][m]))):
-            slots = [(m, j) for j in range(m + 1, n)] + [(i, m) for i in range(m)]
-            for residues in itertools.product(range(p), repeat=len(slots)):
-                u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-                u[m][m] = p
-                for (i, j), x in zip(slots, residues):
-                    u[i][j] = x
-                um = tuple(tuple(row) for row in u)
-                q = _solve_upper(um, a)
-                if q is None or not is_upper_triangular(q):
-                    continue
-                found.append((um, q))
-    if not dedupe:
-        return found
-    kept: List[Tuple[Mat, Mat]] = []
-    for u, q in found:
-        if not any(_right_associated(u, u2) for u2, _ in kept):
-            kept.append((u, q))
-    return kept
+    if d > det_cap:
+        raise DetTooLargeError(f"|det| = {d} exceeds cap {det_cap}")
+    return _hermite_divisors(a, [(m, p) for m in range(len(a))
+                                 for p in sorted(factor(a[m][m]))])
 
 
-def _right_associated(u: Mat, v: Mat) -> bool:
-    """u ~ v up to right multiplication by a unit of T_n(Z)."""
-    x = _solve_upper(u, v)
-    return x is not None and tri_is_unit(x)
+class _MatrixHandle(SemigroupHandle):
+    """What T_n(Z)* and M_n(Z)* share: n x n integer matrices under the
+    matrix product, whose units are not trivial."""
 
-
-class TriangularMatrixHandle(SemigroupHandle):
-    """T_n(Z)* as a SemigroupHandle (n = 2 or 3 for divisor enumeration)."""
-
-    reduced = False   # units are the +-1-diagonal triangular matrices
+    reduced = False
+    _symbol = ""
 
     def __init__(self, n: int, det_cap: int = 1_000_000):
         if n < 1:
             raise ValueError("dimension must be positive")
         self.n = n
         self.det_cap = det_cap
-        self.name = f"T_{n}(Z)*"
+        self.name = f"{self._symbol}_{n}(Z)*"
+
+    def identity(self) -> Mat:
+        return mat_identity(self.n)
+
+    def multiply(self, x: Mat, y: Mat) -> Mat:
+        return mat_mul(x, y)
+
+    def length_cap(self, x: Mat) -> int:
+        return big_omega(mat_det(x))
+
+    def format_element(self, x: Mat) -> str:
+        return "[" + format_matrix(x) + "]"
+
+
+class TriangularMatrixHandle(_MatrixHandle):
+    """T_n(Z)* as a SemigroupHandle; its units are the triangular matrices
+    with +-1 on the diagonal."""
+
+    _symbol = "T"
 
     def matrix(self, rows) -> Mat:
         m = mat(rows)
@@ -245,14 +269,8 @@ class TriangularMatrixHandle(SemigroupHandle):
             raise ValueError("need an upper triangular matrix with nonzero det")
         return m
 
-    def identity(self) -> Mat:
-        return mat_identity(self.n)
-
     def is_unit(self, x: Mat) -> bool:
         return tri_is_unit(x)
-
-    def multiply(self, x: Mat, y: Mat) -> Mat:
-        return mat_mul(x, y)
 
     def is_atom(self, x: Mat) -> bool:
         return tri_is_atom(x) is not None
@@ -263,12 +281,6 @@ class TriangularMatrixHandle(SemigroupHandle):
 
     def left_divisor_atoms(self, x: Mat) -> DivisorPairs:
         return tri_left_divisors(x, self.det_cap), True
-
-    def length_cap(self, x: Mat) -> int:
-        return sum(factor(abs(mat_det(x))).values()) if abs(mat_det(x)) > 1 else 0
-
-    def format_element(self, x: Mat) -> str:
-        return "[" + format_matrix(x) + "]"
 
     def right_normalize_key(self, x: Mat) -> Mat:
         """Canonical representative of x up to right units (memo key: the
@@ -411,39 +423,21 @@ def mat_is_atom(a: Mat) -> bool:
 
 def mat_left_divisors(a: Mat, det_cap: int = 1_000_000) -> List[Tuple[Mat, Mat]]:
     """Atom left divisors of a in M_n(Z)*, one per index-p column lattice
-    between A's column lattice and Z^n (Hermite-form parameterization)."""
-    n = len(a)
+    between A's column lattice and Z^n: the Hermite forms at each prime
+    p | det and position k, p first and then k."""
     d = abs(mat_det(a))
     if d == 0:
         raise ValueError("zero determinant")
     if d > det_cap:
         raise DetTooLargeError(f"|det| = {d} exceeds cap {det_cap}")
-    pairs: List[Tuple[Mat, Mat]] = []
-    for p in sorted(factor(d)):
-        for k in range(n):
-            # Hermite parameterization of the index-p column lattices:
-            # diag(1,..,p,..,1) with residues mod p in row k right of it
-            for residues in itertools.product(range(p), repeat=n - 1 - k):
-                u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-                u[k][k] = p
-                for off, x in enumerate(residues):
-                    u[k][k + 1 + off] = x
-                um = tuple(tuple(row) for row in u)
-                q = _solve_upper(um, a)
-                if q is not None:
-                    pairs.append((um, q))
-    return pairs
+    return _hermite_divisors(a, [(k, p) for p in sorted(factor(d))
+                                 for k in range(len(a))])
 
 
-class FullMatrixHandle(SemigroupHandle):
+class FullMatrixHandle(_MatrixHandle):
     """M_n(Z)* as a SemigroupHandle."""
 
-    reduced = False
-
-    def __init__(self, n: int, det_cap: int = 1_000_000):
-        self.n = n
-        self.det_cap = det_cap
-        self.name = f"M_{n}(Z)*"
+    _symbol = "M"
 
     def matrix(self, rows) -> Mat:
         m = mat(rows)
@@ -451,14 +445,8 @@ class FullMatrixHandle(SemigroupHandle):
             raise ValueError("need a square integer matrix with nonzero det")
         return m
 
-    def identity(self) -> Mat:
-        return mat_identity(self.n)
-
     def is_unit(self, x: Mat) -> bool:
         return abs(mat_det(x)) == 1
-
-    def multiply(self, x: Mat, y: Mat) -> Mat:
-        return mat_mul(x, y)
 
     def is_atom(self, x: Mat) -> bool:
         return mat_is_atom(x)
@@ -473,13 +461,6 @@ class FullMatrixHandle(SemigroupHandle):
 
     def left_divisor_atoms(self, x: Mat) -> DivisorPairs:
         return mat_left_divisors(x, self.det_cap), True
-
-    def length_cap(self, x: Mat) -> int:
-        d = det_transfer(x)
-        return sum(factor(d).values()) if d > 1 else 0
-
-    def format_element(self, x: Mat) -> str:
-        return "[" + format_matrix(x) + "]"
 
 
 # transfer maps and their verification ------------------------------------

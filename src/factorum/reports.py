@@ -66,7 +66,8 @@ class InvariantReport:
         lines = [f"{self.invariant}: {render_value(self.value)} "
                  f"[{self.certification.value}]"]
         for w in self.witnesses:
-            lines.append(f"  witness: {render_value(w)}")
+            lines.append("  witness: "
+                         + json.dumps(render_value(w), sort_keys=True))
         for w in self.warnings:
             lines.append(f"  warning: {w}")
         return "\n".join(lines)

@@ -103,6 +103,19 @@ def test_tame_element_witness_is_rendered_like_the_others(capsys):
         {"element": "d e", "from": ["d", "e"], "to": ["a", "b", "c"]}]
 
 
+@pytest.mark.parametrize("argv,table", [
+    (("tame", pres_path("abc_de"), "--pattern", "a", "--element", "d e"),
+     'tame: 3 [exact]\n'
+     '  witness: {"element": "d e", "from": ["d", "e"], "to": ["a", "b", "c"]}\n'),
+    (("catenary", pres_path("abc_cb"), "--kind", "rigid", "--element", "a b c"),
+     'catenary-rigid-plain: 2 [exact]\n'
+     '  witness: {"bound": 2, "chain": [["c", "b"], ["a", "b", "c"]]}\n'),
+])
+def test_table_witnesses_are_json(capsys, argv, table):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == table
+
+
 def test_primelike_command(capsys):
     code, out, _ = run(capsys, "primelike", pres_path("aba_ba3bc"),
                        "--atom", "c", "--max-length", "5")
@@ -127,6 +140,12 @@ def test_tri_and_mat_commands(capsys):
     assert code == 0 and "[[6, 0], [0, 1]]" in out
     code, out, _ = run(capsys, "tri", "--matrix", "2 0; 0 1", "atom")
     assert code == 0 and "'atom': True" in out
+
+
+def test_tri_malformed_matrix_names_the_entry(capsys):
+    code, out, err = run(capsys, "tri", "--matrix", "1.5 2; 0 1", "atom")
+    assert code == 1 and out == ""
+    assert err == "error: row 1, column 1: '1.5' is not an integer\n"
 
 
 def test_check_wth_command(capsys):

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from factorum.arith import big_omega, is_prime
 from factorum.divisibility import omega_semigroup
@@ -9,12 +11,13 @@ from factorum.factorizations import (length_profile,
                                      permutable_class_multisets,
                                      rigid_factorizations)
 from factorum.matrices import (AtomProfile, FullMatrixHandle, NotAtomError,
-                               TriangularMatrixHandle, annihilator_profile,
-                               delta_map, delta_transfer_map,
-                               det_transfer_map, identity_transfer_map,
-                               mat_det, mat_identity, mat_is_atom, mat_mul,
-                               mat_left_divisors, parse_matrix, snf,
-                               snf_ascending, tri_associate_normal_form,
+                               TriangularMatrixHandle, _solve_upper,
+                               annihilator_profile, delta_map,
+                               delta_transfer_map, det_transfer_map,
+                               identity_transfer_map, mat_det, mat_identity,
+                               mat_is_atom, mat_mul, mat_left_divisors,
+                               parse_matrix, snf, snf_ascending,
+                               tri_associate_normal_form,
                                tri_atoms_associated, tri_is_atom, tri_is_unit,
                                tri_left_divisors, verify_transfer_properties)
 
@@ -99,14 +102,45 @@ def test_delta_is_homomorphism():
 
 # divisor enumeration ---------------------------------------------------------
 
+def _right_associated(u, v):
+    """The oracle: u ~ v up to right multiplication by a unit of T_n(Z)."""
+    x = _solve_upper(u, v)
+    return x is not None and tri_is_unit(x)
+
+
+def _m2_left_divides(u, a):
+    """Whether u^{-1} a = adj(u) a / det(u) is integral, on M_2(Z)."""
+    (w, x), (y, z) = u
+    d = mat_det(u)
+    return all(e % d == 0 for row in mat_mul(((z, -x), (-y, w)), a)
+               for e in row)
+
+
+def _gl_right_associated(u, v):
+    """The oracle on M_2(Z): u ~ v up to right multiplication by a unit of
+    GL_2(Z)."""
+    return abs(mat_det(u)) == abs(mat_det(v)) and _m2_left_divides(u, v)
+
+
+def _is_hermite_atom(u):
+    """Whether u is diag(1, .., p, .., 1), p prime at (k, k), with residues
+    mod p in row k right of it and zeros elsewhere."""
+    n = len(u)
+    k = next(i for i in range(n) if u[i][i] != 1)
+    p = u[k][k]
+    others = [u[i][j] - (i == j) for i in range(n) if i != k for j in range(n)]
+    return is_prime(p) and not any(others) and not any(u[k][:k]) \
+        and all(0 <= x < p for x in u[k][k + 1:])
+
+
 def test_tri_divisors_diag14_example():
-    # raw candidates at position 2 are [[1,x],[0,2]], x in {0,1}, with
-    # quotients [[1,-2x],[0,2]]; they are right-associated so one branch ships
-    raw = tri_left_divisors(((1, 0), (0, 4)), dedupe=False)
-    assert ((((1, 0), (0, 2)), ((1, 0), (0, 2)))) in raw
-    assert ((((1, 1), (0, 2)), ((1, -2), (0, 2)))) in raw
-    deduped = tri_left_divisors(((1, 0), (0, 4)))
-    assert deduped == [(((1, 0), (0, 2)), ((1, 0), (0, 2)))]
+    # [[1,x],[0,2]], x in {0,1}, both left-divide diag(1,4), with quotients
+    # [[1,-2x],[0,2]]; they are right-associated, so only the Hermite form
+    # x = 0 is listed
+    assert tri_left_divisors(((1, 0), (0, 4))) == \
+        [(((1, 0), (0, 2)), ((1, 0), (0, 2)))]
+    assert mat_mul(((1, 1), (0, 2)), ((1, -2), (0, 2))) == ((1, 0), (0, 4))
+    assert _right_associated(((1, 1), (0, 2)), ((1, 0), (0, 2)))
 
 
 def test_tri_divisors_recompose():
@@ -139,7 +173,6 @@ def brute_tri_divisors(a, bound=8):
             um = tuple(tuple(r) for r in u)
             if tri_is_atom(um) is None:
                 continue
-            from factorum.matrices import _solve_upper
             q = _solve_upper(um, a)
             if q is not None:
                 found.append(um)
@@ -147,11 +180,14 @@ def brute_tri_divisors(a, bound=8):
 
 
 @pytest.mark.parametrize("a", [((2, 1), (0, 3)), ((4, 0), (0, 1)),
-                               ((2, 3), (0, 2))])
+                               ((2, 3), (0, 2)),
+                               ((2, 1, 0), (0, 3, 1), (0, 0, 2))])
 def test_tri_divisors_exhaustive_vs_brute(a):
-    from factorum.matrices import _right_associated
     param = [u for u, _ in tri_left_divisors(a)]
-    brute = brute_tri_divisors(a)
+    # bound 8 on T3 would scan about 20 M candidates; every Hermite form
+    # here has entries below 3
+    brute = brute_tri_divisors(a, bound=8 if len(a) == 2 else 3)
+    assert set(param) <= set(brute)
     # every brute atom is right-associated to a parameterized one
     for u in brute:
         assert any(_right_associated(u, v) for v in param)
@@ -159,6 +195,40 @@ def test_tri_divisors_exhaustive_vs_brute(a):
     for i, u in enumerate(param):
         for v in param[i + 1:]:
             assert not _right_associated(u, v)
+
+
+_DIAG = st.integers(-7, 7).filter(bool)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.sampled_from([2, 3]), data=st.data())
+def test_tri_and_mat_divisors_agree_on_triangular(n, data):
+    a = tuple(tuple(data.draw(_DIAG) if i == j
+                    else data.draw(st.integers(-9, 9)) if i < j else 0
+                    for j in range(n)) for i in range(n))
+    assume(abs(mat_det(a)) <= 200)
+    tri = tri_left_divisors(a)
+    assert set(tri) == set(mat_left_divisors(a))
+    for u, q in tri:
+        assert mat_mul(u, q) == a and _is_hermite_atom(u)
+    atoms = [u for u, _ in tri]
+    for i, u in enumerate(atoms):
+        for v in atoms[i + 1:]:
+            assert not _right_associated(u, v)
+
+
+@pytest.mark.parametrize("a", [((4, 1), (2, 5)), ((0, 2), (3, 1)),
+                               ((2, 0), (0, 2))])
+def test_mat_divisors_exhaustive_vs_brute(a):
+    listed = [u for u, _ in mat_left_divisors(a)]
+    bounded = itertools.product(range(-4, 5), repeat=4)
+    brute = [u for u in ((e[:2], e[2:]) for e in bounded)
+             if is_prime(abs(mat_det(u))) and _m2_left_divides(u, a)]
+    assert set(listed) <= set(brute)
+    # every bounded atom dividing a is right-associated to exactly one
+    # listed atom
+    for u in brute:
+        assert sum(_gl_right_associated(u, v) for v in listed) == 1
 
 
 def test_t2_permutable_factoriality_samples():
@@ -284,8 +354,19 @@ def test_m3_divisor_enumeration():
 
 def test_parse_matrix():
     assert parse_matrix("2 5; 0 3") == ((2, 5), (0, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="row 1 has 3 entries, expected 2"):
         parse_matrix("1 2 3; 4 5")
+    with pytest.raises(ValueError, match="row 2 has 1 entry, expected 2"):
+        parse_matrix("1 2; 3")
+    with pytest.raises(ValueError,
+                       match="row 1, column 1: '1.5' is not an integer"):
+        parse_matrix("1.5 2; 0 1")
+    with pytest.raises(ValueError,
+                       match="row 2, column 2: 'x' is not an integer"):
+        parse_matrix("1 0; 0 x")
+    for text in ("", "  "):
+        with pytest.raises(ValueError, match="empty matrix"):
+            parse_matrix(text)
 
 
 # transfer verification -------------------------------------------------------
