@@ -14,15 +14,22 @@ up to permutation.  Every variant is a view on one graph per element: a
 partition of its nodes and the bottleneck inside each part.
 
 Under d* the graph's nodes are the rigid factorizations.  Under d_len and
-d_p they are the permutable factorizations (one per atom-class multiset),
-and d_p is computed from the multisets by the one comparison of class
-multisets, ``factorizations._class_occurrences``.  On commutative handles
-without an exploration budget (block monoids, free abelian monoids)
-those multisets come from one memoised recursion over the quotients by a
+d_p there is one node per atom-class multiset, and d_p is computed from
+the multisets by the one comparison of class multisets,
+``factorizations._class_occurrences``.  On commutative handles without an
+exploration budget (block monoids, free abelian monoids) a node is the
+multiset alone, taken from one memoised recursion over the quotients by a
 cover of atoms that meets every factorization (on a block monoid, the
 atoms holding the element's least term), so the cost follows the
-factorization classes, not the rigid orderings; on the other handles
-they are read off the rigid factorizations.
+factorization classes, not the rigid orderings.  There a rigid
+factorization (the node's atoms sorted by key) is built only where atoms
+are read: for the two ends of a witness, and for every node when the
+in-fibers view takes its image.  On the other handles the nodes are the
+permutable factorizations, read off the rigid ones.  A graph of fewer
+than two nodes answers 0 before any distance is computed.
+
+The bottleneck is Prim over parallel lists with ties broken by (weight,
+node index), so each witness edge is fixed by the graph alone.
 
 Infinity never arises in a bounded computation and is represented by an
 explicit flag, never a sentinel integer.
@@ -32,12 +39,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .distances import DistanceKind, distance
-from .factorizations import (PermutableFactorization, RigidFactorization,
-                             _class_occurrences, permutable_factorizations,
-                             rigid_factorizations)
+from .factorizations import (RigidFactorization, _class_occurrences,
+                             _least_rigid, _orderless,
+                             permutable_class_multisets,
+                             permutable_factorizations, rigid_factorizations)
 from .handles import SemigroupHandle
 
 
@@ -70,81 +78,128 @@ def _distance_matrix(handle, kind, facts: Sequence[RigidFactorization]):
 
 def _bottleneck(nodes: Sequence[int], mat) -> Tuple[int, Optional[Tuple[int, int]]]:
     """Bottleneck connectivity value of the complete graph on ``nodes``:
-    max edge of a minimum spanning tree (Prim), plus that edge."""
+    max edge of a minimum spanning tree (Prim from ``nodes[0]``), plus that
+    edge.
+
+    Parallel lists hold the nodes outside the tree in index order (an
+    adjacent-view part is two length classes, so it need not be), each
+    one's least weight to the tree and the tree node giving it.  Taking
+    the first least weight, and lowering a weight only when strictly
+    smaller, adds the nodes in the order (weight, index)."""
     if len(nodes) <= 1:
         return 0, None
-    best: Dict[int, Tuple[int, int]] = {
-        v: (mat[nodes[0]][v], nodes[0]) for v in nodes[1:]}
+    root = nodes[0]
+    rest = sorted(nodes[1:])
+    row = mat[root]
+    best = [row[u] for u in rest]
+    parent = [root] * len(rest)
     value, arg = 0, None
-    while best:
-        v = min(best, key=lambda u: (best[u][0], u))
-        w, parent = best.pop(v)
+    while rest:
+        w = min(best)
+        k = best.index(w)
+        v, p = rest.pop(k), parent.pop(k)
+        del best[k]
         if w > value:
-            value, arg = w, (parent, v)
-        for u in list(best):
-            if mat[v][u] < best[u][0]:
-                best[u] = (mat[v][u], v)
+            value, arg = w, (p, v)
+        row = mat[v]
+        for i, u in enumerate(rest):
+            if row[u] < best[i]:
+                best[i], parent[i] = row[u], v
     return value, arg
 
 
-def _permutable_matrix(classes: Sequence[PermutableFactorization]):
-    """d_p between permutable factorizations, read off their class
-    multisets, each counted once: the larger length minus the size of
+class _ClassNode(NamedTuple):
+    """A node of the d_len or d_p graph on an orderless handle: one atom-class
+    multiset and its length, with no rigid factorization built."""
+    classes: Tuple
+    length: int
+
+
+def _permutable_matrix(nodes: Sequence):
+    """d_p between the nodes, read off their class multisets
+    (``classes``, each counted once): the larger length minus the size of
     the common sub-multiset."""
-    sets = [_class_occurrences(p.classes) for p in classes]
-    n = len(classes)
+    sets = [_class_occurrences(p.classes) for p in nodes]
+    n = len(nodes)
     mat = [[0] * n for _ in range(n)]
     for i in range(n):
-        si, li, row = sets[i], classes[i].length, mat[i]
+        si, li, row = sets[i], nodes[i].length, mat[i]
         for j in range(i + 1, n):
-            lj = classes[j].length
+            lj = nodes[j].length
             row[j] = mat[j][i] = (li if li > lj else lj) - len(si & sets[j])
     return mat
 
 
-def _graph(handle: SemigroupHandle, a, kind: DistanceKind):
-    """Nodes, distance matrix and completeness flag of the factorization
-    graph of a.
+class _Graph(NamedTuple):
+    nodes: Sequence      # each with a ``length``
+    mat: Optional[list]  # None when there are fewer than two nodes
+    complete: bool
+    rigid: Callable      # node -> the rigid factorization a witness shows
+
+
+def _itself(z):
+    return z
+
+
+def _graph(handle: SemigroupHandle, a, kind: DistanceKind) -> _Graph:
+    """The factorization graph of a: its nodes, distance matrix and
+    completeness flag, and how a node is shown as a rigid factorization.
 
     Under d* the nodes are the rigid factorizations.  Under d_len and d_p
     a distance depends only on the two atom-class multisets and is 0 when
-    they agree, so the graph takes one node per class multiset, from
-    ``permutable_factorizations``: that changes no bottleneck value and
-    no least distance between two lengths.  A node stands for its class
-    by the least rigid factorization in it, in the order (length, atom
-    keys), which is what a witness shows; on commutative handles without
-    a budget no other rigid ordering is ever built.  The d_p matrix is
-    read off the class multisets."""
+    they agree, so the graph takes one node per class multiset, in
+    multiset order: that changes no bottleneck value and no least
+    distance between two lengths.  A node is shown by the least rigid
+    factorization in its class, in the order (length, atom keys).  On
+    orderless handles (commutative, reduced, no budget) a node is just
+    the multiset, taken from ``permutable_class_multisets``, and that
+    factorization is built only when asked for; elsewhere the nodes are
+    the permutable factorizations.  The d_p matrix is read off the class
+    multisets.  A graph of fewer than two nodes gets no matrix."""
     if kind is DistanceKind.RIGID:
         fs = rigid_factorizations(handle, a)
-        return (fs.factorizations,
-                _distance_matrix(handle, kind, fs.factorizations), fs.complete)
-    classes, complete = permutable_factorizations(handle, a)
-    nodes = tuple(p.representative for p in classes)
-    mat = _permutable_matrix(classes) if kind is DistanceKind.PERMUTABLE \
+        nodes, complete, rigid = fs.factorizations, fs.complete, _itself
+    elif _orderless(handle):
+        sets, complete = permutable_class_multisets(handle, a)
+        nodes = [_ClassNode(m, len(m)) for m in sorted(sets)]
+
+        def rigid(z):
+            return _least_rigid(handle, a, z.classes)
+    else:
+        nodes, complete = permutable_factorizations(handle, a)
+        rigid = attrgetter("representative")
+    if len(nodes) < 2:
+        return _Graph(nodes, None, complete, rigid)
+    mat = _permutable_matrix(nodes) if kind is DistanceKind.PERMUTABLE \
         else _distance_matrix(handle, kind, nodes)
-    return nodes, mat, complete
+    return _Graph(nodes, mat, complete, rigid)
+
+
+def _whole(g: _Graph):
+    """The view with one part: every node."""
+    return [(range(len(g.nodes)), g.mat)]
 
 
 def _split(key: Callable) -> Callable:
     """The view whose parts are the nodes grouped by ``key``, in key order."""
-    def view(nodes, mat):
+    def view(g: _Graph):
         groups: Dict = {}
-        for i, z in enumerate(nodes):
+        for i, z in enumerate(g.nodes):
             groups.setdefault(key(z), []).append(i)
-        return [(groups[k], mat) for k in sorted(groups)]
+        return [(groups[k], g.mat) for k in sorted(groups)]
     return view
 
 
 _equal = _split(attrgetter("length"))
 
 
-def _adjacent(nodes, mat):
+def _adjacent(g: _Graph):
     # nodes of one length are joined at no cost, so the bottleneck of two
     # adjacent length classes is the least distance between them
-    by_len = [part for part, _ in _equal(nodes, mat)]
+    nodes = g.nodes
+    by_len = [part for part, _ in _equal(g)]
     cross = [[0 if y.length == z.length else d for z, d in zip(nodes, row)]
-             for y, row in zip(nodes, mat)]
+             for y, row in zip(nodes, g.mat)]
     return [(k + l, cross) for k, l in zip(by_len, by_len[1:])]
 
 
@@ -152,16 +207,19 @@ def _report(handle, a, kind: DistanceKind, variant: str, view: Callable
             ) -> CatenaryReport:
     """Build the graph of a once; ``view`` cuts it into parts, each with its
     edge weights, and the value is the largest in-part bottleneck.  A graph
-    of fewer than two nodes has no edge: its value is 0, with no witness."""
-    nodes, mat, complete = _graph(handle, a, kind)
-    if len(nodes) < 2:
-        return CatenaryReport(0, kind, variant, complete, element=a)
-    value, witness = 0, None
-    for part, weights in view(nodes, mat):
-        v, arg = _bottleneck(part, weights)
+    of fewer than two nodes has no edge: its value is 0, with no witness.
+    Only the witness's two endpoints are shown as rigid factorizations."""
+    g = _graph(handle, a, kind)
+    if len(g.nodes) < 2:
+        return CatenaryReport(0, kind, variant, g.complete, element=a)
+    value, arg = 0, None
+    for part, weights in view(g):
+        v, edge = _bottleneck(part, weights)
         if v > value:
-            value, witness = v, ChainWitness((nodes[arg[0]], nodes[arg[1]]), v)
-    return CatenaryReport(value, kind, variant, complete,
+            value, arg = v, edge
+    witness = None if arg is None else ChainWitness(
+        tuple(g.rigid(g.nodes[i]) for i in arg), value)
+    return CatenaryReport(value, kind, variant, g.complete,
                           witness=witness, element=a)
 
 
@@ -172,7 +230,7 @@ def catenary(handle: SemigroupHandle, a, kind: DistanceKind = DistanceKind.PERMU
     The reported value N is exact for the explored set: the threshold graph
     with edges <= N is connected and with edges <= N-1 it is not.
     """
-    return _report(handle, a, kind, "plain", _split(lambda z: 0))
+    return _report(handle, a, kind, "plain", _whole)
 
 
 def equal_catenary(handle, a, kind: DistanceKind = DistanceKind.PERMUTABLE
@@ -194,7 +252,7 @@ def monotone_catenary(handle, a, kind: DistanceKind = DistanceKind.PERMUTABLE
     """c_{d,mon}(a) = max(c_{d,eq}(a), c_{d,adj}(a)) on one graph (the
     witness comes from the equal view on a tie)."""
     return _report(handle, a, kind, "monotone",
-                   lambda nodes, mat: _equal(nodes, mat) + _adjacent(nodes, mat))
+                   lambda g: _equal(g) + _adjacent(g))
 
 
 def catenary_in_fibers(handle, a, kind: DistanceKind, transfer_map
@@ -207,8 +265,13 @@ def catenary_in_fibers(handle, a, kind: DistanceKind, transfer_map
     The map sends associated atoms to associated atoms, so every fiber is
     a union of permutable factorizations.
     """
-    return _report(handle, a, kind, "in_fibers",
-                   _split(transfer_map._image_classes))
+    image = transfer_map._image_classes
+
+    def fibers(g: _Graph):
+        # the images need atoms, so every node is shown here
+        return _split(lambda z: image(g.rigid(z)))(g)
+
+    return _report(handle, a, kind, "in_fibers", fibers)
 
 
 VARIANTS: Dict[str, Callable[..., CatenaryReport]] = {

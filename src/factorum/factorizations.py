@@ -172,6 +172,23 @@ def rigid_factorizations(handle: SemigroupHandle, a) -> FactorizationSet:
     return fs
 
 
+def _orderless(handle: SemigroupHandle) -> bool:
+    """Whether the permutable factorizations of the handle's elements come
+    from their class multisets alone: on a commutative reduced handle
+    without an exploration budget every ordering of a factorization is
+    one, and the multisets need no rigid ordering listed."""
+    return handle.commutative and handle.reduced and not handle.budgeted
+
+
+def _least_rigid(handle: SemigroupHandle, a, classes: Tuple
+                 ) -> RigidFactorization:
+    """On an orderless handle (see ``_orderless``), the least rigid
+    factorization of a with the class multiset ``classes`` in the order
+    (length, atom keys): the atoms of those classes sorted by key."""
+    return RigidFactorization(
+        tuple(sorted(map(handle.class_atom, classes), key=handle.key)), a)
+
+
 def permutable_factorizations(handle: SemigroupHandle, a
                               ) -> Tuple[Tuple[PermutableFactorization, ...], bool]:
     """Z_p(a): rigid factorizations up to permutation of associate classes,
@@ -186,12 +203,10 @@ def permutable_factorizations(handle: SemigroupHandle, a
     on a presentation, the engine's exploration order) with every later
     rigid query.
     """
-    if handle.commutative and handle.reduced and not handle.budgeted:
+    if _orderless(handle):
         sets, complete = permutable_class_multisets(handle, a)
-        atom, key = handle.class_atom, handle.key
-        return tuple(PermutableFactorization(m, len(m), RigidFactorization(
-            tuple(sorted(map(atom, m), key=key)), a))
-            for m in sorted(sets)), complete
+        return tuple(PermutableFactorization(m, len(m), _least_rigid(
+            handle, a, m)) for m in sorted(sets)), complete
     fs = rigid_factorizations(handle, a)
     seen: Dict[Tuple, RigidFactorization] = {}
     for z in fs:
@@ -216,8 +231,8 @@ def permutable_class_multisets(handle: SemigroupHandle, a
     those atoms u, and drops to a factorization of x/u without it, so each
     multiset of x is one of x/u's plus u.  Besides length sets and
     divisibility, it is the node source of the catenary graph under d_len
-    and d_p on commutative reduced handles without a budget (see
-    ``permutable_factorizations``)."""
+    and d_p on commutative reduced handles without a budget, each multiset
+    one node (see ``catenary._graph``)."""
     handle.require_element(a)
     memo = handle.memo
     entries = memo.classes

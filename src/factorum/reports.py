@@ -63,8 +63,10 @@ class InvariantReport:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def to_table(self) -> str:
-        lines = [f"{self.invariant}: {render_value(self.value)} "
-                 f"[{self.certification.value}]"]
+        value = render_value(self.value)
+        if isinstance(value, (dict, list)):
+            value = json.dumps(value, sort_keys=True)
+        lines = [f"{self.invariant}: {value} [{self.certification.value}]"]
         for w in self.witnesses:
             lines.append("  witness: "
                          + json.dumps(render_value(w), sort_keys=True))

@@ -7,11 +7,13 @@ connected, so it shares no code with the graph views it checks.
 
 ``reference_graph`` keeps the node construction the graph had before its
 d_len and d_p nodes came from class multisets; the properties at the end
-require the same graphs, values, certification and witnesses from both.
+require the same graphs (each node's class multiset and length, and the
+distance matrix), values, certification and witnesses from both.
 """
 
 import importlib
 import itertools
+from operator import attrgetter
 from unittest import mock
 
 import pytest
@@ -20,7 +22,9 @@ from hypothesis import strategies as st
 
 from factorum.catenary import VARIANTS, catenary_in_fibers
 from factorum.distances import DistanceKind, distance
-from factorum.factorizations import class_multiset, rigid_factorizations
+from factorum.factorizations import (PermutableFactorization, class_multiset,
+                                    permutable_class_multisets,
+                                    rigid_factorizations)
 from factorum.handles import FactorialVectorHandle
 from factorum.matrices import (FullMatrixHandle, TriangularMatrixHandle,
                                delta_transfer_map, det_transfer_map,
@@ -146,9 +150,20 @@ def reference_graph(handle, a, kind):
     first = {}
     for z in fs:
         first.setdefault(class_multiset(handle, z), z)
-    nodes = tuple(first[k] for k in sorted(first))
-    mat = [[distance(handle, kind, x, y) for y in nodes] for x in nodes]
-    return nodes, mat, fs.complete
+    nodes = tuple(PermutableFactorization(k, len(k), first[k])
+                  for k in sorted(first))
+    mat = [[distance(handle, kind, x.representative, y.representative)
+            for y in nodes] for x in nodes]
+    return catenary_module._Graph(nodes, mat, fs.complete,
+                                  attrgetter("representative"))
+
+
+def _shape(graph):
+    """A graph as each node's class multiset and length, its distance
+    matrix (a graph of fewer than two nodes needs none) and its
+    completeness flag."""
+    nodes = [(z.classes, z.length) for z in graph.nodes]
+    return nodes, graph.mat if len(nodes) > 1 else None, graph.complete
 
 
 def _answers(handle, a, transfer_map):
@@ -156,7 +171,7 @@ def _answers(handle, a, transfer_map):
     (value, certified, witness endpoints)."""
     graphs, reports = [], []
     for kind in KINDS:
-        graphs.append(catenary_module._graph(handle, a, kind))
+        graphs.append(_shape(catenary_module._graph(handle, a, kind)))
         reps = [fn(handle, a, kind) for fn in VARIANTS.values()]
         reps.append(catenary_in_fibers(handle, a, kind, transfer_map))
         reports += [(r.value, r.certified,
@@ -268,3 +283,77 @@ def test_non_atomic_preset_matches_reference(budget):
     reports = check_against_reference(lambda: engine("aba_b", budget),
                                       identity_transfer_map, _words(words))
     assert not all(certified for _, certified, _ in reports)
+
+
+# the bottleneck kernel ----------------------------------------------------
+
+def reference_bottleneck(nodes, mat):
+    """Prim over a dict of the nodes outside the tree, taking the least
+    (weight, node) each step: the kernel as it was before it kept
+    parallel lists."""
+    if len(nodes) <= 1:
+        return 0, None
+    best = {v: (mat[nodes[0]][v], nodes[0]) for v in nodes[1:]}
+    value, arg = 0, None
+    while best:
+        v = min(best, key=lambda u: (best[u][0], u))
+        w, parent = best.pop(v)
+        if w > value:
+            value, arg = w, (parent, v)
+        for u in list(best):
+            if mat[v][u] < best[u][0]:
+                best[u] = (mat[v][u], v)
+    return value, arg
+
+
+@st.composite
+def _weighted_graphs(draw):
+    # weights 0-4 over up to 12 nodes, so most weights tie
+    n = draw(st.integers(0, 12))
+    mat = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        mat[i][j] = mat[j][i] = draw(st.integers(0, 4))
+    return n, mat
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(graph=_weighted_graphs(), data=st.data())
+def test_bottleneck_matches_reference(graph, data):
+    n, mat = graph
+    subset = sorted(data.draw(st.sets(st.integers(0, max(n - 1, 0)))
+                              if n else st.just(set())))
+    assert catenary_module._bottleneck(subset, mat) == \
+        reference_bottleneck(subset, mat)
+    # the adjacent view joins two length classes, so a part need not be
+    # in index order after its first node
+    shuffled = data.draw(st.permutations(subset))
+    assert catenary_module._bottleneck(shuffled, mat) == \
+        reference_bottleneck(shuffled, mat)
+
+
+def test_class_nodes_build_only_the_witness():
+    # on an orderless handle a node is a class multiset: the atoms of a
+    # class (``class_atom``) are asked for only to show a witness's ends
+    group = FiniteAbelianGroup((2, 4))
+    h = BlockMonoidHandle(group)
+    idmap = identity_transfer_map(h)
+    seen = {"one": 0, "several": 0}
+    with mock.patch.object(h, "class_atom", wraps=h.class_atom) as asked:
+        for seq in zero_sum_sequences(group, None, 7):
+            classes, _ = permutable_class_multisets(h, seq)
+            several = len(classes) > 1
+            seen["several" if several else "one"] += 1
+            for kind in KINDS:
+                for fn in VARIANTS.values():
+                    asked.reset_mock()
+                    rep = fn(h, seq, kind)
+                    shown = sorted(c for z in (rep.witness.steps
+                                               if rep.witness else ())
+                                   for c in class_multiset(h, z))
+                    assert sorted(c.args[0] for c in asked.call_args_list) \
+                        == shown
+                    assert several or not shown
+                asked.reset_mock()
+                catenary_in_fibers(h, seq, kind, idmap)
+                assert several or not asked.called
+    assert seen["one"] and seen["several"]
