@@ -36,6 +36,7 @@ from .presentation import (Element, ExplorationBudget, Presentation,
                            PresentationSemigroup)
 
 Vector = Tuple[int, ...]
+_LENGTH_MAP_SCOPE = 5    # the longest elements on which length_map is checked
 
 
 def _vec_of(word: Tuple[str, ...], index: Dict[str, int], n: int) -> Vector:
@@ -430,18 +431,17 @@ class LengthMapReport:
     notes: Tuple[str, ...]
 
 
-def length_map(handle: PresentationSemigroup, max_length: int = 5
-               ) -> Optional[LengthMapReport]:
+def length_map(handle: PresentationSemigroup) -> Optional[LengthMapReport]:
     """The word-length homomorphism onto (N_0, +), when every relation is
     length-preserving; None otherwise.  The transfer properties (T1)/(T2)
     are certified by direct check on the explored ball."""
     for rel in handle.presentation.relations:
         if len(rel.lhs) != len(rel.rhs):
             return None
-    elements, _ = handle.enumerate_elements(max_length)
+    elements, _ = handle.enumerate_elements(_LENGTH_MAP_SCOPE)
     # (T1): only the identity maps to 0; every explored length is realized
     lengths = {len(el.word) for el in elements}
-    t1 = 0 not in lengths and lengths >= set(range(1, max_length + 1))
+    t1 = 0 not in lengths and lengths >= set(range(1, _LENGTH_MAP_SCOPE + 1))
     # (T2): any split of the image lifts to a product in the semigroup
     t2 = True
     for el in elements:

@@ -30,9 +30,6 @@ than two nodes answers 0 before any distance is computed.
 
 The bottleneck is Prim over parallel lists with ties broken by (weight,
 node index), so each witness edge is fixed by the graph alone.
-
-Infinity never arises in a bounded computation and is represented by an
-explicit flag, never a sentinel integer.
 """
 
 from __future__ import annotations
@@ -61,7 +58,6 @@ class CatenaryReport:
     kind: DistanceKind
     variant: str
     certified: bool
-    infinite: bool = False
     witness: Optional[ChainWitness] = None
     element: object = None
     notes: Tuple[str, ...] = field(default=())

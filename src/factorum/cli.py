@@ -71,8 +71,8 @@ def _length_value(L) -> dict:
             "elasticity": L.elasticity}
 
 
-def _lower_bound_note(scope: str) -> str:
-    return "semigroup-level value: certified lower bound over " + scope
+_LOWER_BOUND_NOTE = ("semigroup-level value: certified lower bound over "
+                     "elements of length <= {}")
 
 
 def cmd_parse(args) -> int:
@@ -185,11 +185,10 @@ def cmd_omega(args) -> int:
         cert = certification(rep.certified)
     else:
         els, complete = h.enumerate_elements(args.max_length)
-        rep = omega_semigroup(h, divisor, els, mode,
-                              scope=f"elements of length <= {args.max_length}")
+        rep = omega_semigroup(h, divisor, els, mode)
         name = f"omega-{mode}-semigroup"
         cert = Certification.LOWER_BOUND
-        notes.append(_lower_bound_note(rep.scope))
+        notes.append(_LOWER_BOUND_NOTE.format(args.max_length))
     witnesses = []
     if rep.witness:
         witnesses.append({
@@ -212,12 +211,10 @@ def cmd_tame(args) -> int:
         cert = certification(rep.certified)
     else:
         els, complete = h.enumerate_elements(args.max_length)
-        rep = tame_semigroup(h, pattern, els,
-                             scope=f"elements of length <= {args.max_length}",
-                             scope_certified=complete)
+        rep = tame_semigroup(h, pattern, els, scope_certified=complete)
         name = "tame-semigroup"
         cert = Certification.LOWER_BOUND
-        notes.append(_lower_bound_note(rep.scope))
+        notes.append(_LOWER_BOUND_NOTE.format(args.max_length))
     witnesses = []
     if rep.witness:
         el, z, zp = rep.witness
@@ -233,8 +230,7 @@ def cmd_primelike(args) -> int:
     h = _load_engine(args)
     q = h.element_from_str(args.atom)
     els, complete = h.enumerate_elements(args.max_length)
-    rep = is_almost_prime_like(h, q, els, complete,
-                               scope=f"length <= {args.max_length}")
+    rep = is_almost_prime_like(h, q, els, complete)
     value = {"almost_prime_like": rep.holds}
     witnesses = []
     if rep.counterexample:
@@ -294,8 +290,7 @@ def cmd_zss(args) -> int:
         rep = InvariantReport(f"davenport({group.describe()})",
                               davenport(group), Certification.EXACT)
     else:   # catenary
-        res = block_catenary(
-            group, max_sequence_length=6 if args.max_len is None else args.max_len)
+        res = block_catenary(group, max_sequence_length=args.max_len or 6)
         witnesses = []
         if res.element is not None:
             witnesses.append({"element": handle.format_element(res.element)})
@@ -418,11 +413,19 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--" + opt.replace("_", "-"), **kw)
         p.set_defaults(func=fn)
 
+    def length(text: str) -> int:
+        # a --max-length or --max-len bound: a sweep to 0 proves nothing
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        return value
+
     kind = dict(choices=tuple(_KINDS), default="perm")
+    sweep = dict(type=length)
     pres_cmd("parse", cmd_parse)
     pres_cmd("adyan", cmd_adyan)
-    pres_cmd("elements", cmd_elements, max_length=dict(type=int, default=None))
-    pres_cmd("atoms", cmd_atoms, max_length=dict(type=int, default=None))
+    pres_cmd("elements", cmd_elements, max_length=sweep)
+    pres_cmd("atoms", cmd_atoms, max_length=sweep)
     pres_cmd("factorize", cmd_factorize, element=dict(required=True))
     pres_cmd("lengths", cmd_lengths, element=dict(required=True))
     pres_cmd("distance", cmd_distance, kind=kind, element=dict(required=True),
@@ -432,23 +435,23 @@ def build_parser() -> argparse.ArgumentParser:
     pres_cmd("catenary", cmd_catenary, kind=kind,
              variant=dict(choices=tuple(VARIANTS), default="plain"),
              element=dict(default=None), all=dict(action="store_true"),
-             max_length=dict(type=int, default=None))
+             max_length=sweep)
     pres_cmd("omega", cmd_omega, divisor=dict(required=True),
              element=dict(default=None,
                           help="omit for the semigroup-level value"),
              nonunits=dict(action="store_true"),
-             max_length=dict(type=int, default=6))
+             max_length=dict(sweep, default=6))
     pres_cmd("tame", cmd_tame, pattern=dict(nargs="+", required=True),
-             element=dict(default=None), max_length=dict(type=int, default=6))
+             element=dict(default=None), max_length=dict(sweep, default=6))
     pres_cmd("primelike", cmd_primelike, atom=dict(required=True),
-             max_length=dict(type=int, default=6))
+             max_length=dict(sweep, default=6))
     pres_cmd("abelianize", cmd_abelianize)
-    pres_cmd("check-wth", cmd_check_wth, max_length=dict(type=int, default=4))
+    pres_cmd("check-wth", cmd_check_wth, max_length=dict(sweep, default=4))
     p = sub.add_parser("zss")
     p.add_argument("--group", required=True, help="cyclic orders, e.g. 2,2")
     p.add_argument("zss_command", choices=("atoms", "davenport", "catenary",
                                            "order-bound"))
-    p.add_argument("--max-len", type=int, default=None,
+    p.add_argument("--max-len", type=length, default=None,
                    help="longest zero-sum sequence swept (default: 6 for "
                         "catenary, 2*D(G) for order-bound)")
     p.set_defaults(func=cmd_zss)

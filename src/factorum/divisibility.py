@@ -24,8 +24,8 @@ arbitrary permutable factorization of a is from one containing the
 pattern x; containment and distance both compare the occurrence sets of
 the class multisets of ``permutable_factorizations``.
 
-Semigroup-level values are suprema; bounded enumeration reports them as
-certified lower bounds with the exploration scope embedded.
+Semigroup-level values are suprema, certified lower bounds over a bounded
+enumeration; the CLI, which chose the scope, adds the note naming it.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ from .factorizations import (RigidFactorization, _class_occurrences,
                              permutable_factorizations, rigid_factorizations)
 from .handles import SemigroupHandle, UnsupportedOperation
 from .presentation import PresentationSemigroup
+
+_MAX_PARTS = 8    # the most parts of a decomposition the omega'_p search lists
 
 
 class DivisibilityKind(Enum):
@@ -112,13 +114,11 @@ class AlmostPrimeLikeReport:
     certified: bool            # True: exhaustive over the given scope
     counterexample: Optional[Tuple[object, RigidFactorization,
                                    RigidFactorization]] = None
-    scope: str = ""
 
 
 def is_almost_prime_like(handle: SemigroupHandle, q,
                          scope_elements: Sequence,
-                         scope_certified: bool = True,
-                         scope: str = "") -> AlmostPrimeLikeReport:
+                         scope_certified: bool = True) -> AlmostPrimeLikeReport:
     """Bounded almost-prime-like check: over every scoped element, q occurs
     in one rigid factorization iff it occurs in all of them."""
     if not handle.is_atom(q):
@@ -137,8 +137,8 @@ def is_almost_prime_like(handle: SemigroupHandle, q,
                 without_q = z
             if with_q is not None and without_q is not None:
                 return AlmostPrimeLikeReport(q, False, True,
-                                             (a, with_q, without_q), scope)
-    return AlmostPrimeLikeReport(q, True, certified, None, scope)
+                                             (a, with_q, without_q))
+    return AlmostPrimeLikeReport(q, True, certified, None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,7 +214,6 @@ class OmegaReport:
     value: int
     certified: bool
     witness: Optional[OmegaWitness] = None
-    scope: str = ""
 
 
 def min_subproduct_k(handle: SemigroupHandle, parts: Sequence, b
@@ -236,8 +235,8 @@ def min_subproduct_k(handle: SemigroupHandle, parts: Sequence, b
     return n, tuple(range(n)), False
 
 
-def omega_element(handle: SemigroupHandle, a, b, mode: str = "atoms",
-                  max_parts: int = 8) -> OmegaReport:
+def omega_element(handle: SemigroupHandle, a, b,
+                  mode: str = "atoms") -> OmegaReport:
     """omega_p(a, b) (mode "atoms") or omega'_p(a, b) (mode "nonunits")."""
     div = _divides_p_cached(handle, b, a)
     if div.holds is not True:
@@ -245,7 +244,7 @@ def omega_element(handle: SemigroupHandle, a, b, mode: str = "atoms",
     if mode == "atoms":
         decomps, complete = _atom_decompositions(handle, a)
     elif mode == "nonunits":
-        decomps, complete = _nonunit_decompositions(handle, a, max_parts)
+        decomps, complete = _nonunit_decompositions(handle, a)
     else:
         raise ValueError("mode must be 'atoms' or 'nonunits'")
     value, witness, certified = 0, None, complete
@@ -263,11 +262,12 @@ def _atom_decompositions(handle, a) -> Tuple[List[Tuple], bool]:
     return [z.atoms for z in fs], fs.complete
 
 
-def _nonunit_decompositions(handle, a, max_parts: int) -> Tuple[List[Tuple], bool]:
-    """All decompositions of a into at most max_parts non-unit elements.
+def _nonunit_decompositions(handle, a) -> Tuple[List[Tuple], bool]:
+    """All decompositions of a into at most _MAX_PARTS non-unit elements.
 
     For presentation engines: compositions of every ball member into
-    nonempty contiguous parts, which is exhaustive for closed balls.
+    nonempty contiguous parts, which is exhaustive for closed balls whose
+    members have at most _MAX_PARTS letters.
     """
     if not isinstance(handle, PresentationSemigroup):
         raise UnsupportedOperation(
@@ -278,7 +278,7 @@ def _nonunit_decompositions(handle, a, max_parts: int) -> Tuple[List[Tuple], boo
     seen = set()
     for m in sorted(ball.members, key=handle.shortlex_key):
         L = len(m)
-        for parts_count in range(1, min(L, max_parts) + 1):
+        for parts_count in range(1, min(L, _MAX_PARTS) + 1):
             for cut in itertools.combinations(range(1, L), parts_count - 1):
                 bounds = (0,) + cut + (L,)
                 parts = tuple(handle.element(m[i:j])
@@ -287,20 +287,19 @@ def _nonunit_decompositions(handle, a, max_parts: int) -> Tuple[List[Tuple], boo
                 if key not in seen:
                     seen.add(key)
                     out.append(parts)
-    return out, ball.closed
+    return out, ball.closed and max(map(len, ball.members)) <= _MAX_PARTS
 
 
 def omega_semigroup(handle: SemigroupHandle, b, scope_elements: Sequence,
-                    mode: str = "atoms", scope: str = "",
-                    max_parts: int = 8) -> OmegaReport:
+                    mode: str = "atoms") -> OmegaReport:
     """Semigroup-level omega: max over the explored elements (lower bound)."""
     value, witness, certified = 0, None, True
     for a in scope_elements:
-        rep = omega_element(handle, a, b, mode, max_parts)
+        rep = omega_element(handle, a, b, mode)
         certified = certified and rep.certified
         if rep.value > value:
             value, witness = rep.value, rep.witness
-    return OmegaReport(b, mode, value, certified, witness, scope)
+    return OmegaReport(b, mode, value, certified, witness)
 
 
 # tame degree --------------------------------------------------------------
@@ -312,7 +311,6 @@ class TameReport:
     value: int
     certified: bool
     witness: Optional[Tuple[object, Tuple, Tuple]] = None
-    scope: str = ""
 
 
 def tame_element(handle: SemigroupHandle, a,
@@ -345,7 +343,7 @@ def tame_element(handle: SemigroupHandle, a,
 
 
 def tame_semigroup(handle: SemigroupHandle, pattern: Sequence,
-                   scope_elements: Sequence, scope: str = "",
+                   scope_elements: Sequence,
                    scope_certified: bool = True) -> TameReport:
     """t_p(H, x) over the explored elements (certified lower bound)."""
     value, witness, certified = 0, None, scope_certified
@@ -354,4 +352,4 @@ def tame_semigroup(handle: SemigroupHandle, pattern: Sequence,
         certified = certified and rep.certified
         if rep.value > value:
             value, witness = rep.value, rep.witness
-    return TameReport(tuple(pattern), value, certified, witness, scope)
+    return TameReport(tuple(pattern), value, certified, witness)

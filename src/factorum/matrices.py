@@ -35,6 +35,8 @@ from .arith import big_omega, factor, is_prime
 from .handles import DivisorPairs, FactorialVectorHandle, SemigroupHandle
 
 Mat = Tuple[Tuple[int, ...], ...]
+_DET_CAP = 1_000_000    # the largest |det| whose atom left divisors are listed
+_PAIR_LIMIT = 400       # the most sample pairs a transfer-map check visits
 
 
 class NotAtomError(ValueError):
@@ -217,15 +219,15 @@ def _hermite_divisors(a: Mat,
     return found
 
 
-def tri_left_divisors(a: Mat, det_cap: int = 1_000_000) -> List[Tuple[Mat, Mat]]:
+def tri_left_divisors(a: Mat) -> List[Tuple[Mat, Mat]]:
     """All atoms U left-dividing a in T_n(Z)*, one per right-associate
     class, with quotients: the Hermite forms at each position m and prime
     p | a_mm, m first and then p."""
     d = abs(mat_det(a))
     if d == 0 or not is_upper_triangular(a):
         raise ValueError("need an upper triangular matrix with nonzero det")
-    if d > det_cap:
-        raise DetTooLargeError(f"|det| = {d} exceeds cap {det_cap}")
+    if d > _DET_CAP:
+        raise DetTooLargeError(f"|det| = {d} exceeds cap {_DET_CAP}")
     return _hermite_divisors(a, [(m, p) for m in range(len(a))
                                  for p in sorted(factor(a[m][m]))])
 
@@ -237,11 +239,10 @@ class _MatrixHandle(SemigroupHandle):
     reduced = False
     _symbol = ""
 
-    def __init__(self, n: int, det_cap: int = 1_000_000):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError("dimension must be positive")
         self.n = n
-        self.det_cap = det_cap
         self.name = f"{self._symbol}_{n}(Z)*"
 
     def identity(self) -> Mat:
@@ -280,7 +281,7 @@ class TriangularMatrixHandle(_MatrixHandle):
         return (profile.position, profile.prime)
 
     def left_divisor_atoms(self, x: Mat) -> DivisorPairs:
-        return tri_left_divisors(x, self.det_cap), True
+        return tri_left_divisors(x), True
 
     def right_normalize_key(self, x: Mat) -> Mat:
         """Canonical representative of x up to right units (memo key: the
@@ -421,15 +422,15 @@ def mat_is_atom(a: Mat) -> bool:
     return is_prime(det_transfer(a))
 
 
-def mat_left_divisors(a: Mat, det_cap: int = 1_000_000) -> List[Tuple[Mat, Mat]]:
+def mat_left_divisors(a: Mat) -> List[Tuple[Mat, Mat]]:
     """Atom left divisors of a in M_n(Z)*, one per index-p column lattice
     between A's column lattice and Z^n: the Hermite forms at each prime
     p | det and position k, p first and then k."""
     d = abs(mat_det(a))
     if d == 0:
         raise ValueError("zero determinant")
-    if d > det_cap:
-        raise DetTooLargeError(f"|det| = {d} exceeds cap {det_cap}")
+    if d > _DET_CAP:
+        raise DetTooLargeError(f"|det| = {d} exceeds cap {_DET_CAP}")
     return _hermite_divisors(a, [(k, p) for p in sorted(factor(d))
                                  for k in range(len(a))])
 
@@ -460,7 +461,7 @@ class FullMatrixHandle(_MatrixHandle):
         return p
 
     def left_divisor_atoms(self, x: Mat) -> DivisorPairs:
-        return mat_left_divisors(x, self.det_cap), True
+        return mat_left_divisors(x), True
 
 
 # transfer maps and their verification ------------------------------------
@@ -516,8 +517,8 @@ class TransferReport:
                 and self.homomorphism_ok)
 
 
-def verify_transfer_properties(tmap: TransferMap, sample: Sequence,
-                               pair_limit: int = 400) -> TransferReport:
+def verify_transfer_properties(tmap: TransferMap,
+                               sample: Sequence) -> TransferReport:
     """Check (T1) unit fibers, atom preservation, the (WT2) lifting of
     target factorizations up to permutation, isoatomicity, and the
     homomorphism law, over the given sample of source elements."""
@@ -556,7 +557,7 @@ def verify_transfer_properties(tmap: TransferMap, sample: Sequence,
     if counterexample is None:
         atoms = [a for a in sample if not src.is_unit(a) and src.is_atom(a)]
         for u, v in itertools.islice(itertools.combinations(atoms, 2),
-                                     pair_limit):
+                                     _PAIR_LIMIT):
             tu, tv = tmap.apply(u), tmap.apply(v)
             if tgt.atom_class(tu) == tgt.atom_class(tv) \
                     and not src.atoms_associated(u, v):
@@ -567,7 +568,7 @@ def verify_transfer_properties(tmap: TransferMap, sample: Sequence,
 
     if counterexample is None:
         for a, b in itertools.islice(itertools.product(sample, sample),
-                                     pair_limit):
+                                     _PAIR_LIMIT):
             lhs = tmap.apply(src.multiply(a, b))
             rhs = tgt.multiply(tmap.apply(a), tmap.apply(b))
             if tgt.key(lhs) != tgt.key(rhs):

@@ -125,7 +125,7 @@ def parse_presentation(text: str) -> Presentation:
         budget: max_word_length=12 max_ball_size=100000
     """
     generators: Optional[Tuple[str, ...]] = None
-    relations: List[Relation] = []
+    relations: List[Tuple[int, Relation]] = []  # with their lines
     budget = ExplorationBudget()
 
     def err(lineno: int, col: int, msg: str) -> PresentationError:
@@ -137,15 +137,19 @@ def parse_presentation(text: str) -> Presentation:
             continue
         stripped = line.strip()
         if stripped.startswith("gens:"):
-            names = stripped[len("gens:"):].split()
-            if not names:
-                raise err(lineno, line.find(":") + 1, "no generators declared")
             if generators is not None:
                 raise err(lineno, 1, "duplicate gens: line")
-            for name in names:
+            colon = line.find(":") + 1
+            names: List[str] = []
+            for tok in re.finditer(r"\S+", line[colon:]):
+                name, col = tok.group(), colon + tok.start() + 1
                 if not _GENERATOR_RE.match(name):
-                    raise err(lineno, line.find(name) + 1,
-                              f"invalid generator name {name!r}")
+                    raise err(lineno, col, f"invalid generator name {name!r}")
+                if name in names:
+                    raise err(lineno, col, f"duplicate generator {name!r}")
+                names.append(name)
+            if not names:
+                raise err(lineno, colon, "no generators declared")
             generators = tuple(names)
         elif stripped.startswith("rel:"):
             if generators is None:
@@ -166,13 +170,14 @@ def parse_presentation(text: str) -> Presentation:
                         raise UndeclaredGeneratorError(
                             f"line {lineno}, column {line.find(sym) + 1}: "
                             f"undeclared generator {sym!r}")
-            relations.append(Relation(lhs, rhs))
+            relations.append((lineno, Relation(lhs, rhs)))
         elif stripped.startswith("budget:"):
             fields = stripped[len("budget:"):].split()
             kwargs = {}
             for f in fields:
                 k, _, v = f.partition("=")
-                if k not in ("max_word_length", "max_ball_size") or not v.isdigit():
+                if k not in ("max_word_length", "max_ball_size") \
+                        or not v.isdigit() or int(v) < 1:
                     raise err(lineno, line.find(f) + 1, f"bad budget field {f!r}")
                 kwargs[k] = int(v)
             budget = ExplorationBudget(**kwargs)
@@ -181,7 +186,10 @@ def parse_presentation(text: str) -> Presentation:
 
     if generators is None:
         raise PresentationError("missing gens: line")
-    return Presentation(generators, tuple(relations), budget)
+    for lineno, rel in relations:
+        if max(len(rel.lhs), len(rel.rhs)) > budget.max_word_length:
+            raise err(lineno, 1, "max_word_length is below a relation side")
+    return Presentation(generators, tuple(rel for _, rel in relations), budget)
 
 
 @dataclass(frozen=True)

@@ -138,8 +138,7 @@ def case_ab_cd_cede_ba(budget=None) -> List[CheckRow]:
     h = _engine("ab_cd_cede_ba", budget, 14)
     a = h.element_from_str("a")
     els, comp = h.enumerate_elements(6)
-    rep = omega_semigroup(h, a, els, "atoms",
-                          scope="products of <= 6 atoms")
+    rep = omega_semigroup(h, a, els, "atoms")
     rows = [CheckRow("omega_p(S, a) over <=6 atoms", 2, rep.value,
                      certification(rep.certified and comp))]
     ba = h.element_from_str("b a")

@@ -19,7 +19,6 @@ SCHEMA = "factorum/1"
 class Certification(str, Enum):
     EXACT = "exact"
     LOWER_BOUND = "lower-bound"
-    UNKNOWN = "unknown"
 
 
 def certification(exact: bool) -> Certification:

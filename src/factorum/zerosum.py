@@ -26,6 +26,7 @@ from .handles import DivisorPairs, SemigroupHandle
 
 GroupElement = Tuple[int, ...]
 ZeroSumSequence = Tuple[GroupElement, ...]   # sorted multiset of elements
+_MAX_ORDER = 64     # the largest group order whose atoms are enumerated
 
 
 class GroupTooLarge(ValueError):
@@ -120,15 +121,15 @@ def sequence_sum(group: FiniteAbelianGroup, seq: Sequence[GroupElement]) -> Grou
 
 
 def atoms_of_block_monoid(group: FiniteAbelianGroup,
-                          subset: Optional[Sequence[GroupElement]] = None,
-                          cap: int = 64) -> List[ZeroSumSequence]:
+                          subset: Optional[Sequence[GroupElement]] = None
+                          ) -> List[ZeroSumSequence]:
     """All minimal zero-sum sequences over the subset (default: all of G).
 
     DFS over nondecreasing sequences, pruning as soon as a proper nonempty
     sub-multiset of the prefix sums to zero; depth is capped at |G|.
     """
-    if group.order > cap:
-        raise GroupTooLarge(f"group order {group.order} exceeds cap {cap}")
+    if group.order > _MAX_ORDER:
+        raise GroupTooLarge(f"group order {group.order} exceeds cap {_MAX_ORDER}")
     support = sorted(set(subset)) if subset is not None else group.elements()
     for g in support:
         if group.element(g) != g:
@@ -163,12 +164,9 @@ def atoms_of_block_monoid(group: FiniteAbelianGroup,
     return sorted(atoms, key=lambda a: (len(a), a))
 
 
-def davenport(group: FiniteAbelianGroup,
-              subset: Optional[Sequence[GroupElement]] = None,
-              cap: int = 64) -> int:
-    """D(G_P): maximal length of a minimal zero-sum sequence."""
-    atoms = atoms_of_block_monoid(group, subset, cap)
-    return max((len(a) for a in atoms), default=0)
+def davenport(group: FiniteAbelianGroup) -> int:
+    """D(G): maximal length of a minimal zero-sum sequence."""
+    return max((len(a) for a in atoms_of_block_monoid(group)), default=0)
 
 
 def _counts(seq: Sequence[GroupElement]) -> Dict[GroupElement, int]:
@@ -197,12 +195,12 @@ class BlockMonoidHandle(SemigroupHandle):
     commutative = True
 
     def __init__(self, group: FiniteAbelianGroup,
-                 subset: Optional[Sequence[GroupElement]] = None, cap: int = 64):
+                 subset: Optional[Sequence[GroupElement]] = None):
         self.group = group
         self.subset = tuple(sorted(set(subset))) if subset is not None \
             else tuple(group.elements())
         self._support = frozenset(self.subset)
-        self.atoms = atoms_of_block_monoid(group, self.subset, cap)
+        self.atoms = atoms_of_block_monoid(group, self.subset)
         self._atom_set = set(self.atoms)
         # each atom with its term counts, counted once here
         self._atom_counts = [(atom, tuple(_counts(atom).items()))
@@ -309,19 +307,16 @@ def zero_sum_sequences(group: FiniteAbelianGroup,
 
 
 def block_catenary(group: FiniteAbelianGroup,
-                   subset: Optional[Sequence[GroupElement]] = None,
-                   max_sequence_length: int = 6,
-                   kind: DistanceKind = DistanceKind.PERMUTABLE,
-                   cap: int = 64) -> CatenaryReport:
-    """max of c_d over all zero-sum sequences of length <= the bound.
+                   max_sequence_length: int = 6) -> CatenaryReport:
+    """max of c_p over all zero-sum sequences of length <= the bound.
 
-    A lower bound for c_d(B(G_P)); the report notes the scope and, when the
+    A lower bound for c_p(B(G)); the report notes the scope and, when the
     group falls under the known classification, whether the computed value
     agrees with it.
     """
-    handle = BlockMonoidHandle(group, subset, cap)
+    handle = BlockMonoidHandle(group)
     rep = semigroup_catenary(handle, zero_sum_sequences(
-        group, handle.subset, max_sequence_length), kind)
+        group, handle.subset, max_sequence_length), DistanceKind.PERMUTABLE)
     notes = [f"searched all zero-sum sequences of length <= {max_sequence_length}"]
     known = _classified_catenary(group)
     if known is not None:
@@ -361,14 +356,13 @@ class OrderBoundReport:
 
 
 def maximal_order_bound(group: FiniteAbelianGroup,
-                        max_sequence_length: Optional[int] = None,
-                        cap: int = 64) -> OrderBoundReport:
+                        max_sequence_length: Optional[int] = None
+                        ) -> OrderBoundReport:
     """Catenary-degree bound max(2, c_p(B(C))) over a user-supplied finite
     abelian class group C, with the small-group classification echoed."""
     if max_sequence_length is None:
-        dav = davenport(group, cap=cap)
-        max_sequence_length = max(2, 2 * dav)
-    rep = block_catenary(group, None, max_sequence_length, cap=cap)
+        max_sequence_length = max(2, 2 * davenport(group))
+    rep = block_catenary(group, max_sequence_length)
     bound = max(2, rep.value)
     inv = tuple(f for f in invariant_factors(group) if f > 1)
     known = _classified_catenary(group)

@@ -274,6 +274,42 @@ def test_usage_errors_exit_one(capsys, argv, message):
     assert message in err and "usage:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("elements", pres_path("abc_cb"), "--max-length", "0"),
+    ("atoms", pres_path("abc_cb"), "--max-length", "0"),
+    ("catenary", pres_path("abc_cb"), "--all", "--max-length", "0"),
+    ("omega", pres_path("ab_cd_cede_ba"), "--divisor", "a",
+     "--max-length", "-1"),
+    ("tame", pres_path("abc_de"), "--pattern", "a", "--max-length", "0"),
+    # a sweep of nothing found no counterexample, and was called exact
+    ("primelike", pres_path("aba_ba3bc"), "--atom", "c", "--max-length", "0"),
+    ("check-wth", pres_path("abc_de"), "--max-length", "-1"),
+    ("zss", "--group", "3", "catenary", "--max-len", "0"),
+    ("zss", "--group", "3", "order-bound", "--max-len", "-1"),
+], ids=lambda argv: argv[-3] if argv[0] == "zss" else argv[0])
+def test_sweep_bound_below_one_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1 and out == ""
+    assert f"must be >= 1, got {argv[-1]}" in err and "usage:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("omega", pres_path("ab_cd_cede_ba"), "--divisor", "a",
+     "--max-length", "4"),
+    ("omega", pres_path("ab_cd_cede_ba"), "--divisor", "a", "--nonunits",
+     "--max-length", "3"),
+    ("tame", pres_path("aba_bab"), "--pattern", "a", "--max-length", "5"),
+], ids=["omega-atoms", "omega-nonunits", "tame"])
+def test_semigroup_values_note_their_scope(capsys, argv):
+    code, out, _ = run(capsys, "--format", "json", *argv)
+    payload = json.loads(out)
+    assert code == 2 and payload["certification"] == "lower-bound"
+    assert ("semigroup-level value: certified lower bound over elements of "
+            f"length <= {argv[-1]}") in payload["warnings"]
+
+
 def write_pres(tmp_path, text):
     path = tmp_path / "p.pres"
     path.write_text(text, encoding="utf-8")

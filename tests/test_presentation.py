@@ -47,8 +47,15 @@ def test_parse_rejects_undeclared_generator():
 
 
 def test_parse_syntax_error_carries_position():
-    with pytest.raises(PresentationError, match="line 2"):
-        parse_presentation("gens: a b\nrelation a = b\n")
+    for text, position in [
+            ("gens: a b\nrelation a = b\n", "line 2, column 1"),
+            ("gens: a a\n", "line 1, column 9"),
+            ("gens: a b\nbudget: max_word_length=0\n", "line 2, column 9"),
+            # the file's word cap also binds relations above its line
+            ("gens: a b\nrel: a b a = b\nbudget: max_word_length=2\n",
+             "line 2, column 1")]:
+        with pytest.raises(PresentationError, match=position):
+            parse_presentation(text)
 
 
 def test_parse_budget_line_and_comments():
