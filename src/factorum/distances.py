@@ -23,19 +23,32 @@ atoms against q costs max(p, q), which is exactly the fewest king moves
 from (i, j) to (i + p, j + q), and a run of king moves between two
 blocks costs at least the single gap spanning it.  So one forward pass
 over the (k + 1) x (l + 1) table finds the value.  Matched atoms compare
-by associate class, each atom's class computed once per call.  On
-reduced handles every longer shared block is a chain of length-1 blocks,
-so the table costs O(kl).  On handles with nontrivial units a shared
-block must in addition have equal block products (blocks are literal
-common factors), so longer blocks are kept, their products grown one
-atom at a time.
+by associate class, each atom's class computed once per call.
+
+On a reduced handle (the only unit is 1: presentations, B(G)) every
+longer shared block is a chain of length-1 blocks, so the table is
+exactly the unit-cost edit distance between the two atom-class words,
+filled in O(kl) by ``_edit_alignment``.  Adjacent cells of an edit-distance
+table differ by at most 1, which gives the match lemma: a cell whose
+last two classes match equals its diagonal neighbour.  So a matched cell
+takes its diagonal outright, and any other cell is 1 plus the least of
+its three neighbours.
+
+On handles with nontrivial units (T_n(Z), M_n(Z)) a shared block must in
+addition have equal block products (blocks are literal common factors),
+so longer blocks are kept, their products grown one atom at a time.
+That path is unchanged until block equality there becomes the paper's
+equivalence of rigid factorizations up to unit carries (an open item in
+ROADMAP.md).
 
 The witness is read backwards from (k, l) and keeps the tie-break of
 the closing-gap program, which closed every gap (p, q) from every cell
 in O(k^2 l^2) (the tests keep it as a reference).  At a cell of value m
 it takes the shortest shared block ending there whose start has value
 m; failing that, one gap from the first cell in row-major order whose
-value plus the gap's cost is m.
+value plus the gap's cost is m.  On a reduced handle the match lemma
+makes that block the length-1 block ending at the cell whenever the
+last classes match, so the walk takes it without a search.
 
 ``rigid_distance_oracle`` re-derives the value by exhaustive recursion
 over all block decompositions and exists purely as a test oracle.
@@ -50,6 +63,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from .factorizations import (RigidFactorization, _class_occurrences,
                              class_multiset)
 from .handles import SemigroupHandle
+
+_ORACLE_MAX_TOTAL = 10    # the most atoms, both sides together, the oracle takes
 
 
 class DistanceKind(Enum):
@@ -107,7 +122,8 @@ def rigid_distance_alignment(handle: SemigroupHandle, z: RigidFactorization,
     ``dist[x][y]`` is the block-alignment cost of the prefixes a[:x] and
     b[:y]: the cheapest walk from (0, 0) in unit king moves and free
     shared blocks.  The witness is read backwards from (k, l) with the
-    tie-break described in the module docstring.
+    tie-break described in the module docstring.  On a reduced handle the
+    table is the edit distance of ``_edit_alignment``.
     """
     a, b = z.atoms, zp.atoms
     k, l = len(a), len(b)
@@ -121,7 +137,8 @@ def rigid_distance_alignment(handle: SemigroupHandle, z: RigidFactorization,
     cls = handle.atom_class
     ca = [cls(u) for u in a]
     cb = [cls(v) for v in b]
-    reduced = handle.reduced
+    if handle.reduced:
+        return _edit_alignment(ca, cb)
 
     def reach(x: int, y: int, limit: int) -> int:
         # the class-matched run ending at (x, y), cut after its last start
@@ -140,13 +157,9 @@ def rigid_distance_alignment(handle: SemigroupHandle, z: RigidFactorization,
             diag = up[y - 1]
             best = min(up[y], row[y - 1], diag) + 1
             if cx == cb[y - 1]:
-                if reduced:
-                    # a longer block is a chain of length-1 blocks
-                    best = min(best, diag)
-                else:
-                    span = reach(x, y, best - 1)
-                    for ell in _shared_blocks(handle, a, b, x, y, span):
-                        best = min(best, dist[x - ell][y - ell])
+                span = reach(x, y, best - 1)
+                for ell in _shared_blocks(handle, a, b, x, y, span):
+                    best = min(best, dist[x - ell][y - ell])
             row.append(best)
         dist.append(row)
     total = dist[k][l]
@@ -171,15 +184,51 @@ def rigid_distance_alignment(handle: SemigroupHandle, z: RigidFactorization,
     return total, Alignment(tuple(blocks), tuple(gaps), total)
 
 
+def _edit_alignment(ca: List, cb: List) -> Tuple[int, Alignment]:
+    """The rigid distance on a reduced handle: the unit-cost edit distance
+    between the nonempty class words ca and cb, with the witness of
+    ``rigid_distance_alignment``.  By the match lemma (module docstring)
+    a matched cell is its diagonal and its witness block has length 1."""
+    dist = [list(range(len(cb) + 1))]
+    for x, cx in enumerate(ca, 1):
+        up = dist[-1]
+        row = [x]
+        left = x
+        # cell starts as the diagonal neighbour's value
+        for cy, cell, above in zip(cb, up, up[1:]):
+            if cx != cy:
+                if above < cell:
+                    cell = above
+                if left < cell:
+                    cell = left
+                cell += 1
+            row.append(cell)
+            left = cell
+        dist.append(row)
+
+    blocks: List[Tuple[int, int, int]] = []
+    gaps: List[int] = []
+    x, y = len(ca), len(cb)
+    while x or y:
+        if x and y and ca[x - 1] == cb[y - 1]:
+            x, y = x - 1, y - 1
+            blocks.append((x, y, 1))
+        else:
+            i, j = _first_gap_start(dist, x, y, dist[x][y])
+            gaps.append(max(x - i, y - j))
+            x, y = i, j
+    blocks.reverse()
+    gaps.reverse()
+    total = dist[-1][-1]
+    return total, Alignment(tuple(blocks), tuple(gaps), total)
+
+
 def _shared_blocks(handle: SemigroupHandle, a: Sequence, b: Sequence,
                    x: int, y: int, span: int) -> Iterator[int]:
     """Lengths ell <= span, shortest first, of the shared blocks
     a[x-ell:x], b[y-ell:y] ending at (x, y).  The caller has matched the
-    atom classes over the whole span; with nontrivial units the block
-    products must agree too, and they grow by one left factor per length."""
-    if handle.reduced:
-        yield from range(1, span + 1)
-        return
+    atom classes over the whole span; the block products must agree too,
+    and they grow by one left factor per length."""
     key, mul = handle.key, handle.multiply
     pa, pb = a[x - 1], b[y - 1]
     for ell in range(1, span + 1):
@@ -203,7 +252,7 @@ def _first_gap_start(dist: List[List[int]], x: int, y: int,
 
 
 def rigid_distance_oracle(handle: SemigroupHandle, z: RigidFactorization,
-                          zp: RigidFactorization, max_total: int = 10) -> int:
+                          zp: RigidFactorization) -> int:
     """Exhaustive recursion over all block decompositions (test oracle).
 
     Independent of the dynamic program: every monotone choice of shared
@@ -211,8 +260,9 @@ def rigid_distance_oracle(handle: SemigroupHandle, z: RigidFactorization,
     """
     a, b = z.atoms, zp.atoms
     k, l = len(a), len(b)
-    if k + l > max_total:
-        raise InstanceTooLarge(f"combined length {k + l} exceeds {max_total}")
+    if k + l > _ORACLE_MAX_TOTAL:
+        raise InstanceTooLarge(
+            f"combined length {k + l} exceeds {_ORACLE_MAX_TOTAL}")
     if k == 0 and l == 0:
         return 0 if handle.key(z.product) == handle.key(zp.product) else 1
 

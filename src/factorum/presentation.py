@@ -115,6 +115,12 @@ class Presentation:
                 raise BudgetError("max_word_length is below a relation side")
 
 
+def _column(line: str, start: int, i: int) -> int:
+    """The 1-based column of the i-th whitespace-separated token of
+    line[start:] (only error messages ask, so the fast path splits)."""
+    return start + list(re.finditer(r"\S+", line[start:]))[i].start() + 1
+
+
 def parse_presentation(text: str) -> Presentation:
     """Parse presentation-file content.
 
@@ -128,8 +134,9 @@ def parse_presentation(text: str) -> Presentation:
     relations: List[Tuple[int, Relation]] = []  # with their lines
     budget = ExplorationBudget()
 
-    def err(lineno: int, col: int, msg: str) -> PresentationError:
-        return PresentationError(f"line {lineno}, column {col}: {msg}")
+    def err(lineno: int, col: int, msg: str,
+            kind: type = PresentationError) -> PresentationError:
+        return kind(f"line {lineno}, column {col}: {msg}")
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -154,31 +161,35 @@ def parse_presentation(text: str) -> Presentation:
         elif stripped.startswith("rel:"):
             if generators is None:
                 raise err(lineno, 1, "rel: before gens:")
-            body = stripped[len("rel:"):]
-            if body.count("=") != 1:
+            if line.count("=") != 1:
                 raise err(lineno, line.find("=") + 1 if "=" in line else len(line),
                           "relation needs exactly one '='")
-            left, right = body.split("=")
-            lhs, rhs = tuple(left.split()), tuple(right.split())
-            for side in (lhs, rhs):
+            eq = line.find("=")
+            sides = []
+            for start, end in ((line.find(":") + 1, eq), (eq + 1, len(line))):
+                side = tuple(line[start:end].split())
                 if not side or side == ("1",):
-                    raise EmptyRelationSideError(
-                        f"line {lineno}: reduced presentations only "
-                        "(no empty or unit relation side)")
-                for sym in side:
+                    # an empty side is placed at its '='
+                    raise err(lineno, _column(line, start, 0) if side else eq + 1,
+                              "reduced presentations only "
+                              "(no empty or unit relation side)",
+                              EmptyRelationSideError)
+                for i, sym in enumerate(side):
                     if sym not in generators:
-                        raise UndeclaredGeneratorError(
-                            f"line {lineno}, column {line.find(sym) + 1}: "
-                            f"undeclared generator {sym!r}")
-            relations.append((lineno, Relation(lhs, rhs)))
+                        raise err(lineno, _column(line, start, i),
+                                  f"undeclared generator {sym!r}",
+                                  UndeclaredGeneratorError)
+                sides.append(side)
+            relations.append((lineno, Relation(*sides)))
         elif stripped.startswith("budget:"):
-            fields = stripped[len("budget:"):].split()
+            colon = line.find(":") + 1
             kwargs = {}
-            for f in fields:
+            for i, f in enumerate(line[colon:].split()):
                 k, _, v = f.partition("=")
                 if k not in ("max_word_length", "max_ball_size") \
                         or not v.isdigit() or int(v) < 1:
-                    raise err(lineno, line.find(f) + 1, f"bad budget field {f!r}")
+                    raise err(lineno, _column(line, colon, i),
+                              f"bad budget field {f!r}")
                 kwargs[k] = int(v)
             budget = ExplorationBudget(**kwargs)
         else:

@@ -288,9 +288,10 @@ class BlockMonoidHandle(SemigroupHandle):
 
 
 def zero_sum_sequences(group: FiniteAbelianGroup,
-                       subset: Optional[Sequence[GroupElement]] = None,
-                       max_length: int = 6) -> Iterator[ZeroSumSequence]:
-    """All nonempty zero-sum sequences over the subset of length <= max_length."""
+                       subset: Optional[Sequence[GroupElement]],
+                       max_length: int) -> Iterator[ZeroSumSequence]:
+    """All nonempty zero-sum sequences of length <= max_length over the
+    subset, or over the whole group when it is None."""
     support = sorted(set(subset)) if subset is not None else group.elements()
     zero = group.zero()
 

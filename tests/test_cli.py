@@ -148,6 +148,22 @@ def test_tri_malformed_matrix_names_the_entry(capsys):
     assert err == "error: row 1, column 1: '1.5' is not an integer\n"
 
 
+@pytest.mark.parametrize("text,message", [
+    ("gens: a b\nrel: a b = e\n",
+     "line 2, column 12: undeclared generator 'e'"),
+    ("gens: a b\nrel: a b = 1\n", "line 2, column 12: reduced presentations "
+     "only (no empty or unit relation side)"),
+    ("gens: a b\nrel: a b =\n", "line 2, column 10: reduced presentations "
+     "only (no empty or unit relation side)")],
+    ids=["undeclared-generator", "unit-side", "empty-side"])
+def test_parse_error_names_line_and_column(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.pres"
+    path.write_text(text)
+    code, out, err = run(capsys, "parse", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_check_wth_command(capsys):
     code, out, _ = run(capsys, "check-wth", pres_path("ab_cd"))
     assert '"weak_transfer_within_budget": false' in out

@@ -317,6 +317,124 @@ def test_witness_takes_the_shortest_block():
     assert al.gap_costs == ()
 
 
+def king_move_reference(handle, z, zp):
+    """The king-move table as one path for every handle: each cell pays
+    for min over its three moves and every admissible shared block, and
+    the witness searches the blocks ending at each cell.  Kept as the
+    reference for the edit-distance table of reduced handles; returns the
+    table too."""
+    a, b = z.atoms, zp.atoms
+    k, l = len(a), len(b)
+    if k == 0 and l == 0:
+        cost = 0 if handle.key(z.product) == handle.key(zp.product) else 1
+        return cost, Alignment((), (cost,) if cost else (), cost), [[0]]
+    if k == 0 or l == 0:
+        return k + l, Alignment((), (k + l,), k + l), None
+
+    ca = [handle.atom_class(u) for u in a]
+    cb = [handle.atom_class(v) for v in b]
+
+    def reach(x, y, limit):
+        out = ell = 0
+        while ell < x and ell < y and ca[x - ell - 1] == cb[y - ell - 1]:
+            ell += 1
+            if dist[x - ell][y - ell] <= limit:
+                out = ell
+        return out
+
+    def shared_blocks(x, y, span):
+        if handle.reduced:
+            yield from range(1, span + 1)
+            return
+        pa, pb = a[x - 1], b[y - 1]
+        for ell in range(1, span + 1):
+            if ell > 1:
+                pa = handle.multiply(a[x - ell], pa)
+                pb = handle.multiply(b[y - ell], pb)
+            if handle.key(pa) == handle.key(pb):
+                yield ell
+
+    def first_gap_start(x, y, m):
+        for i in range(max(0, x - m), x + 1):
+            for j in range(max(0, y - m), y + 1 if i < x else y):
+                if dist[i][j] + max(x - i, y - j) == m:
+                    return i, j
+        raise AssertionError(f"no gap reaches ({x}, {y}) at cost {m}")
+
+    dist = [list(range(l + 1))]
+    for x in range(1, k + 1):
+        up, row, cx = dist[-1], [x], ca[x - 1]
+        for y in range(1, l + 1):
+            diag = up[y - 1]
+            best = min(up[y], row[y - 1], diag) + 1
+            if cx == cb[y - 1]:
+                for ell in shared_blocks(x, y, reach(x, y, best - 1)):
+                    best = min(best, dist[x - ell][y - ell])
+            row.append(best)
+        dist.append(row)
+    total = dist[k][l]
+
+    blocks, gaps = [], []
+    x, y = k, l
+    while x or y:
+        m = dist[x][y]
+        ell = next((e for e in shared_blocks(x, y, reach(x, y, m))
+                    if dist[x - e][y - e] == m), 0)
+        if ell:
+            blocks.append((x - ell, y - ell, ell))
+            x, y = x - ell, y - ell
+        else:
+            i, j = first_gap_start(x, y, m)
+            gaps.append(max(x - i, y - j))
+            x, y = i, j
+    return total, Alignment(tuple(reversed(blocks)), tuple(reversed(gaps)),
+                            total), dist
+
+
+@st.composite
+def _long_word_pairs(draw):
+    # one word of 7-14 atoms, past the reach of the closing-gap reference,
+    # against one of 0-14, in either order
+    h = _WORD_HANDLES[draw(st.sampled_from(sorted(_WORD_HANDLES)))]()
+    atoms = h.enumerate_atoms(1)[0]
+    long = tuple(draw(st.lists(st.sampled_from(atoms), min_size=7,
+                               max_size=14)))
+    other = tuple(draw(st.lists(st.sampled_from(atoms), max_size=14)))
+    z, zp = (long, other) if draw(st.booleans()) else (other, long)
+    return h, RigidFactorization(z, h.product(z)), \
+        RigidFactorization(zp, h.product(zp))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_long_word_pairs())
+def test_edit_distance_table_matches_king_move_reference(pair):
+    h, z, zp = pair
+    value, al = rigid_distance_alignment(h, z, zp)
+    ref_value, ref, _ = king_move_reference(h, z, zp)
+    assert (value, al.blocks, al.gap_costs, al.total) == \
+        (ref_value, ref.blocks, ref.gap_costs, ref.total)
+    if z.length + zp.length <= 10:
+        assert value == rigid_distance_oracle(h, z, zp)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(_atom_word_pairs(), _long_word_pairs()))
+def test_matched_cells_take_their_diagonal(pair):
+    # the match lemma behind the reduced path: in the king-move table a
+    # class-matched cell equals its diagonal (adjacent cells differ by at
+    # most 1), so every witness block has length 1
+    h, z, zp = pair
+    _, _, dist = king_move_reference(h, z, zp)
+    ca = [h.atom_class(u) for u in z.atoms]
+    cb = [h.atom_class(v) for v in zp.atoms]
+    for x in range(1, z.length + 1):
+        for y in range(1, zp.length + 1):
+            if ca[x - 1] == cb[y - 1]:
+                assert dist[x][y] == dist[x - 1][y - 1]
+    _, al = rigid_distance_alignment(h, z, zp)
+    assert all(ell == 1 for _, _, ell in al.blocks)
+
+
 # the one comparison of class multisets ----------------------------------
 
 # classes of one handle share a type: small ints, or words

@@ -51,6 +51,13 @@ def test_parse_syntax_error_carries_position():
             ("gens: a b\nrelation a = b\n", "line 2, column 1"),
             ("gens: a a\n", "line 1, column 9"),
             ("gens: a b\nbudget: max_word_length=0\n", "line 2, column 9"),
+            # columns come from the token, not from its first match in the line
+            ("gens: a b\nbudget: b\n", "line 2, column 9"),
+            ("gens: a b\nrel: a b = e\n", "line 2, column 12"),
+            ("gens: a b\nrel: a b = 1\n", "line 2, column 12"),
+            # an empty side is placed at its '='
+            ("gens: a b\nrel: a b =\n", "line 2, column 10"),
+            ("gens: a b\nrel:  = a\n", "line 2, column 7"),
             # the file's word cap also binds relations above its line
             ("gens: a b\nrel: a b a = b\nbudget: max_word_length=2\n",
              "line 2, column 1")]:
