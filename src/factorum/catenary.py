@@ -199,24 +199,38 @@ def _adjacent(g: _Graph):
     return [(k + l, cross) for k, l in zip(by_len, by_len[1:])]
 
 
-def _report(handle, a, kind: DistanceKind, variant: str, view: Callable
-            ) -> CatenaryReport:
-    """Build the graph of a once; ``view`` cuts it into parts, each with its
-    edge weights, and the value is the largest in-part bottleneck.  A graph
-    of fewer than two nodes has no edge: its value is 0, with no witness.
-    Only the witness's two endpoints are shown as rigid factorizations."""
-    g = _graph(handle, a, kind)
-    if len(g.nodes) < 2:
-        return CatenaryReport(0, kind, variant, g.complete, element=a)
+def _largest_bottleneck(g: _Graph, view: Callable
+                        ) -> Tuple[int, Optional[Tuple[int, int]]]:
+    """The largest in-part bottleneck of a graph of at least two nodes,
+    with its edge: ``view`` cuts the graph into parts, each with its edge
+    weights."""
     value, arg = 0, None
     for part, weights in view(g):
         v, edge = _bottleneck(part, weights)
         if v > value:
             value, arg = v, edge
-    witness = None if arg is None else ChainWitness(
+    return value, arg
+
+
+def _witness(g: _Graph, value: int, arg: Optional[Tuple[int, int]]
+             ) -> Optional[ChainWitness]:
+    """The witness of a bottleneck edge: only its two endpoints are shown
+    as rigid factorizations."""
+    return None if arg is None else ChainWitness(
         tuple(g.rigid(g.nodes[i]) for i in arg), value)
+
+
+def _report(handle, a, kind: DistanceKind, variant: str, view: Callable
+            ) -> CatenaryReport:
+    """Build the graph of a once and report its largest in-part bottleneck
+    under ``view``.  A graph of fewer than two nodes has no edge: its value
+    is 0, with no witness."""
+    g = _graph(handle, a, kind)
+    if len(g.nodes) < 2:
+        return CatenaryReport(0, kind, variant, g.complete, element=a)
+    value, arg = _largest_bottleneck(g, view)
     return CatenaryReport(value, kind, variant, g.complete,
-                          witness=witness, element=a)
+                          witness=_witness(g, value, arg), element=a)
 
 
 def catenary(handle: SemigroupHandle, a, kind: DistanceKind = DistanceKind.PERMUTABLE
@@ -247,8 +261,11 @@ def monotone_catenary(handle, a, kind: DistanceKind = DistanceKind.PERMUTABLE
                       ) -> CatenaryReport:
     """c_{d,mon}(a) = max(c_{d,eq}(a), c_{d,adj}(a)) on one graph (the
     witness comes from the equal view on a tie)."""
-    return _report(handle, a, kind, "monotone",
-                   lambda g: _equal(g) + _adjacent(g))
+    return _report(handle, a, kind, "monotone", _monotone)
+
+
+def _monotone(g: _Graph):
+    return _equal(g) + _adjacent(g)
 
 
 def catenary_in_fibers(handle, a, kind: DistanceKind, transfer_map
@@ -273,20 +290,33 @@ def catenary_in_fibers(handle, a, kind: DistanceKind, transfer_map
 VARIANTS: Dict[str, Callable[..., CatenaryReport]] = {
     "plain": catenary, "equal": equal_catenary,
     "adjacent": adjacent_catenary, "monotone": monotone_catenary}
+_VIEWS: Dict[str, Callable] = {
+    "plain": _whole, "equal": _equal, "adjacent": _adjacent,
+    "monotone": _monotone}
 
 
 def semigroup_catenary(handle, elements: Sequence, kind: DistanceKind,
                        variant: str = "plain",
                        scope_complete: bool = True) -> CatenaryReport:
     """sup of c_d over the explored elements (a certified lower bound for
-    the semigroup-level value)."""
-    fn = VARIANTS[variant]
-    value, witness, element, certified = 0, None, None, scope_complete
+    the semigroup-level value).  Each element's graph is cut by the
+    variant's view as in its own report, but only the first element of
+    the largest value keeps its graph and edge, and its witness is the
+    one built."""
+    view = _VIEWS[variant]
+    value, best, certified = 0, None, scope_complete
     for a in elements:
-        rep = fn(handle, a, kind)
-        certified = certified and rep.certified
-        if rep.value > value:
-            value, witness, element = rep.value, rep.witness, a
+        g = _graph(handle, a, kind)
+        certified = certified and g.complete
+        if len(g.nodes) < 2:
+            continue
+        v, arg = _largest_bottleneck(g, view)
+        if v > value:
+            value, best = v, (a, g, arg)
+    element = witness = None
+    if best is not None:
+        element, g, arg = best
+        witness = _witness(g, value, arg)
     return CatenaryReport(value, kind, variant, certified,
                           witness=witness, element=element,
                           notes=("semigroup-level value is a lower bound "

@@ -256,7 +256,7 @@ def rigid_distance_oracle(handle: SemigroupHandle, z: RigidFactorization,
     """Exhaustive recursion over all block decompositions (test oracle).
 
     Independent of the dynamic program: every monotone choice of shared
-    blocks is enumerated outright.
+    blocks is enumerated outright by ``_oracle_walk``.
     """
     a, b = z.atoms, zp.atoms
     k, l = len(a), len(b)
@@ -266,27 +266,32 @@ def rigid_distance_oracle(handle: SemigroupHandle, z: RigidFactorization,
     if k == 0 and l == 0:
         return 0 if handle.key(z.product) == handle.key(zp.product) else 1
 
-    best = [k + l + 2]
+    return _oracle_walk(handle, a, b, 0, 0, 0, k + l + 2)
 
-    def gapcost(p: int, q: int) -> int:
-        return 0 if p == 0 and q == 0 else max(p, q, 1)
 
-    def rec(i: int, j: int, acc: int) -> None:
-        total = acc + gapcost(k - i, l - j)
-        if total < best[0]:
-            best[0] = total
-        for p in range(i, k):
-            for q in range(j, l):
-                ell = 0
-                while p + ell < k and q + ell < l \
-                        and _match(handle, a[p + ell], b[q + ell]):
-                    ell += 1
-                    if not _block_ok(handle, a, b, p, q, ell):
-                        continue
-                    rec(p + ell, q + ell, acc + gapcost(p - i, q - j))
+def _oracle_gapcost(p: int, q: int) -> int:
+    return 0 if p == 0 and q == 0 else max(p, q, 1)
 
-    rec(0, 0, 0)
-    return best[0]
+
+def _oracle_walk(handle: SemigroupHandle, a: Sequence, b: Sequence,
+                 i: int, j: int, acc: int, best: int) -> int:
+    """The least of ``best`` and the cost of every decomposition of a[i:]
+    and b[j:] into shared blocks and gaps, ``acc`` having been paid for
+    the prefixes.  A plain module-level recursion taking its state as
+    arguments, so a call leaves no reference cycle."""
+    k, l = len(a), len(b)
+    best = min(best, acc + _oracle_gapcost(k - i, l - j))
+    for p in range(i, k):
+        for q in range(j, l):
+            ell = 0
+            while p + ell < k and q + ell < l \
+                    and _match(handle, a[p + ell], b[q + ell]):
+                ell += 1
+                if not _block_ok(handle, a, b, p, q, ell):
+                    continue
+                best = _oracle_walk(handle, a, b, p + ell, q + ell,
+                                    acc + _oracle_gapcost(p - i, q - j), best)
+    return best
 
 
 def distance(handle: SemigroupHandle, kind: DistanceKind,

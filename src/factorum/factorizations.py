@@ -12,7 +12,10 @@ multisets recurse only on a cover: dividing atoms such that every
 factorization holds one of them (on a block monoid, the atoms holding the
 least term).  Completeness is certified exactly when every sub-search was
 certified and no recursion budget was hit (non-atomic inputs such as
-<a,b | aba=b> never certify).
+<a,b | aba=b> never certify).  Both walks (``_rigid_walk``,
+``_class_walk``) are plain module-level recursions that take their state
+as arguments, so a query leaves no reference cycle and its memory is
+freed as soon as the caller drops the handle.
 """
 
 from __future__ import annotations
@@ -94,58 +97,74 @@ _DEPTH_FALLBACK = 64
 
 
 def _atom_tuples(handle: SemigroupHandle, a) -> Tuple[Tuple[Tuple, ...], bool]:
-    """All atom sequences composing to a, with a completeness flag."""
-    cache = handle.memo.rigid
-    in_progress = set()
+    """All atom sequences composing to a, with a completeness flag, from
+    ``_rigid_walk``."""
+    return _rigid_walk(handle, handle.memo.rigid, set(), a, _depth(handle, a))
 
-    def rec(x, depth_left: int) -> Tuple[Tuple[Tuple, ...], bool]:
-        if handle.is_unit(x):
-            return ((),), True
-        key = handle.key(x)
-        hit = cache.get(key)
-        if hit is not None:
-            facts, complete, depth_at, _ = hit
-            if complete or depth_at >= depth_left:
-                return facts, complete
-        if key in in_progress:
-            return (), False   # product cycle: cannot certify below here
-        if depth_left <= 0:
-            return (), False
-        in_progress.add(key)
-        pairs, complete = handle.left_divisor_atoms(x)
-        # The result is ordered by (length, atom keys).  A quotient's tuples
-        # are in that order already, so prefixing one atom keeps it, and the
-        # first atoms order the rest; only an atom with several quotients (a
-        # non-cancellative presentation) merges their tuples by key.  Every
-        # [atom * unit] with the trailing unit absorbed is x itself, so the
-        # set keeps at most one.
-        singles = set()
-        by_atom: Dict = {}      # atom key -> [(atom, quotient's tuples)]
-        for atom, quotient in pairs:
-            if handle.is_unit(quotient):
-                singles.add((handle.multiply(atom, quotient),))
-                continue
-            sub, sub_complete = rec(quotient, depth_left - 1)
-            complete = complete and sub_complete
-            by_atom.setdefault(handle.key(atom), []).append((atom, sub))
-        in_progress.discard(key)
-        facts = list(singles)
-        for atom_key in sorted(by_atom):
-            group = by_atom[atom_key]
-            if len(group) == 1:
-                atom, sub = group[0]
-                facts.extend((atom,) + f for f in sub)
-            else:
-                facts.extend(sorted(
-                    set((atom,) + f for atom, sub in group for f in sub),
-                    key=lambda f: (len(f), tuple(map(handle.key, f)))))
-        # a stable sort by length keeps each length's tuples in atom order
-        facts.sort(key=len)
-        result = tuple(facts)
-        cache[key] = (result, complete, depth_left, None)
-        return result, complete
 
-    return rec(a, _depth(handle, a))
+def _rigid_walk(handle: SemigroupHandle, cache: Dict, in_progress: set, x,
+                depth_left: int) -> Tuple[Tuple[Tuple, ...], bool]:
+    """The atom sequences of x, memoised in ``cache`` (the handle's
+    ``memo.rigid``), recursing on its left-divisor atoms.  ``in_progress``
+    holds the keys on the current path: meeting one again is a product
+    cycle, below which nothing is certified.
+
+    A plain module-level recursion taking its state as arguments: a call
+    makes no closure, so it leaves no reference cycle and its garbage is
+    freed by reference counting alone."""
+    if handle.is_unit(x):
+        return ((),), True
+    key = handle.key(x)
+    hit = cache.get(key)
+    if hit is not None:
+        facts, complete, depth_at, _ = hit
+        if complete or depth_at >= depth_left:
+            return facts, complete
+    if key in in_progress:
+        return (), False   # product cycle: cannot certify below here
+    if depth_left <= 0:
+        return (), False
+    in_progress.add(key)
+    pairs, complete = handle.left_divisor_atoms(x)
+    # The result is ordered by (length, atom keys).  A quotient's tuples
+    # are in that order already, so prefixing one atom keeps it, and the
+    # first atoms order the rest; only an atom with several quotients (a
+    # non-cancellative presentation) merges their tuples by key.  Every
+    # [atom * unit] with the trailing unit absorbed is x itself, so the
+    # set keeps at most one.
+    singles = set()
+    by_atom: Dict = {}      # atom key -> [(atom, quotient's tuples)]
+    for atom, quotient in pairs:
+        if handle.is_unit(quotient):
+            singles.add((handle.multiply(atom, quotient),))
+            continue
+        sub, sub_complete = _rigid_walk(handle, cache, in_progress, quotient,
+                                        depth_left - 1)
+        complete = complete and sub_complete
+        by_atom.setdefault(handle.key(atom), []).append((atom, sub))
+    in_progress.discard(key)
+    facts = list(singles)
+    for atom_key in sorted(by_atom):
+        group = by_atom[atom_key]
+        if len(group) == 1:
+            atom, sub = group[0]
+            facts.extend((atom,) + f for f in sub)
+        else:
+            facts.extend(_merged_by_keys(handle, group))
+    # a stable sort by length keeps each length's tuples in atom order
+    facts.sort(key=len)
+    result = tuple(facts)
+    cache[key] = (result, complete, depth_left, None)
+    return result, complete
+
+
+def _merged_by_keys(handle: SemigroupHandle, group) -> list:
+    """The distinct tuples (atom,) + f over the (atom, quotient's tuples)
+    pairs of one atom key, in the order (length, atom keys).  Kept apart
+    so that ``_rigid_walk`` holds no lambda, whose closure would cost a
+    cell on every call."""
+    return sorted(set((atom,) + f for atom, sub in group for f in sub),
+                  key=lambda f: (len(f), tuple(map(handle.key, f))))
 
 
 def rigid_factorizations(handle: SemigroupHandle, a) -> FactorizationSet:
@@ -225,49 +244,53 @@ def _depth(handle: SemigroupHandle, a) -> int:
 def permutable_class_multisets(handle: SemigroupHandle, a
                                ) -> Tuple[FrozenSet[Tuple], bool]:
     """The set of atom-class multisets of a, computed without materializing
-    rigid factorizations: one memoised set per element, built from the
-    sets of the quotients by the handle's covering atoms
-    (``covering_divisor_atoms``).  Every factorization of x holds one of
-    those atoms u, and drops to a factorization of x/u without it, so each
-    multiset of x is one of x/u's plus u.  Besides length sets and
-    divisibility, it is the node source of the catenary graph under d_len
-    and d_p on commutative reduced handles without a budget, each multiset
-    one node (see ``catenary._graph``)."""
+    rigid factorizations: one memoised set per element, built by
+    ``_class_walk`` from the sets of the quotients by the handle's
+    covering atoms (``covering_divisor_atoms``).  Every factorization of x
+    holds one of those atoms u, and drops to a factorization of x/u
+    without it, so each multiset of x is one of x/u's plus u.  Besides
+    length sets and divisibility, it is the node source of the catenary
+    graph under d_len and d_p on commutative reduced handles without a
+    budget, each multiset one node (see ``catenary._graph``)."""
     handle.require_element(a)
     memo = handle.memo
-    entries = memo.classes
-    cover, atom_class = handle.covering_divisor_atoms, handle.atom_class
-
-    def rec(x, depth_left: int) -> Tuple[Tuple[Tuple, ...], bool]:
-        if handle.is_unit(x):
-            return ((),), True
-        key = handle.key(x)
-        hit = entries.get(key)
-        if hit is not None:
-            sets, complete, depth_at = hit
-            if complete or depth_at >= depth_left:
-                return sets, complete
-        if depth_left <= 0:
-            return (), False
-        pairs, complete = cover(x)
-        out = set()
-        for atom, quotient in pairs:
-            cls = atom_class(atom)
-            sub, sub_complete = rec(quotient, depth_left - 1)
-            complete = complete and sub_complete
-            for m in sub:
-                out.add(tuple(sorted(m + (cls,))))
-        result = tuple(out)
-        entries[key] = (result, complete, depth_left)
-        if not complete:
-            memo.clean = False
-        return result, complete
-
     for skipped in memo.skipped:
-        rec(skipped, _depth(handle, skipped))
+        _class_walk(handle, memo, skipped, _depth(handle, skipped))
     memo.skipped.clear()
-    sets, complete = rec(a, _depth(handle, a))
+    sets, complete = _class_walk(handle, memo, a, _depth(handle, a))
     return frozenset(sets), complete and handle.certified(a)
+
+
+def _class_walk(handle: SemigroupHandle, memo, x, depth_left: int
+                ) -> Tuple[Tuple[Tuple, ...], bool]:
+    """The class multisets of x, memoised in ``memo.classes``; an
+    incomplete entry marks the memo not ``clean``.  Like ``_rigid_walk``
+    a plain module-level recursion, so a call leaves no reference cycle."""
+    if handle.is_unit(x):
+        return ((),), True
+    key = handle.key(x)
+    entries = memo.classes
+    hit = entries.get(key)
+    if hit is not None:
+        sets, complete, depth_at = hit
+        if complete or depth_at >= depth_left:
+            return sets, complete
+    if depth_left <= 0:
+        return (), False
+    pairs, complete = handle.covering_divisor_atoms(x)
+    atom_class = handle.atom_class
+    out = set()
+    for atom, quotient in pairs:
+        cls = atom_class(atom)
+        sub, sub_complete = _class_walk(handle, memo, quotient, depth_left - 1)
+        complete = complete and sub_complete
+        for m in sub:
+            out.add(tuple(sorted(m + (cls,))))
+    result = tuple(out)
+    entries[key] = (result, complete, depth_left)
+    if not complete:
+        memo.clean = False
+    return result, complete
 
 
 @dataclass(frozen=True, slots=True)

@@ -125,8 +125,9 @@ def atoms_of_block_monoid(group: FiniteAbelianGroup,
                           ) -> List[ZeroSumSequence]:
     """All minimal zero-sum sequences over the subset (default: all of G).
 
-    DFS over nondecreasing sequences, pruning as soon as a proper nonempty
-    sub-multiset of the prefix sums to zero; depth is capped at |G|.
+    DFS over nondecreasing sequences (``_minimal_walk``), pruning as soon
+    as a proper nonempty sub-multiset of the prefix sums to zero; depth is
+    capped at |G|.
     """
     if group.order > _MAX_ORDER:
         raise GroupTooLarge(f"group order {group.order} exceeds cap {_MAX_ORDER}")
@@ -139,29 +140,38 @@ def atoms_of_block_monoid(group: FiniteAbelianGroup,
     if zero in support:
         atoms.append((zero,))
     nonzero = [g for g in support if g != zero]
-    max_len = group.order
-
-    def dfs(start: int, prefix: List[GroupElement], total: GroupElement,
-            proper_sums: FrozenSet[GroupElement]) -> None:
-        if total == zero and prefix:
-            atoms.append(tuple(prefix))
-            return  # extending a zero-sum sequence can never stay minimal
-        if len(prefix) >= max_len:
-            return
-        for i in range(start, len(nonzero)):
-            g = nonzero[i]
-            new_proper = set(proper_sums)
-            new_proper.update(group.add(s, g) for s in proper_sums)
-            if prefix:
-                # the old prefix, and {g} alone, are proper in prefix + [g]
-                new_proper.add(total)
-                new_proper.add(g)
-            if zero in new_proper:
-                continue  # a proper nonempty sub-multiset already sums to 0
-            dfs(i, prefix + [g], group.add(total, g), frozenset(new_proper))
-
-    dfs(0, [], zero, frozenset())
+    _minimal_walk(group, nonzero, zero, group.order, atoms, 0, [], zero,
+                  frozenset())
     return sorted(atoms, key=lambda a: (len(a), a))
+
+
+def _minimal_walk(group: FiniteAbelianGroup, nonzero: List[GroupElement],
+                  zero: GroupElement, max_len: int,
+                  atoms: List[ZeroSumSequence], start: int,
+                  prefix: List[GroupElement], total: GroupElement,
+                  proper_sums: FrozenSet[GroupElement]) -> None:
+    """Append to ``atoms`` every minimal zero-sum extension of ``prefix``
+    by terms ``nonzero[start:]`` in order; ``proper_sums`` holds the sums
+    of the proper nonempty sub-multisets of the prefix.  A plain
+    module-level recursion taking its state as arguments, so a call
+    leaves no reference cycle."""
+    if total == zero and prefix:
+        atoms.append(tuple(prefix))
+        return  # extending a zero-sum sequence can never stay minimal
+    if len(prefix) >= max_len:
+        return
+    for i in range(start, len(nonzero)):
+        g = nonzero[i]
+        new_proper = set(proper_sums)
+        new_proper.update(group.add(s, g) for s in proper_sums)
+        if prefix:
+            # the old prefix, and {g} alone, are proper in prefix + [g]
+            new_proper.add(total)
+            new_proper.add(g)
+        if zero in new_proper:
+            continue  # a proper nonempty sub-multiset already sums to 0
+        _minimal_walk(group, nonzero, zero, max_len, atoms, i, prefix + [g],
+                      group.add(total, g), frozenset(new_proper))
 
 
 def davenport(group: FiniteAbelianGroup) -> int:
@@ -217,7 +227,15 @@ class BlockMonoidHandle(SemigroupHandle):
         return seq
 
     def require_element(self, x) -> None:
-        """Raise ValueError unless x is a sorted zero-sum sequence over G_P."""
+        """Raise ValueError unless x is a sorted zero-sum sequence over G_P.
+
+        A key of the memo's class multisets passes at once: it was checked
+        before, or is a quotient of one that was."""
+        try:
+            if x in self.memo.classes:
+                return
+        except TypeError:   # unhashable: never a key, checked below
+            pass
         if not self._support.issuperset(x):
             outside = next(g for g in x if g not in self._support)
             raise ValueError(f"sequence {x!r} has the term {outside!r} "
@@ -294,17 +312,25 @@ def zero_sum_sequences(group: FiniteAbelianGroup,
     subset, or over the whole group when it is None."""
     support = sorted(set(subset)) if subset is not None else group.elements()
     zero = group.zero()
+    yield from _zero_sum_walk(group, support, zero, max_length, 0, [], zero)
 
-    def dfs(start: int, prefix: List[GroupElement], total: GroupElement):
-        if prefix and total == zero:
-            yield tuple(prefix)
-        if len(prefix) >= max_length:
-            return
-        for i in range(start, len(support)):
-            g = support[i]
-            yield from dfs(i, prefix + [g], group.add(total, g))
 
-    yield from dfs(0, [], zero)
+def _zero_sum_walk(group: FiniteAbelianGroup, support: List[GroupElement],
+                   zero: GroupElement, max_length: int, start: int,
+                   prefix: List[GroupElement], total: GroupElement
+                   ) -> Iterator[ZeroSumSequence]:
+    """The zero-sum extensions of ``prefix`` by terms ``support[start:]``,
+    the prefix itself first, each at most ``max_length`` long.  A plain
+    module-level generator taking its state as arguments, so a walk
+    leaves no reference cycle."""
+    if prefix and total == zero:
+        yield tuple(prefix)
+    if len(prefix) >= max_length:
+        return
+    for i in range(start, len(support)):
+        g = support[i]
+        yield from _zero_sum_walk(group, support, zero, max_length, i,
+                                  prefix + [g], group.add(total, g))
 
 
 def block_catenary(group: FiniteAbelianGroup,

@@ -1,4 +1,4 @@
-from factorum.catenary import (adjacent_catenary, catenary,
+from factorum.catenary import (VARIANTS, adjacent_catenary, catenary,
                                catenary_in_fibers, equal_catenary,
                                monotone_catenary, semigroup_catenary)
 from factorum.distances import DistanceKind, distance
@@ -208,6 +208,33 @@ def test_semigroup_catenary():
     fels, _ = free.enumerate_elements(5)
     for kind in DistanceKind:
         assert semigroup_catenary(free, fels, kind).value == 0
+
+
+def _element_sup(fn, handle, elements, kind):
+    """The semigroup value as the sup of the element reports: the first
+    element of the largest value, and its witness."""
+    best = None
+    certified = True
+    for a in elements:
+        rep = fn(handle, a, kind)
+        certified = certified and rep.certified
+        if best is None or rep.value > best.value:
+            best = rep
+    return best.value, best.element if best.value else None, \
+        best.witness if best.value else None, certified
+
+
+def test_semigroup_catenary_is_the_sup_of_element_reports():
+    cases = [(engine("abc_cb"), 5), (ab_ban(3, 8), 5),
+             (BlockMonoidHandle(FiniteAbelianGroup((2, 4))), 6)]
+    for h, size in cases:
+        els, _ = h.enumerate_elements(size)
+        for kind in DistanceKind:
+            for variant, fn in VARIANTS.items():
+                rep = semigroup_catenary(h, els, kind, variant)
+                assert (rep.value, rep.element, rep.witness, rep.certified) \
+                    == _element_sup(fn, h, els, kind), (h.name, kind, variant)
+                assert rep.variant == variant
 
 
 def _single_node_cases():

@@ -411,3 +411,24 @@ def test_presentation_reports_carry_budget_and_warnings(capsys, tmp_path,
     assert payload["budget"] == {"max_ball_size": 100_000,
                                  "max_word_length": 5}
     assert NON_ADYAN_WARNING in payload["warnings"]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["zss", "--group", "2,4", "catenary"],
+     '{"budget": {}, "certification": "lower-bound", "invariant": '
+     '"block-catenary(C2 + C4)", "schema": "factorum/1", "value": 3, '
+     '"warnings": ["searched all zero-sum sequences of length <= 6", '
+     '"classification value 4 for C2 + C4: computed bound below it"], '
+     '"witnesses": [{"element": "(0+1 0+1 0+2 0+2 0+3 0+3)"}]}\n'),
+    (["catenary", pres_path("abc_cb"), "--kind", "perm", "--all",
+      "--max-length", "5"],
+     '{"budget": {"max_ball_size": 100000, "max_word_length": 12}, '
+     '"certification": "lower-bound", "invariant": '
+     '"catenary-permutable-plain-semigroup", "schema": "factorum/1", '
+     '"value": 1, "warnings": ["semigroup-level value is a lower bound '
+     'over the explored scope"], "witnesses": [{"bound": 1, "chain": '
+     '[["a", "b", "c"], ["c", "b"]]}]}\n'),
+], ids=["zss-catenary", "catenary-all"])
+def test_semigroup_catenary_json_is_unchanged(capsys, argv, expected):
+    code, out, _ = run(capsys, "--format", "json", *argv)
+    assert (code, out) == (2, expected)

@@ -291,3 +291,25 @@ def test_non_members_are_rejected():
     # members, the empty sequence among them, still answer
     assert length_profile(restricted, ((1,),) * 3).lengths == (1,)
     assert catenary(c3, ()).value == 0
+
+
+_C2_C4 = FiniteAbelianGroup((2, 4))
+_MEMBER = ((0, 1),) * 4 + ((1, 0),) * 2
+
+
+@pytest.mark.parametrize("x, message", [
+    (tuple(reversed(_MEMBER)), "not sorted"),
+    (((0, 1), (1, 0)), "zero sum"),
+    (list(_MEMBER), "not sorted"),
+], ids=["unsorted", "non-zero-sum", "unhashable-list"])
+def test_require_element_rejects_non_members_on_a_warm_memo(x, message):
+    h = BlockMonoidHandle(_C2_C4)
+    catenary(h, _MEMBER)
+    # the sequence and its quotients are memo keys, and pass at once
+    assert _MEMBER in h.memo.classes and len(h.memo.classes) > 1
+    for key in h.memo.classes:
+        h.require_element(key)
+    with pytest.raises(ValueError, match=message):
+        h.require_element(x)
+    with pytest.raises(ValueError, match=message):
+        catenary(h, x)
