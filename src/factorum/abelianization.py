@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .factorizations import permutable_factorizations
 from .handles import DivisorPairs, SemigroupHandle
 from .presentation import (Element, ExplorationBudget, Presentation,
-                           PresentationSemigroup)
+                           PresentationSemigroup, _bind_closed_class)
 
 Vector = Tuple[int, ...]
 _LENGTH_MAP_SCOPE = 5    # the longest elements on which length_map is checked
@@ -44,6 +45,12 @@ def _vec_of(word: Tuple[str, ...], index: Dict[str, int], n: int) -> Vector:
     for sym in word:
         v[index[sym]] += 1
     return tuple(v)
+
+
+class VectorBall(NamedTuple):
+    members: FrozenSet[Vector]
+    closed: bool
+    canonical: Vector       # the least member by (total, vector)
 
 
 @dataclass(frozen=True)
@@ -78,19 +85,23 @@ class CommutativeVectorSemigroup(SemigroupHandle):
             self._rules.append((lhs, rhs))
             if lhs != rhs:
                 self._rules.append((rhs, lhs))
+        # ball caches of facts, as on the word engine (see
+        # ``PresentationSemigroup.__init__``)
         self._canon: Dict[Vector, Vector] = {}
-        self._balls: Dict[Vector, Tuple[FrozenSet[Vector], bool]] = {}
-        # vectors a ball build found already bound in ``_canon``: only such
-        # a re-binding changes what ``element`` answers for an earlier vector
-        self.rebinds = 0
+        self._balls: Dict[Vector, VectorBall] = {}
+        self._open_balls: Dict[Vector, VectorBall] = {}
         self.name = "abelianization(" + " ".join(generators) + ")"
 
     def _key(self, v: Vector):
         return (sum(v), v)
 
-    def ball(self, v: Vector) -> Tuple[FrozenSet[Vector], bool]:
-        if v in self._canon:
-            return self._balls[self._canon[v]]
+    def ball(self, v: Vector) -> VectorBall:
+        canonical = self._canon.get(v)
+        if canonical is not None:
+            return self._balls[canonical]
+        ball = self._open_balls.get(v)
+        if ball is not None:
+            return ball
         cap = max(self.budget.max_word_length, sum(v))
         members = {v}
         queue = [v]
@@ -110,18 +121,19 @@ class CommutativeVectorSemigroup(SemigroupHandle):
                             break
                         members.add(nb)
                         queue.append(nb)
-        canonical = min(members, key=self._key)
-        result = (frozenset(members), closed)
-        for m in members:
-            if m in self._canon:
-                self.rebinds += 1
-            self._canon[m] = canonical
-        self._balls[canonical] = result
-        return result
+        ball = VectorBall(frozenset(members), closed,
+                          min(members, key=self._key))
+        if closed:
+            _bind_closed_class(self._canon, members, ball.canonical,
+                               self.budget.max_word_length, sum)
+            self._balls[ball.canonical] = ball
+        else:
+            self._open_balls[v] = ball
+        return ball
 
     def element(self, v: Vector) -> VectorElement:
-        members, closed = self.ball(v)
-        return VectorElement(self._canon[v], closed)
+        ball = self.ball(v)
+        return VectorElement(ball.canonical, ball.closed)
 
     def project_word(self, word: Tuple[str, ...]) -> VectorElement:
         index = {g: i for i, g in enumerate(self.generators)}
@@ -147,14 +159,14 @@ class CommutativeVectorSemigroup(SemigroupHandle):
     def is_atom(self, x: VectorElement) -> bool:
         if self.is_unit(x):
             return False
-        members, closed = self.ball(x.coords)
-        return closed and all(sum(m) == 1 for m in members)
+        ball = self.ball(x.coords)
+        return ball.closed and all(sum(m) == 1 for m in ball.members)
 
     def left_divisor_atoms(self, x: VectorElement) -> DivisorPairs:
-        members, closed = self.ball(x.coords)
-        complete = closed
+        ball = self.ball(x.coords)
+        complete = ball.closed
         pairs = {}
-        for m in sorted(members, key=self._key):
+        for m in sorted(ball.members, key=self._key):
             for sub in _subvectors(m):
                 el = self.element(sub)
                 if not self.is_atom(el):
@@ -183,8 +195,8 @@ class CommutativeVectorSemigroup(SemigroupHandle):
         for v in _vectors_up_to(self.n, max_total):
             if sum(v) == 0:
                 continue
-            members, closed = self.ball(v)
-            if closed and zero in members:
+            ball = self.ball(v)
+            if ball.closed and zero in ball.members:
                 return False
         return True
 
@@ -196,75 +208,41 @@ class CommutativeVectorSemigroup(SemigroupHandle):
 
         The result is the first violation in the order of the loop over
         vectors a, then b > a, then generators c, with a and b over vectors
-        of total at most ``max_total`` by (total, vector).  Balls are built
-        by the same first-time ``element`` calls, in the same order, as that
-        loop makes when it calls ``element`` and ``multiply`` for every
-        pair, so the ball cache, and every later uncertified answer, is left
-        as that loop leaves it.  Each vector's element and each class's row
-        of images under the generators are looked up once, and forgotten
-        whenever a ball build re-binds a vector (``rebinds``); a pair of
-        classes whose complete rows share no certified image is skipped."""
+        of total at most ``max_total`` by (total, vector).  Each class's
+        certified images under the generators are computed once, as a row
+        of (generator index, image) pairs; a pair of certified classes
+        violates cancellativity at the least generator index their rows
+        share."""
         vecs = _vectors_up_to(self.n, max_total)
         gens = [tuple(1 if i == j else 0 for j in range(self.n))
                 for i in range(self.n)]
-        memo: Dict[Vector, Tuple[Vector, bool]] = {}
-        # class -> its certified (generator index, image) pairs, once every
-        # image of the class is in ``memo``
-        images: Dict[Vector, FrozenSet[Tuple[int, Vector]]] = {}
-        rebinds = self.rebinds
+        # ``multiply(x, element(c))``: the class of c may have another
+        # canonical vector than c itself
+        steps = [self.element(c).coords for c in gens]
+        elements = {v: self.element(v) for v in vecs}
+        rows: Dict[Vector, FrozenSet[Tuple[int, Vector]]] = {}
 
-        def element(v: Vector) -> Tuple[Vector, bool]:
-            nonlocal rebinds
-            hit = memo.get(v)
-            if hit is None:
-                el = self.element(v)
-                if self.rebinds != rebinds:
-                    rebinds = self.rebinds
-                    memo.clear()
-                    images.clear()
-                hit = memo[v] = (el.coords, el.certified)
-            return hit
-
-        def image(k: Vector, c: Vector) -> Tuple[Vector, bool]:
-            # ``multiply(element(k), element(c))``: the class of c may have
-            # another canonical vector than c itself
-            return element(_add(k, element(c)[0]))
-
-        def row(k: Vector) -> Optional[FrozenSet[Tuple[int, Vector]]]:
-            found = images.get(k)
+        def row(k: Vector) -> FrozenSet[Tuple[int, Vector]]:
+            found = rows.get(k)
             if found is None:
-                hits = []
-                for c in gens:
-                    kc = memo.get(c)
-                    hit = None if kc is None else memo.get(_add(k, kc[0]))
-                    if hit is None:
-                        return None
-                    hits.append(hit)
-                found = images[k] = frozenset(
-                    (i, coords) for i, (coords, certified) in enumerate(hits)
-                    if certified)
+                images = [self.element(_add(k, c)) for c in steps]
+                found = rows[k] = frozenset(
+                    (i, img.coords) for i, img in enumerate(images)
+                    if img.certified)
             return found
 
         for a in vecs:
-            ka, ca = element(a)
+            ea = elements[a]
+            if not ea.certified:
+                continue
+            ra = row(ea.coords)
             for b in vecs:
-                if b <= a:
+                eb = elements[b]
+                if b <= a or not eb.certified or ea.coords == eb.coords:
                     continue
-                kb, cb = element(b)
-                if ka == kb or not (ca and cb):
-                    continue
-                ra, rb = row(ka), row(kb)
-                if ra is not None and rb is not None:
-                    # every call the pair would make has been made before,
-                    # so none of them builds a ball
-                    if ra.isdisjoint(rb):
-                        continue
-                    return (a, b, gens[min(i for i, _ in ra & rb)])
-                for c in gens:
-                    eac = image(ka, c)
-                    ebc = image(kb, c)
-                    if eac[1] and ebc[1] and eac[0] == ebc[0]:
-                        return (a, b, c)
+                shared = ra & row(eb.coords)
+                if shared:
+                    return (a, b, gens[min(i for i, _ in shared)])
         return None
 
 

@@ -73,6 +73,18 @@ def _length_value(L) -> dict:
 
 _LOWER_BOUND_NOTE = ("semigroup-level value: certified lower bound over "
                      "elements of length <= {}")
+_NONE_FOUND_NOTE = ("{}: no counterexample among the explored elements of "
+                    "length <= {}")
+
+
+def _sweep_certification(h: PresentationSemigroup, args, counterexample,
+                         claim: str):
+    """A bounded sweep's certification and notes: a counterexample is
+    exact, and finding none up to the swept length is only a lower bound."""
+    if counterexample:
+        return Certification.EXACT, []
+    swept = min(args.max_length, h.budget.max_word_length)
+    return Certification.LOWER_BOUND, [_NONE_FOUND_NOTE.format(claim, swept)]
 
 
 def cmd_parse(args) -> int:
@@ -238,11 +250,14 @@ def cmd_primelike(args) -> int:
         witnesses.append({"element": h.format_element(el),
                           "with": _fact_strings(h, [zw])[0],
                           "without": _fact_strings(h, [zwo])[0]})
-    elif rep.holds:
+    else:
         pl = is_prime_like(h, q, els, complete)
         value["prime_like"] = pl.holds
-    return _emit(_report(h, "prime-like", value, certification(rep.certified),
-                         witnesses), args.format)
+    cert, notes = _sweep_certification(
+        h, args, rep.counterexample,
+        "prime-likeness" if value.get("prime_like") else "almost prime-likeness")
+    return _emit(_report(h, "prime-like", value, cert, witnesses, notes),
+                 args.format)
 
 
 def cmd_abelianize(args) -> int:
@@ -272,8 +287,10 @@ def cmd_check_wth(args) -> int:
     for a, b, mset in rep.counterexamples[:5]:
         witnesses.append({"pair": [h.format_element(a), h.format_element(b)],
                           "unliftable_multiset": [" ".join(w) for w in mset]})
-    return _emit(_report(h, "check-wth", value, certification(rep.certified),
-                         witnesses, rep.notes), args.format)
+    cert, notes = _sweep_certification(h, args, rep.counterexamples,
+                                       "the weak-transfer condition")
+    return _emit(_report(h, "check-wth", value, cert, witnesses,
+                         list(rep.notes) + notes), args.format)
 
 
 def cmd_zss(args) -> int:

@@ -314,8 +314,8 @@ def length_profile(handle: SemigroupHandle, a) -> LengthSet:
         return LengthSet((0,), (), Fraction(0), True)
     memo = handle.memo
     fs = memo.complete_set(handle, a) if memo.clean else None
-    found = None if fs is None else {len(z.atoms) for z in fs}
-    if found is not None and max(found, default=0) <= _depth(handle, a):
+    if fs is not None:
+        found = {len(z.atoms) for z in fs}
         memo.skipped.append(a)
         complete = True
     else:

@@ -41,9 +41,10 @@ class HandleMemo:
 
     ``length_profile`` may read a certified element's lengths off its
     complete rigid set instead of walking the class multisets.  It does so
-    only while every ``classes`` entry is complete (``clean``) and no
-    factorization is longer than the walk's depth, because then the walk
-    would find the same lengths and write only complete entries.  The
+    only while every ``classes`` entry is complete (``clean``), because
+    then the walk would find the same lengths and write only complete
+    entries: a complete set is held only for an element whose own search
+    closed, so no factorization in it is longer than the walk's depth.  The
     skipped walks are queued in ``skipped`` and run before the next walk,
     so every later walk finds the entries it found when they were not
     skipped.

@@ -247,10 +247,23 @@ class CongruenceBall:
     seed: Word
     members: FrozenSet[Word]
     closed: bool
+    canonical: Word     # the shortlex-least member
     truncated: bool = False
     # the shortlex-least member of length >= 2, None when every member is a
     # single letter: its first letter and the rest split the class
     least_long_member: Optional[Word] = None
+
+
+def _bind_closed_class(canon: Dict, members, canonical, word_cap: int,
+                       size) -> None:
+    """Bind the members of a closed ball to its canonical word in
+    ``canon``, each only when its own build would close the ball too: when
+    its cap max(word_cap, size(member)) reaches the longest member.  A word
+    is then answered from the cache exactly as a cold engine answers it."""
+    longest = max(map(size, members))
+    for m in members:
+        if max(word_cap, size(m)) >= longest:
+            canon[m] = canonical
 
 
 class Equality(Enum):
@@ -311,18 +324,21 @@ class PresentationSemigroup(SemigroupHandle):
             self._rules.append((r.lhs, r.rhs))
             if r.lhs != r.rhs:
                 self._rules.append((r.rhs, r.lhs))
+        # The ball caches hold facts only, so every answer is a function of
+        # the words asked about, not of what was explored before.  A closed
+        # ball is a whole congruence class (rewriting is symmetric, and no
+        # rewrite of a member leaves it); ``_canon`` binds it to the members
+        # whose own build closes it too (``_bind_closed_class``), and
+        # ``_balls`` keeps it under its canonical word.  Any other ball is
+        # kept in ``_open_balls`` under its seed alone and never shared.
         self._canon: Dict[Word, Word] = {}
         self._balls: Dict[Word, CongruenceBall] = {}
-        # Per-class memo, keyed by canonical word, for closed balls only.
-        # A closed ball is never absorbed later: rewriting is symmetric, so
-        # a word one rewrite away from a member of a closed ball is either
-        # inside it or longer than its cap, and the latter would have made
-        # the ball escape.  Its members therefore keep their canonical word
-        # and one Element.  An atom answer is kept when its witness factors
-        # are of closed classes too, and a left-divisor list when it is
-        # complete (its atoms and quotients are then all of closed classes).
-        # Answers that rest on a truncated or escaped ball depend on what was
-        # explored before, so they are recomputed on every call.
+        self._open_balls: Dict[Word, CongruenceBall] = {}
+        # Per-class memo, keyed by canonical word, for closed classes only:
+        # one Element, the atom answer when its witness factors are of
+        # closed classes too, and the left-divisor list when it is complete
+        # (its atoms and quotients are then all of closed classes).  Other
+        # answers are recomputed on every call.
         self._classes: Dict[Word, _ClassRecord] = {}
         self.adyan = check_adyan(presentation)
         self.warnings: List[str] = []
@@ -352,8 +368,12 @@ class PresentationSemigroup(SemigroupHandle):
     # balls -----------------------------------------------------------
 
     def congruence_ball(self, word: Word) -> CongruenceBall:
-        if word in self._canon:
-            return self._balls[self._canon[word]]
+        canonical = self._canon.get(word)
+        if canonical is not None:
+            return self._balls[canonical]
+        ball = self._open_balls.get(word)
+        if ball is not None:
+            return ball
         cap = max(self.budget.max_word_length, len(word))
         members = {word}
         queue = [word]
@@ -364,25 +384,13 @@ class PresentationSemigroup(SemigroupHandle):
             for nb in self._rewrites(w):
                 if len(nb) > cap:
                     escaped = True
-                    continue
-                if nb in members:
-                    continue
-                # absorb a previously explored overlapping class along with
-                # nb; the size cap holds for absorbed words too
-                prev = self._canon.get(nb)
-                absorbed = self._balls[prev].members if prev is not None else ()
-                for m in (nb, *absorbed):
-                    if len(m) > cap:
-                        escaped = True
-                    elif m not in members:
-                        if len(members) >= self.budget.max_ball_size:
-                            truncated = True
-                            break
-                        members.add(m)
-                        queue.append(m)
-                if truncated:
-                    queue = []
-                    break
+                elif nb not in members:
+                    if len(members) >= self.budget.max_ball_size:
+                        truncated = True
+                        queue = []
+                        break
+                    members.add(nb)
+                    queue.append(nb)
         closed = not escaped and not truncated
         canonical = word if len(members) == 1 else min(
             members, key=self.shortlex_key)
@@ -390,11 +398,14 @@ class PresentationSemigroup(SemigroupHandle):
             (m for m in members if len(m) >= 2), key=self.shortlex_key,
             default=None)
         ball = CongruenceBall(seed=word, members=frozenset(members),
-                              closed=closed, truncated=truncated,
-                              least_long_member=least_long)
-        for m in members:
-            self._canon[m] = canonical
-        self._balls[canonical] = ball
+                              closed=closed, canonical=canonical,
+                              truncated=truncated, least_long_member=least_long)
+        if closed:
+            _bind_closed_class(self._canon, members, canonical,
+                               self.budget.max_word_length, len)
+            self._balls[canonical] = ball
+        else:
+            self._open_balls[word] = ball
         return ball
 
     def element(self, word: Word) -> Element:
@@ -402,7 +413,7 @@ class PresentationSemigroup(SemigroupHandle):
         if record is not None:
             return record.element
         ball = self.congruence_ball(word)
-        return self._intern(self._canon[word], ball.closed)
+        return self._intern(ball.canonical, ball.closed)
 
     def _intern(self, canonical: Word, closed: bool) -> Element:
         """The one Element of a closed class; a fresh one for other balls."""
@@ -465,8 +476,7 @@ class PresentationSemigroup(SemigroupHandle):
         presentation is reduced, so a longer prefix is a product of two
         non-units.  For a closed ball this is exhaustive, because u.word +
         quotient.word is itself a member.  Members are visited in shortlex
-        order, because the order in which balls are built decides the
-        answers that rest on non-closed balls.
+        order, so that the warnings come in an order that no hash decides.
         """
         record = self._record(el.word)
         if record is not None and record.divisors is not None:
@@ -475,13 +485,6 @@ class PresentationSemigroup(SemigroupHandle):
             return list(record.divisors), True
         ball = self.congruence_ball(el.word)
         complete = ball.closed
-        # The longer prefixes are still explored, as before, when the ball is
-        # not closed within the word cap: the balls built for them and for
-        # their atom witnesses can decide later answers.  Otherwise every
-        # class of a factor u of a member is closed too (the words of u's
-        # class, padded by the rest of the member, lie in this class), and a
-        # closed ball has the same members whenever it is built.
-        explore = not ball.closed or len(ball.seed) > self.budget.max_word_length
         pairs = {}
         by_atom: Dict[Word, set] = {}
         letter_atoms: Dict[Word, Optional[Element]] = {}   # None: not an atom
@@ -490,7 +493,7 @@ class PresentationSemigroup(SemigroupHandle):
             members = sorted(members, key=self.shortlex_key)
         for m in members:
             letter = m[:1]
-            if explore or letter not in letter_atoms:
+            if letter not in letter_atoms:
                 letter_el = self.element(letter)
                 kind = self.atom_answer(letter_el).kind
                 if kind is AtomKind.UNKNOWN:
@@ -502,9 +505,6 @@ class PresentationSemigroup(SemigroupHandle):
                 complete = complete and atom_el.certified and rest_el.certified
                 pairs[(atom_el.word, rest_el.word)] = (atom_el, rest_el)
                 by_atom.setdefault(atom_el.word, set()).add(rest_el.word)
-            if explore:
-                for i in range(2, len(m) + 1):
-                    self.atom_answer(self.element(m[:i]))   # never an atom
         non_unique = tuple([a for a, rests in by_atom.items()
                             if len(rests) > 1])
         for atom_word in non_unique:
@@ -548,7 +548,7 @@ class PresentationSemigroup(SemigroupHandle):
                     continue
                 ball = self.congruence_ball(cand)
                 complete = complete and ball.closed
-                if self._canon[cand] == cand:   # shortlex-least member
+                if ball.canonical == cand:
                     out.append(self._intern(cand, ball.closed))
                     stack.append(cand)
         out.sort(key=lambda e: self.shortlex_key(e.word))

@@ -169,6 +169,40 @@ def test_check_wth_command(capsys):
     assert '"weak_transfer_within_budget": false' in out
 
 
+@pytest.mark.parametrize("argv, value, note", [
+    (["primelike", pres_path("aba_bab"), "--atom", "a", "--max-length", "2"],
+     {"almost_prime_like": True, "prime_like": True},
+     "prime-likeness: no counterexample among the explored elements of "
+     "length <= 2"),
+    (["primelike", pres_path("aba_bab"), "--atom", "a", "--max-length", "6"],
+     {"almost_prime_like": True, "prime_like": False},
+     "almost prime-likeness: no counterexample among the explored elements "
+     "of length <= 6"),
+    (["check-wth", pres_path("abc_cb"), "--max-length", "1"],
+     {"abelianization_cancellative_within_budget": True,
+      "equiv_p_transitive": True, "weak_transfer_within_budget": True},
+     "the weak-transfer condition: no counterexample among the explored "
+     "elements of length <= 1"),
+], ids=["primelike-2", "primelike-6", "check-wth"])
+def test_sweep_without_counterexample_is_a_lower_bound(capsys, argv, value,
+                                                       note):
+    code, out, _ = run(capsys, "--format", "json", *argv)
+    payload = json.loads(out)
+    assert (code, payload["certification"]) == (2, "lower-bound")
+    assert payload["value"] == value and payload["warnings"][-1] == note
+
+
+@pytest.mark.parametrize("argv", [
+    ["primelike", pres_path("aba_ba3bc"), "--atom", "c", "--max-length", "5"],
+    ["check-wth", pres_path("ab_cd")],
+], ids=["primelike", "check-wth"])
+def test_sweep_counterexample_is_exact(capsys, argv):
+    code, out, _ = run(capsys, "--format", "json", *argv)
+    payload = json.loads(out)
+    assert (code, payload["certification"]) == (0, "exact")
+    assert payload["witnesses"]
+
+
 def test_input_error_exit_one(capsys):
     code, _, err = run(capsys, "parse", "/nonexistent/file.pres")
     assert code == 1 and "error" in err
@@ -406,7 +440,9 @@ def test_presentation_reports_carry_budget_and_warnings(capsys, tmp_path,
     path.write_text("gens: a b\nrel: a b = b b\n")
     code, out, _ = run(capsys, "--format", "json", "--budget-len", "5",
                        command[0], str(path), *command[1:])
-    assert code == 0
+    # primelike finds no counterexample here, and a bounded sweep that
+    # finds none is a lower bound
+    assert code == (2 if command[0] == "primelike" else 0)
     payload = json.loads(out)
     assert payload["budget"] == {"max_ball_size": 100_000,
                                  "max_word_length": 5}

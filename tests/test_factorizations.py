@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from factorum.divisibility import divides_p, is_almost_prime_like
@@ -330,23 +330,38 @@ def test_length_profile_walks_once_an_entry_is_incomplete():
     assert calls and h.memo.skipped == []
 
 
-def test_length_profile_walks_when_a_factorization_outruns_the_depth():
-    # At word cap 4, b a = c e d e, and the class of c b a closes when it is
-    # met through c c e d e (cap 5).  Its rigid set reuses the complete set
-    # of b a and has the length 5, but the walk from c b a searches to
-    # depth 4 only: the lengths must come from that walk.
-    budget = ExplorationBudget(4, 100_000)
-    h, ref = engine("ab_cd_cede_ba", budget), engine("ab_cd_cede_ba", budget)
-    for e in (h, ref):
-        rigid_factorizations(e, e.element(tuple("ba")))
-    x, y = h.element(tuple("ccede")), ref.element(tuple("ccede"))
-    fs = rigid_factorizations(h, x)
-    rigid_factorizations(ref, y)
-    assert x.word == tuple("cba") and x.certified and fs.complete
-    assert max(len(z.atoms) for z in fs) == 5
-    profile = length_profile(h, x)
-    assert profile == _reference_profile(ref, y)
-    assert profile.lengths == (3,) and not profile.certified
+@st.composite
+def _preset_words(draw):
+    name = draw(st.sampled_from(preset_names()))
+    gens = engine(name).presentation.generators
+    word = st.lists(st.sampled_from(gens), min_size=1, max_size=6).map(tuple)
+    return name, draw(st.lists(word, min_size=1, max_size=12))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_preset_words())
+# At word cap 4, b a = c e d e, and the class of c b a closes when it is
+# met through c c e d e (cap 5): its rigid set reuses the complete set of
+# b a and has the lengths 3 and 5.
+@example(("ab_cd_cede_ba", [tuple("ba"), tuple("ccede")]))
+def test_a_complete_rigid_set_gives_the_certified_lengths(queries):
+    # At the least word cap, a class met through a longer word closes under
+    # that word's cap.  Whatever was asked before, a certified element with
+    # a complete rigid set has exactly its lengths, certified, both from
+    # the warm engine and from the class-multiset walk of a cold one.
+    name, words = queries
+    budget = _tight_budget(name)
+    h = engine(name, budget)
+    for word in words:
+        x = h.element(word)
+        fs = rigid_factorizations(h, x)
+        if not (x.certified and fs.complete):
+            continue
+        lengths = tuple(sorted({len(z.atoms) for z in fs}))
+        profile = length_profile(h, x)
+        assert (profile.lengths, profile.certified) == (lengths, True)
+        cold = engine(name, budget)
+        assert _reference_profile(cold, cold.element(word)) == profile
 
 
 def _sorted_reference(h, a, cache):

@@ -290,21 +290,28 @@ def test_budget_below_relation_side_rejected():
         make("gens: a b\nrel: a b a = b\n", ExplorationBudget(2, 100))
 
 
+def _cached_balls(h):
+    """Every ball the engine keeps: the closed ones under their canonical
+    word and the others under their seed."""
+    return list(h._balls.values()) + list(h._open_balls.values())
+
+
 @pytest.mark.parametrize("cap", [2, 3, 5, 8, 13, 21])
 def test_ball_size_cap_holds_when_absorbing(cap):
-    # absorbing an earlier overlapping ball must respect max_ball_size too
+    # max_ball_size bounds every ball, closed or kept under its seed
     for name in preset_names():
         h = PresentationSemigroup(load_preset(name), ExplorationBudget(10, cap))
         h.enumerate_elements(5)
-        for ball in h._balls.values():
+        for ball in _cached_balls(h):
             assert len(ball.members) <= cap
 
 
 def test_ball_truncated_at_cap_while_absorbing():
     h = PresentationSemigroup(load_preset("aba_b"), ExplorationBudget(10, 3))
     h.enumerate_elements(7)
-    assert max(len(b.members) for b in h._balls.values()) <= 3
-    assert any(b.truncated for b in h._balls.values())
+    assert max(len(b.members) for b in _cached_balls(h)) <= 3
+    assert any(b.truncated for b in h._open_balls.values())
+    assert not any(b.truncated for b in h._balls.values())
 
 
 # the per-class memo ------------------------------------------------------------
@@ -316,7 +323,7 @@ class UnmemoisedEngine(PresentationSemigroup):
 
     def element(self, word):
         ball = self.congruence_ball(word)
-        return Element(self._canon[word], ball.closed)
+        return Element(ball.canonical, ball.closed)
 
     def atom_answer(self, el):
         if not el.word:
@@ -399,7 +406,7 @@ def _preset_queries(draw):
 
 
 def _check_ball_caps(h):
-    for ball in h._balls.values():
+    for ball in _cached_balls(h):
         cap = max(h.budget.max_word_length, len(ball.seed))
         assert len(ball.members) <= h.budget.max_ball_size
         assert all(len(m) <= cap for m in ball.members)
@@ -434,11 +441,10 @@ def _tiny_budget(name):
 @given(_preset_queries())
 def test_tiny_budget_memo_keeps_only_exact_answers(queries):
     # Balls truncate and escape here, and a closed ball of a word longer
-    # than the word cap can have escaping balls among its factors.  Answers
-    # about a non-closed ball depend on what the engine explored before (a
-    # warm engine may certify what a cold one cannot), so the warm engine
-    # is held to the cold one where both certify, and on every answer to a
-    # memo-free engine asked the same queries in the same order.
+    # than the word cap can have escaping balls among its factors.  The
+    # warm engine is held to a memo-free engine on every answer, and to a
+    # cold engine where both certify: a factorization walk may still reuse
+    # an incomplete entry searched to another depth.
     name, words = queries
     budget = _tiny_budget(name)
     warm = engine(name, budget)
@@ -461,10 +467,51 @@ def test_tiny_budget_memo_keeps_only_exact_answers(queries):
     _check_memo_keys(warm)
 
 
+def _ball_answers(h, word, other):
+    """What element, atom_answer, left_divisors and equal answer about word
+    (equal against other), with each certification spelled out."""
+    el = h.element(word)
+    atom = h.atom_answer(el)
+    pairs, complete = h.left_divisors(el)
+    return ((el.word, el.certified), atom.kind,
+            None if atom.witness is None else
+            tuple((x.word, x.certified) for x in atom.witness),
+            [(u.word, u.certified, q.word, q.certified) for u, q in pairs],
+            complete, h.equal(word, other), h.equal(other, word))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(name=st.sampled_from(preset_names()),
+       ball_size=st.sampled_from((5, 100_000)), data=st.data())
+def test_warm_engine_answers_ball_queries_like_a_cold_one(name, ball_size,
+                                                         data):
+    # At the shortest word cap, a closed ball met through a word longer
+    # than the cap is shared only with the members that its own build
+    # reaches, so whatever a warm engine explored before, it answers every
+    # ball query like an engine that was asked nothing else.
+    budget = ExplorationBudget(_tiny_budget(name).max_word_length, ball_size)
+    gens = load_preset(name).generators
+    words = data.draw(st.lists(st.lists(st.sampled_from(gens), min_size=1,
+                                        max_size=6).map(tuple),
+                               min_size=1, max_size=8))
+    warm = engine(name, budget)
+    for word, other in zip(words, words[1:] + words[:1]):
+        assert _ball_answers(warm, word, other) == \
+            _ball_answers(engine(name, budget), word, other)
+    _check_memo_keys(warm)
+
+
 def _check_memo_keys(h):
+    # a word is bound to a closed class only when its own build closes it
+    word_cap = h.budget.max_word_length
+    for word, canonical in h._canon.items():
+        members = h._balls[canonical].members
+        assert word in members
+        assert max(map(len, members)) <= max(word_cap, len(word))
+    assert not h._open_balls.keys() & h._canon.keys()
     for canonical, record in h._classes.items():
-        assert h._canon[canonical] == canonical
-        assert h._balls[canonical].closed
+        ball = h._balls[canonical]
+        assert ball.closed and ball.canonical == canonical
         assert record.element.word == canonical and record.element.certified
         # a memoised answer names only elements of closed classes
         if record.atom is not None and record.atom.witness is not None:
@@ -488,8 +535,7 @@ def test_memo_holds_one_record_per_closed_class():
     for el in els:
         h.left_divisors(el)
         assert h.element(el.word).certified == el.certified
-    open_balls = [k for k, b in h._balls.items() if not b.closed]
-    assert open_balls and not set(open_balls) & set(h._classes)
+    assert h._open_balls and all(b.closed for b in h._balls.values())
     _check_memo_keys(h)
 
 
@@ -506,30 +552,33 @@ def test_left_divisor_warnings_repeat_from_the_memo():
 
 def test_closed_class_with_escaping_factors_stays_unmemoised():
     # At word cap 3 the class of aaabc = aacb is closed, but the ball of
-    # its factor acb escapes (acb = aabc), so the atom witness and the
-    # left-divisor list rest on a non-closed ball and are not memoised.
-    # Factoring aaabc then builds the ball of aabc at cap 4, which absorbs
-    # acb and closes: a memoised first answer would now be stale.
+    # its canonical word aacb escapes (cap 4, aacb = aaabc), and so does the
+    # ball of the factor acb (acb = aabc).  Only aaabc is bound to the
+    # closed class, so the atom witness and the left-divisor list rest on
+    # non-closed balls: they are not memoised, and asking again, or asking
+    # a cold engine, gives the same answers.
     budget = _tiny_budget("abc_cb")
     h = engine("abc_cb", budget)
     reference = UnmemoisedEngine(load_preset("abc_cb"), budget)
     word = ("a", "a", "a", "b", "c")
     el = h.element(word)
     assert el.certified and el.word == ("a", "a", "c", "b")
+    assert not h.element(el.word).certified
     first = _answers(h, word)
     assert first == _answers(reference, word)
+    assert first == _answers(engine("abc_cb", budget), word)
     assert first["atom"][1] == ((("a",), True), (("a", "c", "b"), False))
     assert first["divisors"][1] is False
-    second = _answers(h, word)
-    assert second == _answers(reference, word)
-    assert second["atom"][1] == ((("a",), True), (("a", "c", "b"), True))
+    assert _answers(h, word) == first
+    assert not h._classes[el.word].atom and not h._classes[el.word].divisors
     _check_memo_keys(h)
 
 
 def test_incomplete_left_divisors_are_recomputed():
-    # The first answer lists a quotient bba whose ball escapes at word cap
-    # 3; exploring it closes the class of bab and merges bba into it, so
-    # the second answer is shorter and complete.
+    # The class of abbbb = abab closes at cap 5, but the ball of abab
+    # escapes at cap 4, so its one quotient bab is uncertified and the list
+    # is incomplete.  It is recomputed on every call, and exploring bab
+    # in between changes nothing.
     text = "gens: a b\nrel: b b b = b a\n"
     budget = ExplorationBudget(3, 6)
     h = make(text, budget)
@@ -545,8 +594,10 @@ def test_incomplete_left_divisors_are_recomputed():
         assert got == ([(u.word, q.word, q.certified) for u, q in ref_pairs],
                        ref_complete)
         answers.append(got)
-    assert answers[0][1] is False and len(answers[0][0]) == 2
-    assert answers[1] == ([(("a",), ("b", "a", "b"), True)], True)
+        rigid_factorizations(h, h.element(("b", "a", "b")))
+    assert answers[0] == answers[1] == (
+        [(("a",), ("b", "a", "b"), False)], False)
+    assert h._classes[el.word].divisors is None
     _check_memo_keys(h)
 
 
@@ -590,8 +641,7 @@ def _case(gens, relations, budget, words):
                ["aabbb", "bbab", "ab"]))
 def test_first_letter_divisors_match_all_splits(case):
     # The engine tries only the first letter of each ball member; the
-    # reference tries every prefix.  Both are asked the same queries in the
-    # same order, so the balls they share were built from the same history.
+    # reference tries every prefix.
     presentation, budget, words = case
     h = PresentationSemigroup(presentation, budget)
     reference = UnmemoisedEngine(presentation, budget)
