@@ -71,7 +71,6 @@ class CommutativeVectorSemigroup(SemigroupHandle):
 
     reduced = True
     commutative = True
-    budgeted = True
 
     def __init__(self, generators: Tuple[str, ...],
                  relations: Sequence[Tuple[Vector, Vector]],
@@ -149,6 +148,9 @@ class CommutativeVectorSemigroup(SemigroupHandle):
 
     def is_unit(self, x: VectorElement) -> bool:
         return sum(x.coords) == 0
+
+    def class_atom(self, c):
+        return self.element(c)
 
     def multiply(self, x: VectorElement, y: VectorElement) -> VectorElement:
         return self.element(tuple(a + b for a, b in zip(x.coords, y.coords)))

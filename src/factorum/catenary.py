@@ -147,7 +147,7 @@ def _graph(handle: SemigroupHandle, a, kind: DistanceKind) -> _Graph:
     multiset order: that changes no bottleneck value and no least
     distance between two lengths.  A node is shown by the least rigid
     factorization in its class, in the order (length, atom keys).  On
-    orderless handles (commutative, reduced, no budget) a node is just
+    orderless handles (commutative and reduced) a node is just
     the multiset, taken from ``permutable_class_multisets``, and that
     factorization is built only when asked for; elsewhere the nodes are
     the permutable factorizations.  The d_p matrix is read off the class
@@ -318,6 +318,4 @@ def semigroup_catenary(handle, elements: Sequence, kind: DistanceKind,
         element, g, arg = best
         witness = _witness(g, value, arg)
     return CatenaryReport(value, kind, variant, certified,
-                          witness=witness, element=element,
-                          notes=("semigroup-level value is a lower bound "
-                                 "over the explored scope",))
+                          witness=witness, element=element)

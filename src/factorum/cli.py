@@ -77,14 +77,21 @@ _NONE_FOUND_NOTE = ("{}: no counterexample among the explored elements of "
                     "length <= {}")
 
 
+def _swept_length(h: PresentationSemigroup, args) -> int:
+    """The longest word a sweep meets: ``enumerate_elements`` stops at the
+    budget's word cap whatever ``--max-length`` asks for."""
+    cap = h.budget.max_word_length
+    return min(args.max_length or cap, cap)
+
+
 def _sweep_certification(h: PresentationSemigroup, args, counterexample,
                          claim: str):
     """A bounded sweep's certification and notes: a counterexample is
     exact, and finding none up to the swept length is only a lower bound."""
     if counterexample:
         return Certification.EXACT, []
-    swept = min(args.max_length, h.budget.max_word_length)
-    return Certification.LOWER_BOUND, [_NONE_FOUND_NOTE.format(claim, swept)]
+    return Certification.LOWER_BOUND, [
+        _NONE_FOUND_NOTE.format(claim, _swept_length(h, args))]
 
 
 def cmd_parse(args) -> int:
@@ -165,11 +172,13 @@ def cmd_distance(args) -> int:
 def cmd_catenary(args) -> int:
     h = _load_engine(args)
     kind = _KINDS[args.kind]
+    notes = []
     if args.all:
         els, complete = h.enumerate_elements(args.max_length)
         rep = semigroup_catenary(h, els, kind, args.variant, complete)
         name = f"catenary-{kind.value}-{args.variant}-semigroup"
         cert = Certification.LOWER_BOUND
+        notes.append(_LOWER_BOUND_NOTE.format(_swept_length(h, args)))
     elif args.element:
         el = h.element_from_str(args.element)
         rep = VARIANTS[args.variant](h, el, kind)
@@ -181,7 +190,7 @@ def cmd_catenary(args) -> int:
     if rep.witness is not None:
         witnesses.append({"chain": _fact_strings(h, rep.witness.steps),
                           "bound": rep.witness.bound})
-    return _emit(_report(h, name, rep.value, cert, witnesses, rep.notes),
+    return _emit(_report(h, name, rep.value, cert, witnesses, notes),
                  args.format)
 
 
@@ -200,7 +209,7 @@ def cmd_omega(args) -> int:
         rep = omega_semigroup(h, divisor, els, mode)
         name = f"omega-{mode}-semigroup"
         cert = Certification.LOWER_BOUND
-        notes.append(_LOWER_BOUND_NOTE.format(args.max_length))
+        notes.append(_LOWER_BOUND_NOTE.format(_swept_length(h, args)))
     witnesses = []
     if rep.witness:
         witnesses.append({
@@ -226,7 +235,7 @@ def cmd_tame(args) -> int:
         rep = tame_semigroup(h, pattern, els, scope_certified=complete)
         name = "tame-semigroup"
         cert = Certification.LOWER_BOUND
-        notes.append(_LOWER_BOUND_NOTE.format(args.max_length))
+        notes.append(_LOWER_BOUND_NOTE.format(_swept_length(h, args)))
     witnesses = []
     if rep.witness:
         el, z, zp = rep.witness

@@ -149,19 +149,8 @@ class ValuationSet:
     certified: bool
 
 
-def valuation_set(handle: SemigroupHandle, q, a,
-                  precheck_scope: Optional[Sequence] = None) -> ValuationSet:
-    """V_q(a): counts of q-associates across the rigid factorizations of a.
-
-    When a precheck scope is given, q must pass the almost-prime-like check
-    over it first (NotAlmostPrimeLikeError otherwise).
-    """
-    if precheck_scope is not None:
-        rep = is_almost_prime_like(handle, q, precheck_scope)
-        if not rep.holds:
-            raise NotAlmostPrimeLikeError(
-                f"{handle.format_element(q)} is not almost prime-like "
-                f"(counterexample element {handle.format_element(rep.counterexample[0])})")
+def valuation_set(handle: SemigroupHandle, q, a) -> ValuationSet:
+    """V_q(a): counts of q-associates across the rigid factorizations of a."""
     if handle.is_unit(a):
         return ValuationSet(q, a, (0,), True)
     fs = rigid_factorizations(handle, a)

@@ -16,6 +16,15 @@ certified and no recursion budget was hit (non-atomic inputs such as
 ``_class_walk``) are plain module-level recursions that take their state
 as arguments, so a query leaves no reference cycle and its memory is
 freed as soon as the caller drops the handle.
+
+Both walks keep their results by one rule, so that every answer depends
+on the element alone.  A complete result is a fact: it goes into the
+handle's memo with ``need``, the depth its walk needs (0 for a unit, else
+1 + the largest need among the non-unit quotients, or 1 when there are
+none), and is read back wherever at least that much depth is left, where
+a cold walk would find exactly that result.  An incomplete result is
+kept only for the rest of its query, in a dict made for that query, and
+read back where no more depth is left than it was searched to.
 """
 
 from __future__ import annotations
@@ -99,31 +108,37 @@ _DEPTH_FALLBACK = 64
 def _atom_tuples(handle: SemigroupHandle, a) -> Tuple[Tuple[Tuple, ...], bool]:
     """All atom sequences composing to a, with a completeness flag, from
     ``_rigid_walk``."""
-    return _rigid_walk(handle, handle.memo.rigid, set(), a, _depth(handle, a))
+    tuples, need = _rigid_walk(handle, handle.memo.rigid, {}, set(), a,
+                               _depth(handle, a))
+    return tuples, need is not None
 
 
-def _rigid_walk(handle: SemigroupHandle, cache: Dict, in_progress: set, x,
-                depth_left: int) -> Tuple[Tuple[Tuple, ...], bool]:
-    """The atom sequences of x, memoised in ``cache`` (the handle's
-    ``memo.rigid``), recursing on its left-divisor atoms.  ``in_progress``
-    holds the keys on the current path: meeting one again is a product
-    cycle, below which nothing is certified.
+def _rigid_walk(handle: SemigroupHandle, cache: Dict, partial: Dict,
+                in_progress: set, x, depth_left: int
+                ) -> Tuple[Tuple[Tuple, ...], Optional[int]]:
+    """The atom sequences of x and the depth their walk needs, None when
+    they are incomplete, recursing on its left-divisor atoms.  Complete
+    results are kept in ``cache`` (the handle's ``memo.rigid``), the
+    query's incomplete ones in ``partial`` (see the module docstring).
+    ``in_progress`` holds the keys on the current path: meeting one again
+    is a product cycle, below which nothing is certified.
 
     A plain module-level recursion taking its state as arguments: a call
     makes no closure, so it leaves no reference cycle and its garbage is
     freed by reference counting alone."""
     if handle.is_unit(x):
-        return ((),), True
+        return ((),), 0
     key = handle.key(x)
     hit = cache.get(key)
-    if hit is not None:
-        facts, complete, depth_at, _ = hit
-        if complete or depth_at >= depth_left:
-            return facts, complete
+    if hit is not None and hit[1] <= depth_left:
+        return hit[0], hit[1]
+    hit = partial.get(key)
+    if hit is not None and hit[1] >= depth_left:
+        return hit[0], None
     if key in in_progress:
-        return (), False   # product cycle: cannot certify below here
+        return (), None    # product cycle: cannot certify below here
     if depth_left <= 0:
-        return (), False
+        return (), None
     in_progress.add(key)
     pairs, complete = handle.left_divisor_atoms(x)
     # The result is ordered by (length, atom keys).  A quotient's tuples
@@ -134,13 +149,17 @@ def _rigid_walk(handle: SemigroupHandle, cache: Dict, in_progress: set, x,
     # set keeps at most one.
     singles = set()
     by_atom: Dict = {}      # atom key -> [(atom, quotient's tuples)]
+    need = 1
     for atom, quotient in pairs:
         if handle.is_unit(quotient):
             singles.add((handle.multiply(atom, quotient),))
             continue
-        sub, sub_complete = _rigid_walk(handle, cache, in_progress, quotient,
-                                        depth_left - 1)
-        complete = complete and sub_complete
+        sub, sub_need = _rigid_walk(handle, cache, partial, in_progress,
+                                    quotient, depth_left - 1)
+        if sub_need is None:
+            complete = False
+        elif sub_need >= need:
+            need = sub_need + 1
         by_atom.setdefault(handle.key(atom), []).append((atom, sub))
     in_progress.discard(key)
     facts = list(singles)
@@ -154,8 +173,11 @@ def _rigid_walk(handle: SemigroupHandle, cache: Dict, in_progress: set, x,
     # a stable sort by length keeps each length's tuples in atom order
     facts.sort(key=len)
     result = tuple(facts)
-    cache[key] = (result, complete, depth_left, None)
-    return result, complete
+    if complete:
+        cache[key] = (result, need, None)
+        return result, need
+    partial[key] = (result, depth_left)
+    return result, None
 
 
 def _merged_by_keys(handle: SemigroupHandle, group) -> list:
@@ -171,32 +193,34 @@ def rigid_factorizations(handle: SemigroupHandle, a) -> FactorizationSet:
     """The set Z*(a) of rigid factorizations of a, within budget.
 
     Every returned sequence recomposes to a; the set is exhaustive iff
-    ``complete`` is True.  A complete set is built once per element and
-    served from the memo afterwards; an incomplete one is rebuilt on every
-    call, since a later search may get further.
+    ``complete`` is True.  The answer does not depend on earlier queries.
+    A complete set of a certified element is built once and kept in the
+    element's memo entry; any other set is rebuilt on every call.
     """
     handle.require_element(a)
     if handle.is_unit(a):
         return FactorizationSet((RigidFactorization((), a),), True)
-    memo = handle.memo
-    fs = memo.complete_set(handle, a)
-    if fs is not None:
-        return fs
+    key = handle.key(a)
+    entries = handle.memo.rigid
+    certified = handle.certified(a)
+    hit = entries.get(key)
+    # a set is kept only after a's own walk completed, at a's depth
+    if certified and hit is not None and hit[2] is not None:
+        return hit[2]
     tuples, complete = _atom_tuples(handle, a)
     facts = tuple([RigidFactorization(t, a) for t in tuples])
-    fs = FactorizationSet(facts, complete and handle.certified(a))
+    fs = FactorizationSet(facts, complete and certified)
     if fs.complete:
-        key = handle.key(a)
-        memo.rigid[key] = memo.rigid[key][:3] + (fs,)
+        entries[key] = entries[key][:2] + (fs,)
     return fs
 
 
 def _orderless(handle: SemigroupHandle) -> bool:
     """Whether the permutable factorizations of the handle's elements come
     from their class multisets alone: on a commutative reduced handle
-    without an exploration budget every ordering of a factorization is
-    one, and the multisets need no rigid ordering listed."""
-    return handle.commutative and handle.reduced and not handle.budgeted
+    every ordering of a factorization is one, and the multisets need no
+    rigid ordering listed."""
+    return handle.commutative and handle.reduced
 
 
 def _least_rigid(handle: SemigroupHandle, a, classes: Tuple
@@ -214,13 +238,10 @@ def permutable_factorizations(handle: SemigroupHandle, a
     one per class multiset in multiset order, each represented by its least
     rigid factorization in the order (length, atom keys).
 
-    On a commutative reduced handle without an exploration budget every
-    ordering of a factorization is one, so that least factorization is its
-    atoms sorted by key: the classes come from
-    ``permutable_class_multisets`` and no rigid ordering is listed.
-    Elsewhere the classes are read off Z*(a), which shares its memo (and,
-    on a presentation, the engine's exploration order) with every later
-    rigid query.
+    On a commutative reduced handle every ordering of a factorization is
+    one, so that least factorization is its atoms sorted by key: the
+    classes come from ``permutable_class_multisets`` and no rigid ordering
+    is listed.  Elsewhere the classes are read off Z*(a).
     """
     if _orderless(handle):
         sets, complete = permutable_class_multisets(handle, a)
@@ -250,47 +271,53 @@ def permutable_class_multisets(handle: SemigroupHandle, a
     holds one of those atoms u, and drops to a factorization of x/u
     without it, so each multiset of x is one of x/u's plus u.  Besides
     length sets and divisibility, it is the node source of the catenary
-    graph under d_len and d_p on commutative reduced handles without a
-    budget, each multiset one node (see ``catenary._graph``)."""
+    graph under d_len and d_p on commutative reduced handles, each
+    multiset one node (see ``catenary._graph``)."""
     handle.require_element(a)
-    memo = handle.memo
-    for skipped in memo.skipped:
-        _class_walk(handle, memo, skipped, _depth(handle, skipped))
-    memo.skipped.clear()
-    sets, complete = _class_walk(handle, memo, a, _depth(handle, a))
-    return frozenset(sets), complete and handle.certified(a)
+    sets, need = _class_walk(handle, handle.memo.classes, {}, a,
+                             _depth(handle, a))
+    return frozenset(sets), need is not None and handle.certified(a)
 
 
-def _class_walk(handle: SemigroupHandle, memo, x, depth_left: int
-                ) -> Tuple[Tuple[Tuple, ...], bool]:
-    """The class multisets of x, memoised in ``memo.classes``; an
-    incomplete entry marks the memo not ``clean``.  Like ``_rigid_walk``
-    a plain module-level recursion, so a call leaves no reference cycle."""
+def _class_walk(handle: SemigroupHandle, cache: Dict, partial: Dict, x,
+                depth_left: int
+                ) -> Tuple[Tuple[Tuple, ...], Optional[int]]:
+    """The class multisets of x and the depth their walk needs, None when
+    they are incomplete.  Complete results are kept in ``cache`` (the
+    handle's ``memo.classes``), the query's incomplete ones in ``partial``
+    (see the module docstring).  Like ``_rigid_walk`` a plain module-level
+    recursion, so a call leaves no reference cycle."""
     if handle.is_unit(x):
-        return ((),), True
+        return ((),), 0
     key = handle.key(x)
-    entries = memo.classes
-    hit = entries.get(key)
-    if hit is not None:
-        sets, complete, depth_at = hit
-        if complete or depth_at >= depth_left:
-            return sets, complete
+    hit = cache.get(key)
+    if hit is not None and hit[1] <= depth_left:
+        return hit
+    hit = partial.get(key)
+    if hit is not None and hit[1] >= depth_left:
+        return hit[0], None
     if depth_left <= 0:
-        return (), False
+        return (), None
     pairs, complete = handle.covering_divisor_atoms(x)
     atom_class = handle.atom_class
     out = set()
+    need = 1
     for atom, quotient in pairs:
         cls = atom_class(atom)
-        sub, sub_complete = _class_walk(handle, memo, quotient, depth_left - 1)
-        complete = complete and sub_complete
+        sub, sub_need = _class_walk(handle, cache, partial, quotient,
+                                    depth_left - 1)
+        if sub_need is None:
+            complete = False
+        elif sub_need >= need:
+            need = sub_need + 1
         for m in sub:
             out.add(tuple(sorted(m + (cls,))))
     result = tuple(out)
-    entries[key] = (result, complete, depth_left)
-    if not complete:
-        memo.clean = False
-    return result, complete
+    if complete:
+        cache[key] = (result, need)
+        return result, need
+    partial[key] = (result, depth_left)
+    return result, None
 
 
 @dataclass(frozen=True, slots=True)
@@ -304,19 +331,16 @@ class LengthSet:
 def length_profile(handle: SemigroupHandle, a) -> LengthSet:
     """L(a) with its distance set and elasticity rho = max/min.
 
-    When the memo holds a complete set of rigid factorizations of a
-    certified a, the lengths are read off it where the walk of the class
-    multisets would find the same (see ``HandleMemo``): every
-    divisor list below a is then memoised, so that walk would build no ball
-    either.  Otherwise the class multisets are walked.
+    The lengths of a certified element whose complete rigid set is held
+    are read off it: the walk of the class multisets would find the same.
+    Otherwise the class multisets are walked.
     """
     if handle.is_unit(a):
         return LengthSet((0,), (), Fraction(0), True)
-    memo = handle.memo
-    fs = memo.complete_set(handle, a) if memo.clean else None
-    if fs is not None:
-        found = {len(z.atoms) for z in fs}
-        memo.skipped.append(a)
+    hit = handle.memo.rigid.get(handle.key(a))
+    if hit is not None and hit[1] <= _depth(handle, a) \
+            and handle.certified(a):
+        found = {len(t) for t in hit[0]}
         complete = True
     else:
         sets, complete = permutable_class_multisets(handle, a)

@@ -10,10 +10,9 @@ a unit test, an atom test with an associate test on atoms, and enumeration
 of the atoms that left-divide a given element together with the unique
 left quotient (uniqueness is the cancellativity assumption).  A handle may
 narrow those atoms to a cover that meets every factorization
-(``covering_divisor_atoms``).  A commutative reduced handle without an
-exploration budget also maps an associate class back to its atom
-(``class_atom``).  Every handle keeps the answers derived from its
-factorization sets in one ``memo``.
+(``covering_divisor_atoms``).  A commutative reduced handle also maps an
+associate class back to its atom (``class_atom``).  Every handle keeps
+the answers derived from its factorization sets in one ``memo``.
 """
 
 from __future__ import annotations
@@ -32,49 +31,27 @@ class UnsupportedOperation(NotImplementedError):
 class HandleMemo:
     """The factorization-derived answers kept for one handle instance.
 
-    ``rigid``: key -> (atom tuples, complete, depth searched, the
-    ``FactorizationSet`` once one was returned complete, else None).
-    ``classes``: key -> (class multisets, complete, depth searched), each
-    set kept as a tuple: even an empty frozenset takes 216 bytes, and a
-    sweep keeps one set per element it met.
+    ``rigid``: key -> (atom tuples, need, the ``FactorizationSet`` once one
+    was returned, else None), for the elements whose rigid walk completed.
+    ``classes``: key -> (class multisets, need), for those whose walk of
+    the class multisets completed, each set kept as a tuple: even an empty
+    frozenset takes 216 bytes, and a sweep keeps one set per element it
+    met.  ``need`` is the depth the walk needs (see ``factorizations``).
     ``divides_p``: (key of b, key of a) -> ``DivisibilityAnswer``.
-
-    ``length_profile`` may read a certified element's lengths off its
-    complete rigid set instead of walking the class multisets.  It does so
-    only while every ``classes`` entry is complete (``clean``), because
-    then the walk would find the same lengths and write only complete
-    entries: a complete set is held only for an element whose own search
-    closed, so no factorization in it is longer than the walk's depth.  The
-    skipped walks are queued in ``skipped`` and run before the next walk,
-    so every later walk finds the entries it found when they were not
-    skipped.
     """
 
-    __slots__ = ("rigid", "classes", "clean", "skipped", "divides_p")
+    __slots__ = ("rigid", "classes", "divides_p")
 
     def __init__(self):
         self.rigid: Dict = {}
         self.classes: Dict = {}
-        self.clean = True
-        self.skipped: List = []
         self.divides_p: Dict = {}
-
-    def complete_set(self, handle: SemigroupHandle, x):
-        """The complete factorization set held for x when x is certified,
-        else None."""
-        hit = self.rigid.get(handle.key(x))
-        if hit is not None and hit[3] is not None and handle.certified(x):
-            return hit[3]
-        return None
 
 
 class SemigroupHandle:
     # reduced: trivial unit group, so associate classes of atoms are elements
     reduced = True
     commutative = False
-    # budgeted: answers may rest on a truncated exploration, so which
-    # queries ran before can change later uncertified answers
-    budgeted = False
     name = "semigroup"
 
     # the one place this handle's factorization sets, class multisets and
@@ -132,9 +109,8 @@ class SemigroupHandle:
 
     def class_atom(self, c):
         """The atom of associate class c, on a reduced handle (the inverse
-        of ``atom_class``).  Commutative reduced handles without a budget
-        provide it: their permutable factorizations are built from class
-        multisets alone."""
+        of ``atom_class``).  Commutative reduced handles provide it: their
+        permutable factorizations are built from class multisets alone."""
         raise NotImplementedError
 
     # divisibility backbone ---------------------------------------------

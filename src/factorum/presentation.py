@@ -307,7 +307,6 @@ class PresentationSemigroup(SemigroupHandle):
     """SemigroupHandle over a finite presentation with bounded closure."""
 
     reduced = True
-    budgeted = True
 
     def __init__(self, presentation: Presentation,
                  budget: Optional[ExplorationBudget] = None):

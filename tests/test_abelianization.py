@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from factorum.abelianization import (_vectors_up_to, abelianize, check_exwt,
                                      equiv_p, length_map,
                                      weak_transfer_counterexample)
-from factorum.factorizations import length_profile, rigid_factorizations
+from factorum.factorizations import (class_multiset, length_profile,
+                                     permutable_factorizations,
+                                     rigid_factorizations)
 from factorum.presentation import (ExplorationBudget, PresentationSemigroup,
                                    parse_presentation)
 from factorum.presets import engine, preset_names
@@ -54,6 +56,30 @@ def test_abelianization_factorizations():
     assert fs.complete
     assert {tuple(sorted(u.coords for u in z.atoms)) for z in fs} == {
         ((0, 0, 0, 1), (0, 0, 1, 0)), ((0, 1, 0, 0), (1, 0, 0, 0))}
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_vector_permutable_factorizations_match_the_rigid_sets(name):
+    # the abelianization is commutative and reduced, so its permutable
+    # factorizations come from the class multisets alone; on a certified
+    # vector they are the multisets read off its rigid factorizations,
+    # each shown by the first rigid factorization that has it
+    ab = abelianize(engine(name))
+    checked = 0
+    for v in _vectors_up_to(ab.n, 4)[1:]:
+        el = ab.element(v)
+        if not el.certified:
+            continue
+        fs = rigid_factorizations(ab, el)
+        first = {}
+        for z in fs:
+            first.setdefault(class_multiset(ab, z), z.atoms)
+        pfs, complete = permutable_factorizations(ab, el)
+        assert complete == fs.complete
+        assert [(p.classes, p.length, p.representative.atoms) for p in pfs] \
+            == [(m, len(m), first[m]) for m in sorted(first)]
+        checked += 1
+    assert checked
 
 
 def test_equiv_p_examples():

@@ -345,19 +345,23 @@ def test_sweep_bound_below_one_is_a_usage_error(capsys, argv):
     assert f"must be >= 1, got {argv[-1]}" in err and "usage:" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ("omega", pres_path("ab_cd_cede_ba"), "--divisor", "a",
-     "--max-length", "4"),
-    ("omega", pres_path("ab_cd_cede_ba"), "--divisor", "a", "--nonunits",
-     "--max-length", "3"),
-    ("tame", pres_path("aba_bab"), "--pattern", "a", "--max-length", "5"),
-], ids=["omega-atoms", "omega-nonunits", "tame"])
-def test_semigroup_values_note_their_scope(capsys, argv):
+@pytest.mark.parametrize("argv, swept", [
+    (("omega", pres_path("ab_cd_cede_ba"), "--divisor", "a",
+      "--max-length", "4"), 4),
+    (("omega", pres_path("ab_cd_cede_ba"), "--divisor", "a", "--nonunits",
+      "--max-length", "3"), 3),
+    (("tame", pres_path("aba_bab"), "--pattern", "a", "--max-length", "5"),
+     5),
+    # the sweep stops at the budget's word cap, 12, and says so
+    (("tame", pres_path("aba_bab"), "--pattern", "a", "--max-length", "30"),
+     12),
+], ids=["omega-atoms", "omega-nonunits", "tame", "tame-above-budget"])
+def test_semigroup_values_note_their_scope(capsys, argv, swept):
     code, out, _ = run(capsys, "--format", "json", *argv)
     payload = json.loads(out)
     assert code == 2 and payload["certification"] == "lower-bound"
     assert ("semigroup-level value: certified lower bound over elements of "
-            f"length <= {argv[-1]}") in payload["warnings"]
+            f"length <= {swept}") in payload["warnings"]
 
 
 def write_pres(tmp_path, text):
@@ -461,9 +465,9 @@ def test_presentation_reports_carry_budget_and_warnings(capsys, tmp_path,
      '{"budget": {"max_ball_size": 100000, "max_word_length": 12}, '
      '"certification": "lower-bound", "invariant": '
      '"catenary-permutable-plain-semigroup", "schema": "factorum/1", '
-     '"value": 1, "warnings": ["semigroup-level value is a lower bound '
-     'over the explored scope"], "witnesses": [{"bound": 1, "chain": '
-     '[["a", "b", "c"], ["c", "b"]]}]}\n'),
+     '"value": 1, "warnings": ["semigroup-level value: certified lower '
+     'bound over elements of length <= 5"], "witnesses": [{"bound": 1, '
+     '"chain": [["a", "b", "c"], ["c", "b"]]}]}\n'),
 ], ids=["zss-catenary", "catenary-all"])
 def test_semigroup_catenary_json_is_unchanged(capsys, argv, expected):
     code, out, _ = run(capsys, "--format", "json", *argv)

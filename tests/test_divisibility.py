@@ -167,11 +167,13 @@ def test_valuations_aba_ba3bc():
 
 
 def test_valuation_precheck_raises():
+    # prime-likeness reads valuation sets only after the almost-prime-like
+    # check over the scope passed
     h = engine("aba_ba3bc")
     els, _ = h.enumerate_elements(6)
     c = h.element_from_str("c")
-    with pytest.raises(NotAlmostPrimeLikeError):
-        valuation_set(h, c, h.element_from_str("a b a"), precheck_scope=els)
+    with pytest.raises(NotAlmostPrimeLikeError, match="not almost prime-like"):
+        is_prime_like(h, c, els)
 
 
 def test_prime_like_but_not_permutably_factorial():

@@ -210,9 +210,8 @@ def test_memo_belongs_to_one_handle():
         divides_p(h, q, el)
     assert h.memo.rigid and h.memo.classes and h.memo.divides_p
     memo = other.memo
-    assert (memo.rigid, memo.classes, memo.skipped, memo.divides_p) == \
-        ({}, {}, [], {})
-    assert memo.clean and memo is not h.memo
+    assert (memo.rigid, memo.classes, memo.divides_p) == ({}, {}, {})
+    assert memo is not h.memo
 
 
 # the sweep's shortcuts against the computations they replace ---------------
@@ -253,13 +252,13 @@ def _replay(h, ref, ops, element):
 _OPS = st.sampled_from(("rigid", "lengths", "both", "classes"))
 
 
-def _tight_budget(name):
+def _tight_budget(name, max_ball_size=100_000):
     """The least word cap the preset accepts: a class met through a longer
     word closes under that word's cap, and can have factorizations longer
     than its own."""
     relations = engine(name).presentation.relations
     return ExplorationBudget(max(len(w) for r in relations
-                                 for w in (r.lhs, r.rhs)), 100_000)
+                                 for w in (r.lhs, r.rhs)), max_ball_size)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -297,37 +296,58 @@ def test_matrix_length_profile_matches_the_class_multiset_walk(make, data):
     _replay(h, ref, ops, lambda e, m: m)
 
 
-def test_length_profile_reads_a_complete_set_and_queues_the_walk():
+def test_length_profile_reads_a_complete_rigid_set():
     h, ref = engine("aba_ba3bc"), engine("aba_ba3bc")
     x, y = h.element_from_str("a b a a"), ref.element_from_str("a b a a")
     rigid_factorizations(h, x)
-    rigid_factorizations(ref, y)
     calls = []
     walk = h.left_divisor_atoms
     h.left_divisor_atoms = lambda el: calls.append(el) or walk(el)
     assert length_profile(h, x) == _reference_profile(ref, y)
-    assert calls == [] and h.memo.skipped == [x]
-    # the next walk first runs the skipped one, so its memo matches
+    assert calls == [] and h.memo.classes == {}
+    # the walk it did not make leaves no later walk a different answer
     b = h.element_from_str("b")
     assert permutable_class_multisets(h, b) == \
         permutable_class_multisets(ref, ref.element_from_str("b"))
-    assert calls and h.memo.skipped == []
-    assert h.memo.classes == ref.memo.classes
+    assert calls
 
 
-def test_length_profile_walks_once_an_entry_is_incomplete():
-    # an incomplete entry may be read by the walk the shortcut would skip
+def test_length_profile_walks_without_a_complete_rigid_set():
     h, ref = engine("aba_ba3bc", TRUNCATING), engine("aba_ba3bc", TRUNCATING)
-    for e, profile in ((h, length_profile), (ref, _reference_profile)):
-        assert not profile(e, e.element_from_str("a a b a")).certified
-        assert rigid_factorizations(e, e.element_from_str("a a a b")).complete
-    assert not h.memo.clean
+    x, y = h.element_from_str("a a b a"), ref.element_from_str("a a b a")
+    assert not rigid_factorizations(h, x).complete
     calls = []
     walk = h.left_divisor_atoms
     h.left_divisor_atoms = lambda el: calls.append(el) or walk(el)
-    x, y = h.element_from_str("a a a b"), ref.element_from_str("a a a b")
-    assert length_profile(h, x) == _reference_profile(ref, y)
-    assert calls and h.memo.skipped == []
+    profile = length_profile(h, x)
+    assert profile == _reference_profile(ref, y) and not profile.certified
+    assert calls
+
+
+class _ShortCapIntegers(FactorialVectorHandle):
+    """The positive integers, with a length cap one short for 8: a walk of
+    8 by itself stops before [2, 2, 2] ends, but a walk of 16 meets 8 with
+    the depth that factorization needs."""
+
+    def length_cap(self, x):
+        return super().length_cap(x) - (x == (8,))
+
+
+def _factorization_answers(h, x):
+    return (rigid_factorizations(h, x), permutable_class_multisets(h, x),
+            length_profile(h, x))
+
+
+def test_a_complete_result_is_read_back_only_with_its_depth_left():
+    warm = _ShortCapIntegers(1)
+    fs, (_, complete), profile = _factorization_answers(warm, (16,))
+    assert fs.complete and complete and profile.certified
+    # the walks of 16 kept 8's complete results, which need depth 3
+    assert warm.memo.rigid[(8,)][1] == warm.memo.classes[(8,)][1] == 3
+    answers = _factorization_answers(warm, (8,))
+    assert answers == _factorization_answers(_ShortCapIntegers(1), (8,))
+    fs, (_, complete), profile = answers
+    assert not (fs.complete or complete or profile.certified)
 
 
 @st.composite
@@ -364,38 +384,84 @@ def test_a_complete_rigid_set_gives_the_certified_lengths(queries):
         assert _reference_profile(cold, cold.element(word)) == profile
 
 
-def _sorted_reference(h, a, cache):
-    """_atom_tuples as it was: every quotient's tuples prefixed by its atom,
-    then sorted(set(...)) by (length, atom keys)."""
-    in_progress = set()
+@st.composite
+def _tight_queries(draw):
+    """A preset at its least word cap with balls of 5 or 100,000, and up to
+    12 rigid-set, class-multiset or length queries on words of length 1-5."""
+    name = draw(st.sampled_from(preset_names()))
+    ball = draw(st.sampled_from((5, 100_000)))
+    gens = engine(name).presentation.generators
+    word = st.lists(st.sampled_from(gens), min_size=1, max_size=5).map(tuple)
+    ops = st.sampled_from(("rigid", "classes", "lengths"))
+    return name, ball, draw(st.lists(st.tuples(ops, word), min_size=1,
+                                     max_size=12))
+
+
+def _answer(h, op, word):
+    x = h.element(word)
+    if op == "rigid":
+        return _spelled_out(rigid_factorizations(h, x))
+    if op == "classes":
+        return permutable_class_multisets(h, x)
+    return length_profile(h, x)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_tight_queries())
+# Asking for the rigid set of c once let the walk of a c b reuse entries
+# searched to another depth: it found [a a b c] besides [a c b].
+@example(("abc_cb", 5, [("rigid", ("c",)), ("rigid", tuple("acb")),
+                        ("lengths", tuple("acb"))]))
+def test_warm_engine_answers_factorization_queries_like_a_cold_one(case):
+    name, ball, queries = case
+    budget = _tight_budget(name, ball)
+    warm = engine(name, budget)
+    for op, word in queries:
+        assert _answer(warm, op, word) == \
+            _answer(engine(name, budget), op, word), (op, word)
+
+
+def _sorted_reference(h, a):
+    """_atom_tuples of a cold walk, as it was first written: every
+    quotient's tuples prefixed by its atom, then sorted(set(...)) by
+    (length, atom keys).  A complete result is reused where the depth it
+    needs is left, an incomplete one where no more depth is left than it
+    was searched to."""
+    cache, in_progress = {}, set()
 
     def rec(x, depth_left):
         if h.is_unit(x):
-            return ((),), True
+            return ((),), 0
         key = h.key(x)
         hit = cache.get(key)
-        if hit is not None and (hit[1] or hit[2] >= depth_left):
-            return hit[0], hit[1]
+        if hit is not None:
+            result, need, depth_at = hit
+            if (depth_at >= depth_left) if need is None \
+                    else (need <= depth_left):
+                return result, need
         if key in in_progress or depth_left <= 0:
-            return (), False
+            return (), None
         in_progress.add(key)
         pairs, complete = h.left_divisor_atoms(x)
-        facts = []
+        facts, needs = [], [0]
         for atom, quotient in pairs:
             if h.is_unit(quotient):
                 facts.append((h.multiply(atom, quotient),))
                 continue
-            sub, sub_complete = rec(quotient, depth_left - 1)
-            complete = complete and sub_complete
+            sub, sub_need = rec(quotient, depth_left - 1)
+            complete = complete and sub_need is not None
+            needs.append(sub_need or 0)
             facts.extend((atom,) + f for f in sub)
         in_progress.discard(key)
         result = tuple(sorted(set(facts), key=lambda f: (
             len(f), tuple(h.key(u) for u in f))))
-        cache[key] = (result, complete, depth_left)
-        return result, complete
+        need = 1 + max(needs) if complete else None
+        cache[key] = (result, need, depth_left)
+        return result, need
 
     depth = h.length_cap(a)
-    return rec(a, 64 if depth is None else depth)
+    result, need = rec(a, 64 if depth is None else depth)
+    return result, need is not None
 
 
 def _tuples_spelled(h, tuples):
@@ -404,13 +470,13 @@ def _tuples_spelled(h, tuples):
 
 
 def _check_atom_tuples(make, elements):
-    """_atom_tuples on one handle against the sorting reference on another,
-    both asked the same elements in the same order."""
-    h, ref, cache = make(), make(), {}
+    """_atom_tuples on one handle against the sorting reference, a cold
+    walk, on another, both asked the same elements in the same order."""
+    h, ref = make(), make()
     results = []
     for element in elements:
         got, complete = _atom_tuples(h, element(h))
-        want, want_complete = _sorted_reference(ref, element(ref), cache)
+        want, want_complete = _sorted_reference(ref, element(ref))
         assert (_tuples_spelled(h, got), complete) == \
             (_tuples_spelled(ref, want), want_complete)
         results.append(got)
