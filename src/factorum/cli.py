@@ -53,8 +53,14 @@ def _report(h: PresentationSemigroup, invariant: str, value, cert,
 
 
 def _group_from_spec(spec: str) -> FiniteAbelianGroup:
-    orders = tuple(int(t) for t in spec.split(","))
-    return FiniteAbelianGroup(orders)
+    orders = []
+    for entry in spec.split(","):
+        try:
+            orders.append(int(entry))
+        except ValueError:
+            raise ValueError(f"--group {spec!r}: entry {entry!r} is not "
+                             f"an integer") from None
+    return FiniteAbelianGroup(tuple(orders))
 
 
 def _emit(rep: InvariantReport, fmt: str) -> int:

@@ -25,6 +25,18 @@ none), and is read back wherever at least that much depth is left, where
 a cold walk would find exactly that result.  An incomplete result is
 kept only for the rest of its query, in a dict made for that query, and
 read back where no more depth is left than it was searched to.
+
+Where the handle spells out an element's rigid factorizations
+(``spelled_factorizations``), a top-level query stores them, or their
+class multisets, in the memo with the need the handle gives, and the walk
+reads them back at once.  ``PresentationSemigroup`` spells a class out
+when (a) the presentation is Adyan and no relation side is a single
+letter, and (b) the element's ball is closed with its longest member
+within the word cap.  Then the atoms are exactly the letters and every
+left quotient is unique, and every ball below the element closes.  So
+the walk would find each word of the class, letter by letter, as one
+factorization, in the order (length, atom keys), and would need the
+greatest word length as depth: the stored result is the walk's own.
 """
 
 from __future__ import annotations
@@ -107,9 +119,15 @@ _DEPTH_FALLBACK = 64
 
 def _atom_tuples(handle: SemigroupHandle, a) -> Tuple[Tuple[Tuple, ...], bool]:
     """All atom sequences composing to a, with a completeness flag, from
-    ``_rigid_walk``."""
-    tuples, need = _rigid_walk(handle, handle.memo.rigid, {}, set(), a,
-                               _depth(handle, a))
+    ``_rigid_walk``, which finds them in the memo when the handle spells
+    them out."""
+    cache = handle.memo.rigid
+    key = handle.key(a)
+    if key not in cache:
+        spelled = handle.spelled_factorizations(a)
+        if spelled is not None:
+            cache[key] = spelled + (None,)
+    tuples, need = _rigid_walk(handle, cache, {}, set(), a, _depth(handle, a))
     return tuples, need is not None
 
 
@@ -274,8 +292,21 @@ def permutable_class_multisets(handle: SemigroupHandle, a
     graph under d_len and d_p on commutative reduced handles, each
     multiset one node (see ``catenary._graph``)."""
     handle.require_element(a)
-    sets, need = _class_walk(handle, handle.memo.classes, {}, a,
-                             _depth(handle, a))
+    cache = handle.memo.classes
+    key = handle.key(a)
+    hit = cache.get(key)
+    if hit is None:
+        spelled = handle.spelled_factorizations(a)
+        if spelled is not None:
+            atom_class = handle.atom_class
+            hit = cache[key] = (tuple({tuple(sorted(map(atom_class, t)))
+                                       for t in spelled[0]}), spelled[1])
+    # a hit is read back as ``_class_walk`` reads it, with one lookup
+    depth = _depth(handle, a)
+    if hit is not None and hit[1] <= depth:
+        sets, need = hit
+    else:
+        sets, need = _class_walk(handle, cache, {}, a, depth)
     return frozenset(sets), need is not None and handle.certified(a)
 
 

@@ -10,7 +10,9 @@ a unit test, an atom test with an associate test on atoms, and enumeration
 of the atoms that left-divide a given element together with the unique
 left quotient (uniqueness is the cancellativity assumption).  A handle may
 narrow those atoms to a cover that meets every factorization
-(``covering_divisor_atoms``).  A commutative reduced handle also maps an
+(``covering_divisor_atoms``), and may spell out an element's rigid
+factorizations without recursing through them at all
+(``spelled_factorizations``).  A commutative reduced handle also maps an
 associate class back to its atom (``class_atom``).  Every handle keeps
 the answers derived from its factorization sets in one ``memo``.
 """
@@ -135,6 +137,17 @@ class SemigroupHandle:
         default is every left divisor, since every factorization has a
         first atom."""
         return self.left_divisor_atoms(x)
+
+    def spelled_factorizations(self, x
+                               ) -> Optional[Tuple[Tuple[Tuple, ...], int]]:
+        """Every rigid factorization of x, in the order (length, atom
+        keys), with the depth a walk of x needs, when the handle reads them
+        off x itself; None for a unit and where they must be walked.
+
+        An answer is what the walk of x would find and keep (see
+        ``factorizations``), so it may stand in for it.  The default reads
+        nothing off."""
+        return None
 
     def length_cap(self, x) -> int | None:
         """Upper bound on factorization lengths of x, if one is known."""

@@ -344,6 +344,13 @@ class PresentationSemigroup(SemigroupHandle):
         if not self.adyan.is_adyan:
             self.warnings.append(
                 "presentation is not certified Adyan; cancellativity is assumed")
+        # letter -> its atom, filled on first use, where every letter is an
+        # atom and ``spelled_factorizations`` may read a closed class off;
+        # None elsewhere
+        self._letter_atoms: Optional[Dict[str, Element]] = {} if (
+            self.adyan.is_adyan and all(len(r.lhs) >= 2 and len(r.rhs) >= 2
+                                        for r in presentation.relations)
+        ) else None
 
     # words ----------------------------------------------------------
 
@@ -516,6 +523,39 @@ class PresentationSemigroup(SemigroupHandle):
             record.divisors = tuple(ordered)
             record.non_unique = non_unique
         return ordered, complete
+
+    def spelled_factorizations(self, x: Element):
+        """The words of x's class spelled letter by letter, in shortlex
+        order by generator name, with their greatest length; None unless
+        both of these hold:
+
+        * the presentation is Adyan and no relation side is a single
+          letter.  The atoms are then exactly the letters: a letter's
+          class is itself, and a longer word's class holds only words of
+          two letters or more.  And every left quotient is unique, so no
+          warning is due;
+        * the ball of x is closed, and its longest member is at most the
+          word cap.  A quotient's class then has members one letter
+          shorter than x's, and no more of them, so every ball a walk of x
+          builds closes too.  That walk would find each member of x's
+          class as one factorization, and would need its greatest length
+          as depth.
+        """
+        atom = self._letter_atoms
+        if atom is None or not x.word:
+            return None
+        ball = self.congruence_ball(x.word)
+        if not ball.closed:
+            return None
+        longest = max(map(len, ball.members))
+        if longest > self.budget.max_word_length:
+            return None
+        if not atom:
+            atom.update((g, self.element((g,)))
+                        for g in self.presentation.generators)
+        words = sorted(ball.members)
+        words.sort(key=len)
+        return tuple([tuple(map(atom.__getitem__, w)) for w in words]), longest
 
     def _warn_non_unique(self, el: Element, atom_word: Word) -> None:
         msg = ("left quotient of " + self.format_element(el)

@@ -120,6 +120,12 @@ def sequence_sum(group: FiniteAbelianGroup, seq: Sequence[GroupElement]) -> Grou
     return out
 
 
+def _check_order(group: FiniteAbelianGroup) -> None:
+    """Raise GroupTooLarge past the cap, before anything lists the group."""
+    if group.order > _MAX_ORDER:
+        raise GroupTooLarge(f"group order {group.order} exceeds cap {_MAX_ORDER}")
+
+
 def atoms_of_block_monoid(group: FiniteAbelianGroup,
                           subset: Optional[Sequence[GroupElement]] = None
                           ) -> List[ZeroSumSequence]:
@@ -129,8 +135,7 @@ def atoms_of_block_monoid(group: FiniteAbelianGroup,
     as a proper nonempty sub-multiset of the prefix sums to zero; depth is
     capped at |G|.
     """
-    if group.order > _MAX_ORDER:
-        raise GroupTooLarge(f"group order {group.order} exceeds cap {_MAX_ORDER}")
+    _check_order(group)
     support = sorted(set(subset)) if subset is not None else group.elements()
     for g in support:
         if group.element(g) != g:
@@ -206,6 +211,7 @@ class BlockMonoidHandle(SemigroupHandle):
 
     def __init__(self, group: FiniteAbelianGroup,
                  subset: Optional[Sequence[GroupElement]] = None):
+        _check_order(group)
         self.group = group
         self.subset = tuple(sorted(set(subset))) if subset is not None \
             else tuple(group.elements())

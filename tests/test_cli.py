@@ -208,6 +208,18 @@ def test_input_error_exit_one(capsys):
     assert code == 1 and "error" in err
     code, _, err = run(capsys, "zss", "--group", "zzz", "davenport")
     assert code == 1
+    for spec, entry in (("2,,3", "''"), ("a", "'a'")):
+        code, _, err = run(capsys, "zss", "--group", spec, "davenport")
+        assert code == 1 and f"--group '{spec}'" in err and entry in err
+
+
+@pytest.mark.parametrize("command", ["davenport", "atoms"])
+@pytest.mark.parametrize("order", ["99999999999999999999", "1000000"])
+def test_group_order_cap_is_checked_before_the_group_is_listed(
+        capsys, command, order):
+    code, out, err = run(capsys, "zss", "--group", order, command)
+    assert (code, out) == (1, "")
+    assert err == f"error: group order {order} exceeds cap 64\n"
 
 
 def test_regression_single_case(capsys):

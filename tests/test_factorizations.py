@@ -11,6 +11,7 @@ from factorum.divisibility import divides_p, is_almost_prime_like
 from factorum.handles import FactorialVectorHandle
 from factorum.factorizations import (FactorizationSet, LengthSet,
                                      RigidFactorization, _atom_tuples,
+                                     _class_walk,
                                      length_profile,
                                      permutable_class_multisets,
                                      permutable_factorizations,
@@ -19,7 +20,7 @@ from factorum.matrices import (FullMatrixHandle, TriangularMatrixHandle,
                                mat_det)
 from factorum.presentation import (Element, ExplorationBudget,
                                    PresentationSemigroup, parse_presentation)
-from factorum.presets import ab_ban, anbn, engine, preset_names
+from factorum.presets import ab_ban, anbn, b_an_c, engine, preset_names
 from factorum.zerosum import (BlockMonoidHandle, FiniteAbelianGroup,
                               sequence_sum)
 
@@ -224,7 +225,11 @@ def _reference_profile(h, a):
     computed before it could read a complete rigid set."""
     if h.is_unit(a):
         return LengthSet((0,), (), Fraction(0), True)
-    sets, complete = permutable_class_multisets(h, a)
+    return _profile_of(*permutable_class_multisets(h, a))
+
+
+def _profile_of(sets, complete):
+    """The LengthSet of a non-unit with the class multisets ``sets``."""
     lengths = tuple(sorted({len(m) for m in sets}))
     return LengthSet(
         lengths, tuple(b - c for c, b in zip(lengths, lengths[1:])),
@@ -296,29 +301,35 @@ def test_matrix_length_profile_matches_the_class_multiset_walk(make, data):
     _replay(h, ref, ops, lambda e, m: m)
 
 
+def _counting_walks(h):
+    """The elements h is asked the left divisors of, from now on."""
+    calls = []
+    walk = h.left_divisor_atoms
+    h.left_divisor_atoms = lambda el: calls.append(el) or walk(el)
+    return calls
+
+
 def test_length_profile_reads_a_complete_rigid_set():
     h, ref = engine("aba_ba3bc"), engine("aba_ba3bc")
     x, y = h.element_from_str("a b a a"), ref.element_from_str("a b a a")
     rigid_factorizations(h, x)
-    calls = []
-    walk = h.left_divisor_atoms
-    h.left_divisor_atoms = lambda el: calls.append(el) or walk(el)
+    calls = _counting_walks(h)
     assert length_profile(h, x) == _reference_profile(ref, y)
     assert calls == [] and h.memo.classes == {}
-    # the walk it did not make leaves no later walk a different answer
-    b = h.element_from_str("b")
-    assert permutable_class_multisets(h, b) == \
-        permutable_class_multisets(ref, ref.element_from_str("b"))
-    assert calls
+    # The walk it did not make leaves no later walk a different answer.
+    # The class of c^10 a b a a escapes the word cap 16, so its class
+    # multisets are walked, down through the quotient a b a a.
+    word = ("c",) * 10 + x.word
+    assert permutable_class_multisets(h, h.element(word)) == \
+        permutable_class_multisets(ref, ref.element(word))
+    assert x in calls
 
 
 def test_length_profile_walks_without_a_complete_rigid_set():
     h, ref = engine("aba_ba3bc", TRUNCATING), engine("aba_ba3bc", TRUNCATING)
     x, y = h.element_from_str("a a b a"), ref.element_from_str("a a b a")
     assert not rigid_factorizations(h, x).complete
-    calls = []
-    walk = h.left_divisor_atoms
-    h.left_divisor_atoms = lambda el: calls.append(el) or walk(el)
+    calls = _counting_walks(h)
     profile = length_profile(h, x)
     assert profile == _reference_profile(ref, y) and not profile.certified
     assert calls
@@ -422,7 +433,8 @@ def test_warm_engine_answers_factorization_queries_like_a_cold_one(case):
 
 
 def _sorted_reference(h, a):
-    """_atom_tuples of a cold walk, as it was first written: every
+    """The atom tuples of a cold walk and the depth it needs (None when
+    they are incomplete), as the walk was first written: every
     quotient's tuples prefixed by its atom, then sorted(set(...)) by
     (length, atom keys).  A complete result is reused where the depth it
     needs is left, an incomplete one where no more depth is left than it
@@ -460,8 +472,7 @@ def _sorted_reference(h, a):
         return result, need
 
     depth = h.length_cap(a)
-    result, need = rec(a, 64 if depth is None else depth)
-    return result, need is not None
+    return rec(a, 64 if depth is None else depth)
 
 
 def _tuples_spelled(h, tuples):
@@ -469,30 +480,76 @@ def _tuples_spelled(h, tuples):
             for t in tuples]
 
 
-def _check_atom_tuples(make, elements):
-    """_atom_tuples on one handle against the sorting reference, a cold
-    walk, on another, both asked the same elements in the same order."""
+def _cold_class_multisets(h, a):
+    """permutable_class_multisets from a walk that starts with an empty
+    memo: the reference where the rigid walk does not complete."""
+    depth = h.length_cap(a)
+    sets, need = _class_walk(h, {}, {}, a, 64 if depth is None else depth)
+    return frozenset(sets), need is not None and h.certified(a)
+
+
+def _check_atom_tuples(make, elements, warm=True):
+    """The public rigid sets, class multisets and length profiles on one
+    handle against the cold reference walks on another, both asked the
+    same elements in the same order: ``_sorted_reference``, and
+    ``_all_divisor_class_multisets`` where that walk completes, else
+    ``_cold_class_multisets``.  Unless ``warm``, both handles are new for
+    every element.  Returns the last two handles and the atom tuples."""
     h, ref = make(), make()
     results = []
     for element in elements:
-        got, complete = _atom_tuples(h, element(h))
-        want, want_complete = _sorted_reference(ref, element(ref))
-        assert (_tuples_spelled(h, got), complete) == \
-            (_tuples_spelled(ref, want), want_complete)
-        results.append(got)
+        if not warm:
+            h, ref = make(), make()
+        x, y = element(h), element(ref)
+        fs = rigid_factorizations(h, x)
+        want, need = _sorted_reference(ref, y)
+        complete = need is not None and ref.certified(y)
+        assert (_tuples_spelled(h, (z.atoms for z in fs)), fs.complete) == \
+            (_tuples_spelled(ref, want), complete)
+        if complete:
+            classes = frozenset(_all_divisor_class_multisets(ref, y, {}))
+        else:
+            classes, complete = _cold_class_multisets(ref, y)
+        assert permutable_class_multisets(h, x) == (classes, complete)
+        if complete:
+            # kept with the depth the walk needs
+            assert h.memo.rigid[h.key(x)][1] == need
+            if isinstance(h, PresentationSemigroup):
+                assert h.memo.classes[h.key(x)][1] == need
+        assert length_profile(h, x) == _profile_of(classes, complete)
+        if isinstance(h, PresentationSemigroup):
+            assert h.warnings == ref.warnings
+        results.append(tuple(z.atoms for z in fs))
     return h, ref, results
 
 
-@pytest.mark.parametrize("name", preset_names())
+# the parametric families whose engines read closed classes off
+_FAMILIES = {"anbn(2)": (anbn, 2), "b_an_c(3)": (b_an_c, 3),
+             "ab_ban(3)": (ab_ban, 3)}
+
+
+def _engine(name, budget=None):
+    """The preset or family engine of that name, at its own budget when
+    ``budget`` is None."""
+    if name not in _FAMILIES:
+        return engine(name, budget)
+    family, n = _FAMILIES[name]
+    h = family(n)
+    return h if budget is None else PresentationSemigroup(h.presentation,
+                                                          budget)
+
+
+@pytest.mark.parametrize("name,warm", [
+    pytest.param(name, warm, id=name if warm else name + "-cold")
+    for name in preset_names() + sorted(_FAMILIES) for warm in (True, False)])
 @pytest.mark.parametrize("budget", [None, TRUNCATING])
-def test_atom_tuples_keep_the_sorted_order(name, budget):
-    gens = engine(name).presentation.generators
+def test_atom_tuples_keep_the_sorted_order(name, budget, warm):
+    gens = _engine(name).presentation.generators
     words = [w for n in range(1, 6) for w in itertools.product(gens, repeat=n)]
     random.Random(name).shuffle(words)
-    h, ref, _ = _check_atom_tuples(
-        lambda: engine(name, budget),
-        [lambda e, w=w: e.element(w) for w in words[:400]])
-    assert h.warnings == ref.warnings
+    _check_atom_tuples(lambda: _engine(name, budget),
+                       [lambda e, w=w: e.element(w) for w in words[:400]],
+                       warm)
 
 
 @pytest.mark.parametrize("text,merged", [
@@ -506,11 +563,10 @@ def test_atom_tuples_keep_the_sorted_order(name, budget):
 def test_atom_tuples_merge_an_atom_with_two_quotients(text, merged):
     gens = parse_presentation(text).generators
     words = [w for n in range(1, 5) for w in itertools.product(gens, repeat=n)]
-    h, ref, results = _check_atom_tuples(
+    h, _, results = _check_atom_tuples(
         lambda: PresentationSemigroup(parse_presentation(text)),
         [lambda e, w=w: e.element(w) for w in words])
     assert any("is not unique" in w for w in h.warnings)
-    assert h.warnings == ref.warnings
     assert any(len(r) > 1 for r in results) == merged
 
 
@@ -608,3 +664,53 @@ def test_vector_cover_recursion_matches_the_all_divisor_recursion(x):
     cover, complete = h.covering_divisor_atoms(x)
     assert complete and len(cover) == (0 if h.is_unit(x) else 1)
     assert cover == pairs[:1]
+
+
+def _walked(h, word):
+    """The elements whose left divisors h is asked for while answering the
+    rigid set, the class multisets and the lengths of a cold element."""
+    calls = _counting_walks(h)
+    x = h.element(word)
+    rigid_factorizations(h, x)
+    permutable_class_multisets(h, x)
+    length_profile(h, x)
+    return calls
+
+
+def test_a_closed_class_of_an_all_letter_atom_engine_is_read_off():
+    # aba_ba3bc is Adyan with no one-letter relation side, and at word cap
+    # 36 every class of length <= 7 closes within the cap: no walk runs
+    h = engine("aba_ba3bc", ExplorationBudget(36, 200_000))
+    calls = _counting_walks(h)
+    els, complete = h.enumerate_elements(7)
+    assert complete and len(els) == 3272
+    for el in els:
+        rigid_factorizations(h, el)
+        permutable_class_multisets(h, el)
+        length_profile(h, el)
+    assert calls == []
+
+
+def test_the_walk_runs_where_nothing_is_read_off():
+    # a one-letter relation side: b is not an atom
+    assert _walked(engine("aba_b"), ("b",))
+    # not Adyan, and not left cancellative: the walk warns
+    h = PresentationSemigroup(parse_presentation(
+        "gens: a b c\nrel: a b = a c\n"))
+    assert _walked(h, tuple("abb"))
+    assert any("is not unique" in w for w in h.warnings)
+    # a one-letter relation side: c = a b is not an atom
+    h = PresentationSemigroup(parse_presentation(
+        "gens: a b c\nrel: a b = c\n"))
+    assert _walked(h, ("c",))
+    assert [z.format(h) for z in rigid_factorizations(h, h.element(("c",)))
+            ] == ["[a, b]"]
+    # at word cap 3 the class of a c b holds a a b c, longer than the cap
+    h = engine("abc_cb", ExplorationBudget(3, 5))
+    assert _walked(h, tuple("acb"))
+    # The class of a a a b c closes under that word's own cap 5, but a walk
+    # from it meets the quotient a c b, whose ball escapes at cap 3.
+    x = Element(tuple("aaabc"))
+    assert h.congruence_ball(x.word).closed
+    assert not rigid_factorizations(h, x).complete
+    assert not permutable_class_multisets(h, x)[1]

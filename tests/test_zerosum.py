@@ -113,6 +113,10 @@ def test_davenport_at_least_exponent():
 def test_group_too_large():
     with pytest.raises(GroupTooLarge):
         atoms_of_block_monoid(FiniteAbelianGroup((65,)))
+    # the cap is checked before the group is listed: listing C_(10^20)
+    # would end in an OverflowError
+    with pytest.raises(GroupTooLarge):
+        BlockMonoidHandle(FiniteAbelianGroup((10 ** 20,)))
 
 
 def test_invariant_factors():
