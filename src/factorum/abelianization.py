@@ -149,8 +149,10 @@ class CommutativeVectorSemigroup(SemigroupHandle):
     def is_unit(self, x: VectorElement) -> bool:
         return sum(x.coords) == 0
 
-    def class_atom(self, c):
-        return self.element(c)
+    def atom_of_key(self, k):
+        return self.element(k)
+
+    class_atom = atom_of_key    # an atom's class is its key
 
     def multiply(self, x: VectorElement, y: VectorElement) -> VectorElement:
         return self.element(tuple(a + b for a, b in zip(x.coords, y.coords)))

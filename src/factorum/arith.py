@@ -1,7 +1,10 @@
 """Small exact integer helpers: trial-division factorization and primality.
 
 Everything in this package works with exact integers (and Fractions for
-elasticities); determinants stay small, so trial division is plenty.
+elasticities).  Trial division takes time on the order of the square root
+of its input, so callers bound what they pass: matrix determinants and
+diagonal entries are checked against ``matrices._DET_CAP`` (10^6), and
+group orders against the cap of ``zerosum`` (64), before any test here.
 """
 
 from __future__ import annotations

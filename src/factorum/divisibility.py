@@ -36,6 +36,7 @@ from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
 from .factorizations import (RigidFactorization, _class_occurrences,
+                             _rigid_factorization, factorization_keys,
                              permutable_class_multisets,
                              permutable_factorizations, rigid_factorizations)
 from .handles import SemigroupHandle, UnsupportedOperation
@@ -120,24 +121,27 @@ def is_almost_prime_like(handle: SemigroupHandle, q,
                          scope_elements: Sequence,
                          scope_certified: bool = True) -> AlmostPrimeLikeReport:
     """Bounded almost-prime-like check: over every scoped element, q occurs
-    in one rigid factorization iff it occurs in all of them."""
+    in one rigid factorization iff it occurs in all of them.  Each
+    element's atom classes are read off its fact (``factorization_keys``);
+    only a counterexample's two factorizations are built."""
     if not handle.is_atom(q):
         raise NotAlmostPrimeLikeError("q must be a certified atom")
     certified = scope_certified
     cls = handle.atom_class(q)
     for a in scope_elements:
-        fs = rigid_factorizations(handle, a)
-        certified = certified and fs.complete
+        tuples, classes, complete = factorization_keys(handle, a)
+        certified = certified and complete
         with_q = without_q = None
-        for z, classes in zip(fs, fs.atom_classes(handle)):
-            if cls in classes:
+        for t, c in zip(tuples, classes):
+            if cls in c:
                 if with_q is None:
-                    with_q = z
+                    with_q = t
             elif without_q is None:
-                without_q = z
+                without_q = t
             if with_q is not None and without_q is not None:
-                return AlmostPrimeLikeReport(q, False, True,
-                                             (a, with_q, without_q))
+                return AlmostPrimeLikeReport(q, False, True, (
+                    a, _rigid_factorization(handle, a, with_q),
+                    _rigid_factorization(handle, a, without_q)))
     return AlmostPrimeLikeReport(q, True, certified, None)
 
 
@@ -153,11 +157,10 @@ def valuation_set(handle: SemigroupHandle, q, a) -> ValuationSet:
     """V_q(a): counts of q-associates across the rigid factorizations of a."""
     if handle.is_unit(a):
         return ValuationSet(q, a, (0,), True)
-    fs = rigid_factorizations(handle, a)
+    _, classes, complete = factorization_keys(handle, a)
     cls = handle.atom_class(q)
-    values = sorted({classes.count(cls)
-                     for classes in fs.atom_classes(handle)})
-    return ValuationSet(q, a, tuple(values), fs.complete)
+    values = sorted({c.count(cls) for c in classes})
+    return ValuationSet(q, a, tuple(values), complete)
 
 
 @dataclass(frozen=True, slots=True)

@@ -26,6 +26,16 @@ a cold walk would find exactly that result.  An incomplete result is
 kept only for the rest of its query, in a dict made for that query, and
 read back where no more depth is left than it was searched to.
 
+The rigid walk's fact about an element is held as plain keys: each
+factorization is the tuple of its atoms' keys, kept with its need, and
+with the tuple of its atoms' classes once a sweep query asks.  On a
+presentation these are words, so the fact holds only strings and ints,
+and the cyclic collector stops tracking it.  Almost-prime-likeness,
+valuation sets (``factorization_keys``) and length sets read that fact
+directly; a ``RigidFactorization`` is built from it only for a witness, a
+representative or a ``rigid_factorizations`` answer, and a
+``FactorizationSet`` only for the last.
+
 Where the handle spells out an element's rigid factorizations
 (``spelled_factorizations``), a top-level query stores them, or their
 class multisets, in the memo with the need the handle gives, and the walk
@@ -41,7 +51,7 @@ greatest word length as depth: the stored result is the walk's own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Optional, Tuple
 
@@ -74,25 +84,12 @@ class PermutableFactorization:
 class FactorizationSet:
     factorizations: Tuple[RigidFactorization, ...]
     complete: bool
-    # the atom classes of every factorization, kept by the first
-    # ``atom_classes`` call: only prime-likeness and valuations ask for them
-    _classes: Optional[Tuple[Tuple, ...]] = field(
-        default=None, compare=False, repr=False)
 
     def __len__(self):
         return len(self.factorizations)
 
     def __iter__(self):
         return iter(self.factorizations)
-
-    def atom_classes(self, handle: SemigroupHandle) -> Tuple[Tuple, ...]:
-        """The associate classes of each factorization's atoms, in order,
-        computed once per set (handle is the one the set was built on)."""
-        if self._classes is None:
-            atom_class = handle.atom_class
-            object.__setattr__(self, "_classes", tuple([
-                tuple(map(atom_class, z.atoms)) for z in self.factorizations]))
-        return self._classes
 
 
 def class_multiset(handle: SemigroupHandle, z: RigidFactorization) -> Tuple:
@@ -117,29 +114,37 @@ def _class_occurrences(classes: Tuple) -> FrozenSet[Tuple]:
 _DEPTH_FALLBACK = 64
 
 
-def _atom_tuples(handle: SemigroupHandle, a) -> Tuple[Tuple[Tuple, ...], bool]:
-    """All atom sequences composing to a, with a completeness flag, from
-    ``_rigid_walk``, which finds them in the memo when the handle spells
-    them out."""
+def _fact(handle: SemigroupHandle, a) -> Tuple:
+    """The rigid fact of a non-unit a: its memo entry (factorizations as
+    atom-key tuples, need, their atom classes or None) where a's walk
+    completes, read back where the walk would read it or stored by the
+    walk, and otherwise the walk's incomplete result as (tuples, None,
+    None).  Where the handle spells a's factorizations out, they are
+    stored first, as the walk would store them, and read back at once."""
     cache = handle.memo.rigid
     key = handle.key(a)
-    if key not in cache:
+    hit = cache.get(key)
+    if hit is None:
         spelled = handle.spelled_factorizations(a)
         if spelled is not None:
-            cache[key] = spelled + (None,)
-    tuples, need = _rigid_walk(handle, cache, {}, set(), a, _depth(handle, a))
-    return tuples, need is not None
+            hit = cache[key] = spelled + (spelled[0],)   # classes are keys
+    depth = _depth(handle, a)
+    if hit is not None and hit[1] <= depth:
+        return hit
+    tuples, need = _rigid_walk(handle, cache, {}, set(), a, depth)
+    return (tuples, None, None) if need is None else cache[key]
 
 
 def _rigid_walk(handle: SemigroupHandle, cache: Dict, partial: Dict,
                 in_progress: set, x, depth_left: int
                 ) -> Tuple[Tuple[Tuple, ...], Optional[int]]:
-    """The atom sequences of x and the depth their walk needs, None when
-    they are incomplete, recursing on its left-divisor atoms.  Complete
-    results are kept in ``cache`` (the handle's ``memo.rigid``), the
-    query's incomplete ones in ``partial`` (see the module docstring).
-    ``in_progress`` holds the keys on the current path: meeting one again
-    is a product cycle, below which nothing is certified.
+    """The atom-key tuples of x's factorizations and the depth their walk
+    needs, None when they are incomplete, recursing on its left-divisor
+    atoms.  Complete results are kept in ``cache`` (the handle's
+    ``memo.rigid``), the query's incomplete ones in ``partial`` (see the
+    module docstring).  ``in_progress`` holds the keys on the current
+    path: meeting one again is a product cycle, below which nothing is
+    certified.
 
     A plain module-level recursion taking its state as arguments: a call
     makes no closure, so it leaves no reference cycle and its garbage is
@@ -162,15 +167,15 @@ def _rigid_walk(handle: SemigroupHandle, cache: Dict, partial: Dict,
     # The result is ordered by (length, atom keys).  A quotient's tuples
     # are in that order already, so prefixing one atom keeps it, and the
     # first atoms order the rest; only an atom with several quotients (a
-    # non-cancellative presentation) merges their tuples by key.  Every
+    # non-cancellative presentation) merges their tuples.  Every
     # [atom * unit] with the trailing unit absorbed is x itself, so the
     # set keeps at most one.
     singles = set()
-    by_atom: Dict = {}      # atom key -> [(atom, quotient's tuples)]
+    by_atom: Dict = {}      # atom key -> [quotient's tuples]
     need = 1
     for atom, quotient in pairs:
         if handle.is_unit(quotient):
-            singles.add((handle.multiply(atom, quotient),))
+            singles.add((handle.key(handle.multiply(atom, quotient)),))
             continue
         sub, sub_need = _rigid_walk(handle, cache, partial, in_progress,
                                     quotient, depth_left - 1)
@@ -178,17 +183,17 @@ def _rigid_walk(handle: SemigroupHandle, cache: Dict, partial: Dict,
             complete = False
         elif sub_need >= need:
             need = sub_need + 1
-        by_atom.setdefault(handle.key(atom), []).append((atom, sub))
+        by_atom.setdefault(handle.key(atom), []).append(sub)
     in_progress.discard(key)
     facts = list(singles)
     for atom_key in sorted(by_atom):
-        group = by_atom[atom_key]
-        if len(group) == 1:
-            atom, sub = group[0]
-            facts.extend((atom,) + f for f in sub)
+        subs = by_atom[atom_key]
+        if len(subs) == 1:
+            facts.extend((atom_key,) + f for f in subs[0])
         else:
-            facts.extend(_merged_by_keys(handle, group))
-    # a stable sort by length keeps each length's tuples in atom order
+            facts.extend(sorted({(atom_key,) + f for sub in subs
+                                 for f in sub}))
+    # a stable sort by length keeps each length's tuples in key order
     facts.sort(key=len)
     result = tuple(facts)
     if complete:
@@ -198,13 +203,44 @@ def _rigid_walk(handle: SemigroupHandle, cache: Dict, partial: Dict,
     return result, None
 
 
-def _merged_by_keys(handle: SemigroupHandle, group) -> list:
-    """The distinct tuples (atom,) + f over the (atom, quotient's tuples)
-    pairs of one atom key, in the order (length, atom keys).  Kept apart
-    so that ``_rigid_walk`` holds no lambda, whose closure would cost a
-    cell on every call."""
-    return sorted(set((atom,) + f for atom, sub in group for f in sub),
-                  key=lambda f: (len(f), tuple(map(handle.key, f))))
+def _classes_of(handle: SemigroupHandle, tuples: Tuple) -> Tuple:
+    """The atom classes of each factorization in ``tuples`` (atom-key
+    tuples), in order: ``tuples`` itself where every atom's class is its
+    key."""
+    atom_of_key, atom_class = handle.atom_of_key, handle.atom_class
+    of = {k: atom_class(atom_of_key(k)) for k in set().union(*tuples)}
+    if all(k == c for k, c in of.items()):
+        return tuples
+    get = of.__getitem__
+    return tuple([tuple(map(get, t)) for t in tuples])
+
+
+def factorization_keys(handle: SemigroupHandle, a
+                       ) -> Tuple[Tuple[Tuple, ...], Tuple[Tuple, ...], bool]:
+    """The rigid factorizations of a as atom-key tuples, in the order
+    (length, atom keys), the atom classes of each, and whether they are
+    all of a's factorizations.
+
+    Where a's walk completed this is a's one fact in the memo, and the
+    classes are worked out once and kept in it.  Almost-prime-likeness
+    and valuation sets read it, and build a ``RigidFactorization`` only
+    for a witness (``_rigid_factorization``).
+    """
+    handle.require_element(a)
+    if handle.is_unit(a):
+        return ((),), ((),), True
+    tuples, need, classes = _fact(handle, a)
+    if classes is None:
+        classes = _classes_of(handle, tuples)
+        if need is not None:
+            handle.memo.rigid[handle.key(a)] = (tuples, need, classes)
+    return tuples, classes, need is not None and handle.certified(a)
+
+
+def _rigid_factorization(handle: SemigroupHandle, a, keys: Tuple
+                         ) -> RigidFactorization:
+    """The factorization of a whose atoms have the keys ``keys``."""
+    return RigidFactorization(tuple(map(handle.atom_of_key, keys)), a)
 
 
 def rigid_factorizations(handle: SemigroupHandle, a) -> FactorizationSet:
@@ -212,25 +248,16 @@ def rigid_factorizations(handle: SemigroupHandle, a) -> FactorizationSet:
 
     Every returned sequence recomposes to a; the set is exhaustive iff
     ``complete`` is True.  The answer does not depend on earlier queries.
-    A complete set of a certified element is built once and kept in the
-    element's memo entry; any other set is rebuilt on every call.
+    The set is built on every call, from a's fact in the memo where a's
+    walk completed.
     """
     handle.require_element(a)
     if handle.is_unit(a):
         return FactorizationSet((RigidFactorization((), a),), True)
-    key = handle.key(a)
-    entries = handle.memo.rigid
-    certified = handle.certified(a)
-    hit = entries.get(key)
-    # a set is kept only after a's own walk completed, at a's depth
-    if certified and hit is not None and hit[2] is not None:
-        return hit[2]
-    tuples, complete = _atom_tuples(handle, a)
-    facts = tuple([RigidFactorization(t, a) for t in tuples])
-    fs = FactorizationSet(facts, complete and certified)
-    if fs.complete:
-        entries[key] = entries[key][:2] + (fs,)
-    return fs
+    tuples, need, _ = _fact(handle, a)
+    return FactorizationSet(
+        tuple([_rigid_factorization(handle, a, t) for t in tuples]),
+        need is not None and handle.certified(a))
 
 
 def _orderless(handle: SemigroupHandle) -> bool:
@@ -259,20 +286,19 @@ def permutable_factorizations(handle: SemigroupHandle, a
     On a commutative reduced handle every ordering of a factorization is
     one, so that least factorization is its atoms sorted by key: the
     classes come from ``permutable_class_multisets`` and no rigid ordering
-    is listed.  Elsewhere the classes are read off Z*(a).
+    is listed.  Elsewhere the classes are read off a's rigid fact
+    (``factorization_keys``), and only the representatives are built.
     """
     if _orderless(handle):
         sets, complete = permutable_class_multisets(handle, a)
         return tuple(PermutableFactorization(m, len(m), _least_rigid(
             handle, a, m)) for m in sorted(sets)), complete
-    fs = rigid_factorizations(handle, a)
-    seen: Dict[Tuple, RigidFactorization] = {}
-    for z in fs:
-        key = class_multiset(handle, z)
-        seen.setdefault(key, z)
-    out = tuple(PermutableFactorization(k, len(k), seen[k])
-                for k in sorted(seen))
-    return out, fs.complete
+    tuples, classes, complete = factorization_keys(handle, a)
+    first: Dict[Tuple, Tuple] = {}
+    for t, c in zip(tuples, classes):
+        first.setdefault(tuple(sorted(c)), t)
+    return tuple(PermutableFactorization(m, len(m), _rigid_factorization(
+        handle, a, first[m])) for m in sorted(first)), complete
 
 
 def _depth(handle: SemigroupHandle, a) -> int:
@@ -290,23 +316,31 @@ def permutable_class_multisets(handle: SemigroupHandle, a
     without it, so each multiset of x is one of x/u's plus u.  Besides
     length sets and divisibility, it is the node source of the catenary
     graph under d_len and d_p on commutative reduced handles, each
-    multiset one node (see ``catenary._graph``)."""
-    handle.require_element(a)
+    multiset one node (see ``catenary._graph``).
+
+    The key of a is hashed once on a memo hit: a key of the memo is an
+    element already, so a is checked (``require_element``) only on a
+    miss, and the walk below it starts without looking a up again."""
     cache = handle.memo.classes
     key = handle.key(a)
-    hit = cache.get(key)
+    try:
+        hit = cache.get(key)
+    except TypeError:   # unhashable, so no element: the check says why
+        hit = None
     if hit is None:
+        handle.require_element(a)
         spelled = handle.spelled_factorizations(a)
         if spelled is not None:
-            atom_class = handle.atom_class
-            hit = cache[key] = (tuple({tuple(sorted(map(atom_class, t)))
-                                       for t in spelled[0]}), spelled[1])
-    # a hit is read back as ``_class_walk`` reads it, with one lookup
+            # each atom's class is its key
+            hit = cache[key] = (tuple({tuple(sorted(t)) for t in spelled[0]}),
+                                spelled[1])
     depth = _depth(handle, a)
     if hit is not None and hit[1] <= depth:
         sets, need = hit
+    elif handle.is_unit(a):
+        sets, need = ((),), 0
     else:
-        sets, need = _class_walk(handle, cache, {}, a, depth)
+        sets, need = _class_step(handle, cache, {}, a, key, depth)
     return frozenset(sets), need is not None and handle.certified(a)
 
 
@@ -327,6 +361,14 @@ def _class_walk(handle: SemigroupHandle, cache: Dict, partial: Dict, x,
     hit = partial.get(key)
     if hit is not None and hit[1] >= depth_left:
         return hit[0], None
+    return _class_step(handle, cache, partial, x, key, depth_left)
+
+
+def _class_step(handle: SemigroupHandle, cache: Dict, partial: Dict, x,
+                key, depth_left: int
+                ) -> Tuple[Tuple[Tuple, ...], Optional[int]]:
+    """``_class_walk`` of a non-unit x with key ``key`` that neither memo
+    answers: its multisets from its quotients' by its covering atoms."""
     if depth_left <= 0:
         return (), None
     pairs, complete = handle.covering_divisor_atoms(x)

@@ -14,7 +14,8 @@ narrow those atoms to a cover that meets every factorization
 factorizations without recursing through them at all
 (``spelled_factorizations``).  A commutative reduced handle also maps an
 associate class back to its atom (``class_atom``).  Every handle keeps
-the answers derived from its factorization sets in one ``memo``.
+the answers derived from its factorization sets in one ``memo``, with
+atoms held by their keys (``atom_of_key`` finds an atom again).
 """
 
 from __future__ import annotations
@@ -33,13 +34,23 @@ class UnsupportedOperation(NotImplementedError):
 class HandleMemo:
     """The factorization-derived answers kept for one handle instance.
 
-    ``rigid``: key -> (atom tuples, need, the ``FactorizationSet`` once one
-    was returned, else None), for the elements whose rigid walk completed.
+    ``rigid``: key -> (factorizations, need, their atom classes once a
+    sweep query asked, else None), for the elements whose rigid walk
+    completed.  Each factorization is the tuple of its atoms' keys, and
+    each is matched by the tuple of those atoms' classes, the same tuples
+    where every atom's class is its key (as on a presentation).  This is
+    the one fact per element that almost-prime-likeness, valuation sets
+    and length sets read; a ``RigidFactorization`` is built from it only
+    when one is returned.
     ``classes``: key -> (class multisets, need), for those whose walk of
     the class multisets completed, each set kept as a tuple: even an empty
     frozenset takes 216 bytes, and a sweep keeps one set per element it
     met.  ``need`` is the depth the walk needs (see ``factorizations``).
     ``divides_p``: (key of b, key of a) -> ``DivisibilityAnswer``.
+
+    On a presentation, atom keys and classes are words, so an entry of
+    ``rigid`` or ``classes`` holds only tuples of strings and ints, which
+    CPython stops tracking for the cyclic collector.
     """
 
     __slots__ = ("rigid", "classes", "divides_p")
@@ -76,6 +87,12 @@ class SemigroupHandle:
     def key(self, x) -> Hashable:
         """Canonical hashable key; two elements are equal iff keys agree."""
         return x
+
+    def atom_of_key(self, k):
+        """The atom whose key is k (the inverse of ``key`` on atoms): the
+        factorization memo keeps atoms as keys.  The default key is the
+        element itself."""
+        return k
 
     def is_unit(self, x) -> bool:
         raise NotImplementedError
@@ -140,9 +157,12 @@ class SemigroupHandle:
 
     def spelled_factorizations(self, x
                                ) -> Optional[Tuple[Tuple[Tuple, ...], int]]:
-        """Every rigid factorization of x, in the order (length, atom
-        keys), with the depth a walk of x needs, when the handle reads them
-        off x itself; None for a unit and where they must be walked.
+        """Every rigid factorization of x as the tuple of its atoms' keys,
+        in the order (length, atom keys), with the depth a walk of x
+        needs, when the handle reads them off x itself; None for a unit
+        and where they must be walked.  A handle answers only where the
+        class of each atom is its key, so the tuples are their own atom
+        classes too.
 
         An answer is what the walk of x would find and keep (see
         ``factorizations``), so it may stand in for it.  The default reads

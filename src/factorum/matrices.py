@@ -35,7 +35,10 @@ from .arith import big_omega, factor, is_prime
 from .handles import DivisorPairs, FactorialVectorHandle, SemigroupHandle
 
 Mat = Tuple[Tuple[int, ...], ...]
-_DET_CAP = 1_000_000    # the largest |det| whose atom left divisors are listed
+# the largest |det| that is factored or tested for primality, by trial
+# division: every such test of a determinant or a diagonal entry (which
+# divides it) is checked against it first (``_capped``)
+_DET_CAP = 1_000_000
 _PAIR_LIMIT = 400       # the most sample pairs a transfer-map check visits
 
 
@@ -45,6 +48,14 @@ class NotAtomError(ValueError):
 
 class DetTooLargeError(ValueError):
     pass
+
+
+def _capped(d: int) -> int:
+    """|d|, once it is known not to exceed the cap."""
+    d = abs(d)
+    if d > _DET_CAP:
+        raise DetTooLargeError(f"|det| = {d} exceeds cap {_DET_CAP}")
+    return d
 
 
 # basic exact matrix helpers ---------------------------------------------
@@ -135,7 +146,7 @@ def tri_is_unit(a: Mat) -> bool:
 def tri_is_atom(a: Mat) -> Optional[AtomProfile]:
     """Atom test per the diagonal criterion: exactly one diagonal entry is
     (up to sign) prime, every other diagonal entry is a unit."""
-    if not is_upper_triangular(a) or mat_det(a) == 0:
+    if not is_upper_triangular(a) or _capped(mat_det(a)) == 0:
         return None
     profile = None
     for i in range(len(a)):
@@ -226,8 +237,7 @@ def tri_left_divisors(a: Mat) -> List[Tuple[Mat, Mat]]:
     d = abs(mat_det(a))
     if d == 0 or not is_upper_triangular(a):
         raise ValueError("need an upper triangular matrix with nonzero det")
-    if d > _DET_CAP:
-        raise DetTooLargeError(f"|det| = {d} exceeds cap {_DET_CAP}")
+    _capped(d)
     return _hermite_divisors(a, [(m, p) for m in range(len(a))
                                  for p in sorted(factor(a[m][m]))])
 
@@ -252,7 +262,7 @@ class _MatrixHandle(SemigroupHandle):
         return mat_mul(x, y)
 
     def length_cap(self, x: Mat) -> int:
-        return big_omega(mat_det(x))
+        return big_omega(_capped(mat_det(x)))
 
     def format_element(self, x: Mat) -> str:
         return "[" + format_matrix(x) + "]"
@@ -419,7 +429,7 @@ def det_transfer(a: Mat) -> int:
 
 
 def mat_is_atom(a: Mat) -> bool:
-    return is_prime(det_transfer(a))
+    return is_prime(_capped(det_transfer(a)))
 
 
 def mat_left_divisors(a: Mat) -> List[Tuple[Mat, Mat]]:
@@ -429,8 +439,7 @@ def mat_left_divisors(a: Mat) -> List[Tuple[Mat, Mat]]:
     d = abs(mat_det(a))
     if d == 0:
         raise ValueError("zero determinant")
-    if d > _DET_CAP:
-        raise DetTooLargeError(f"|det| = {d} exceeds cap {_DET_CAP}")
+    _capped(d)
     return _hermite_divisors(a, [(k, p) for p in sorted(factor(d))
                                  for k in range(len(a))])
 
@@ -455,7 +464,7 @@ class FullMatrixHandle(_MatrixHandle):
     def atom_class(self, u: Mat) -> int:
         # two atoms share a Smith Normal Form diag(p, 1, ..., 1), hence are
         # associated, iff their |det|s agree
-        p = det_transfer(u)
+        p = _capped(det_transfer(u))
         if not is_prime(p):
             raise NotAtomError(f"{u} is not an atom of M_n(Z)")
         return p

@@ -15,6 +15,15 @@ Canonical forms are shortlex-minimal ball members, with the generator
 order taken from the declaration order.  The word problem is undecidable
 in general; every answer therefore carries a certification flag.
 
+A closed ball is the engine's one record of its class: it holds the
+class's one ``Element``, and the class's atom answer and left-divisor
+list are kept beside it under the canonical word.  What the engine keeps
+per closed class is thus its ball, the ball's member set and its
+``Element``, the only objects of a class that the cyclic collector
+tracks.  A class's rigid factorizations are kept in the handle's memo as
+one fact of words and ints (see ``factorizations``), which the sweep
+queries read directly.
+
 Cancellativity is assumed, not decided.  ``check_adyan`` provides the one
 sufficient certificate used throughout: if each relation contributes an
 edge between the first letters of its two sides (left graph) and likewise
@@ -252,18 +261,23 @@ class CongruenceBall:
     # the shortlex-least member of length >= 2, None when every member is a
     # single letter: its first letter and the rest split the class
     least_long_member: Optional[Word] = None
+    # the one Element of the class, on a closed ball
+    element: Optional[Element] = field(default=None, compare=False,
+                                       repr=False)
 
 
-def _bind_closed_class(canon: Dict, members, canonical, word_cap: int,
+def _bind_closed_class(canon: Dict, members, target, word_cap: int,
                        size) -> None:
-    """Bind the members of a closed ball to its canonical word in
-    ``canon``, each only when its own build would close the ball too: when
-    its cap max(word_cap, size(member)) reaches the longest member.  A word
-    is then answered from the cache exactly as a cold engine answers it."""
+    """Bind the members of a closed ball to ``target`` (the ball itself,
+    or its canonical form) in ``canon``, each only when its own
+    build would close the ball too: when its cap max(word_cap,
+    size(member)) reaches the longest member.  A word is then answered
+    from the cache exactly as a cold engine answers it, and a class is
+    built at most once."""
     longest = max(map(size, members))
     for m in members:
         if max(word_cap, size(m)) >= longest:
-            canon[m] = canonical
+            canon[m] = target
 
 
 class Equality(Enum):
@@ -282,6 +296,13 @@ class Element:
         return len(self.word)
 
 
+def _element_of(ball: CongruenceBall) -> Element:
+    """The Element of a ball's seed: its class's one Element when the ball
+    closed, a fresh uncertified one otherwise."""
+    el = ball.element
+    return el if el is not None else Element(ball.canonical, False)
+
+
 class AtomKind(Enum):
     YES = "yes"
     NO = "no"
@@ -292,15 +313,6 @@ class AtomKind(Enum):
 class AtomAnswer:
     kind: AtomKind
     witness: Optional[Tuple[Element, Element]] = None  # split u, v with uv = w
-
-
-@dataclass(slots=True)
-class _ClassRecord:
-    """What an engine has worked out about one closed congruence class."""
-    element: Element
-    atom: Optional[AtomAnswer] = None
-    divisors: Optional[Tuple[Tuple[Element, Element], ...]] = None
-    non_unique: Tuple[Word, ...] = ()   # atoms with several left quotients
 
 
 class PresentationSemigroup(SemigroupHandle):
@@ -326,28 +338,32 @@ class PresentationSemigroup(SemigroupHandle):
         # The ball caches hold facts only, so every answer is a function of
         # the words asked about, not of what was explored before.  A closed
         # ball is a whole congruence class (rewriting is symmetric, and no
-        # rewrite of a member leaves it); ``_canon`` binds it to the members
-        # whose own build closes it too (``_bind_closed_class``), and
-        # ``_balls`` keeps it under its canonical word.  Any other ball is
-        # kept in ``_open_balls`` under its seed alone and never shared.
-        self._canon: Dict[Word, Word] = {}
-        self._balls: Dict[Word, CongruenceBall] = {}
+        # rewrite of a member leaves it), and its ball is the engine's one
+        # record of it, holding the class's one Element.  ``_canon`` binds
+        # that ball to the members whose own build closes it too
+        # (``_bind_closed_class``).  Any other ball is kept in
+        # ``_open_balls`` under its seed alone and never shared.
+        self._canon: Dict[Word, CongruenceBall] = {}
         self._open_balls: Dict[Word, CongruenceBall] = {}
-        # Per-class memo, keyed by canonical word, for closed classes only:
-        # one Element, the atom answer when its witness factors are of
-        # closed classes too, and the left-divisor list when it is complete
-        # (its atoms and quotients are then all of closed classes).  Other
-        # answers are recomputed on every call.
-        self._classes: Dict[Word, _ClassRecord] = {}
+        # What is worked out about a closed class, keyed by its canonical
+        # word: the atom answer when its witness factors are of closed
+        # classes too, and the left-divisor list, with the atoms that have
+        # several left quotients, when it is complete (its atoms and
+        # quotients are then all of closed classes).  Other answers are
+        # recomputed on every call.
+        self._atom_answers: Dict[Word, AtomAnswer] = {}
+        self._divisors: Dict[Word, Tuple[Tuple[Tuple[Element, Element], ...],
+                                         Tuple[Word, ...]]] = {}
         self.adyan = check_adyan(presentation)
         self.warnings: List[str] = []
         if not self.adyan.is_adyan:
             self.warnings.append(
                 "presentation is not certified Adyan; cancellativity is assumed")
-        # letter -> its atom, filled on first use, where every letter is an
-        # atom and ``spelled_factorizations`` may read a closed class off;
-        # None elsewhere
-        self._letter_atoms: Optional[Dict[str, Element]] = {} if (
+        # letter -> its atom's word, where every letter is an atom and
+        # ``spelled_factorizations`` may read a closed class off; None
+        # elsewhere
+        self._letter_atoms: Optional[Dict[str, Word]] = {
+            g: (g,) for g in presentation.generators} if (
             self.adyan.is_adyan and all(len(r.lhs) >= 2 and len(r.rhs) >= 2
                                         for r in presentation.relations)
         ) else None
@@ -374,9 +390,9 @@ class PresentationSemigroup(SemigroupHandle):
     # balls -----------------------------------------------------------
 
     def congruence_ball(self, word: Word) -> CongruenceBall:
-        canonical = self._canon.get(word)
-        if canonical is not None:
-            return self._balls[canonical]
+        ball = self._canon.get(word)
+        if ball is not None:
+            return ball
         ball = self._open_balls.get(word)
         if ball is not None:
             return ball
@@ -405,37 +421,29 @@ class PresentationSemigroup(SemigroupHandle):
             default=None)
         ball = CongruenceBall(seed=word, members=frozenset(members),
                               closed=closed, canonical=canonical,
-                              truncated=truncated, least_long_member=least_long)
+                              truncated=truncated, least_long_member=least_long,
+                              element=Element(canonical) if closed else None)
         if closed:
-            _bind_closed_class(self._canon, members, canonical,
+            _bind_closed_class(self._canon, members, ball,
                                self.budget.max_word_length, len)
-            self._balls[canonical] = ball
         else:
             self._open_balls[word] = ball
         return ball
 
     def element(self, word: Word) -> Element:
-        record = self._classes.get(self._canon.get(word))
-        if record is not None:
-            return record.element
-        ball = self.congruence_ball(word)
-        return self._intern(ball.canonical, ball.closed)
+        ball = self._canon.get(word)
+        if ball is not None:
+            return ball.element
+        return _element_of(self.congruence_ball(word))
 
-    def _intern(self, canonical: Word, closed: bool) -> Element:
-        """The one Element of a closed class; a fresh one for other balls."""
-        if not closed:
-            return Element(canonical, False)
-        record = self._classes.get(canonical)
-        if record is None:
-            record = self._classes[canonical] = _ClassRecord(Element(canonical))
-        return record.element
-
-    def _record(self, word: Word) -> Optional[_ClassRecord]:
-        """The memo record of the class of word, None unless its ball closed."""
-        record = self._classes.get(self._canon.get(word))
-        if record is None and self.element(word).certified:
-            record = self._classes[self._canon[word]]
-        return record
+    def _closed_class(self, word: Word) -> Optional[Word]:
+        """The canonical word of the class of word, None unless its ball
+        closed."""
+        ball = self._canon.get(word)
+        if ball is not None:
+            return ball.canonical
+        el = self.element(word)
+        return el.word if el.certified else None
 
     def element_from_str(self, text: str) -> Element:
         return self.element(self.word_from_str(text))
@@ -458,9 +466,10 @@ class PresentationSemigroup(SemigroupHandle):
     def atom_answer(self, el: Element) -> AtomAnswer:
         if not el.word:
             return AtomAnswer(AtomKind.NO)  # the unit is not an atom
-        record = self._record(el.word)
-        if record is not None and record.atom is not None:
-            return record.atom
+        canonical = self._closed_class(el.word)
+        answer = self._atom_answers.get(canonical)
+        if answer is not None:
+            return answer
         ball = self.congruence_ball(el.word)
         m = ball.least_long_member
         if m is not None:
@@ -471,8 +480,8 @@ class PresentationSemigroup(SemigroupHandle):
             answer, exact = AtomAnswer(AtomKind.YES), True
         else:
             return AtomAnswer(AtomKind.UNKNOWN)
-        if record is not None and exact:
-            record.atom = answer
+        if canonical is not None and exact:
+            self._atom_answers[canonical] = answer
         return answer
 
     def left_divisors(self, el: Element) -> DivisorPairs:
@@ -484,11 +493,12 @@ class PresentationSemigroup(SemigroupHandle):
         quotient.word is itself a member.  Members are visited in shortlex
         order, so that the warnings come in an order that no hash decides.
         """
-        record = self._record(el.word)
-        if record is not None and record.divisors is not None:
-            for atom_word in record.non_unique:
+        canonical = self._closed_class(el.word)
+        known = self._divisors.get(canonical)
+        if known is not None:
+            for atom_word in known[1]:
                 self._warn_non_unique(el, atom_word)
-            return list(record.divisors), True
+            return list(known[0]), True
         ball = self.congruence_ball(el.word)
         complete = ball.closed
         pairs = {}
@@ -519,15 +529,14 @@ class PresentationSemigroup(SemigroupHandle):
         if len(ordered) > 1:
             ordered = [pairs[k] for k in sorted(pairs, key=lambda k: (
                 self.shortlex_key(k[0]), self.shortlex_key(k[1])))]
-        if record is not None and complete:
-            record.divisors = tuple(ordered)
-            record.non_unique = non_unique
+        if canonical is not None and complete:
+            self._divisors[canonical] = (tuple(ordered), non_unique)
         return ordered, complete
 
     def spelled_factorizations(self, x: Element):
-        """The words of x's class spelled letter by letter, in shortlex
-        order by generator name, with their greatest length; None unless
-        both of these hold:
+        """The words of x's class spelled letter by letter as atom words
+        (each the atom's key and class), in shortlex order by generator
+        name, with their greatest length; None unless both of these hold:
 
         * the presentation is Adyan and no relation side is a single
           letter.  The atoms are then exactly the letters: a letter's
@@ -550,9 +559,6 @@ class PresentationSemigroup(SemigroupHandle):
         longest = max(map(len, ball.members))
         if longest > self.budget.max_word_length:
             return None
-        if not atom:
-            atom.update((g, self.element((g,)))
-                        for g in self.presentation.generators)
         words = sorted(ball.members)
         words.sort(key=len)
         return tuple([tuple(map(atom.__getitem__, w)) for w in words]), longest
@@ -571,26 +577,27 @@ class PresentationSemigroup(SemigroupHandle):
         """Canonical representatives of all classes having a member of
         length <= max_length (default: the ball budget), identity excluded.
 
-        Shortlex-canonical words are closed under taking factors, so a DFS
-        that extends only canonical prefixes finds every one of them.
+        Shortlex-canonical words are closed under taking factors, so a
+        search that extends only canonical words finds every one of them.
+        It goes one length at a time, each word extended by the generators
+        in declaration order, so they are found in shortlex order.
         """
         limit = self.budget.max_word_length if max_length is None else max_length
         limit = min(limit, self.budget.max_word_length)
         out: List[Element] = []
         complete = True
-        stack: List[Word] = [()]
-        while stack:
-            w = stack.pop()
-            for g in self.presentation.generators:
-                cand = w + (g,)
-                if len(cand) > limit:
-                    continue
-                ball = self.congruence_ball(cand)
-                complete = complete and ball.closed
-                if ball.canonical == cand:
-                    out.append(self._intern(cand, ball.closed))
-                    stack.append(cand)
-        out.sort(key=lambda e: self.shortlex_key(e.word))
+        level: List[Word] = [()]
+        for _ in range(limit):
+            longer = []
+            for w in level:
+                for g in self.presentation.generators:
+                    cand = w + (g,)
+                    ball = self.congruence_ball(cand)
+                    complete = complete and ball.closed
+                    if ball.canonical == cand:
+                        out.append(_element_of(ball))
+                        longer.append(cand)
+            level = longer
         return out, complete
 
     def enumerate_atoms(self, max_length: Optional[int] = None
@@ -612,6 +619,10 @@ class PresentationSemigroup(SemigroupHandle):
 
     def key(self, x: Element):
         return x.word
+
+    def atom_of_key(self, k: Word) -> Element:
+        # an atom's class is closed and binds its canonical word k
+        return self.element(k)
 
     def atom_class(self, u: Element):
         return u.word           # reduced: an atom's class is its element

@@ -233,15 +233,7 @@ class BlockMonoidHandle(SemigroupHandle):
         return seq
 
     def require_element(self, x) -> None:
-        """Raise ValueError unless x is a sorted zero-sum sequence over G_P.
-
-        A key of the memo's class multisets passes at once: it was checked
-        before, or is a quotient of one that was."""
-        try:
-            if x in self.memo.classes:
-                return
-        except TypeError:   # unhashable: never a key, checked below
-            pass
+        """Raise ValueError unless x is a sorted zero-sum sequence over G_P."""
         if not self._support.issuperset(x):
             outside = next(g for g in x if g not in self._support)
             raise ValueError(f"sequence {x!r} has the term {outside!r} "

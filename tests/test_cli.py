@@ -222,6 +222,19 @@ def test_group_order_cap_is_checked_before_the_group_is_listed(
     assert err == f"error: group order {order} exceeds cap 64\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["mat", "--matrix", "99999999999999999999999 0; 0 1", "lengths"],
+    ["tri", "--matrix", "99999999999999999999999 0; 0 1", "factorize"],
+    ["mat", "--matrix", "2305843009213693951 0; 0 1", "atom"],
+    ["tri", "--matrix", "2305843009213693951 0; 0 1", "atom"],
+], ids=["mat-lengths", "tri-factorize", "mat-atom", "tri-atom"])
+def test_determinant_cap_is_checked_before_factoring(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    det = argv[2].split()[0]
+    assert (code, out) == (1, "")
+    assert err == f"error: |det| = {det} exceeds cap 1000000\n"
+
+
 def test_regression_single_case(capsys):
     code, out, _ = run(capsys, "regression", "--case", "abc_cb")
     assert code == 0

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from factorum.divisibility import divides_p, is_almost_prime_like
+from factorum.divisibility import (divides_p, is_almost_prime_like,
+                                   valuation_set)
 from factorum.handles import FactorialVectorHandle
 from factorum.factorizations import (FactorizationSet, LengthSet,
-                                     RigidFactorization, _atom_tuples,
-                                     _class_walk,
+                                     RigidFactorization, _class_walk,
                                      length_profile,
                                      permutable_class_multisets,
                                      permutable_factorizations,
@@ -143,10 +143,10 @@ def test_incomplete_factorizations_flagged():
 
 
 def _rebuilt(h, a):
-    """rigid_factorizations without the set memo, as a reference."""
-    tuples, complete = _atom_tuples(h, a)
+    """rigid_factorizations from the cold reference walk."""
+    tuples, need = _sorted_reference(h, a)
     return FactorizationSet(tuple(RigidFactorization(t, a) for t in tuples),
-                            complete and h.certified(a))
+                            need is not None and h.certified(a))
 
 
 def _spelled_out(fs):
@@ -163,20 +163,22 @@ def _spelled_out(fs):
     ("aba_ba3bc", ExplorationBudget(7, 5), {True, False}),
 ])
 def test_factorization_set_memo(name, budget, completeness):
-    # A complete set is built once and then served from the memo; an
-    # incomplete one is rebuilt on every call.  A second engine asked the
-    # same queries in the same order rebuilds every set.
+    # A complete set is walked once, kept in the memo as its atom keys, and
+    # then built from them with no walk; an incomplete one is walked again
+    # on every call.  Both agree with the cold reference walk.
     h, reference = engine(name, budget), engine(name, budget)
     els, _ = h.enumerate_elements(4)
     reference.enumerate_elements(4)
+    calls = _counting_walks(h)
     seen = set()
     for el in els:
         ref_el = reference.element(el.word)
         first = rigid_factorizations(h, el)
         assert _spelled_out(first) == _spelled_out(_rebuilt(reference, ref_el))
+        calls.clear()
         again = rigid_factorizations(h, el)
         assert _spelled_out(again) == _spelled_out(_rebuilt(reference, ref_el))
-        assert (again is first) == first.complete
+        assert (calls == []) == first.complete
         assert all(z.product == el and h.product(z.atoms) == el for z in again)
         seen.add(first.complete)
     assert seen == completeness
@@ -188,6 +190,11 @@ def test_factorization_set_memo_checks_the_element_certified():
     assert rigid_factorizations(h, el).complete
     fs = rigid_factorizations(h, Element(el.word, False))
     assert not fs.complete and all(z.product == el for z in fs)
+    # the sweep queries read the same fact, and certify only with the element
+    b = h.element_from_str("b")
+    for x, certified in ((el, True), (Element(el.word, False), False)):
+        assert is_almost_prime_like(h, b, [x]).certified == certified
+        assert valuation_set(h, b, x).certified == certified
 
 
 def test_incomplete_set_of_a_certified_element_is_rebuilt():
@@ -586,6 +593,76 @@ def test_matrix_atom_tuples_keep_the_sorted_order(make):
                                        [lambda e, m=m: m for m in matrices])
     assert any(len(t) == 1 for r in results for t in r)
     assert any(len(r) > 1 for r in results)
+
+
+def _sweep_answers(h, x, atoms):
+    """What the sweep asks about x, each certification and witness spelled
+    out: almost-prime-likeness and the valuation set at every atom, the
+    length profile and the rigid set."""
+    answers = []
+    for q in atoms:
+        rep = is_almost_prime_like(h, q, [x])
+        cex = None if rep.counterexample is None else (
+            h.format_element(rep.counterexample[0]),
+            _tuples_spelled(h, (z.atoms for z in rep.counterexample[1:])))
+        vs = valuation_set(h, q, x)
+        answers.append((rep.holds, rep.certified, cex, vs.values, vs.certified))
+    fs = rigid_factorizations(h, x)
+    return (answers, length_profile(h, x),
+            _tuples_spelled(h, (z.atoms for z in fs)), fs.complete)
+
+
+def _sweep_reference(ref, y, atoms):
+    """``_sweep_answers`` worked out from ref's FactorizationSet of y alone
+    (and, where that set is incomplete, from a walk of the class multisets
+    for the lengths)."""
+    fs = rigid_factorizations(ref, y)
+    classes = [tuple(map(ref.atom_class, z.atoms)) for z in fs]
+    answers = []
+    for q in atoms:
+        cls = ref.atom_class(q)
+        with_q = [z for z, c in zip(fs, classes) if cls in c]
+        without_q = [z for z, c in zip(fs, classes) if cls not in c]
+        cex = (ref.format_element(y), _tuples_spelled(
+            ref, (with_q[0].atoms, without_q[0].atoms))) \
+            if with_q and without_q else None
+        values = (0,) if ref.is_unit(y) else tuple(sorted(
+            {c.count(cls) for c in classes}))
+        answers.append((cex is None, cex is not None or fs.complete, cex,
+                        values, fs.complete))
+    if fs.complete:
+        lengths = _profile_of({z.atoms for z in fs}, True)
+    else:
+        lengths = _reference_profile(ref, y)
+    return (answers, lengths, _tuples_spelled(ref, (z.atoms for z in fs)),
+            fs.complete)
+
+
+@pytest.mark.parametrize("name,warm", [
+    pytest.param(name, warm, id=name if warm else name + "-cold")
+    for name in preset_names() + sorted(_FAMILIES) for warm in (True, False)])
+@pytest.mark.parametrize("budget", [None, TRUNCATING])
+def test_sweep_queries_read_the_fact_like_a_cold_factorization_set(
+        name, budget, warm):
+    # The sweep's queries read each element's fact in the memo and build
+    # no FactorizationSet; a cold engine's sets are the reference, for the
+    # values, the witnesses, every certification and the warnings.
+    gens = _engine(name).presentation.generators
+    words = [w for n in range(1, 6) for w in itertools.product(gens, repeat=n)]
+    random.Random(name).shuffle(words)
+    h = _engine(name, budget)
+    warnings = []
+    for word in words[:150]:
+        if not warm:
+            h = _engine(name, budget)
+        ref = _engine(name, budget)
+        atoms = [h.element((g,)) for g in gens]
+        atoms = [q for q in atoms if h.is_atom(q)]
+        ref_atoms = [ref.element(q.word) for q in atoms]
+        assert _sweep_answers(h, h.element(word), atoms) == \
+            _sweep_reference(ref, ref.element(word), ref_atoms)
+        warnings += [w for w in ref.warnings if w not in warnings]
+        assert h.warnings == (warnings if warm else ref.warnings)
 
 
 def _all_divisor_class_multisets(h, a, cache):

@@ -1,9 +1,11 @@
-"""The library leaves no cyclic garbage.
+"""The library leaves no cyclic garbage, and keeps few tracked objects.
 
 Every recursive walk is a plain module-level recursion that takes its
 state as arguments, so a query makes no reference cycle: with the cyclic
 collector switched off, reference counting alone frees all it made, and
-``gc.collect()`` afterwards finds nothing.
+``gc.collect()`` afterwards finds nothing.  And what an engine keeps per
+class is few objects that the collector must track, so that its full
+collections stay cheap as a sweep grows.
 """
 
 import contextlib
@@ -16,7 +18,7 @@ import pytest
 from factorum.catenary import catenary
 from factorum.cli import main
 from factorum.distances import DistanceKind, rigid_distance_oracle
-from factorum.divisibility import is_almost_prime_like
+from factorum.divisibility import is_almost_prime_like, valuation_set
 from factorum.factorizations import length_profile, rigid_factorizations
 from factorum.presentation import ExplorationBudget, PresentationSemigroup
 from factorum.presets import load_preset
@@ -55,6 +57,27 @@ def test_presentation_walks_leave_no_cycles():
             is_almost_prime_like(h, h.element_from_str(q), els, complete)
 
     assert cyclic_garbage(run) == 0
+
+
+def test_a_swept_class_keeps_few_tracked_objects():
+    # A closed class keeps its ball, the ball's member set and its one
+    # Element; its factorization fact holds only words and ints, which the
+    # collector stops tracking.
+    gc.collect()
+    before = len(gc.get_objects())
+    h = PresentationSemigroup(load_preset("aba_ba3bc"),
+                              ExplorationBudget(36, 200_000))
+    els, complete = h.enumerate_elements(7)
+    atoms = [h.element_from_str(q) for q in "abc"]
+    for el in els:
+        answers = ([is_almost_prime_like(h, q, [el]) for q in atoms],
+                   valuation_set(h, atoms[0], el),
+                   valuation_set(h, atoms[1], el), length_profile(h, el))
+    del answers
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert complete and len(els) == 3272
+    assert added / len(els) <= 5
 
 
 def test_block_monoid_walks_leave_no_cycles():

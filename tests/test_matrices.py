@@ -10,7 +10,8 @@ from factorum.divisibility import omega_semigroup
 from factorum.factorizations import (length_profile,
                                      permutable_class_multisets,
                                      rigid_factorizations)
-from factorum.matrices import (AtomProfile, FullMatrixHandle, NotAtomError,
+from factorum.matrices import (_DET_CAP, AtomProfile, DetTooLargeError,
+                               FullMatrixHandle, NotAtomError,
                                TriangularMatrixHandle, _solve_upper,
                                annihilator_profile, delta_map,
                                delta_transfer_map, det_transfer_map,
@@ -325,6 +326,41 @@ def test_mat_atom_iff_prime_det():
         if mat_det(a) == 0:
             continue
         assert mat_is_atom(a) == is_prime(abs(mat_det(a)))
+
+
+# 2^61 - 1 is prime, and 10^23 + ... has a large prime factor: trial
+# division of either would not end in any test's time
+_MERSENNE_61 = ((2 ** 61 - 1, 0), (0, 1))
+_HUGE = ((99999999999999999999999, 0), (0, 1))
+
+
+@pytest.mark.parametrize("a", [_MERSENNE_61, _HUGE], ids=["2^61-1", "10^23-1"])
+@pytest.mark.parametrize("query", [
+    lambda a: tri_is_atom(a),
+    lambda a: mat_is_atom(a),
+    lambda a: FullMatrixHandle(2).atom_class(a),
+    lambda a: TriangularMatrixHandle(2).length_cap(a),
+    lambda a: FullMatrixHandle(2).length_cap(a),
+    lambda a: length_profile(FullMatrixHandle(2), a),
+    lambda a: rigid_factorizations(TriangularMatrixHandle(2), a),
+], ids=["tri_is_atom", "mat_is_atom", "atom_class", "tri_length_cap",
+        "mat_length_cap", "mat_lengths", "tri_factorize"])
+def test_determinant_cap_is_checked_before_trial_division(a, query):
+    with pytest.raises(DetTooLargeError, match=f"exceeds cap {_DET_CAP}"):
+        query(a)
+
+
+def test_determinant_cap_leaves_small_determinants_and_snf():
+    # the largest prime under the cap is still an atom, one over is refused
+    below = ((999983, 0), (0, 1))
+    assert mat_is_atom(below) and tri_is_atom(below) == AtomProfile(1, 999983)
+    assert FullMatrixHandle(2).length_cap(below) == 1
+    over = ((1000003, 0), (0, 1))
+    with pytest.raises(DetTooLargeError):
+        tri_is_atom(over)
+    # the Smith form and the diagonal map factor nothing
+    assert snf(_MERSENNE_61).c == _MERSENNE_61
+    assert delta_map(_HUGE) == (99999999999999999999999, 1)
 
 
 def test_m2_lengths_are_omega():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -228,6 +229,20 @@ def test_enumerate_atoms_ab_cd_cede_ba():
     assert {a.word for a in atoms} == {(g,) for g in "abcde"}
 
 
+@pytest.mark.parametrize("name", preset_names())
+def test_enumerate_elements_lists_each_class_once_in_shortlex_order(name):
+    h, reference = engine(name), engine(name)
+    els, complete = h.enumerate_elements(5)
+    keys = [h.shortlex_key(e.word) for e in els]
+    assert keys == sorted(set(keys))
+    if complete:
+        gens = h.presentation.generators
+        words = [w for n in range(1, 6)
+                 for w in itertools.product(gens, repeat=n)]
+        assert {e.word for e in els} == {reference.element(w).word
+                                          for w in words}
+
+
 # invariants & properties ----------------------------------------------------
 
 @pytest.mark.parametrize("preset", ["abc_cb", "ab_cd_cede_ba", "aba_bab"])
@@ -290,10 +305,16 @@ def test_budget_below_relation_side_rejected():
         make("gens: a b\nrel: a b a = b\n", ExplorationBudget(2, 100))
 
 
+def _closed_balls(h):
+    """Every closed ball the engine keeps, once each: each is bound to the
+    members whose own build closes it."""
+    return list({id(b): b for b in h._canon.values()}.values())
+
+
 def _cached_balls(h):
-    """Every ball the engine keeps: the closed ones under their canonical
-    word and the others under their seed."""
-    return list(h._balls.values()) + list(h._open_balls.values())
+    """Every ball the engine keeps: the closed ones and the others, under
+    their seed."""
+    return _closed_balls(h) + list(h._open_balls.values())
 
 
 @pytest.mark.parametrize("cap", [2, 3, 5, 8, 13, 21])
@@ -311,7 +332,7 @@ def test_ball_truncated_at_cap_while_absorbing():
     h.enumerate_elements(7)
     assert max(len(b.members) for b in _cached_balls(h)) <= 3
     assert any(b.truncated for b in h._open_balls.values())
-    assert not any(b.truncated for b in h._balls.values())
+    assert not any(b.truncated for b in _closed_balls(h))
 
 
 # the per-class memo ------------------------------------------------------------
@@ -504,19 +525,19 @@ def test_warm_engine_answers_ball_queries_like_a_cold_one(name, ball_size,
 def _check_memo_keys(h):
     # a word is bound to a closed class only when its own build closes it
     word_cap = h.budget.max_word_length
-    for word, canonical in h._canon.items():
-        members = h._balls[canonical].members
-        assert word in members
-        assert max(map(len, members)) <= max(word_cap, len(word))
+    for word, ball in h._canon.items():
+        assert ball.closed and word in ball.members
+        assert max(map(len, ball.members)) <= max(word_cap, len(word))
+        # the ball holds its class's one Element
+        assert ball.element.word == ball.canonical and ball.element.certified
     assert not h._open_balls.keys() & h._canon.keys()
-    for canonical, record in h._classes.items():
-        ball = h._balls[canonical]
-        assert ball.closed and ball.canonical == canonical
-        assert record.element.word == canonical and record.element.certified
-        # a memoised answer names only elements of closed classes
-        if record.atom is not None and record.atom.witness is not None:
-            assert all(x.certified for x in record.atom.witness)
-        for u, q in record.divisors or ():
+    closed = {b.canonical for b in h._canon.values()}
+    assert h._atom_answers.keys() <= closed and h._divisors.keys() <= closed
+    # a memoised answer names only elements of closed classes
+    for atom in h._atom_answers.values():
+        assert all(x.certified for x in atom.witness or ())
+    for pairs, _ in h._divisors.values():
+        for u, q in pairs:
             assert u.certified and q.certified
 
 
@@ -526,8 +547,9 @@ def test_memo_holds_one_record_per_closed_class():
     assert h.element(("c", "b")) is el
     assert h.element_from_str("a b c") is el
     assert h.multiply(h.element(("a",)), h.element(("b", "c"))) is el
-    assert [w for w in h._classes if ("c", "b") in h.congruence_ball(w).members] \
-        == [("c", "b")]
+    assert [b.canonical for b in _closed_balls(h)
+            if ("c", "b") in b.members] == [("c", "b")]
+    assert h.congruence_ball(("a", "b", "c")).element is el
     # aba_b: the classes of a^k b a^k are infinite, so those balls escape
     h = engine("aba_b", _tiny_budget("aba_b"))
     els, complete = h.enumerate_elements(5)
@@ -535,7 +557,7 @@ def test_memo_holds_one_record_per_closed_class():
     for el in els:
         h.left_divisors(el)
         assert h.element(el.word).certified == el.certified
-    assert h._open_balls and all(b.closed for b in h._balls.values())
+    assert h._open_balls and all(b.closed for b in h._canon.values())
     _check_memo_keys(h)
 
 
@@ -570,7 +592,7 @@ def test_closed_class_with_escaping_factors_stays_unmemoised():
     assert first["atom"][1] == ((("a",), True), (("a", "c", "b"), False))
     assert first["divisors"][1] is False
     assert _answers(h, word) == first
-    assert not h._classes[el.word].atom and not h._classes[el.word].divisors
+    assert el.word not in h._atom_answers and el.word not in h._divisors
     _check_memo_keys(h)
 
 
@@ -597,7 +619,7 @@ def test_incomplete_left_divisors_are_recomputed():
         rigid_factorizations(h, h.element(("b", "a", "b")))
     assert answers[0] == answers[1] == (
         [(("a",), ("b", "a", "b"), False)], False)
-    assert h._classes[el.word].divisors is None
+    assert el.word not in h._divisors
     _check_memo_keys(h)
 
 

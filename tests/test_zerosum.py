@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorum.catenary import catenary
-from factorum.factorizations import length_profile, rigid_factorizations
+from factorum.factorizations import (length_profile,
+                                     permutable_class_multisets,
+                                     rigid_factorizations)
 from factorum.zerosum import (BlockMonoidHandle, FiniteAbelianGroup,
                               GroupTooLarge, atoms_of_block_monoid,
                               block_catenary, davenport, invariant_factors,
@@ -317,3 +319,42 @@ def test_require_element_rejects_non_members_on_a_warm_memo(x, message):
         h.require_element(x)
     with pytest.raises(ValueError, match=message):
         catenary(h, x)
+
+
+class _CountedMemo(dict):
+    """A memo dict that records the key of every lookup and store."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def get(self, key, default=None):
+        self.seen.append(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.seen.append(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.seen.append(key)
+        return super().__getitem__(key)
+
+    def __setitem__(self, key, value):
+        self.seen.append(key)
+        super().__setitem__(key, value)
+
+
+def test_a_class_query_hashes_its_key_once_on_a_hit():
+    # A hit is one lookup and no check: a memo key is an element.  A miss
+    # is checked, then walked from the lookup it made, and stored.
+    h = BlockMonoidHandle(_C2_C4)
+    memo = h.memo.classes = _CountedMemo()
+    checked = []
+    check = h.require_element
+    h.require_element = lambda x: checked.append(x) or check(x)
+    first = permutable_class_multisets(h, _MEMBER)
+    assert memo.seen.count(_MEMBER) == 2 and checked == [_MEMBER]
+    memo.seen.clear()
+    assert permutable_class_multisets(h, _MEMBER) == first
+    assert memo.seen == [_MEMBER] and checked == [_MEMBER]
