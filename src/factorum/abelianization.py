@@ -22,6 +22,10 @@ condition and recorded as an assumption.
 When every relation is length-preserving, word length is a transfer
 homomorphism onto (N_0, +); ``length_map`` returns it with a certificate
 checked over the explored ball.
+
+The equiv_p, weak-transfer and length-map answers are named tuples:
+immutable, compared by value, copied with a field changed by
+``_replace``, and equal to a plain tuple of the same fields.
 """
 
 from __future__ import annotations
@@ -212,41 +216,48 @@ class CommutativeVectorSemigroup(SemigroupHandle):
 
         The result is the first violation in the order of the loop over
         vectors a, then b > a, then generators c, with a and b over vectors
-        of total at most ``max_total`` by (total, vector).  Each class's
-        certified images under the generators are computed once, as a row
-        of (generator index, image) pairs; a pair of certified classes
-        violates cancellativity at the least generator index their rows
-        share."""
+        of total at most ``max_total`` by (total, vector).  Each certified
+        class's certified images under the generators are computed once,
+        as a row of (generator index, image) pairs; a pair of certified
+        classes violates cancellativity at the least generator index their
+        rows share.  The pairs sharing an entry are found by a join: each
+        entry lists the positions of the certified vectors whose row holds
+        it, and a's partner is the first listed b > a of another class."""
         vecs = _vectors_up_to(self.n, max_total)
         gens = [tuple(1 if i == j else 0 for j in range(self.n))
                 for i in range(self.n)]
         # ``multiply(x, element(c))``: the class of c may have another
         # canonical vector than c itself
         steps = [self.element(c).coords for c in gens]
-        elements = {v: self.element(v) for v in vecs}
+        elements = [self.element(v) for v in vecs]
         rows: Dict[Vector, FrozenSet[Tuple[int, Vector]]] = {}
-
-        def row(k: Vector) -> FrozenSet[Tuple[int, Vector]]:
-            found = rows.get(k)
+        holders: Dict[Tuple[int, Vector], List[int]] = {}
+        for pos, el in enumerate(elements):
+            if not el.certified:
+                continue
+            found = rows.get(el.coords)
             if found is None:
-                images = [self.element(_add(k, c)) for c in steps]
-                found = rows[k] = frozenset(
+                images = [self.element(_add(el.coords, c)) for c in steps]
+                found = rows[el.coords] = frozenset(
                     (i, img.coords) for i, img in enumerate(images)
                     if img.certified)
-            return found
+            for entry in found:
+                holders.setdefault(entry, []).append(pos)
 
-        for a in vecs:
-            ea = elements[a]
+        for a, ea in zip(vecs, elements):
             if not ea.certified:
                 continue
-            ra = row(ea.coords)
-            for b in vecs:
-                eb = elements[b]
-                if b <= a or not eb.certified or ea.coords == eb.coords:
-                    continue
-                shared = ra & row(eb.coords)
-                if shared:
-                    return (a, b, gens[min(i for i, _ in shared)])
+            first = len(vecs)
+            for entry in rows[ea.coords]:
+                for pos in holders[entry]:
+                    if pos >= first:
+                        break
+                    if vecs[pos] > a and elements[pos].coords != ea.coords:
+                        first = pos
+                        break
+            if first < len(vecs):
+                shared = rows[ea.coords] & rows[elements[first].coords]
+                return (a, vecs[first], gens[min(i for i, _ in shared)])
         return None
 
 
@@ -285,14 +296,12 @@ def abelianize(engine: PresentationSemigroup,
 # equiv_p and the weak-transfer criterion -----------------------------------
 
 
-@dataclass(frozen=True)
-class EquivPWitness:
+class EquivPWitness(NamedTuple):
     pair: Tuple[Element, Element]
     multiset: Tuple              # the shared multiset of atom classes
 
 
-@dataclass(frozen=True)
-class EquivPAnswer:
+class EquivPAnswer(NamedTuple):
     related: Optional[bool]      # None: not related within budget, uncertified
     witness: Optional[EquivPWitness]
     certified: bool
@@ -323,8 +332,7 @@ def equiv_p(handle: PresentationSemigroup, a: Element, b: Element
     return EquivPAnswer(False if certified else None, None, certified)
 
 
-@dataclass(frozen=True)
-class ExwtReport:
+class ExwtReport(NamedTuple):
     passed: Optional[bool]          # None: inconclusive within budget
     certified: bool
     counterexamples: Tuple[Tuple[Element, Element, Tuple], ...]
@@ -406,8 +414,7 @@ def _equiv_p_transitive(msets: Dict) -> bool:
 # the length map -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LengthMapReport:
+class LengthMapReport(NamedTuple):
     exists: bool
     transfer_certified: bool
     notes: Tuple[str, ...]

@@ -30,11 +30,14 @@ than two nodes answers 0 before any distance is computed.
 
 The bottleneck is Prim over parallel lists with ties broken by (weight,
 node index), so each witness edge is fixed by the graph alone.
+
+``ChainWitness`` and ``CatenaryReport`` are named tuples: immutable,
+compared by value, copied with a field changed by ``_replace``, and
+equal to a plain tuple of the same fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
@@ -46,21 +49,19 @@ from .factorizations import (RigidFactorization, _class_occurrences,
 from .handles import SemigroupHandle
 
 
-@dataclass(frozen=True, slots=True)
-class ChainWitness:
+class ChainWitness(NamedTuple):
     steps: Tuple[RigidFactorization, ...]
     bound: int
 
 
-@dataclass(frozen=True, slots=True)
-class CatenaryReport:
+class CatenaryReport(NamedTuple):
     value: int
     kind: DistanceKind
     variant: str
     certified: bool
     witness: Optional[ChainWitness] = None
     element: object = None
-    notes: Tuple[str, ...] = field(default=())
+    notes: Tuple[str, ...] = ()
 
 
 def _distance_matrix(handle, kind, facts: Sequence[RigidFactorization]):

@@ -52,13 +52,16 @@ last classes match, so the walk takes it without a search.
 
 ``rigid_distance_oracle`` re-derives the value by exhaustive recursion
 over all block decompositions and exists purely as a test oracle.
+
+``Alignment`` and ``AxiomReport`` are named tuples: immutable, compared
+by value, copied with a field changed by ``_replace``, and equal to a
+plain tuple of the same fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .factorizations import (RigidFactorization, _class_occurrences,
                              class_multiset)
@@ -88,8 +91,7 @@ def permutable_distance(handle: SemigroupHandle, z: RigidFactorization,
     return max(z.length, zp.length) - len(common)
 
 
-@dataclass(frozen=True)
-class Alignment:
+class Alignment(NamedTuple):
     """Witness for the rigid distance: shared blocks and paid gap pairs."""
     blocks: Tuple[Tuple[int, int, int], ...]   # (start in z, start in z', len)
     gap_costs: Tuple[int, ...]
@@ -303,8 +305,7 @@ def distance(handle: SemigroupHandle, kind: DistanceKind,
     return rigid_distance(handle, z, zp)
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     kind: DistanceKind
     checked_pairs: int
     passed: bool

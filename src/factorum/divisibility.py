@@ -26,14 +26,17 @@ the class multisets of ``permutable_factorizations``.
 
 Semigroup-level values are suprema, certified lower bounds over a bounded
 enumeration; the CLI, which chose the scope, adds the note naming it.
+
+The answers, reports and witnesses are named tuples: immutable, compared
+by value, copied with a field changed by ``_replace``, and equal to a
+plain tuple of the same fields.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .factorizations import (RigidFactorization, _class_occurrences,
                              _rigid_factorization, factorization_keys,
@@ -54,8 +57,7 @@ class NotAlmostPrimeLikeError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class DivisibilityAnswer:
+class DivisibilityAnswer(NamedTuple):
     holds: Optional[bool]     # None = unknown within budget
     certified: bool
 
@@ -108,8 +110,7 @@ def occurs_in(handle: SemigroupHandle, q, z: RigidFactorization) -> bool:
     return any(handle.atom_class(u) == cls for u in z.atoms)
 
 
-@dataclass(frozen=True, slots=True)
-class AlmostPrimeLikeReport:
+class AlmostPrimeLikeReport(NamedTuple):
     atom: object
     holds: bool
     certified: bool            # True: exhaustive over the given scope
@@ -145,8 +146,7 @@ def is_almost_prime_like(handle: SemigroupHandle, q,
     return AlmostPrimeLikeReport(q, True, certified, None)
 
 
-@dataclass(frozen=True, slots=True)
-class ValuationSet:
+class ValuationSet(NamedTuple):
     atom: object
     element: object
     values: Tuple[int, ...]
@@ -163,8 +163,7 @@ def valuation_set(handle: SemigroupHandle, q, a) -> ValuationSet:
     return ValuationSet(q, a, tuple(values), complete)
 
 
-@dataclass(frozen=True, slots=True)
-class PrimeLikeReport:
+class PrimeLikeReport(NamedTuple):
     atom: object
     holds: bool
     certified: bool
@@ -191,16 +190,14 @@ def is_prime_like(handle: SemigroupHandle, q, scope_elements: Sequence,
 # omega invariants ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OmegaWitness:
+class OmegaWitness(NamedTuple):
     element: object
     parts: Tuple                   # the factorization/decomposition reaching the max
     min_k: int
     subproduct: Tuple[int, ...]    # increasing indices realizing min_k
 
 
-@dataclass(frozen=True)
-class OmegaReport:
+class OmegaReport(NamedTuple):
     divisor: object
     mode: str                      # "atoms" or "nonunits"
     value: int
@@ -297,8 +294,7 @@ def omega_semigroup(handle: SemigroupHandle, b, scope_elements: Sequence,
 # tame degree --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TameReport:
+class TameReport(NamedTuple):
     pattern: Tuple
     value: int
     certified: bool

@@ -47,19 +47,22 @@ left quotient is unique, and every ball below the element closes.  So
 the walk would find each word of the class, letter by letter, as one
 factorization, in the order (length, atom keys), and would need the
 greatest word length as depth: the stored result is the walk's own.
+
+``RigidFactorization``, ``PermutableFactorization`` and ``LengthSet``
+are named tuples: immutable, compared by value, copied with a field
+changed by ``_replace``, and equal to a plain tuple of the same fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple
 
 from .handles import SemigroupHandle
 
 
-@dataclass(frozen=True, slots=True)
-class RigidFactorization:
+class RigidFactorization(NamedTuple):
     atoms: Tuple
     product: object
 
@@ -73,8 +76,7 @@ class RigidFactorization:
         return "[" + ", ".join(handle.format_element(u) for u in self.atoms) + "]"
 
 
-@dataclass(frozen=True, slots=True)
-class PermutableFactorization:
+class PermutableFactorization(NamedTuple):
     classes: Tuple          # sorted multiset of atom associate-class keys
     length: int
     representative: RigidFactorization
@@ -393,8 +395,7 @@ def _class_step(handle: SemigroupHandle, cache: Dict, partial: Dict, x,
     return result, None
 
 
-@dataclass(frozen=True, slots=True)
-class LengthSet:
+class LengthSet(NamedTuple):
     lengths: Tuple[int, ...]         # sorted
     delta: Tuple[int, ...]           # gaps between consecutive lengths
     elasticity: Fraction

@@ -18,18 +18,24 @@ An atom U of prime index p left-divides A iff A's column lattice lies in
 U's, an index-p lattice between it and Z^n; up to right units U is that
 lattice's Hermite form: diag(1, .., p, .., 1) with p at (k, k) and
 residues mod p in row k right of it.  Each form is kept when U^{-1} A is
-integral, so each rigid-factorization branch is produced once.  On T_n(Z)
+integral, so each rigid-factorization branch is produced once.  The
+residue rows that make it integral are the solutions of a linear system
+over F_p, which are listed directly rather than found among all p^(n-1-k)
+rows (``_residue_rows``).  On T_n(Z)
 the same forms serve, with k at a diagonal position p divides: a right
 unit clears column k above the diagonal and moves row k only by multiples
 of p, and U^{-1} A is upper triangular with A.  Exhaustiveness is
 cross-checked against brute scans in the test suite.
+
+``AtomProfile``, ``SnfResult``, ``TransferMap`` and ``TransferReport``
+are named tuples: immutable, compared by value, copied with a field
+changed by ``_replace``, and equal to a plain tuple of the same fields.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .arith import big_omega, factor, is_prime
 from .handles import DivisorPairs, FactorialVectorHandle, SemigroupHandle
@@ -131,8 +137,7 @@ def _solve_upper(u: Mat, a: Mat) -> Optional[Mat]:
 # triangular matrices -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AtomProfile:
+class AtomProfile(NamedTuple):
     """Associate-class data of a triangular atom: the diagonal position
     carrying the prime, and the prime itself."""
     position: int   # 1-based
@@ -211,22 +216,62 @@ def delta_map(a: Mat) -> Tuple[int, ...]:
     return tuple(abs(a[i][i]) for i in range(len(a)))
 
 
+def _residue_rows(a: Mat, k: int, p: int) -> Iterator[Tuple[int, ...]]:
+    """The residues r_{k+1}, .., r_{n-1} mod p of row k of a Hermite form
+    U (p at (k, k)) with U^{-1} a integral, in lexicographic order.
+
+    The rows of U other than k are identity rows, so U^{-1} a is integral
+    iff a[k][c] = sum_{j>k} r_j a[j][c] (mod p) for every column c: a
+    linear system over F_p.  Gauss-Jordan elimination pivots on the last
+    unknowns first, so each pivot unknown is fixed by the free unknowns
+    before it; two solutions then first differ at a free unknown, and
+    counting the free unknowns up lists the solutions in lexicographic
+    order."""
+    n = len(a)
+    m = n - 1 - k
+    # one equation per column c: coefficients of r_{k+1}, .., r_{n-1}, rhs
+    rows = [[a[j][c] % p for j in range(k + 1, n)] + [a[k][c] % p]
+            for c in range(n)]
+    pivots: List[int] = []          # the pivot unknown of rows 0, 1, ..
+    for var in range(m - 1, -1, -1):
+        top = len(pivots)
+        sel = next((i for i in range(top, n) if rows[i][var]), None)
+        if sel is None:
+            continue
+        rows[top], rows[sel] = rows[sel], rows[top]
+        inv = pow(rows[top][var], -1, p)
+        piv = rows[top] = [x * inv % p for x in rows[top]]
+        for i in range(n):
+            f = rows[i][var]
+            if i != top and f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], piv)]
+        pivots.append(var)
+    if any(row[m] for row in rows[len(pivots):]):
+        return          # an equation 0 = nonzero: no residue row divides
+    free = [j for j in range(m) if j not in pivots]
+    r = [0] * m
+    for values in itertools.product(range(p), repeat=len(free)):
+        for j, x in zip(free, values):
+            r[j] = x
+        for var, row in zip(pivots, rows):
+            r[var] = (row[m] - sum(row[j] * r[j] for j in free)) % p
+        yield tuple(r)
+
+
 def _hermite_divisors(a: Mat,
                       pairs: Sequence[Tuple[int, int]]) -> List[Tuple[Mat, Mat]]:
     """The atoms U left-dividing a, with quotients U^{-1} a, in Hermite form
     for each (position k, prime p) pair in the given order: p at (k, k)
-    and residues mod p in row k right of it."""
+    and residues mod p in row k right of it, in lexicographic order."""
     n = len(a)
     found: List[Tuple[Mat, Mat]] = []
     for k, p in pairs:
-        for residues in itertools.product(range(p), repeat=n - 1 - k):
+        for residues in _residue_rows(a, k, p):
             u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
             u[k][k] = p
             u[k][k + 1:] = residues
             um = tuple(tuple(row) for row in u)
-            q = _solve_upper(um, a)
-            if q is not None:
-                found.append((um, q))
+            found.append((um, _solve_upper(um, a)))
     return found
 
 
@@ -312,8 +357,7 @@ class TriangularMatrixHandle(_MatrixHandle):
         return tuple(zip(*[tuple(c) for c in cols]))
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(NamedTuple):
     """A = U * C * V with U, V unimodular and c_{i+1,i+1} | c_{i,i}."""
     u: Mat
     c: Mat
@@ -476,8 +520,7 @@ class FullMatrixHandle(_MatrixHandle):
 # transfer maps and their verification ------------------------------------
 
 
-@dataclass(frozen=True)
-class TransferMap:
+class TransferMap(NamedTuple):
     """A computable homomorphism into a target handle."""
     name: str
     source: SemigroupHandle
@@ -508,8 +551,7 @@ def identity_transfer_map(handle: SemigroupHandle) -> TransferMap:
     return TransferMap("identity", handle, handle, lambda x: x)
 
 
-@dataclass(frozen=True)
-class TransferReport:
+class TransferReport(NamedTuple):
     map_name: str
     unit_preservation_ok: bool
     atom_preservation_ok: bool

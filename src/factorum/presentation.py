@@ -30,6 +30,10 @@ edge between the first letters of its two sides (left graph) and likewise
 for last letters (right graph), and both graphs are forests, the semigroup
 embeds into a group and is cancellative.  Non-Adyan presentations are
 accepted with a warning recorded on the engine.
+
+``Relation``, ``AdyanReport`` and ``AtomAnswer`` are named tuples:
+immutable, compared by value, copied with a field changed by
+``_replace``, and equal to a plain tuple of the same fields.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .handles import DivisorPairs, SemigroupHandle
 
@@ -92,8 +97,7 @@ class BudgetOverride:
             else self.max_ball_size)
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     lhs: Word
     rhs: Word
 
@@ -212,8 +216,7 @@ def parse_presentation(text: str) -> Presentation:
     return Presentation(generators, tuple(rel for _, rel in relations), budget)
 
 
-@dataclass(frozen=True)
-class AdyanReport:
+class AdyanReport(NamedTuple):
     left_edges: Tuple[Tuple[str, str], ...]
     right_edges: Tuple[Tuple[str, str], ...]
     is_adyan: bool
@@ -309,8 +312,7 @@ class AtomKind(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True, slots=True)
-class AtomAnswer:
+class AtomAnswer(NamedTuple):
     kind: AtomKind
     witness: Optional[Tuple[Element, Element]] = None  # split u, v with uv = w
 

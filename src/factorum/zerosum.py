@@ -12,13 +12,18 @@ subsequence (this pigeonhole bound is exercised by a unit test).
 interface, so factorizations, distances and catenary degrees apply
 unchanged.  ``maximal_order_bound`` evaluates max(2, c_p(B(C))) together
 with the known small-group classification of that catenary degree.
+
+``OrderBoundReport`` is a named tuple: immutable, compared by value,
+copied with a field changed by ``_replace``, and equal to a plain tuple
+of the same fields.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (Dict, FrozenSet, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .catenary import CatenaryReport, semigroup_catenary
 from .distances import DistanceKind
@@ -348,7 +353,7 @@ def block_catenary(group: FiniteAbelianGroup,
         agreement = "agrees with" if rep.value == known else "below"
         notes.append(f"classification value {known} for {group.describe()}: "
                      f"computed bound {agreement} it")
-    return replace(rep, variant="semigroup", notes=tuple(notes))
+    return rep._replace(variant="semigroup", notes=tuple(notes))
 
 
 _CLASSIFICATION_3 = {(3,), (2, 2), (3, 3)}
@@ -364,8 +369,7 @@ def _classified_catenary(group: FiniteAbelianGroup) -> Optional[int]:
     return None
 
 
-@dataclass(frozen=True)
-class OrderBoundReport:
+class OrderBoundReport(NamedTuple):
     """max(2, c_p(B(C))) for a classical maximal order with class group C.
 
     ``certified`` holds when the classification fixes the bound: C is

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from factorum.arith import big_omega, is_prime
+from factorum import matrices
+from factorum.arith import big_omega, factor, is_prime
 from factorum.divisibility import omega_semigroup
 from factorum.factorizations import (length_profile,
                                      permutable_class_multisets,
@@ -230,6 +231,90 @@ def test_mat_divisors_exhaustive_vs_brute(a):
     # listed atom
     for u in brute:
         assert sum(_gl_right_associated(u, v) for v in listed) == 1
+
+
+def residue_divisors(a, pairs):
+    """The oracle of the Hermite enumerator: for each (position k, prime p)
+    pair, every residue row mod p in lexicographic order, kept when
+    U^{-1} a is integral."""
+    n = len(a)
+    found = []
+    for k, p in pairs:
+        for residues in itertools.product(range(p), repeat=n - 1 - k):
+            u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+            u[k][k] = p
+            u[k][k + 1:] = residues
+            um = tuple(tuple(row) for row in u)
+            q = _solve_upper(um, a)
+            if q is not None:
+                found.append((um, q))
+    return found
+
+
+def _t2_box():
+    """Every [a b; 0 d] with 2 <= |ad| <= 60 and 0 <= b < 8."""
+    for a in range(-60, 61):
+        for d in range(-60, 61):
+            if a and d and 2 <= abs(a * d) <= 60:
+                for b in range(8):
+                    yield ((a, b), (0, d))
+
+
+def _m2_box():
+    """Every 2x2 matrix with entries in [-5, 5] and 2 <= |det| <= 60."""
+    for e in itertools.product(range(-5, 6), repeat=4):
+        m = (e[:2], e[2:])
+        if 2 <= abs(mat_det(m)) <= 60:
+            yield m
+
+
+def test_tri_divisors_match_residue_enumeration():
+    for a in _t2_box():
+        pairs = [(m, p) for m in range(2) for p in sorted(factor(a[m][m]))]
+        assert tri_left_divisors(a) == residue_divisors(a, pairs), a
+
+
+def test_mat_divisors_match_residue_enumeration():
+    for a in _m2_box():
+        pairs = [(k, p) for p in sorted(factor(mat_det(a))) for k in range(2)]
+        assert mat_left_divisors(a) == residue_divisors(a, pairs), a
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_divisors_match_residue_enumeration_on_larger_matrices(n):
+    # scalar and near-scalar matrices, whose residue system has many
+    # solutions, and random ones
+    rng = random.Random(n)
+    samples = [tuple(tuple(p * (i == j) + (i + 1 == j) * c for j in range(n))
+                     for i in range(n)) for p in (2, 3, 5) for c in (0, 1, p)]
+    while len(samples) < 60:
+        a = tuple(tuple(rng.randint(-4, 4) for _ in range(n))
+                  for _ in range(n))
+        if 2 <= abs(mat_det(a)) <= 60:
+            samples.append(a)
+    for a in samples:
+        pairs = [(k, p) for p in sorted(factor(mat_det(a))) for k in range(n)]
+        assert mat_left_divisors(a) == residue_divisors(a, pairs), a
+
+
+def test_large_prime_divisors_solve_each_position_once(monkeypatch):
+    # |det| = 999983, the largest prime under the cap: trying every
+    # residue row would call _solve_upper 999983 times at position 0
+    calls = []
+
+    def counted(u, a):
+        calls.append((u[0][0], u[1][1]))
+        assert len(calls) <= 2, "_solve_upper called once per residue row"
+        return _solve_upper(u, a)
+
+    monkeypatch.setattr(matrices, "_solve_upper", counted)
+    a = ((999983, 0), (0, 1))
+    u = ((999983, 0), (0, 1))
+    assert mat_left_divisors(a) == [(u, mat_identity(2))]
+    assert len(calls) <= 2
+    calls.clear()
+    assert tri_left_divisors(a) == [(u, mat_identity(2))]
+    assert len(calls) <= 1
 
 
 def test_t2_permutable_factoriality_samples():
