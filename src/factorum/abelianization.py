@@ -38,7 +38,7 @@ from typing import (Dict, FrozenSet, List, NamedTuple, Optional, Sequence,
 from .factorizations import permutable_factorizations
 from .handles import DivisorPairs, SemigroupHandle
 from .presentation import (Element, ExplorationBudget, Presentation,
-                           PresentationSemigroup, _bind_closed_class)
+                           PresentationSemigroup, _bind_closed_class, _closure)
 
 Vector = Tuple[int, ...]
 _LENGTH_MAP_SCOPE = 5    # the longest elements on which length_map is checked
@@ -88,48 +88,34 @@ class CommutativeVectorSemigroup(SemigroupHandle):
             self._rules.append((lhs, rhs))
             if lhs != rhs:
                 self._rules.append((rhs, lhs))
-        # ball caches of facts, as on the word engine (see
+        # the balls of facts, bound and kept as on the word engine (see
         # ``PresentationSemigroup.__init__``)
-        self._canon: Dict[Vector, Vector] = {}
-        self._balls: Dict[Vector, VectorBall] = {}
+        self._canon: Dict[Vector, VectorBall] = {}
         self._open_balls: Dict[Vector, VectorBall] = {}
         self.name = "abelianization(" + " ".join(generators) + ")"
 
     def _key(self, v: Vector):
         return (sum(v), v)
 
+    def _rewrites(self, v: Vector):
+        for lhs, rhs in self._rules:
+            if all(a >= b for a, b in zip(v, lhs)):
+                yield tuple(a - b + c for a, b, c in zip(v, lhs, rhs))
+
     def ball(self, v: Vector) -> VectorBall:
-        canonical = self._canon.get(v)
-        if canonical is not None:
-            return self._balls[canonical]
+        ball = self._canon.get(v)
+        if ball is not None:
+            return ball
         ball = self._open_balls.get(v)
         if ball is not None:
             return ball
-        cap = max(self.budget.max_word_length, sum(v))
-        members = {v}
-        queue = [v]
-        closed = True
-        while queue:
-            w = queue.pop()
-            for lhs, rhs in self._rules:
-                if all(a >= b for a, b in zip(w, lhs)):
-                    nb = tuple(a - b + c for a, b, c in zip(w, lhs, rhs))
-                    if sum(nb) > cap:
-                        closed = False
-                        continue
-                    if nb not in members:
-                        if len(members) >= self.budget.max_ball_size:
-                            closed = False
-                            queue = []
-                            break
-                        members.add(nb)
-                        queue.append(nb)
-        ball = VectorBall(frozenset(members), closed,
+        members, escaped, truncated = _closure(v, self._rewrites, sum,
+                                               self.budget, sum(v))
+        ball = VectorBall(frozenset(members), not escaped and not truncated,
                           min(members, key=self._key))
-        if closed:
-            _bind_closed_class(self._canon, members, ball.canonical,
-                               self.budget.max_word_length, sum)
-            self._balls[ball.canonical] = ball
+        if ball.closed:
+            _bind_closed_class(self._canon, ball, self.budget.max_word_length,
+                               sum)
         else:
             self._open_balls[v] = ball
         return ball
@@ -171,17 +157,36 @@ class CommutativeVectorSemigroup(SemigroupHandle):
         return ball.closed and all(sum(m) == 1 for m in ball.members)
 
     def left_divisor_atoms(self, x: VectorElement) -> DivisorPairs:
+        """All atoms u with x in u + S, each with its quotient, in the order
+        of their coordinates.
+
+        Only the class of a generator can be an atom: the presentation is
+        reduced, so no nonzero vector is congruent to 0, and a vector of
+        total >= 2 is the sum of two non-units.  So each member m of x's
+        ball is split only as e_i + (m - e_i), for each i in m's support,
+        where e_i is the i-th unit vector; on a closed ball this is
+        exhaustive.  No longer sub-vector s of m could make the list
+        incomplete: if x's ball closes, so does s's, since a vector past
+        s's cap, plus m - s, would be of x's class and past x's cap (x's
+        coordinates have the least total of its class, or one within the
+        word cap), and s's class is no larger than x's.
+        """
         ball = self.ball(x.coords)
         complete = ball.closed
         pairs = {}
+        # e_i in increasing order (the last generator's first); of two
+        # splits into the same pair of classes, the later one is kept
+        units = [(i, _unit_vector(self.n, i)) for i in reversed(range(self.n))]
         for m in sorted(ball.members, key=self._key):
-            for sub in _subvectors(m):
-                el = self.element(sub)
+            for i, e in units:
+                if not m[i]:
+                    continue
+                el = self.element(e)
                 if not self.is_atom(el):
                     if not el.certified:
                         complete = False
                     continue
-                rest = self.element(tuple(a - b for a, b in zip(m, sub)))
+                rest = self.element(m[:i] + (m[i] - 1,) + m[i + 1:])
                 complete = complete and el.certified and rest.certified
                 pairs[(el.coords, rest.coords)] = (el, rest)
         ordered = [pairs[k] for k in sorted(pairs)]
@@ -224,8 +229,7 @@ class CommutativeVectorSemigroup(SemigroupHandle):
         entry lists the positions of the certified vectors whose row holds
         it, and a's partner is the first listed b > a of another class."""
         vecs = _vectors_up_to(self.n, max_total)
-        gens = [tuple(1 if i == j else 0 for j in range(self.n))
-                for i in range(self.n)]
+        gens = [_unit_vector(self.n, i) for i in range(self.n)]
         # ``multiply(x, element(c))``: the class of c may have another
         # canonical vector than c itself
         steps = [self.element(c).coords for c in gens]
@@ -265,11 +269,8 @@ def _add(v: Vector, w: Vector) -> Vector:
     return tuple(x + y for x, y in zip(v, w))
 
 
-def _subvectors(v: Vector):
-    ranges = [range(c + 1) for c in v]
-    for sub in itertools.product(*ranges):
-        if any(sub):
-            yield sub
+def _unit_vector(n: int, i: int) -> Vector:
+    return tuple(1 if j == i else 0 for j in range(n))
 
 
 def _vectors_up_to(n: int, total: int) -> List[Vector]:

@@ -367,6 +367,7 @@ def cmd_tri(args) -> int:
 def cmd_mat(args) -> int:
     m = parse_matrix(args.matrix)
     h = FullMatrixHandle(len(m))
+    m = h.matrix(m)
     if args.mat_command == "snf":
         res = snf(m)
         rep = InvariantReport("mat-snf", {

@@ -226,7 +226,11 @@ def min_subproduct_k(handle: SemigroupHandle, parts: Sequence, b
 
 def omega_element(handle: SemigroupHandle, a, b,
                   mode: str = "atoms") -> OmegaReport:
-    """omega_p(a, b) (mode "atoms") or omega'_p(a, b) (mode "nonunits")."""
+    """omega_p(a, b) (mode "atoms") or omega'_p(a, b) (mode "nonunits").
+
+    A unit b divides the empty subproduct, so omega is then 0."""
+    if handle.is_unit(b):
+        return OmegaReport(b, mode, 0, True, None)
     div = _divides_p_cached(handle, b, a)
     if div.holds is not True:
         return OmegaReport(b, mode, 0, div.certified, None)

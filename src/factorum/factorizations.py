@@ -409,6 +409,7 @@ def length_profile(handle: SemigroupHandle, a) -> LengthSet:
     are read off it: the walk of the class multisets would find the same.
     Otherwise the class multisets are walked.
     """
+    handle.require_element(a)
     if handle.is_unit(a):
         return LengthSet((0,), (), Fraction(0), True)
     hit = handle.memo.rigid.get(handle.key(a))

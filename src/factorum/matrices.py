@@ -293,12 +293,25 @@ class _MatrixHandle(SemigroupHandle):
 
     reduced = False
     _symbol = ""
+    _requirement = ""   # the error message for a non-element
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("dimension must be positive")
         self.n = n
         self.name = f"{self._symbol}_{n}(Z)*"
+
+    def matrix(self, rows) -> Mat:
+        m = mat(rows)
+        self.require_element(m)
+        return m
+
+    def require_element(self, x: Mat) -> None:
+        if len(x) != self.n or not self._in_shape(x) or mat_det(x) == 0:
+            raise ValueError(self._requirement)
+
+    def _in_shape(self, x: Mat) -> bool:
+        return True
 
     def identity(self) -> Mat:
         return mat_identity(self.n)
@@ -318,12 +331,10 @@ class TriangularMatrixHandle(_MatrixHandle):
     with +-1 on the diagonal."""
 
     _symbol = "T"
+    _requirement = "need an upper triangular matrix with nonzero det"
 
-    def matrix(self, rows) -> Mat:
-        m = mat(rows)
-        if len(m) != self.n or not is_upper_triangular(m) or mat_det(m) == 0:
-            raise ValueError("need an upper triangular matrix with nonzero det")
-        return m
+    def _in_shape(self, x: Mat) -> bool:
+        return is_upper_triangular(x)
 
     def is_unit(self, x: Mat) -> bool:
         return tri_is_unit(x)
@@ -492,12 +503,7 @@ class FullMatrixHandle(_MatrixHandle):
     """M_n(Z)* as a SemigroupHandle."""
 
     _symbol = "M"
-
-    def matrix(self, rows) -> Mat:
-        m = mat(rows)
-        if len(m) != self.n or mat_det(m) == 0:
-            raise ValueError("need a square integer matrix with nonzero det")
-        return m
+    _requirement = "need a square integer matrix with nonzero det"
 
     def is_unit(self, x: Mat) -> bool:
         return abs(mat_det(x)) == 1

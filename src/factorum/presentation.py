@@ -15,14 +15,14 @@ Canonical forms are shortlex-minimal ball members, with the generator
 order taken from the declaration order.  The word problem is undecidable
 in general; every answer therefore carries a certification flag.
 
-A closed ball is the engine's one record of its class: it holds the
-class's one ``Element``, and the class's atom answer and left-divisor
-list are kept beside it under the canonical word.  What the engine keeps
-per closed class is thus its ball, the ball's member set and its
-``Element``, the only objects of a class that the cyclic collector
-tracks.  A class's rigid factorizations are kept in the handle's memo as
-one fact of words and ints (see ``factorizations``), which the sweep
-queries read directly.
+Of a class, the engine keeps its balls only.  A closed ball is the
+engine's one record of its class and holds the class's one ``Element``;
+atom answers and left-divisor lists are read off the balls on every
+call.  What the engine keeps per closed class is thus its ball, the
+ball's member set and its ``Element``, the only objects of a class that
+the cyclic collector tracks.  A class's rigid factorizations are kept in the
+handle's memo as one fact of words and ints (see ``factorizations``),
+which the sweep queries read directly.
 
 Cancellativity is assumed, not decided.  ``check_adyan`` provides the one
 sufficient certificate used throughout: if each relation contributes an
@@ -269,18 +269,47 @@ class CongruenceBall:
                                        repr=False)
 
 
-def _bind_closed_class(canon: Dict, members, target, word_cap: int,
-                       size) -> None:
-    """Bind the members of a closed ball to ``target`` (the ball itself,
-    or its canonical form) in ``canon``, each only when its own
-    build would close the ball too: when its cap max(word_cap,
-    size(member)) reaches the longest member.  A word is then answered
-    from the cache exactly as a cold engine answers it, and a class is
-    built at most once."""
+def _closure(seed, rewrites, size, budget: ExplorationBudget,
+             seed_size: int):
+    """The bounded congruence closure of seed, for the word engine and the
+    abelianization alike: the elements reached from seed by ``rewrites``
+    (each yields every single relation application, in both directions)
+    whose ``size`` is at most the cap max(word cap, seed_size), and at
+    most ``max_ball_size`` of them.  Returns (members, escaped,
+    truncated): escaped when a rewrite went past the cap, truncated when
+    the size cap stopped the search.  The ball is closed iff neither
+    holds."""
+    cap = max(budget.max_word_length, seed_size)
+    members = {seed}
+    queue = [seed]
+    escaped = False
+    truncated = False
+    while queue:
+        w = queue.pop()
+        for nb in rewrites(w):
+            if size(nb) > cap:
+                escaped = True
+            elif nb not in members:
+                if len(members) >= budget.max_ball_size:
+                    truncated = True
+                    queue = []
+                    break
+                members.add(nb)
+                queue.append(nb)
+    return members, escaped, truncated
+
+
+def _bind_closed_class(canon: Dict, ball, word_cap: int, size) -> None:
+    """Bind the members of a closed ball to the ball in ``canon``, each
+    only when its own build would close the ball too: when its cap
+    max(word_cap, size(member)) reaches the longest member.  A word is
+    then answered from the cache exactly as a cold engine answers it, and
+    a class is built at most once."""
+    members = ball.members
     longest = max(map(size, members))
     for m in members:
         if max(word_cap, size(m)) >= longest:
-            canon[m] = target
+            canon[m] = ball
 
 
 class Equality(Enum):
@@ -317,6 +346,10 @@ class AtomAnswer(NamedTuple):
     witness: Optional[Tuple[Element, Element]] = None  # split u, v with uv = w
 
 
+_YES = AtomAnswer(AtomKind.YES)
+_UNKNOWN = AtomAnswer(AtomKind.UNKNOWN)
+
+
 class PresentationSemigroup(SemigroupHandle):
     """SemigroupHandle over a finite presentation with bounded closure."""
 
@@ -344,18 +377,10 @@ class PresentationSemigroup(SemigroupHandle):
         # record of it, holding the class's one Element.  ``_canon`` binds
         # that ball to the members whose own build closes it too
         # (``_bind_closed_class``).  Any other ball is kept in
-        # ``_open_balls`` under its seed alone and never shared.
+        # ``_open_balls`` under its seed alone and never shared.  Atom
+        # answers and left divisors are read off these balls on every call.
         self._canon: Dict[Word, CongruenceBall] = {}
         self._open_balls: Dict[Word, CongruenceBall] = {}
-        # What is worked out about a closed class, keyed by its canonical
-        # word: the atom answer when its witness factors are of closed
-        # classes too, and the left-divisor list, with the atoms that have
-        # several left quotients, when it is complete (its atoms and
-        # quotients are then all of closed classes).  Other answers are
-        # recomputed on every call.
-        self._atom_answers: Dict[Word, AtomAnswer] = {}
-        self._divisors: Dict[Word, Tuple[Tuple[Tuple[Element, Element], ...],
-                                         Tuple[Word, ...]]] = {}
         self.adyan = check_adyan(presentation)
         self.warnings: List[str] = []
         if not self.adyan.is_adyan:
@@ -398,23 +423,8 @@ class PresentationSemigroup(SemigroupHandle):
         ball = self._open_balls.get(word)
         if ball is not None:
             return ball
-        cap = max(self.budget.max_word_length, len(word))
-        members = {word}
-        queue = [word]
-        escaped = False
-        truncated = False
-        while queue:
-            w = queue.pop()
-            for nb in self._rewrites(w):
-                if len(nb) > cap:
-                    escaped = True
-                elif nb not in members:
-                    if len(members) >= self.budget.max_ball_size:
-                        truncated = True
-                        queue = []
-                        break
-                    members.add(nb)
-                    queue.append(nb)
+        members, escaped, truncated = _closure(word, self._rewrites, len,
+                                               self.budget, len(word))
         closed = not escaped and not truncated
         canonical = word if len(members) == 1 else min(
             members, key=self.shortlex_key)
@@ -426,8 +436,8 @@ class PresentationSemigroup(SemigroupHandle):
                               truncated=truncated, least_long_member=least_long,
                               element=Element(canonical) if closed else None)
         if closed:
-            _bind_closed_class(self._canon, members, ball,
-                               self.budget.max_word_length, len)
+            _bind_closed_class(self._canon, ball, self.budget.max_word_length,
+                               len)
         else:
             self._open_balls[word] = ball
         return ball
@@ -437,15 +447,6 @@ class PresentationSemigroup(SemigroupHandle):
         if ball is not None:
             return ball.element
         return _element_of(self.congruence_ball(word))
-
-    def _closed_class(self, word: Word) -> Optional[Word]:
-        """The canonical word of the class of word, None unless its ball
-        closed."""
-        ball = self._canon.get(word)
-        if ball is not None:
-            return ball.canonical
-        el = self.element(word)
-        return el.word if el.certified else None
 
     def element_from_str(self, text: str) -> Element:
         return self.element(self.word_from_str(text))
@@ -468,23 +469,12 @@ class PresentationSemigroup(SemigroupHandle):
     def atom_answer(self, el: Element) -> AtomAnswer:
         if not el.word:
             return AtomAnswer(AtomKind.NO)  # the unit is not an atom
-        canonical = self._closed_class(el.word)
-        answer = self._atom_answers.get(canonical)
-        if answer is not None:
-            return answer
         ball = self.congruence_ball(el.word)
         m = ball.least_long_member
         if m is not None:
-            u, v = self.element(m[:1]), self.element(m[1:])
-            answer = AtomAnswer(AtomKind.NO, (u, v))
-            exact = u.certified and v.certified
-        elif ball.closed:
-            answer, exact = AtomAnswer(AtomKind.YES), True
-        else:
-            return AtomAnswer(AtomKind.UNKNOWN)
-        if canonical is not None and exact:
-            self._atom_answers[canonical] = answer
-        return answer
+            return AtomAnswer(AtomKind.NO,
+                              (self.element(m[:1]), self.element(m[1:])))
+        return _YES if ball.closed else _UNKNOWN
 
     def left_divisors(self, el: Element) -> DivisorPairs:
         """All atoms u with el in u*S, each with its left quotient.
@@ -495,12 +485,6 @@ class PresentationSemigroup(SemigroupHandle):
         quotient.word is itself a member.  Members are visited in shortlex
         order, so that the warnings come in an order that no hash decides.
         """
-        canonical = self._closed_class(el.word)
-        known = self._divisors.get(canonical)
-        if known is not None:
-            for atom_word in known[1]:
-                self._warn_non_unique(el, atom_word)
-            return list(known[0]), True
         ball = self.congruence_ball(el.word)
         complete = ball.closed
         pairs = {}
@@ -523,16 +507,13 @@ class PresentationSemigroup(SemigroupHandle):
                 complete = complete and atom_el.certified and rest_el.certified
                 pairs[(atom_el.word, rest_el.word)] = (atom_el, rest_el)
                 by_atom.setdefault(atom_el.word, set()).add(rest_el.word)
-        non_unique = tuple([a for a, rests in by_atom.items()
-                            if len(rests) > 1])
-        for atom_word in non_unique:
-            self._warn_non_unique(el, atom_word)
+        for atom_word, rests in by_atom.items():
+            if len(rests) > 1:
+                self._warn_non_unique(el, atom_word)
         ordered = list(pairs.values())
         if len(ordered) > 1:
             ordered = [pairs[k] for k in sorted(pairs, key=lambda k: (
                 self.shortlex_key(k[0]), self.shortlex_key(k[1])))]
-        if canonical is not None and complete:
-            self._divisors[canonical] = (tuple(ordered), non_unique)
         return ordered, complete
 
     def spelled_factorizations(self, x: Element):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,7 @@ from factorum.factorizations import (class_multiset, length_profile,
                                      rigid_factorizations)
 from factorum.presentation import (ExplorationBudget, PresentationSemigroup,
                                    parse_presentation)
-from factorum.presets import engine, preset_names
+from factorum.presets import engine, load_preset, preset_names
 
 
 def make(text):
@@ -293,3 +295,72 @@ def test_abelianization_answer_does_not_depend_on_earlier_calls():
     for ab in (cold, warm):
         el = ab.element((2, 1, 0, 0))
         assert (el.coords, el.certified) == ((2, 1, 0, 0), False)
+
+
+# left divisor atoms ----------------------------------------------------------
+
+
+def _subvectors(v):
+    for sub in itertools.product(*[range(c + 1) for c in v]):
+        if any(sub):
+            yield sub
+
+
+def reference_left_divisor_atoms(ab, x):
+    """Every split of every ball member into a nonzero sub-vector and the
+    rest, each sub-vector tested for atomhood: the oracle of
+    ``CommutativeVectorSemigroup.left_divisor_atoms``, which splits off
+    single generators only."""
+    ball = ab.ball(x.coords)
+    complete = ball.closed
+    pairs = {}
+    for m in sorted(ball.members, key=lambda v: (sum(v), v)):
+        for sub in _subvectors(m):
+            el = ab.element(sub)
+            if not ab.is_atom(el):
+                if not el.certified:
+                    complete = False
+                continue
+            rest = ab.element(tuple(a - b for a, b in zip(m, sub)))
+            complete = complete and el.certified and rest.certified
+            pairs[(el.coords, rest.coords)] = (el, rest)
+    return [pairs[k] for k in sorted(pairs)], complete
+
+
+def _divisor_rows(answer):
+    pairs, complete = answer
+    return [(u.coords, u.certified, q.coords, q.certified)
+            for u, q in pairs], complete
+
+
+@pytest.mark.parametrize("name", preset_names())
+@pytest.mark.parametrize("ample", [False, True])
+def test_generator_divisors_match_all_sub_vectors(name, ample):
+    # at the shortest word cap with balls of 5, balls truncate and escape;
+    # the preset's own budget is ample.  Pairs, their order, their
+    # certifications and completeness agree, cold and warm.
+    p = load_preset(name)
+    shortest = max(len(s) for r in p.relations for s in (r.lhs, r.rhs))
+    budget = p.budget if ample else ExplorationBudget(shortest, 5)
+    h = PresentationSemigroup(p, budget)
+    warm, warm_ref = abelianize(h, budget), abelianize(h, budget)
+    for v in _vectors_up_to(warm.n, 5)[1:]:
+        cold, cold_ref = abelianize(h, budget), abelianize(h, budget)
+        for ab, ref in ((cold, cold_ref), (warm, warm_ref)):
+            assert _divisor_rows(ab.left_divisor_atoms(ab.element(v))) == \
+                _divisor_rows(reference_left_divisor_atoms(ref, ref.element(v)))
+
+
+def test_vector_divisors_split_off_one_generator_at_a_time():
+    ab = abelianize(make("gens: a b c\n"))
+    x = ab.element((4, 4, 4))
+    calls = []
+    element = ab.element
+    ab.element = lambda v: calls.append(v) or element(v)
+    pairs, complete = ab.left_divisor_atoms(x)
+    assert complete
+    assert [(u.coords, q.coords) for u, q in pairs] == [
+        ((0, 0, 1), (4, 4, 3)), ((0, 1, 0), (4, 3, 4)),
+        ((1, 0, 0), (3, 4, 4))]
+    # each generator and its quotient, per ball member
+    assert len(calls) <= 2 * ab.n * len(ab.ball(x.coords).members)

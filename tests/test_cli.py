@@ -283,6 +283,22 @@ def test_tri_rejects_non_members(capsys, matrix, command):
     assert "upper triangular matrix with nonzero det" in err
 
 
+@pytest.mark.parametrize("command", ["snf", "atom", "lengths"])
+def test_mat_rejects_singular_matrices(capsys, command):
+    code, out, err = run(capsys, "mat", "--matrix", "2 4; 1 2", command)
+    assert code == 1 and out == ""
+    assert err == "error: need a square integer matrix with nonzero det\n"
+
+
+def test_omega_with_a_unit_divisor_is_zero(capsys):
+    code, out, _ = run(capsys, "--format", "json", "omega",
+                       pres_path("ab_cd_cede_ba"), "--divisor", "",
+                       "--element", "c e d e")
+    payload = json.loads(out)
+    assert code == 0 and payload["value"] == 0
+    assert payload["certification"] == "exact" and not payload["witnesses"]
+
+
 def test_zss_order_bound_honours_max_len(capsys):
     code, out, _ = run(capsys, "--format", "json", "zss", "--group", "2,2",
                        "order-bound", "--max-len", "2")

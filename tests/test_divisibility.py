@@ -229,6 +229,18 @@ def test_ab_cd_cede_ba_values():
     assert min_subproduct_k(h, parts, a)[0] == 3
 
 
+@pytest.mark.parametrize("mode", ["atoms", "nonunits"])
+def test_omega_with_a_unit_divisor_is_zero(mode):
+    # the empty subproduct is divisible by a unit
+    h = engine("ab_cd_cede_ba")
+    unit = h.identity()
+    rep = omega_element(h, h.element_from_str("c e d e"), unit, mode)
+    assert (rep.value, rep.certified, rep.witness) == (0, True, None)
+    els, _ = h.enumerate_elements(3)
+    rep = omega_semigroup(h, unit, els, mode)
+    assert (rep.value, rep.certified, rep.witness) == (0, True, None)
+
+
 def test_omega_free_monoid_prime():
     h = make("gens: a b\n")
     els, _ = h.enumerate_elements(4)

@@ -435,6 +435,25 @@ def test_determinant_cap_is_checked_before_trial_division(a, query):
         query(a)
 
 
+@pytest.mark.parametrize("handle, a, message", [
+    (TriangularMatrixHandle(2), ((1, 0), (1, 1)), "upper triangular"),
+    (TriangularMatrixHandle(2), ((0, 1), (0, 1)), "upper triangular"),
+    (TriangularMatrixHandle(2), ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+     "upper triangular"),
+    (FullMatrixHandle(2), ((2, 4), (1, 2)), "square integer"),
+    (FullMatrixHandle(3), ((1, 0), (0, 1)), "square integer"),
+], ids=["tri-lower", "tri-singular", "tri-3x3", "mat-singular", "mat-2x2"])
+@pytest.mark.parametrize("query", [
+    rigid_factorizations, length_profile, permutable_class_multisets,
+], ids=["factorize", "lengths", "class-multisets"])
+def test_matrix_handles_reject_non_elements(handle, a, message, query):
+    # the same check as ``matrix()``, with the same message
+    with pytest.raises(ValueError, match=message + ".* with nonzero det"):
+        handle.matrix(a)
+    with pytest.raises(ValueError, match=message + ".* with nonzero det"):
+        query(handle, a)
+
+
 def test_determinant_cap_leaves_small_determinants_and_snf():
     # the largest prime under the cap is still an atom, one over is refused
     below = ((999983, 0), (0, 1))
