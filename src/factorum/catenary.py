@@ -14,19 +14,20 @@ up to permutation.  Every variant is a view on one graph per element: a
 partition of its nodes and the bottleneck inside each part.
 
 Under d* the graph's nodes are the rigid factorizations.  Under d_len and
-d_p there is one node per atom-class multiset, and d_p is computed from
+d_p there is one node per atom-class multiset, the multiset and its
+length alone (``factorizations._class_nodes``), and d_p is computed from
 the multisets by the one comparison of class multisets,
 ``factorizations._class_occurrences``.  On commutative handles without an
-exploration budget (block monoids, free abelian monoids) a node is the
-multiset alone, taken from one memoised recursion over the quotients by a
-cover of atoms that meets every factorization (on a block monoid, the
-atoms holding the element's least term), so the cost follows the
-factorization classes, not the rigid orderings.  There a rigid
-factorization (the node's atoms sorted by key) is built only where atoms
-are read: for the two ends of a witness, and for every node when the
-in-fibers view takes its image.  On the other handles the nodes are the
-permutable factorizations, read off the rigid ones.  A graph of fewer
-than two nodes answers 0 before any distance is computed.
+exploration budget (block monoids, free abelian monoids) the multisets
+come from one memoised recursion over the quotients by a cover of atoms
+that meets every factorization (on a block monoid, the atoms holding the
+element's least term), so the cost follows the factorization classes,
+not the rigid orderings.  On the other handles they are read off the
+element's one rigid fact, its factorizations held as atom-key tuples
+with their classes.  Either way a rigid factorization is built only
+where atoms are read: for the two ends of a witness, and for every node
+when the in-fibers view takes its image.  A graph of fewer than two
+nodes answers 0 before any distance is computed.
 
 The bottleneck is Prim over parallel lists with ties broken by (weight,
 node index), so each witness edge is fixed by the graph alone.
@@ -42,10 +43,10 @@ from operator import attrgetter
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .distances import DistanceKind, distance
-from .factorizations import (RigidFactorization, _class_occurrences,
-                             _least_rigid, _orderless,
-                             permutable_class_multisets,
-                             permutable_factorizations, rigid_factorizations)
+from .factorizations import (RigidFactorization, _class_nodes,
+                             _class_occurrences, _ClassNode, _least_rigid,
+                             _orderless, permutable_class_multisets,
+                             rigid_factorizations)
 from .handles import SemigroupHandle
 
 
@@ -105,13 +106,6 @@ def _bottleneck(nodes: Sequence[int], mat) -> Tuple[int, Optional[Tuple[int, int
     return value, arg
 
 
-class _ClassNode(NamedTuple):
-    """A node of the d_len or d_p graph on an orderless handle: one atom-class
-    multiset and its length, with no rigid factorization built."""
-    classes: Tuple
-    length: int
-
-
 def _permutable_matrix(nodes: Sequence):
     """d_p between the nodes, read off their class multisets
     (``classes``, each counted once): the larger length minus the size of
@@ -145,26 +139,25 @@ def _graph(handle: SemigroupHandle, a, kind: DistanceKind) -> _Graph:
     Under d* the nodes are the rigid factorizations.  Under d_len and d_p
     a distance depends only on the two atom-class multisets and is 0 when
     they agree, so the graph takes one node per class multiset, in
-    multiset order: that changes no bottleneck value and no least
-    distance between two lengths.  A node is shown by the least rigid
-    factorization in its class, in the order (length, atom keys).  On
-    orderless handles (commutative and reduced) a node is just
-    the multiset, taken from ``permutable_class_multisets``, and that
-    factorization is built only when asked for; elsewhere the nodes are
-    the permutable factorizations.  The d_p matrix is read off the class
-    multisets.  A graph of fewer than two nodes gets no matrix."""
+    multiset order (``factorizations._class_nodes``): that changes no
+    bottleneck value and no least distance between two lengths.  A node
+    is the multiset and its length alone, and is shown by the least rigid
+    factorization in its class, in the order (length, atom keys), built
+    only when asked for.  The d_p matrix is read off the class multisets.
+    A graph of fewer than two nodes gets no matrix."""
     if kind is DistanceKind.RIGID:
         fs = rigid_factorizations(handle, a)
         nodes, complete, rigid = fs.factorizations, fs.complete, _itself
     elif _orderless(handle):
+        # ``_class_nodes`` spelled out: block monoids take this branch for
+        # every element, so it saves them the call
         sets, complete = permutable_class_multisets(handle, a)
         nodes = [_ClassNode(m, len(m)) for m in sorted(sets)]
 
         def rigid(z):
             return _least_rigid(handle, a, z.classes)
     else:
-        nodes, complete = permutable_factorizations(handle, a)
-        rigid = attrgetter("representative")
+        nodes, complete, rigid = _class_nodes(handle, a)
     if len(nodes) < 2:
         return _Graph(nodes, None, complete, rigid)
     mat = _permutable_matrix(nodes) if kind is DistanceKind.PERMUTABLE \

@@ -26,9 +26,8 @@ from .presentation import (BudgetOverride, Presentation, PresentationError,
                            PresentationSemigroup, check_adyan,
                            parse_presentation)
 from .reports import Certification, InvariantReport, certification
-from .zerosum import (BlockMonoidHandle, FiniteAbelianGroup,
-                      atoms_of_block_monoid, block_catenary, davenport,
-                      maximal_order_bound)
+from .zerosum import (BlockMonoidHandle, FiniteAbelianGroup, _block_catenary,
+                      _davenport, maximal_order_bound)
 
 _KINDS = {"len": DistanceKind.LENGTH, "perm": DistanceKind.PERMUTABLE,
           "rigid": DistanceKind.RIGID}
@@ -312,17 +311,17 @@ def cmd_zss(args) -> int:
     if args.zss_command == "order-bound":
         return cmd_order_bound(args)
     group = _group_from_spec(args.group)
+    # one handle, so the atoms are enumerated once
     handle = BlockMonoidHandle(group)
     if args.zss_command == "atoms":
-        atoms = atoms_of_block_monoid(group)
         rep = InvariantReport(f"zss-atoms({group.describe()})",
-                              [handle.format_element(a) for a in atoms],
+                              [handle.format_element(a) for a in handle.atoms],
                               Certification.EXACT)
     elif args.zss_command == "davenport":
         rep = InvariantReport(f"davenport({group.describe()})",
-                              davenport(group), Certification.EXACT)
+                              _davenport(handle.atoms), Certification.EXACT)
     else:   # catenary
-        res = block_catenary(group, max_sequence_length=args.max_len or 6)
+        res = _block_catenary(handle, args.max_len or 6)
         witnesses = []
         if res.element is not None:
             witnesses.append({"element": handle.format_element(res.element)})

@@ -19,10 +19,23 @@ omega_p(a, b) takes, over all rigid factorizations u_1...u_n of a, the
 worst minimal k such that b divides (up to permutation) a subproduct
 u_{s(1)}...u_{s(k)} taken along increasing positions s(1) < ... < s(k).
 omega'_p(a, b) ranges over all decompositions of a into non-unit factors
-instead.  The permutable tame degree t_p(a, x) measures how far an
-arbitrary permutable factorization of a is from one containing the
-pattern x; containment and distance both compare the occurrence sets of
-the class multisets of ``permutable_factorizations``.
+instead.  The factorizations of a are read off its one fact as atom-key
+tuples with their classes (``factorization_keys``), and atoms are built
+only for the witness.  A subproduct is known by its parts' keys: one dict
+per ``omega_element`` call, shared by the whole sweep of
+``omega_semigroup``, keeps each subproduct's |_p answer, so its product
+is built and asked about once.  Where b is a certified atom its one class
+multiset is (class of b,), so when a's fact is complete and certified, b
+|_p a holds iff b's class occurs in one of a's class tuples, and k = 1 at
+the first position holding it; a factorization without it starts the
+search at k = 2, and no product is built for either step.  Every other
+case asks ``_divides_p_cached``, which compares class multisets.
+
+The permutable tame degree t_p(a, x) measures how far an arbitrary
+permutable factorization of a is from one containing the pattern x;
+containment and distance both compare the occurrence sets of a's class
+multisets (``factorizations._class_nodes``), and no rigid factorization
+is built.
 
 Semigroup-level values are suprema, certified lower bounds over a bounded
 enumeration; the CLI, which chose the scope, adds the note naming it.
@@ -36,12 +49,12 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
-from .factorizations import (RigidFactorization, _class_occurrences,
-                             _rigid_factorization, factorization_keys,
-                             permutable_class_multisets,
-                             permutable_factorizations, rigid_factorizations)
+from .factorizations import (RigidFactorization, _class_nodes,
+                             _class_occurrences, _rigid_factorization,
+                             factorization_keys, permutable_class_multisets)
 from .handles import SemigroupHandle, UnsupportedOperation
 from .presentation import PresentationSemigroup
 
@@ -205,16 +218,40 @@ class OmegaReport(NamedTuple):
     witness: Optional[OmegaWitness] = None
 
 
+_MODES = ("atoms", "nonunits")
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in _MODES:
+        raise ValueError("mode must be 'atoms' or 'nonunits'")
+
+
 def min_subproduct_k(handle: SemigroupHandle, parts: Sequence, b
                       ) -> Tuple[int, Tuple[int, ...], bool]:
     """Smallest k with b |_p a subproduct of the parts taken along
     increasing indices; returns (k, indices, certified)."""
-    n = len(parts)
+    keys = tuple(map(handle.key, parts))
+    return _least_subproduct(handle, b, keys,
+                             dict(zip(keys, parts)).__getitem__, {})
+
+
+def _least_subproduct(handle: SemigroupHandle, b, keys: Tuple,
+                      part: Callable, answers: Dict, start: int = 1
+                      ) -> Tuple[int, Tuple[int, ...], bool]:
+    """``min_subproduct_k`` of the parts with keys ``keys`` (``part`` maps
+    a key to its part), trying k from ``start`` on: the caller has ruled
+    out every smaller k, certified.  A subproduct's answer is looked up
+    in ``answers`` by its parts' keys, and only on a miss is the product
+    built and b |_p it asked."""
+    n = len(keys)
     certified = True
-    for k in range(1, n + 1):
-        for idxs in itertools.combinations(range(n), k):
-            prod = handle.product([parts[i] for i in idxs])
-            ans = _divides_p_cached(handle, b, prod)
+    for k in range(start, n + 1):
+        for idxs, sub in zip(itertools.combinations(range(n), k),
+                             itertools.combinations(keys, k)):
+            ans = answers.get(sub)
+            if ans is None:
+                ans = answers[sub] = _divides_p_cached(
+                    handle, b, handle.product([part(x) for x in sub]))
             if ans.holds:
                 return k, idxs, certified
             if ans.holds is None:
@@ -224,35 +261,74 @@ def min_subproduct_k(handle: SemigroupHandle, parts: Sequence, b
     return n, tuple(range(n)), False
 
 
+def _certified_atom_class(handle: SemigroupHandle, b):
+    """The class of b where b is a certified atom, else None.  Its one
+    class multiset is then (class,), so b |_p x iff that class occurs in
+    a class multiset of x."""
+    if handle.is_atom(b) and handle.certified(b):
+        return handle.atom_class(b)
+    return None
+
+
 def omega_element(handle: SemigroupHandle, a, b,
                   mode: str = "atoms") -> OmegaReport:
     """omega_p(a, b) (mode "atoms") or omega'_p(a, b) (mode "nonunits").
 
     A unit b divides the empty subproduct, so omega is then 0."""
+    _check_mode(mode)
+    return _omega(handle, a, b, mode, _certified_atom_class(handle, b), {})
+
+
+def _omega(handle: SemigroupHandle, a, b, mode: str, b_class,
+           answers: Dict) -> OmegaReport:
+    """``omega_element`` for a checked mode, with b's class where b is a
+    certified atom (``_certified_atom_class``) and the dict of subproduct
+    answers of the caller's divisor b (``_least_subproduct``).
+
+    In mode "atoms", for such a b and an a whose fact is complete and
+    certified, b |_p a and the k = 1 step are read off a's class tuples:
+    k is 1 at the first position holding b's class, and every other
+    single atom is certified not to be divided by b."""
     if handle.is_unit(b):
         return OmegaReport(b, mode, 0, True, None)
-    div = _divides_p_cached(handle, b, a)
-    if div.holds is not True:
-        return OmegaReport(b, mode, 0, div.certified, None)
-    if mode == "atoms":
-        decomps, complete = _atom_decompositions(handle, a)
-    elif mode == "nonunits":
-        decomps, complete = _nonunit_decompositions(handle, a)
-    else:
-        raise ValueError("mode must be 'atoms' or 'nonunits'")
-    value, witness, certified = 0, None, complete
-    for parts in decomps:
-        k, idxs, cert = min_subproduct_k(handle, parts, b)
+    classes = None      # a's class tuples, where the shortcut applies
+    if mode == "atoms" and b_class is not None:
+        tuples, classes, complete = factorization_keys(handle, a)
+        if not complete:
+            classes = None
+        elif not any(b_class in c for c in classes):
+            return OmegaReport(b, mode, 0, True, None)
+    if classes is None:
+        div = _divides_p_cached(handle, b, a)
+        if div.holds is not True:
+            return OmegaReport(b, mode, 0, div.certified, None)
+    value, witness = 0, None
+    if mode == "nonunits":
+        decomps, certified = _nonunit_decompositions(handle, a)
+        for parts in decomps:
+            keys = tuple(map(handle.key, parts))
+            k, idxs, cert = _least_subproduct(
+                handle, b, keys, dict(zip(keys, parts)).__getitem__, answers)
+            certified = certified and cert
+            if k > value:
+                value = k
+                witness = OmegaWitness(a, tuple(parts), k, idxs)
+        return OmegaReport(b, mode, value, certified, witness)
+    if b_class is None:     # a's fact is not read yet
+        tuples, _, complete = factorization_keys(handle, a)
+    of_key = handle.atom_of_key
+    certified = complete
+    for i, keys in enumerate(tuples):
+        if classes is not None and b_class in classes[i]:
+            k, idxs, cert = 1, (classes[i].index(b_class),), True
+        else:
+            k, idxs, cert = _least_subproduct(
+                handle, b, keys, of_key, answers, 1 if classes is None else 2)
         certified = certified and cert
         if k > value:
             value = k
-            witness = OmegaWitness(a, tuple(parts), k, idxs)
+            witness = OmegaWitness(a, tuple(map(of_key, keys)), k, idxs)
     return OmegaReport(b, mode, value, certified, witness)
-
-
-def _atom_decompositions(handle, a) -> Tuple[List[Tuple], bool]:
-    fs = rigid_factorizations(handle, a)
-    return [z.atoms for z in fs], fs.complete
 
 
 def _nonunit_decompositions(handle, a) -> Tuple[List[Tuple], bool]:
@@ -285,10 +361,13 @@ def _nonunit_decompositions(handle, a) -> Tuple[List[Tuple], bool]:
 
 def omega_semigroup(handle: SemigroupHandle, b, scope_elements: Sequence,
                     mode: str = "atoms") -> OmegaReport:
-    """Semigroup-level omega: max over the explored elements (lower bound)."""
+    """Semigroup-level omega: max over the explored elements (lower bound).
+    The elements share one dict of subproduct answers."""
+    _check_mode(mode)
+    b_class, answers = _certified_atom_class(handle, b), {}
     value, witness, certified = 0, None, True
     for a in scope_elements:
-        rep = omega_element(handle, a, b, mode)
+        rep = _omega(handle, a, b, mode, b_class, answers)
         certified = certified and rep.certified
         if rep.value > value:
             value, witness = rep.value, rep.witness
@@ -315,13 +394,13 @@ def tame_element(handle: SemigroupHandle, a,
             raise ValueError(
                 f"pattern entry {handle.format_element(u)} is not an atom")
     pat = _class_occurrences(sorted(map(handle.atom_class, pattern)))
-    pfs, complete = permutable_factorizations(handle, a)
-    occs = [_class_occurrences(p.classes) for p in pfs]
-    qualifying = [(zp, op) for zp, op in zip(pfs, occs) if pat <= op]
+    nodes, complete, _ = _class_nodes(handle, a)
+    occs = [_class_occurrences(z.classes) for z in nodes]
+    qualifying = [(zp, op) for zp, op in zip(nodes, occs) if pat <= op]
     if not qualifying:
         return TameReport(tuple(pattern), 0, complete, None)
     value, witness = 0, None
-    for z, oz in zip(pfs, occs):
+    for z, oz in zip(nodes, occs):
         # d_p(z, z') = max(|z|, |z'|) - |gcd(z, z')|; the first nearest wins
         best, arg = None, None
         for zp, op in qualifying:

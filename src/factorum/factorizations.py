@@ -31,9 +31,10 @@ factorization is the tuple of its atoms' keys, kept with its need, and
 with the tuple of its atoms' classes once a sweep query asks.  On a
 presentation these are words, so the fact holds only strings and ints,
 and the cyclic collector stops tracking it.  Almost-prime-likeness,
-valuation sets (``factorization_keys``) and length sets read that fact
-directly; a ``RigidFactorization`` is built from it only for a witness, a
-representative or a ``rigid_factorizations`` answer, and a
+valuation sets and omega (``factorization_keys``), length sets, and the
+class multisets behind d_len, d_p and t_p (``_class_nodes``) read that
+fact directly; a ``RigidFactorization`` is built from it only for a
+witness, a representative or a ``rigid_factorizations`` answer, and a
 ``FactorizationSet`` only for the last.
 
 Where the handle spells out an element's rigid factorizations
@@ -57,7 +58,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple
+from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
+                    Tuple)
 
 from .handles import SemigroupHandle
 
@@ -279,28 +281,57 @@ def _least_rigid(handle: SemigroupHandle, a, classes: Tuple
         tuple(sorted(map(handle.class_atom, classes), key=handle.key)), a)
 
 
+class _ClassNode(NamedTuple):
+    """One atom-class multiset of an element and its length, with no rigid
+    factorization built: a node of the d_len and d_p graphs, and a
+    permutable factorization for t_p."""
+    classes: Tuple
+    length: int
+
+
+def _class_nodes(handle: SemigroupHandle, a
+                 ) -> Tuple[List[_ClassNode], bool, Callable]:
+    """The atom-class multisets of a as nodes, in multiset order, whether
+    they are all of a's, and the map from a node to its representative:
+    the least rigid factorization of a with that multiset, in the order
+    (length, atom keys), built only when the map is called.
+
+    On a commutative reduced handle (``_orderless``) the multisets come
+    from ``permutable_class_multisets`` and a representative is its atoms
+    sorted by key.  Elsewhere they are read off a's rigid fact
+    (``factorization_keys``), and a representative is the first
+    factorization of its multiset there."""
+    if _orderless(handle):
+        sets, complete = permutable_class_multisets(handle, a)
+
+        def rigid(z: _ClassNode) -> RigidFactorization:
+            return _least_rigid(handle, a, z.classes)
+        return [_ClassNode(m, len(m)) for m in sorted(sets)], complete, rigid
+    tuples, classes, complete = factorization_keys(handle, a)
+    first: Dict[Tuple, Tuple] = {}
+    for t, c in zip(tuples, classes):
+        first.setdefault(tuple(sorted(c)), t)
+
+    def rigid(z: _ClassNode) -> RigidFactorization:
+        return _rigid_factorization(handle, a, first[z.classes])
+    return [_ClassNode(m, len(m)) for m in sorted(first)], complete, rigid
+
+
 def permutable_factorizations(handle: SemigroupHandle, a
                               ) -> Tuple[Tuple[PermutableFactorization, ...], bool]:
     """Z_p(a): rigid factorizations up to permutation of associate classes,
     one per class multiset in multiset order, each represented by its least
     rigid factorization in the order (length, atom keys).
 
-    On a commutative reduced handle every ordering of a factorization is
-    one, so that least factorization is its atoms sorted by key: the
-    classes come from ``permutable_class_multisets`` and no rigid ordering
-    is listed.  Elsewhere the classes are read off a's rigid fact
-    (``factorization_keys``), and only the representatives are built.
+    These are the nodes of ``_class_nodes`` with every representative
+    built: on a commutative reduced handle every ordering of a
+    factorization is one, so that least factorization is its atoms sorted
+    by key, and no rigid ordering is listed; elsewhere the classes are
+    read off a's rigid fact.
     """
-    if _orderless(handle):
-        sets, complete = permutable_class_multisets(handle, a)
-        return tuple(PermutableFactorization(m, len(m), _least_rigid(
-            handle, a, m)) for m in sorted(sets)), complete
-    tuples, classes, complete = factorization_keys(handle, a)
-    first: Dict[Tuple, Tuple] = {}
-    for t, c in zip(tuples, classes):
-        first.setdefault(tuple(sorted(c)), t)
-    return tuple(PermutableFactorization(m, len(m), _rigid_factorization(
-        handle, a, first[m])) for m in sorted(first)), complete
+    nodes, complete, rigid = _class_nodes(handle, a)
+    return tuple(PermutableFactorization(z.classes, z.length, rigid(z))
+                 for z in nodes), complete
 
 
 def _depth(handle: SemigroupHandle, a) -> int:

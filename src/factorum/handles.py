@@ -39,9 +39,10 @@ class HandleMemo:
     completed.  Each factorization is the tuple of its atoms' keys, and
     each is matched by the tuple of those atoms' classes, the same tuples
     where every atom's class is its key (as on a presentation).  This is
-    the one fact per element that almost-prime-likeness, valuation sets
-    and length sets read; a ``RigidFactorization`` is built from it only
-    when one is returned.
+    the one fact per element that almost-prime-likeness, valuation sets,
+    length sets, omega and the class multisets of d_len, d_p and t_p
+    read; a ``RigidFactorization`` is built from it only when one is
+    returned.
     ``classes``: key -> (class multisets, need), for those whose walk of
     the class multisets completed, each set kept as a tuple: even an empty
     frozenset takes 216 bytes, and a sweep keeps one set per element it

@@ -186,7 +186,12 @@ def _minimal_walk(group: FiniteAbelianGroup, nonzero: List[GroupElement],
 
 def davenport(group: FiniteAbelianGroup) -> int:
     """D(G): maximal length of a minimal zero-sum sequence."""
-    return max((len(a) for a in atoms_of_block_monoid(group)), default=0)
+    return _davenport(atoms_of_block_monoid(group))
+
+
+def _davenport(atoms: Sequence[ZeroSumSequence]) -> int:
+    """D(G) read off the atoms of B(G), as a handle holds them."""
+    return max(map(len, atoms), default=0)
 
 
 def _counts(seq: Sequence[GroupElement]) -> Dict[GroupElement, int]:
@@ -344,7 +349,14 @@ def block_catenary(group: FiniteAbelianGroup,
     group falls under the known classification, whether the computed value
     agrees with it.
     """
-    handle = BlockMonoidHandle(group)
+    return _block_catenary(BlockMonoidHandle(group), max_sequence_length)
+
+
+def _block_catenary(handle: BlockMonoidHandle,
+                    max_sequence_length: int) -> CatenaryReport:
+    """``block_catenary`` on a handle of B(G) already built, so that a
+    caller that reads its atoms too enumerates them once."""
+    group = handle.group
     rep = semigroup_catenary(handle, zero_sum_sequences(
         group, handle.subset, max_sequence_length), DistanceKind.PERMUTABLE)
     notes = [f"searched all zero-sum sequences of length <= {max_sequence_length}"]
@@ -389,9 +401,10 @@ def maximal_order_bound(group: FiniteAbelianGroup,
                         ) -> OrderBoundReport:
     """Catenary-degree bound max(2, c_p(B(C))) over a user-supplied finite
     abelian class group C, with the small-group classification echoed."""
+    handle = BlockMonoidHandle(group)
     if max_sequence_length is None:
-        max_sequence_length = max(2, 2 * davenport(group))
-    rep = block_catenary(group, max_sequence_length)
+        max_sequence_length = max(2, 2 * _davenport(handle.atoms))
+    rep = _block_catenary(handle, max_sequence_length)
     bound = max(2, rep.value)
     inv = tuple(f for f in invariant_factors(group) if f > 1)
     known = _classified_catenary(group)

@@ -13,6 +13,7 @@ distance matrix), values, certification and witnesses from both.
 
 import importlib
 import itertools
+from collections import Counter
 from operator import attrgetter
 from unittest import mock
 
@@ -20,10 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorum.catenary import VARIANTS, catenary_in_fibers
+from factorum.catenary import (VARIANTS, catenary_in_fibers,
+                               semigroup_catenary)
 from factorum.distances import DistanceKind, distance
+from factorum.divisibility import TameReport, tame_element
 from factorum.factorizations import (PermutableFactorization, class_multiset,
                                     permutable_class_multisets,
+                                    permutable_factorizations,
                                     rigid_factorizations)
 from factorum.handles import FactorialVectorHandle
 from factorum.matrices import (FullMatrixHandle, TriangularMatrixHandle,
@@ -37,6 +41,7 @@ from factorum.zerosum import (BlockMonoidHandle, FiniteAbelianGroup,
 KINDS = (DistanceKind.LENGTH, DistanceKind.PERMUTABLE)
 # the package re-exports the function ``catenary`` under the module's name
 catenary_module = importlib.import_module("factorum.catenary")
+factorizations_module = importlib.import_module("factorum.factorizations")
 
 
 def _least_threshold(nodes, d):
@@ -145,16 +150,22 @@ def test_triangular_elements_match_oracle(a, b, d):
 # keeps the first one in the order of Z*(a), (length, atom keys), and
 # every distance is computed pairwise from the representatives
 
-def reference_graph(handle, a, kind):
+def permutable_nodes(handle, a):
+    """Z_p(a) from its definition: each class multiset once, with the
+    first rigid factorization holding it as representative."""
     fs = rigid_factorizations(handle, a)
     first = {}
     for z in fs:
         first.setdefault(class_multiset(handle, z), z)
-    nodes = tuple(PermutableFactorization(k, len(k), first[k])
-                  for k in sorted(first))
+    return tuple(PermutableFactorization(k, len(k), first[k])
+                 for k in sorted(first)), fs.complete
+
+
+def reference_graph(handle, a, kind):
+    nodes, complete = permutable_nodes(handle, a)
     mat = [[distance(handle, kind, x.representative, y.representative)
             for y in nodes] for x in nodes]
-    return catenary_module._Graph(nodes, mat, fs.complete,
+    return catenary_module._Graph(nodes, mat, complete,
                                   attrgetter("representative"))
 
 
@@ -357,3 +368,92 @@ def test_class_nodes_build_only_the_witness():
                 catenary_in_fibers(h, seq, kind, idmap)
                 assert several or not asked.called
     assert seen["one"] and seen["several"]
+
+
+# the class nodes against permutable factorizations ------------------------
+# Z_p(a) from its definition (``permutable_nodes``) against
+# ``permutable_factorizations``, the catenary reports against
+# ``reference_graph``, and t_p against a reference on the same nodes that
+# takes every distance between two representatives
+
+def tame_reference(handle, a, pattern):
+    """t_p(a, x) over the permutable factorizations of a: the worst
+    distance from one to its first nearest one holding the pattern."""
+    pfs, complete = permutable_nodes(handle, a)
+    pat = Counter(map(handle.atom_class, pattern))
+    qualifying = [zp for zp in pfs if not pat - Counter(zp.classes)]
+    if not qualifying:
+        return TameReport(tuple(pattern), 0, complete, None)
+    value, witness = 0, None
+    for z in pfs:
+        dists = [distance(handle, DistanceKind.PERMUTABLE, z.representative,
+                          zp.representative) for zp in qualifying]
+        best = min(dists)
+        if best > value:
+            value = best
+            witness = (a, z.classes, qualifying[dists.index(best)].classes)
+    return TameReport(tuple(pattern), value, complete, witness)
+
+
+def _steps(rep):
+    return rep.witness.steps if rep.witness is not None else None
+
+
+def _class_node_answers(handle, a, patterns, tame, permutable):
+    reports = [permutable(handle, a)]
+    for kind in KINDS:
+        for fn in VARIANTS.values():
+            rep = fn(handle, a, kind)
+            reports.append((rep.value, rep.certified, _steps(rep)))
+    return reports + [tame(handle, a, p) for p in patterns]
+
+
+@pytest.mark.parametrize("name", preset_names())
+@pytest.mark.parametrize("budget", [None, TRUNCATING])
+def test_class_nodes_match_permutable_factorizations(name, budget):
+    # every element of length <= 4, then the sweep of every variant; the
+    # reference asks a handle of its own the same questions
+    h, ref = engine(name, budget), engine(name, budget)
+    els, complete = h.enumerate_elements(4)
+    refs, _ = ref.enumerate_elements(4)
+    patterns = [[h.element((g,))] for g in h.presentation.generators
+                if h.is_atom(h.element((g,)))]
+    ref_patterns = [[ref.element(p[0].word)] for p in patterns]
+    for x, y in zip(els, refs):
+        got = _class_node_answers(h, x, patterns, tame_element,
+                                  permutable_factorizations)
+        with mock.patch.object(catenary_module, "_graph", reference_graph):
+            want = _class_node_answers(ref, y, ref_patterns, tame_reference,
+                                       permutable_nodes)
+        assert got == want
+    for kind in KINDS:
+        for variant in VARIANTS:
+            got = semigroup_catenary(h, els, kind, variant, complete)
+            with mock.patch.object(catenary_module, "_graph",
+                                   reference_graph):
+                want = semigroup_catenary(ref, refs, kind, variant, complete)
+            assert (got.value, got.certified, _steps(got), got.element) == \
+                (want.value, want.certified, _steps(want), want.element)
+
+
+def test_presentation_class_nodes_build_only_the_witness():
+    # on a presentation a node is read off the element's fact: a rigid
+    # factorization is built only for a witness's two ends, and t_p, whose
+    # witness is two class multisets, builds none
+    h = engine("abc_cb")
+    els, _ = h.enumerate_elements(5)
+    built = mock.patch.object(factorizations_module, "_rigid_factorization",
+                              wraps=factorizations_module._rigid_factorization)
+    single = 0
+    with built as rigid:
+        for a in els:
+            single += len(permutable_class_multisets(h, a)[0]) == 1
+            for kind in KINDS:
+                for fn in VARIANTS.values():
+                    rigid.reset_mock()
+                    rep = fn(h, a, kind)
+                    assert rigid.call_count == len(_steps(rep) or ())
+            rigid.reset_mock()
+            tame_element(h, a, [h.element(("a",))])
+            assert not rigid.called
+    assert 0 < single < len(els)

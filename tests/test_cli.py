@@ -1,4 +1,6 @@
+import importlib
 import json
+from unittest import mock
 
 import pytest
 
@@ -120,6 +122,25 @@ def test_primelike_command(capsys):
     code, out, _ = run(capsys, "primelike", pres_path("aba_ba3bc"),
                        "--atom", "c", "--max-length", "5")
     assert "a b a" in out
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (("zss", "--group", "2,2", "atoms"), 0),
+    (("zss", "--group", "2,2", "davenport"), 0),
+    (("zss", "--group", "2,2", "catenary", "--max-len", "4"), 2),
+    (("zss", "--group", "3", "order-bound"), 0),
+    (("order-bound", "--group", "4"), 0)])
+def test_block_monoid_commands_enumerate_the_atoms_once(capsys, argv,
+                                                        exit_code):
+    # the one enumerator, counted under every name the commands may call
+    listed = mock.Mock(wraps=importlib.import_module(
+        "factorum.zerosum").atoms_of_block_monoid)
+    with mock.patch("factorum.zerosum.atoms_of_block_monoid", listed), \
+            mock.patch("factorum.cli.atoms_of_block_monoid", listed,
+                       create=True):
+        code, out, _ = run(capsys, "--format", "json", *argv)
+    assert code == exit_code and json.loads(out)["schema"] == "factorum/1"
+    assert listed.call_count == 1
 
 
 def test_zss_commands(capsys):

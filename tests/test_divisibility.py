@@ -1,11 +1,13 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from factorum.divisibility import (AlmostPrimeLikeReport, DivisibilityKind,
-                                   NotAlmostPrimeLikeError,
-                                   UnsupportedOperation, ValuationSet,
+                                   NotAlmostPrimeLikeError, OmegaReport,
+                                   OmegaWitness, UnsupportedOperation,
+                                   ValuationSet, _nonunit_decompositions,
                                    divides, divides_p, is_almost_prime_like,
                                    is_prime_like, min_subproduct_k, occurs_in,
                                    omega_element, omega_semigroup,
@@ -15,8 +17,8 @@ from factorum.factorizations import (permutable_factorizations,
                                      rigid_factorizations)
 from factorum.matrices import (FullMatrixHandle, TriangularMatrixHandle,
                                mat_det)
-from factorum.presentation import (ExplorationBudget, PresentationSemigroup,
-                                   parse_presentation)
+from factorum.presentation import (BudgetError, ExplorationBudget,
+                                   PresentationSemigroup, parse_presentation)
 from factorum.presets import ab_ban, b_an_c, engine, preset_names
 
 
@@ -241,6 +243,22 @@ def test_omega_with_a_unit_divisor_is_zero(mode):
     assert (rep.value, rep.certified, rep.witness) == (0, True, None)
 
 
+@pytest.mark.parametrize("mode", ["bogus", "", None])
+def test_omega_checks_its_mode_first(mode):
+    # before the unit check and before any divisibility test, so a divisor
+    # that divides, one that does not, and a unit all raise alike
+    h = engine("ab_cd_cede_ba")
+    el = h.element_from_str
+    for a, b in ((el("b a"), el("c")), (el("a"), el("d")),
+                 (el("c e d e"), h.identity())):
+        with pytest.raises(ValueError, match="mode must be 'atoms' or "
+                                             "'nonunits'"):
+            omega_element(h, a, b, mode)
+        with pytest.raises(ValueError, match="mode must be 'atoms' or "
+                                             "'nonunits'"):
+            omega_semigroup(h, b, [a], mode)
+
+
 def test_omega_free_monoid_prime():
     h = make("gens: a b\n")
     els, _ = h.enumerate_elements(4)
@@ -439,3 +457,102 @@ def test_matrix_sweep_queries_match_the_per_atom_loops(make):
     reports = _check_sweep(lambda: make(2), atoms,
                            [lambda e, m=m: m for m in matrices])
     assert all(r.holds for r in reports)
+
+
+# omega_p from its definition ---------------------------------------------
+
+
+def _divides_p_oracle(h, b, x):
+    """b |_p x from the definition: the class multiset of some rigid
+    factorization of b is a sub-multiset of one of x's; unknown when
+    either set of rigid factorizations is incomplete."""
+    if h.is_unit(b):
+        return True, True
+    fb, fx = rigid_factorizations(h, b), rigid_factorizations(h, x)
+    mb = [Counter(map(h.atom_class, z.atoms)) for z in fb]
+    mx = [Counter(map(h.atom_class, z.atoms)) for z in fx]
+    if any(not m - n for m in mb for n in mx):
+        return True, True
+    certified = fb.complete and fx.complete
+    return (False if certified else None), certified
+
+
+def _omega_oracle(h, a, b, mode):
+    """omega_p(a, b) or omega'_p(a, b) from its definition: over every
+    decomposition of a, the least k with b |_p the subproduct of some k
+    increasing indices, every index subset tried by size; the worst one
+    and its first decomposition are the value and witness."""
+    if h.is_unit(b):
+        return OmegaReport(b, mode, 0, True, None)
+    holds, certified = _divides_p_oracle(h, b, a)
+    if holds is not True:
+        return OmegaReport(b, mode, 0, certified, None)
+    if mode == "atoms":
+        fs = rigid_factorizations(h, a)
+        decomps, complete = [z.atoms for z in fs], fs.complete
+    else:
+        decomps, complete = _nonunit_decompositions(h, a)
+    value, witness, certified = 0, None, complete
+    for parts in decomps:
+        n = len(parts)
+        cert = True
+        for idxs in (s for k in range(1, n + 1)
+                     for s in itertools.combinations(range(n), k)):
+            holds, _ = _divides_p_oracle(
+                h, b, h.product([parts[i] for i in idxs]))
+            if holds:
+                k = len(idxs)
+                break
+            if holds is None:
+                cert = False
+        else:
+            # the whole product is a, so b |_p a was not certified
+            k, idxs, cert = n, tuple(range(n)), False
+        certified = certified and cert
+        if k > value:
+            value, witness = k, OmegaWitness(a, tuple(parts), k, idxs)
+    return OmegaReport(b, mode, value, certified, witness)
+
+
+def _omega_spelled(h, rep):
+    w = rep.witness
+    return (_spell(h, rep.divisor), rep.mode, rep.value, rep.certified,
+            w and (_spell(h, w.element), [_spell(h, p) for p in w.parts],
+                   w.min_k, w.subproduct))
+
+
+def _omega_engine(name, budget):
+    """The preset at the budget, or, where a relation side is longer than
+    its word cap, at the shortest word cap that takes every side."""
+    try:
+        return engine(name, budget)
+    except BudgetError:
+        sides = [len(side) for r in engine(name).presentation.relations
+                 for side in r]
+        return engine(name, ExplorationBudget(max(sides),
+                                              budget.max_ball_size))
+
+
+@pytest.mark.parametrize("name", preset_names())
+@pytest.mark.parametrize("budget", [None, ExplorationBudget(4, 5)])
+def test_omega_matches_the_definition(name, budget):
+    # each generator and b a as divisor, every element of length <= 4,
+    # both modes; the oracle asks a handle of its own the same questions
+    h, ref = _omega_engine(name, budget), _omega_engine(name, budget)
+    gens = h.presentation.generators
+    divisors = [(g,) for g in gens] + [(gens[1], gens[0])]
+    els, _ = h.enumerate_elements(4)
+    refs, _ = ref.enumerate_elements(4)
+    for mode in ("atoms", "nonunits"):
+        for d in divisors:
+            b, rb = h.element(d), ref.element(d)
+            want = [_omega_oracle(ref, y, rb, mode) for y in refs]
+            got = [omega_element(h, x, b, mode) for x in els]
+            assert [_omega_spelled(h, r) for r in got] == \
+                [_omega_spelled(ref, r) for r in want]
+            best = max(want, key=lambda r: r.value)   # the first maximum
+            sup = OmegaReport(rb, mode, best.value,
+                              all(r.certified for r in want),
+                              best.witness if best.value else None)
+            assert _omega_spelled(h, omega_semigroup(h, b, els, mode)) == \
+                _omega_spelled(ref, sup)
