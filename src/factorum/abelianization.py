@@ -26,17 +26,18 @@ checked over the explored ball.
 The equiv_p, weak-transfer and length-map answers are named tuples:
 immutable, compared by value, copied with a field changed by
 ``_replace``, and equal to a plain tuple of the same fields.
+``VectorElement`` is an immutable ``__slots__`` class that compares and
+hashes by its coordinates alone.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import (Dict, FrozenSet, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
 from .factorizations import permutable_factorizations
-from .handles import DivisorPairs, SemigroupHandle
+from .handles import DivisorPairs, FrozenSlots, SemigroupHandle
 from .presentation import (Element, ExplorationBudget, Presentation,
                            PresentationSemigroup, _bind_closed_class, _closure)
 
@@ -57,16 +58,25 @@ class VectorBall(NamedTuple):
     canonical: Vector       # the least member by (total, vector)
 
 
-@dataclass(frozen=True)
-class VectorElement:
-    coords: Vector
-    certified: bool = True
+class VectorElement(FrozenSlots):
+    """An element of the abelianization, by its exponent vector.
+    Immutable; equality and hash are those of ``coords`` alone."""
+    __slots__ = ("coords", "certified")
+
+    def __init__(self, coords: Vector, certified: bool = True):
+        _set_coords(self, coords)
+        _set_certified(self, certified)
 
     def __hash__(self):
         return hash(self.coords)
 
     def __eq__(self, other):
         return isinstance(other, VectorElement) and self.coords == other.coords
+
+
+# the slot setters, which bypass the refusing __setattr__
+_set_coords = VectorElement.coords.__set__
+_set_certified = VectorElement.certified.__set__
 
 
 class CommutativeVectorSemigroup(SemigroupHandle):

@@ -21,10 +21,12 @@ u_{s(1)}...u_{s(k)} taken along increasing positions s(1) < ... < s(k).
 omega'_p(a, b) ranges over all decompositions of a into non-unit factors
 instead.  The factorizations of a are read off its one fact as atom-key
 tuples with their classes (``factorization_keys``), and atoms are built
-only for the witness.  A subproduct is known by its parts' keys: one dict
-per ``omega_element`` call, shared by the whole sweep of
-``omega_semigroup``, keeps each subproduct's |_p answer, so its product
-is built and asked about once.  Where b is a certified atom its one class
+only for the witness: a query, and a sweep of ``omega_semigroup``, keeps
+its running maximiser's parts and indices and builds one witness at the
+end.  A subproduct is known by its parts' keys: one dict per
+``omega_element`` call, shared by the whole sweep of ``omega_semigroup``,
+keeps each subproduct's |_p answer, so its product is built and asked
+about once.  Where b is a certified atom its one class
 multiset is (class of b,), so when a's fact is complete and certified, b
 |_p a holds iff b's class occurs in one of a's class tuples, and k = 1 at
 the first position holding it; a factorization without it starts the
@@ -276,33 +278,40 @@ def omega_element(handle: SemigroupHandle, a, b,
 
     A unit b divides the empty subproduct, so omega is then 0."""
     _check_mode(mode)
-    return _omega(handle, a, b, mode, _certified_atom_class(handle, b), {})
+    value, certified, best = _omega(handle, a, b, mode,
+                                    _certified_atom_class(handle, b), {})
+    return OmegaReport(b, mode, value, certified,
+                       _omega_witness(handle, a, mode, value, best))
 
 
 def _omega(handle: SemigroupHandle, a, b, mode: str, b_class,
-           answers: Dict) -> OmegaReport:
+           answers: Dict) -> Tuple[int, bool, Optional[Tuple]]:
     """``omega_element`` for a checked mode, with b's class where b is a
     certified atom (``_certified_atom_class``) and the dict of subproduct
-    answers of the caller's divisor b (``_least_subproduct``).
+    answers of the caller's divisor b (``_least_subproduct``).  Returns
+    (value, certified, best): best is (parts, indices) of the first
+    factorization or decomposition reaching the value, its parts atom
+    keys in mode "atoms" and elements in mode "nonunits", and None where
+    the value is 0; ``_omega_witness`` makes it the witness.
 
     In mode "atoms", for such a b and an a whose fact is complete and
     certified, b |_p a and the k = 1 step are read off a's class tuples:
     k is 1 at the first position holding b's class, and every other
     single atom is certified not to be divided by b."""
     if handle.is_unit(b):
-        return OmegaReport(b, mode, 0, True, None)
+        return 0, True, None
     classes = None      # a's class tuples, where the shortcut applies
     if mode == "atoms" and b_class is not None:
         tuples, classes, complete = factorization_keys(handle, a)
         if not complete:
             classes = None
         elif not any(b_class in c for c in classes):
-            return OmegaReport(b, mode, 0, True, None)
+            return 0, True, None
     if classes is None:
         div = _divides_p_cached(handle, b, a)
         if div.holds is not True:
-            return OmegaReport(b, mode, 0, div.certified, None)
-    value, witness = 0, None
+            return 0, div.certified, None
+    value, best = 0, None
     if mode == "nonunits":
         decomps, certified = _nonunit_decompositions(handle, a)
         for parts in decomps:
@@ -311,9 +320,8 @@ def _omega(handle: SemigroupHandle, a, b, mode: str, b_class,
                 handle, b, keys, dict(zip(keys, parts)).__getitem__, answers)
             certified = certified and cert
             if k > value:
-                value = k
-                witness = OmegaWitness(a, tuple(parts), k, idxs)
-        return OmegaReport(b, mode, value, certified, witness)
+                value, best = k, (parts, idxs)
+        return value, certified, best
     if b_class is None:     # a's fact is not read yet
         tuples, _, complete = factorization_keys(handle, a)
     of_key = handle.atom_of_key
@@ -326,9 +334,20 @@ def _omega(handle: SemigroupHandle, a, b, mode: str, b_class,
                 handle, b, keys, of_key, answers, 1 if classes is None else 2)
         certified = certified and cert
         if k > value:
-            value = k
-            witness = OmegaWitness(a, tuple(map(of_key, keys)), k, idxs)
-    return OmegaReport(b, mode, value, certified, witness)
+            value, best = k, (keys, idxs)
+    return value, certified, best
+
+
+def _omega_witness(handle: SemigroupHandle, a, mode: str, value: int,
+                   best: Optional[Tuple]) -> Optional[OmegaWitness]:
+    """The witness of a's omega ``value`` from ``_omega``'s best, None if
+    there is none; in mode "atoms" its atom keys become atoms here."""
+    if best is None:
+        return None
+    parts, idxs = best
+    if mode == "atoms":
+        parts = tuple(map(handle.atom_of_key, parts))
+    return OmegaWitness(a, parts, value, idxs)
 
 
 def _nonunit_decompositions(handle, a) -> Tuple[List[Tuple], bool]:
@@ -365,13 +384,14 @@ def omega_semigroup(handle: SemigroupHandle, b, scope_elements: Sequence,
     The elements share one dict of subproduct answers."""
     _check_mode(mode)
     b_class, answers = _certified_atom_class(handle, b), {}
-    value, witness, certified = 0, None, True
+    value, certified, worst, best = 0, True, None, None
     for a in scope_elements:
-        rep = _omega(handle, a, b, mode, b_class, answers)
-        certified = certified and rep.certified
-        if rep.value > value:
-            value, witness = rep.value, rep.witness
-    return OmegaReport(b, mode, value, certified, witness)
+        v, cert, a_best = _omega(handle, a, b, mode, b_class, answers)
+        certified = certified and cert
+        if v > value:
+            value, worst, best = v, a, a_best
+    return OmegaReport(b, mode, value, certified,
+                       _omega_witness(handle, worst, mode, value, best))
 
 
 # tame degree --------------------------------------------------------------

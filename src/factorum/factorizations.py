@@ -52,16 +52,17 @@ greatest word length as depth: the stored result is the walk's own.
 ``RigidFactorization``, ``PermutableFactorization`` and ``LengthSet``
 are named tuples: immutable, compared by value, copied with a field
 changed by ``_replace``, and equal to a plain tuple of the same fields.
+``FactorizationSet`` is an immutable ``__slots__`` class, compared and
+hashed by both its fields and sized and iterated as its factorizations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
                     Tuple)
 
-from .handles import SemigroupHandle
+from .handles import FrozenSlots, SemigroupHandle
 
 
 class RigidFactorization(NamedTuple):
@@ -84,16 +85,36 @@ class PermutableFactorization(NamedTuple):
     representative: RigidFactorization
 
 
-@dataclass(frozen=True, slots=True)
-class FactorizationSet:
-    factorizations: Tuple[RigidFactorization, ...]
-    complete: bool
+class FactorizationSet(FrozenSlots):
+    """An element's rigid factorizations and whether the list is complete.
+    Immutable, compared and hashed by both fields, and sized and iterated
+    as its list of factorizations."""
+    __slots__ = ("factorizations", "complete")
+
+    def __init__(self, factorizations: Tuple[RigidFactorization, ...],
+                 complete: bool):
+        _set_factorizations(self, factorizations)
+        _set_complete(self, complete)
+
+    def __eq__(self, other):
+        if other.__class__ is FactorizationSet:
+            return (self.factorizations, self.complete) \
+                == (other.factorizations, other.complete)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.factorizations, self.complete))
 
     def __len__(self):
         return len(self.factorizations)
 
     def __iter__(self):
         return iter(self.factorizations)
+
+
+# the slot setters, which bypass the refusing __setattr__
+_set_factorizations = FactorizationSet.factorizations.__set__
+_set_complete = FactorizationSet.complete.__set__
 
 
 def class_multiset(handle: SemigroupHandle, z: RigidFactorization) -> Tuple:

@@ -31,6 +31,28 @@ class UnsupportedOperation(NotImplementedError):
     pass
 
 
+class FrozenSlots:
+    """Base of the immutable ``__slots__`` value classes (``Element``,
+    ``FactorizationSet``, ``VectorElement``): a field cannot be assigned
+    or deleted, a copy or pickle is rebuilt through the constructor, and
+    the repr is ``Name(field=...)`` over the slots.  A subclass sets its
+    fields in ``__init__`` through the slot descriptors' ``__set__``."""
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def __repr__(self):
+        return type(self).__name__ + "(" + ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self.__slots__) + ")"
+
+
 class HandleMemo:
     """The factorization-derived answers kept for one handle instance.
 

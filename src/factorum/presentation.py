@@ -31,20 +31,26 @@ for last letters (right graph), and both graphs are forests, the semigroup
 embeds into a group and is cancellative.  Non-Adyan presentations are
 accepted with a warning recorded on the engine.
 
-``Relation``, ``AdyanReport`` and ``AtomAnswer`` are named tuples:
-immutable, compared by value, copied with a field changed by
-``_replace``, and equal to a plain tuple of the same fields.
+``Relation``, ``AdyanReport``, ``AtomAnswer`` and ``CongruenceBall`` are
+named tuples: immutable, compared by value, copied with a field changed
+by ``_replace``, and equal to a plain tuple of the same fields (and to
+another named tuple with equal fields).  A ball's ``element`` takes part
+in its equality and repr; it is fixed by ``closed`` and ``canonical``.
+``ExplorationBudget``, ``BudgetOverride`` and ``Presentation`` are named
+tuples too, whose constructor checks its input; ``_make`` and so
+``_replace`` go through it, and raise its errors.  ``Element`` is an
+immutable ``__slots__`` class that compares and hashes by its word alone,
+as ``hash((word,))``: ``certified`` takes part in neither.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import (Dict, FrozenSet, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
-from .handles import DivisorPairs, SemigroupHandle
+from .handles import DivisorPairs, FrozenSlots, SemigroupHandle
 
 Word = Tuple[str, ...]
 
@@ -67,27 +73,44 @@ class BudgetError(ValueError):
     """Exploration budget is inconsistent with the presentation."""
 
 
-@dataclass(frozen=True)
-class ExplorationBudget:
-    max_word_length: int = 12
-    max_ball_size: int = 100_000
+class _ExplorationBudget(NamedTuple):
+    max_word_length: int
+    max_ball_size: int
 
-    def __post_init__(self):
-        if self.max_word_length < 1 or self.max_ball_size < 1:
+
+class ExplorationBudget(_ExplorationBudget):
+    __slots__ = ()
+
+    def __new__(cls, max_word_length: int = 12, max_ball_size: int = 100_000):
+        if max_word_length < 1 or max_ball_size < 1:
             raise BudgetError("budget bounds must be positive")
+        return tuple.__new__(cls, (max_word_length, max_ball_size))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class BudgetOverride:
+class _BudgetOverride(NamedTuple):
+    max_word_length: Optional[int]
+    max_ball_size: Optional[int]
+
+
+class BudgetOverride(_BudgetOverride):
     """Budget fields to set in another budget; a field left None keeps the
     other budget's value."""
-    max_word_length: Optional[int] = None
-    max_ball_size: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        for value in (self.max_word_length, self.max_ball_size):
+    def __new__(cls, max_word_length: Optional[int] = None,
+                max_ball_size: Optional[int] = None):
+        for value in (max_word_length, max_ball_size):
             if value is not None and value < 1:
                 raise BudgetError("budget bounds must be positive")
+        return tuple.__new__(cls, (max_word_length, max_ball_size))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def apply(self, budget: ExplorationBudget) -> ExplorationBudget:
         return ExplorationBudget(
@@ -102,30 +125,40 @@ class Relation(NamedTuple):
     rhs: Word
 
 
-@dataclass(frozen=True)
-class Presentation:
+class _Presentation(NamedTuple):
     generators: Tuple[str, ...]
     relations: Tuple[Relation, ...]
-    budget: ExplorationBudget = ExplorationBudget()
+    budget: ExplorationBudget
 
-    def __post_init__(self):
+
+class Presentation(_Presentation):
+    __slots__ = ()
+
+    def __new__(cls, generators: Tuple[str, ...],
+                relations: Tuple[Relation, ...],
+                budget: ExplorationBudget = ExplorationBudget()):
         seen = set()
-        for g in self.generators:
+        for g in generators:
             if not _GENERATOR_RE.match(g):
                 raise PresentationError(f"invalid generator name {g!r}")
             if g in seen:
                 raise PresentationError(f"duplicate generator {g!r}")
             seen.add(g)
-        for rel in self.relations:
+        for rel in relations:
             if not rel.lhs or not rel.rhs:
                 raise EmptyRelationSideError(
                     "reduced presentations only: relation sides must be nonempty")
             for sym in rel.lhs + rel.rhs:
                 if sym not in seen:
                     raise UndeclaredGeneratorError(f"undeclared generator {sym!r}")
-            if len(rel.lhs) > self.budget.max_word_length \
-                    or len(rel.rhs) > self.budget.max_word_length:
+            if len(rel.lhs) > budget.max_word_length \
+                    or len(rel.rhs) > budget.max_word_length:
                 raise BudgetError("max_word_length is below a relation side")
+        return tuple.__new__(cls, (generators, relations, budget))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def _column(line: str, start: int, i: int) -> int:
@@ -254,8 +287,7 @@ def check_adyan(p: Presentation) -> AdyanReport:
     return AdyanReport(left, right, la and ra, la, ra)
 
 
-@dataclass(frozen=True, slots=True)
-class CongruenceBall:
+class CongruenceBall(NamedTuple):
     seed: Word
     members: FrozenSet[Word]
     closed: bool
@@ -264,9 +296,9 @@ class CongruenceBall:
     # the shortlex-least member of length >= 2, None when every member is a
     # single letter: its first letter and the rest split the class
     least_long_member: Optional[Word] = None
-    # the one Element of the class, on a closed ball
-    element: Optional[Element] = field(default=None, compare=False,
-                                       repr=False)
+    # the one Element of the class, on a closed ball; fixed by closed and
+    # canonical, so it changes no equality
+    element: Optional[Element] = None
 
 
 def _closure(seed, rewrites, size, budget: ExplorationBudget,
@@ -318,14 +350,31 @@ class Equality(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True, slots=True)
-class Element:
-    """Canonical (shortlex-minimal explored) representative of a class."""
-    word: Word
-    certified: bool = field(compare=False, default=True)
+class Element(FrozenSlots):
+    """Canonical (shortlex-minimal explored) representative of a class.
+    Immutable; equality and hash are those of the word alone, so
+    ``certified`` takes no part in them."""
+    __slots__ = ("word", "certified")
+
+    def __init__(self, word: Word, certified: bool = True):
+        _set_word(self, word)
+        _set_certified(self, certified)
+
+    def __eq__(self, other):
+        if other.__class__ is Element:
+            return self.word == other.word
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.word,))
 
     def __len__(self):
         return len(self.word)
+
+
+# the slot setters, which bypass the refusing __setattr__
+_set_word = Element.word.__set__
+_set_certified = Element.certified.__set__
 
 
 def _element_of(ball: CongruenceBall) -> Element:
@@ -431,10 +480,9 @@ class PresentationSemigroup(SemigroupHandle):
         least_long = canonical if len(canonical) >= 2 else min(
             (m for m in members if len(m) >= 2), key=self.shortlex_key,
             default=None)
-        ball = CongruenceBall(seed=word, members=frozenset(members),
-                              closed=closed, canonical=canonical,
-                              truncated=truncated, least_long_member=least_long,
-                              element=Element(canonical) if closed else None)
+        ball = CongruenceBall(word, frozenset(members), closed, canonical,
+                              truncated, least_long,
+                              Element(canonical) if closed else None)
         if closed:
             _bind_closed_class(self._canon, ball, self.budget.max_word_length,
                                len)

@@ -5,15 +5,14 @@ Each case evaluates one acceptance criterion and yields rows of
 agree and the computation certified as exact; a budget-starved run leaves
 rows flagged as lower bounds instead of failing them.  The CLI command
 ``factorum regression`` prints the matrix; the pytest acceptance module
-asserts every row.
+asserts every row.  A ``CheckRow`` is a named tuple.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .abelianization import check_exwt, length_map, weak_transfer_counterexample
 from .catenary import catenary
@@ -40,8 +39,7 @@ from .zerosum import (FiniteAbelianGroup, block_catenary, davenport,
 _SEED = 20260809
 
 
-@dataclass
-class CheckRow:
+class CheckRow(NamedTuple):
     label: str
     expected: object
     computed: object

@@ -2,16 +2,15 @@
 
 All numeric invariants are exact integers or rationals rendered as "p/q";
 no floating point appears anywhere.  A report claims "exact" only when
-every underlying search closed.
+every underlying search closed.  An ``InvariantReport`` is a named tuple.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Dict, List
+from typing import Any, Dict, List, NamedTuple
 
 SCHEMA = "factorum/1"
 
@@ -38,14 +37,14 @@ def render_value(value: Any) -> Any:
     return value
 
 
-@dataclass
-class InvariantReport:
+class InvariantReport(NamedTuple):
     invariant: str
     value: Any
     certification: Certification
-    budget: Dict[str, int] = field(default_factory=dict)
-    witnesses: List[Any] = field(default_factory=list)
-    warnings: List[str] = field(default_factory=list)
+    # the defaults are shared empty containers: a report is never mutated
+    budget: Dict[str, int] = {}
+    witnesses: List[Any] = []
+    warnings: List[str] = []
 
     def to_json_dict(self) -> Dict[str, Any]:
         return {

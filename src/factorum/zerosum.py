@@ -15,13 +15,13 @@ with the known small-group classification of that catenary degree.
 
 ``OrderBoundReport`` is a named tuple: immutable, compared by value,
 copied with a field changed by ``_replace``, and equal to a plain tuple
-of the same fields.
+of the same fields.  ``FiniteAbelianGroup`` is one too, whose constructor
+rejects an order below 1; ``_make`` and so ``_replace`` go through it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import (Dict, FrozenSet, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -38,14 +38,22 @@ class GroupTooLarge(ValueError):
     """Group order exceeds the enumeration cap."""
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
-    """Direct sum of cyclic groups C_{n_1} + ... + C_{n_r}."""
+class _FiniteAbelianGroup(NamedTuple):
     orders: Tuple[int, ...]
 
-    def __post_init__(self):
-        if any(n < 1 for n in self.orders):
+
+class FiniteAbelianGroup(_FiniteAbelianGroup):
+    """Direct sum of cyclic groups C_{n_1} + ... + C_{n_r}."""
+    __slots__ = ()
+
+    def __new__(cls, orders: Tuple[int, ...]):
+        if any(n < 1 for n in orders):
             raise ValueError("cyclic orders must be >= 1")
+        return tuple.__new__(cls, (orders,))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def order(self) -> int:

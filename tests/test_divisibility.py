@@ -1,9 +1,13 @@
 import itertools
+import json
 import random
 from collections import Counter
+from importlib import resources
 
 import pytest
 
+import factorum.divisibility as divisibility
+from factorum.cli import main
 from factorum.divisibility import (AlmostPrimeLikeReport, DivisibilityKind,
                                    NotAlmostPrimeLikeError, OmegaReport,
                                    OmegaWitness, UnsupportedOperation,
@@ -296,6 +300,37 @@ def test_omega_prime_past_the_part_cap_is_not_exact(n):
     assert rep.value >= n or not rep.certified
 
 
+@pytest.mark.parametrize("mode", ["atoms", "nonunits"])
+def test_omega_builds_one_witness(mode, monkeypatch, capsys):
+    # the sweep keeps the running maximiser's parts and indices and makes
+    # the witness once, at the end; one element's query does the same
+    built = []
+
+    def counting(*fields):
+        built.append(fields)
+        return OmegaWitness(*fields)
+
+    monkeypatch.setattr(divisibility, "OmegaWitness", counting)
+    h = engine("ab_cd_cede_ba")
+    a = h.element_from_str("a")
+    els, _ = h.enumerate_elements(4)
+    rep = omega_semigroup(h, a, els, mode)
+    assert len(built) == 1 and rep.witness == OmegaWitness(*built[0])
+    built.clear()
+    rep = omega_element(h, h.element_from_str("b a"), a, mode)
+    assert len(built) == 1 and rep.witness == OmegaWitness(*built[0])
+    if mode == "atoms":
+        built.clear()
+        path = resources.files("factorum").joinpath(
+            "presentations/ab_cd_cede_ba.pres")
+        code = main(["--format", "json", "omega", str(path),
+                     "--divisor", "a", "--max-length", "4"])
+        out = json.loads(capsys.readouterr().out)
+        assert (code, len(built)) == (2, 1)
+        assert out["witnesses"] == [{"element": "a b", "parts": ["c", "d"],
+                                     "min_k": 2, "subproduct_indices": [0, 1]}]
+
+
 def test_tame_aba_bab():
     h = engine("aba_bab")
     els, comp = h.enumerate_elements(6)
@@ -318,6 +353,16 @@ def test_tame_single_class_zero():
     el = h.element_from_str("a b")   # unique factorization
     rep = tame_element(h, el, [h.element_from_str("a")])
     assert rep.value == 0
+
+
+def test_tame_witness_takes_the_first_nearest_qualifying_class():
+    # a b = c d e = c f g: both factorizations holding c are 3 from [a, b],
+    # the worst node, and the witness names the first in multiset order
+    h = make("gens: a b c d e f g\nrel: a b = c d e\nrel: d e = f g\n")
+    ab = h.element_from_str("a b")
+    rep = tame_element(h, ab, [h.element_from_str("c")])
+    assert (rep.value, rep.certified) == (3, True)
+    assert rep.witness == (ab, (("a",), ("b",)), (("c",), ("d",), ("e",)))
 
 
 def test_permutable_factoriality_iff_prime_like_atoms():
