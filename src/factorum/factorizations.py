@@ -459,7 +459,9 @@ def length_profile(handle: SemigroupHandle, a) -> LengthSet:
 
     The lengths of a certified element whose complete rigid set is held
     are read off it: the walk of the class multisets would find the same.
-    Otherwise the class multisets are walked.
+    Otherwise a half-factorial handle gives its one length, ``length_cap``
+    (on M_n(Z)* that is Omega(|det a|), past the determinant cap an
+    error), and any other handle walks the class multisets.
     """
     handle.require_element(a)
     if handle.is_unit(a):
@@ -469,6 +471,8 @@ def length_profile(handle: SemigroupHandle, a) -> LengthSet:
             and handle.certified(a):
         found = {len(t) for t in hit[0]}
         complete = True
+    elif handle.half_factorial:
+        found, complete = {handle.length_cap(a)}, handle.certified(a)
     else:
         sets, complete = permutable_class_multisets(handle, a)
         found = {len(m) for m in sets}

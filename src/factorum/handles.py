@@ -88,6 +88,9 @@ class SemigroupHandle:
     # reduced: trivial unit group, so associate classes of atoms are elements
     reduced = True
     commutative = False
+    # half-factorial through a transfer homomorphism to a factorial monoid:
+    # every non-unit element has the one length ``length_cap``
+    half_factorial = False
     name = "semigroup"
 
     # the one place this handle's factorization sets, class multisets and

@@ -504,6 +504,9 @@ class FullMatrixHandle(_MatrixHandle):
 
     _symbol = "M"
     _requirement = "need a square integer matrix with nonzero det"
+    # |det| is a transfer homomorphism onto the factorial monoid N_{>0}
+    # (``det_transfer_map``), so L(a) = {Omega(|det a|)}, the length cap
+    half_factorial = True
 
     def is_unit(self, x: Mat) -> bool:
         return abs(mat_det(x)) == 1

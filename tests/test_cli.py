@@ -520,7 +520,9 @@ def test_presentation_reports_carry_budget_and_warnings(capsys, tmp_path,
      '{"budget": {}, "certification": "lower-bound", "invariant": '
      '"block-catenary(C2 + C4)", "schema": "factorum/1", "value": 3, '
      '"warnings": ["searched all zero-sum sequences of length <= 6", '
-     '"classification value 4 for C2 + C4: computed bound below it"], '
+     '"classification value 4 for C2 + C4: computed bound below it", '
+     '"swept G \\\\ {0} by Aut(G)-orbit (|Aut| = 8): c(0^k S) = c(S), and '
+     'c is constant on orbits"], '
      '"witnesses": [{"element": "(0+1 0+1 0+2 0+2 0+3 0+3)"}]}\n'),
     (["catenary", pres_path("abc_cb"), "--kind", "perm", "--all",
       "--max-length", "5"],

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from factorum import matrices
 from factorum.arith import big_omega, factor, is_prime
 from factorum.divisibility import omega_semigroup
-from factorum.factorizations import (length_profile,
+from factorum.factorizations import (LengthSet, length_profile,
                                      permutable_class_multisets,
                                      rigid_factorizations)
 from factorum.matrices import (_DET_CAP, AtomProfile, DetTooLargeError,
@@ -411,6 +412,38 @@ def test_mat_atom_iff_prime_det():
         if mat_det(a) == 0:
             continue
         assert mat_is_atom(a) == is_prime(abs(mat_det(a)))
+
+
+def walked_length_profile(handle, a):
+    """``length_profile`` as the walk of the class multisets finds it."""
+    sets, complete = permutable_class_multisets(handle, a)
+    lengths = tuple(sorted({len(m) for m in sets}))
+    delta = tuple(b - c for c, b in zip(lengths, lengths[1:]))
+    rho = Fraction(lengths[-1], lengths[0]) if lengths[0] else Fraction(0)
+    return LengthSet(lengths, delta, rho, complete)
+
+
+def _three_by_three_sample():
+    rng, out = random.Random(5), []
+    while len(out) < 60:
+        a = tuple(tuple(rng.randint(-3, 3) for _ in range(3))
+                  for _ in range(3))
+        if 1 <= abs(mat_det(a)) <= 60:
+            out.append(a)
+    return out
+
+
+def test_full_matrix_lengths_through_det_match_the_class_walk():
+    # det is a transfer homomorphism onto N_{>0}: L(a) = {Omega(|det a|)}
+    entries = range(-6, 7)
+    squares = [((a, b), (c, d))
+               for a, b, c, d in itertools.product(entries, repeat=4)
+               if 1 <= abs(a * d - b * c) <= 60]
+    for n, sample in ((2, squares), (3, _three_by_three_sample())):
+        read, walked = FullMatrixHandle(n), FullMatrixHandle(n)
+        for a in sample:
+            assert length_profile(read, a) == walked_length_profile(walked, a)
+        assert not read.memo.classes
 
 
 # 2^61 - 1 is prime, and 10^23 + ... has a large prime factor: trial
