@@ -10,7 +10,8 @@ abelianization coincides with the abelianization.
 Two elements are related by equiv_p when they admit rigid factorizations
 with the same multiset of atom associate-classes, i.e. share a permutable
 factorization; equiv_p and the checker read those multisets off
-``permutable_factorizations``.  The canonical map to the reduced
+``permutable_class_multisets``, once per element, and build no
+factorization.  The canonical map to the reduced
 abelianization is a weak transfer homomorphism iff whenever
 a equiv_p b, *every* atom multiset of a is matched by one of b; the
 bounded checker scans all explored equiv_p-related pairs for exactly this
@@ -36,7 +37,7 @@ import itertools
 from typing import (Dict, FrozenSet, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
-from .factorizations import permutable_factorizations
+from .factorizations import permutable_class_multisets
 from .handles import DivisorPairs, FrozenSlots, SemigroupHandle
 from .presentation import (Element, ExplorationBudget, Presentation,
                            PresentationSemigroup, _bind_closed_class, _closure)
@@ -320,13 +321,13 @@ class EquivPAnswer(NamedTuple):
 
 def _multiset_map(handle: PresentationSemigroup, elements: Sequence[Element]
                   ) -> Tuple[Dict, bool]:
-    """element -> set of atom-class multisets of its factorizations."""
+    """element -> set of atom-class multisets of its factorizations, and
+    whether every set is complete."""
     out = {}
     complete = True
     for a in elements:
-        pfs, a_complete = permutable_factorizations(handle, a)
+        out[a], a_complete = permutable_class_multisets(handle, a)
         complete = complete and a_complete
-        out[a] = frozenset(p.classes for p in pfs)
     return out, complete
 
 
@@ -334,9 +335,9 @@ def equiv_p(handle: PresentationSemigroup, a: Element, b: Element
             ) -> EquivPAnswer:
     """a equiv_p b iff they admit factorizations matching up to permutation
     of associates."""
-    pa, a_complete = permutable_factorizations(handle, a)
-    pb, b_complete = permutable_factorizations(handle, b)
-    shared = {p.classes for p in pa}.intersection(p.classes for p in pb)
+    ma, a_complete = permutable_class_multisets(handle, a)
+    mb, b_complete = permutable_class_multisets(handle, b)
+    shared = ma & mb
     certified = a_complete and b_complete
     if shared:
         return EquivPAnswer(True, EquivPWitness((a, b), min(shared)), True)
@@ -356,12 +357,11 @@ def weak_transfer_counterexample(handle: PresentationSemigroup,
                                  a: Element, b: Element) -> Optional[Tuple]:
     """If a equiv_p b but some atom multiset of a has no match among b's,
     return (a, b, unmatched multiset); None otherwise."""
-    ans = equiv_p(handle, a, b)
-    if not ans.related:
+    ma, _ = permutable_class_multisets(handle, a)
+    mb, _ = permutable_class_multisets(handle, b)
+    if not ma & mb:     # not equiv_p-related
         return None
-    ma, _ = _multiset_map(handle, [a])
-    mb, _ = _multiset_map(handle, [b])
-    missing = sorted(ma[a] - mb[b]) + sorted(mb[b] - ma[a])
+    missing = sorted(ma - mb) + sorted(mb - ma)
     if missing:
         return (a, b, missing[0])
     return None

@@ -17,17 +17,18 @@ Under d* the graph's nodes are the rigid factorizations.  Under d_len and
 d_p there is one node per atom-class multiset, the multiset and its
 length alone (``factorizations._class_nodes``), and d_p is computed from
 the multisets by the one comparison of class multisets,
-``factorizations._class_occurrences``.  On commutative handles without an
-exploration budget (block monoids, free abelian monoids) the multisets
-come from one memoised recursion over the quotients by a cover of atoms
-that meets every factorization (on a block monoid, the atoms holding the
-element's least term), so the cost follows the factorization classes,
-not the rigid orderings.  On the other handles they are read off the
-element's one rigid fact, its factorizations held as atom-key tuples
-with their classes.  Either way a rigid factorization is built only
-where atoms are read: for the two ends of a witness, and for every node
-when the in-fibers view takes its image.  A graph of fewer than two
-nodes answers 0 before any distance is computed.
+``factorizations._class_occurrences``.  On commutative reduced handles
+(block monoids, free abelian monoids, abelianizations) the multisets
+come from ``_class_walk``, one memoised recursion over the quotients by
+a cover of atoms that meets every factorization (on a block monoid, the
+atoms holding the element's least term), so the cost follows the
+factorization classes, not the rigid orderings.  On presentations and
+matrices they are read off the element's one rigid fact, its
+factorizations held as atom-key tuples with their classes.  Either way
+a rigid factorization is built only where atoms are read: for the two
+ends of a witness, and for every node when the in-fibers view takes its
+image.  A graph of fewer than two nodes answers 0 before any distance is
+computed.
 
 The bottleneck is Prim over parallel lists with ties broken by (weight,
 node index), so each witness edge is fixed by the graph alone.
@@ -44,9 +45,7 @@ from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .distances import DistanceKind, distance
 from .factorizations import (RigidFactorization, _class_nodes,
-                             _class_occurrences, _ClassNode, _least_rigid,
-                             _orderless, permutable_class_multisets,
-                             rigid_factorizations)
+                             _class_occurrences, rigid_factorizations)
 from .handles import SemigroupHandle
 
 
@@ -148,14 +147,6 @@ def _graph(handle: SemigroupHandle, a, kind: DistanceKind) -> _Graph:
     if kind is DistanceKind.RIGID:
         fs = rigid_factorizations(handle, a)
         nodes, complete, rigid = fs.factorizations, fs.complete, _itself
-    elif _orderless(handle):
-        # ``_class_nodes`` spelled out: block monoids take this branch for
-        # every element, so it saves them the call
-        sets, complete = permutable_class_multisets(handle, a)
-        nodes = [_ClassNode(m, len(m)) for m in sorted(sets)]
-
-        def rigid(z):
-            return _least_rigid(handle, a, z.classes)
     else:
         nodes, complete, rigid = _class_nodes(handle, a)
     if len(nodes) < 2:

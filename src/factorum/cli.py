@@ -513,6 +513,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (PresentationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        # the walks recurse once per atom split off, so a long enough
+        # element exhausts the interpreter's stack
+        print("error: the element is too long for the factorization walk "
+              "(recursion limit reached)", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -31,7 +31,9 @@ multiset is (class of b,), so when a's fact is complete and certified, b
 |_p a holds iff b's class occurs in one of a's class tuples, and k = 1 at
 the first position holding it; a factorization without it starts the
 search at k = 2, and no product is built for either step.  Every other
-case asks ``_divides_p_cached``, which compares class multisets.
+case asks ``_divides_p_cached``, which compares the class multisets of
+``permutable_class_multisets``: on a presentation or matrix handle they
+are read off each side's one rigid fact too.
 
 The permutable tame degree t_p(a, x) measures how far an arbitrary
 permutable factorization of a is from one containing the pattern x;

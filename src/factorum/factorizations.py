@@ -7,15 +7,18 @@ factorizations are rigid ones up to permutation and associativity of the
 atoms, i.e. multisets of associate classes.  Length sets, distance sets
 and elasticities are derived from these.
 
-Rigid enumeration recurses on the handle's left-divisor atoms.  The class
-multisets recurse only on a cover: dividing atoms such that every
-factorization holds one of them (on a block monoid, the atoms holding the
-least term).  Completeness is certified exactly when every sub-search was
-certified and no recursion budget was hit (non-atomic inputs such as
-<a,b | aba=b> never certify).  Both walks (``_rigid_walk``,
-``_class_walk``) are plain module-level recursions that take their state
-as arguments, so a query leaves no reference cycle and its memory is
-freed as soon as the caller drops the handle.
+Each handle kind has one walk.  A commutative reduced handle
+(``_orderless``) walks its class multisets alone (``_class_walk``),
+recursing only on a cover: dividing atoms such that every factorization
+holds one of them (on a block monoid, the atoms holding the least term).
+Every other handle walks its rigid factorizations (``_rigid_walk``) on
+its left-divisor atoms and reads its class multisets off them.
+Completeness is certified exactly when every sub-search was certified
+and no recursion budget was hit (non-atomic inputs such as
+<a,b | aba=b> never certify).  Both walks are plain module-level
+recursions that take their state as arguments, so a query leaves no
+reference cycle and its memory is freed as soon as the caller drops the
+handle.
 
 Both walks keep their results by one rule, so that every answer depends
 on the element alone.  A complete result is a fact: it goes into the
@@ -28,26 +31,26 @@ read back where no more depth is left than it was searched to.
 
 The rigid walk's fact about an element is held as plain keys: each
 factorization is the tuple of its atoms' keys, kept with its need, and
-with the tuple of its atoms' classes once a sweep query asks.  On a
+with the tuple of its atoms' classes once a query asks for them.  On a
 presentation these are words, so the fact holds only strings and ints,
 and the cyclic collector stops tracking it.  Almost-prime-likeness,
 valuation sets and omega (``factorization_keys``), length sets, and the
-class multisets behind d_len, d_p and t_p (``_class_nodes``) read that
-fact directly; a ``RigidFactorization`` is built from it only for a
-witness, a representative or a ``rigid_factorizations`` answer, and a
-``FactorizationSet`` only for the last.
+class multisets behind d_len, d_p, t_p, |_p and equiv_p read that fact
+directly, so such an element has one memo entry; a ``RigidFactorization``
+is built from it only for a witness, a representative or a
+``rigid_factorizations`` answer, and a ``FactorizationSet`` only for the
+last.
 
 Where the handle spells out an element's rigid factorizations
-(``spelled_factorizations``), a top-level query stores them, or their
-class multisets, in the memo with the need the handle gives, and the walk
-reads them back at once.  ``PresentationSemigroup`` spells a class out
-when (a) the presentation is Adyan and no relation side is a single
-letter, and (b) the element's ball is closed with its longest member
-within the word cap.  Then the atoms are exactly the letters and every
-left quotient is unique, and every ball below the element closes.  So
-the walk would find each word of the class, letter by letter, as one
-factorization, in the order (length, atom keys), and would need the
-greatest word length as depth: the stored result is the walk's own.
+(``spelled_factorizations``), ``_fact``, their one reader, stores them
+in the memo with the need the handle gives.  ``PresentationSemigroup`` spells a class out when (a)
+the presentation is Adyan and no relation side is a single letter, and
+(b) the element's ball is closed with its longest member within the word
+cap.  Then the atoms are exactly the letters and every left quotient is
+unique, and every ball below the element closes.  So the walk would find
+each word of the class, letter by letter, as one factorization, in the
+order (length, atom keys), and would need the greatest word length as
+depth: the stored result is the walk's own.
 
 ``RigidFactorization``, ``PermutableFactorization`` and ``LengthSet``
 are named tuples: immutable, compared by value, copied with a field
@@ -136,9 +139,6 @@ def _class_occurrences(classes: Tuple) -> FrozenSet[Tuple]:
     return frozenset(out)
 
 
-_DEPTH_FALLBACK = 64
-
-
 def _fact(handle: SemigroupHandle, a) -> Tuple:
     """The rigid fact of a non-unit a: its memo entry (factorizations as
     atom-key tuples, need, their atom classes or None) where a's walk
@@ -153,7 +153,7 @@ def _fact(handle: SemigroupHandle, a) -> Tuple:
         spelled = handle.spelled_factorizations(a)
         if spelled is not None:
             hit = cache[key] = spelled + (spelled[0],)   # classes are keys
-    depth = _depth(handle, a)
+    depth = handle.length_cap(a)
     if hit is not None and hit[1] <= depth:
         return hit
     tuples, need = _rigid_walk(handle, cache, {}, set(), a, depth)
@@ -355,26 +355,21 @@ def permutable_factorizations(handle: SemigroupHandle, a
                  for z in nodes), complete
 
 
-def _depth(handle: SemigroupHandle, a) -> int:
-    depth = handle.length_cap(a)
-    return _DEPTH_FALLBACK if depth is None else depth
-
-
 def permutable_class_multisets(handle: SemigroupHandle, a
                                ) -> Tuple[FrozenSet[Tuple], bool]:
-    """The set of atom-class multisets of a, computed without materializing
-    rigid factorizations: one memoised set per element, built by
-    ``_class_walk`` from the sets of the quotients by the handle's
-    covering atoms (``covering_divisor_atoms``).  Every factorization of x
-    holds one of those atoms u, and drops to a factorization of x/u
-    without it, so each multiset of x is one of x/u's plus u.  Besides
-    length sets and divisibility, it is the node source of the catenary
-    graph under d_len and d_p on commutative reduced handles, each
-    multiset one node (see ``catenary._graph``).
+    """The set of atom-class multisets of a and whether they are all of a's.
 
-    The key of a is hashed once on a memo hit: a key of the memo is an
-    element already, so a is checked (``require_element``) only on a
-    miss, and the walk below it starts without looking a up again."""
+    On a commutative reduced handle (``_orderless``) they are one memoised
+    set per element, built by ``_class_walk`` from the sets of the
+    quotients by the covering atoms (``covering_divisor_atoms``): every
+    factorization of x holds one of those atoms u, and drops to one of x/u
+    without it.  There a's key is hashed once on a memo hit, and a is
+    checked (``require_element``) only on a miss.  Every other handle
+    reads them off a's one rigid fact (``factorization_keys``): a
+    permutable factorization is a rigid one up to order and associates."""
+    if not _orderless(handle):
+        _, classes, complete = factorization_keys(handle, a)
+        return frozenset([tuple(sorted(c)) for c in classes]), complete
     cache = handle.memo.classes
     key = handle.key(a)
     try:
@@ -383,12 +378,7 @@ def permutable_class_multisets(handle: SemigroupHandle, a
         hit = None
     if hit is None:
         handle.require_element(a)
-        spelled = handle.spelled_factorizations(a)
-        if spelled is not None:
-            # each atom's class is its key
-            hit = cache[key] = (tuple({tuple(sorted(t)) for t in spelled[0]}),
-                                spelled[1])
-    depth = _depth(handle, a)
+    depth = handle.length_cap(a)
     if hit is not None and hit[1] <= depth:
         sets, need = hit
     elif handle.is_unit(a):
@@ -401,11 +391,12 @@ def permutable_class_multisets(handle: SemigroupHandle, a
 def _class_walk(handle: SemigroupHandle, cache: Dict, partial: Dict, x,
                 depth_left: int
                 ) -> Tuple[Tuple[Tuple, ...], Optional[int]]:
-    """The class multisets of x and the depth their walk needs, None when
-    they are incomplete.  Complete results are kept in ``cache`` (the
-    handle's ``memo.classes``), the query's incomplete ones in ``partial``
-    (see the module docstring).  Like ``_rigid_walk`` a plain module-level
-    recursion, so a call leaves no reference cycle."""
+    """The walk of orderless handles: the class multisets of x and the
+    depth their walk needs, None when they are incomplete.  Complete
+    results are kept in ``cache`` (the handle's ``memo.classes``), the
+    query's incomplete ones in ``partial`` (see the module docstring).
+    Like ``_rigid_walk`` a plain module-level recursion, so a call leaves
+    no reference cycle."""
     if handle.is_unit(x):
         return ((),), 0
     key = handle.key(x)
@@ -457,25 +448,23 @@ class LengthSet(NamedTuple):
 def length_profile(handle: SemigroupHandle, a) -> LengthSet:
     """L(a) with its distance set and elasticity rho = max/min.
 
-    The lengths of a certified element whose complete rigid set is held
-    are read off it: the walk of the class multisets would find the same.
-    Otherwise a half-factorial handle gives its one length, ``length_cap``
-    (on M_n(Z)* that is Omega(|det a|), past the determinant cap an
-    error), and any other handle walks the class multisets.
+    A half-factorial handle gives its one length, ``length_cap`` (on
+    M_n(Z)* that is Omega(|det a|), past the determinant cap an error),
+    an orderless handle walks its class multisets, and any other handle
+    reads the lengths of a's one rigid fact (``_fact``).
     """
     handle.require_element(a)
     if handle.is_unit(a):
         return LengthSet((0,), (), Fraction(0), True)
-    hit = handle.memo.rigid.get(handle.key(a))
-    if hit is not None and hit[1] <= _depth(handle, a) \
-            and handle.certified(a):
-        found = {len(t) for t in hit[0]}
-        complete = True
-    elif handle.half_factorial:
+    if handle.half_factorial:
         found, complete = {handle.length_cap(a)}, handle.certified(a)
-    else:
+    elif _orderless(handle):
         sets, complete = permutable_class_multisets(handle, a)
-        found = {len(m) for m in sets}
+        found = set(map(len, sets))
+    else:
+        tuples, need, _ = _fact(handle, a)
+        found = set(map(len, tuples))
+        complete = need is not None and handle.certified(a)
     lengths = tuple(sorted(found))
     delta = tuple(b - c for c, b in zip(lengths, lengths[1:]))
     if lengths:

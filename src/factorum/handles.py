@@ -62,18 +62,19 @@ class HandleMemo:
     each is matched by the tuple of those atoms' classes, the same tuples
     where every atom's class is its key (as on a presentation).  This is
     the one fact per element that almost-prime-likeness, valuation sets,
-    length sets, omega and the class multisets of d_len, d_p and t_p
+    length sets, omega and the class multisets of non-orderless handles
     read; a ``RigidFactorization`` is built from it only when one is
     returned.
-    ``classes``: key -> (class multisets, need), for those whose walk of
-    the class multisets completed, each set kept as a tuple: even an empty
-    frozenset takes 216 bytes, and a sweep keeps one set per element it
-    met.  ``need`` is the depth the walk needs (see ``factorizations``).
+    ``classes``: key -> (class multisets, need), filled by ``_class_walk``
+    on commutative reduced handles only (elsewhere it stays empty), for
+    the elements whose walk completed, each set kept as a tuple: even an
+    empty frozenset takes 216 bytes, and a sweep keeps one set per element
+    it met.  ``need`` is the depth the walk needs (see ``factorizations``).
     ``divides_p``: (key of b, key of a) -> ``DivisibilityAnswer``.
 
     On a presentation, atom keys and classes are words, so an entry of
-    ``rigid`` or ``classes`` holds only tuples of strings and ints, which
-    CPython stops tracking for the cyclic collector.
+    ``rigid`` holds only tuples of strings and ints, which CPython stops
+    tracking for the cyclic collector.
     """
 
     __slots__ = ("rigid", "classes", "divides_p")
@@ -195,9 +196,10 @@ class SemigroupHandle:
         nothing off."""
         return None
 
-    def length_cap(self, x) -> int | None:
-        """Upper bound on factorization lengths of x, if one is known."""
-        return None
+    def length_cap(self, x) -> int:
+        """Upper bound on factorization lengths of x: the depth every
+        factorization walk of x starts with."""
+        raise NotImplementedError
 
     def format_element(self, x) -> str:
         return str(x)

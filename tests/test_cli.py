@@ -76,6 +76,22 @@ def test_distance_on_an_element_without_factorizations(capsys):
                    "within budget\n")
 
 
+@pytest.mark.parametrize("command", ["lengths", "factorize"])
+def test_an_element_too_long_for_the_walk_ends_with_one_error_line(
+        capsys, tmp_path, command):
+    # the self-loop b b = b b makes the presentation non-Adyan, so nothing
+    # is read off and the walks recurse once per letter of a^1200; with
+    # no b in the word its balls stay single words (a a = a a fails the
+    # same way, but its closure costs seconds per command)
+    pres = tmp_path / "f.pres"
+    pres.write_text("gens: a b\nrel: b b = b b\n")
+    code, out, err = run(capsys, command, str(pres),
+                         "--element", " ".join(["a"] * 1200))
+    assert code == 1 and out == ""
+    assert err == ("error: the element is too long for the factorization "
+                   "walk (recursion limit reached)\n")
+
+
 def test_distance_index_out_of_range(capsys):
     code, _, err = run(capsys, "distance", pres_path("abc_cb"),
                        "--element", "a b c", "--z", "0", "--zprime", "2")

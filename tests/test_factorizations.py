@@ -7,7 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from factorum.catenary import catenary
+from factorum.distances import DistanceKind
 from factorum.divisibility import (divides_p, is_almost_prime_like,
+                                   omega_element, tame_element,
                                    valuation_set)
 from factorum.handles import FactorialVectorHandle
 from factorum.factorizations import (FactorizationSet, LengthSet,
@@ -216,10 +219,51 @@ def test_memo_belongs_to_one_handle():
     for el in els:
         length_profile(h, el)
         divides_p(h, q, el)
-    assert h.memo.rigid and h.memo.classes and h.memo.divides_p
+    # a presentation reads its class multisets off the rigid memo
+    assert h.memo.rigid and h.memo.divides_p and not h.memo.classes
     memo = other.memo
     assert (memo.rigid, memo.classes, memo.divides_p) == ({}, {}, {})
     assert memo is not h.memo
+
+
+def _ask_class_queries(h, elements, divisors, pattern):
+    """Every query that compares class multisets, on every element: the
+    lengths, |_p and omega at each divisor, t_p of the pattern and the
+    catenary degrees under d_len and d_p."""
+    for el in elements:
+        length_profile(h, el)
+        for b in divisors:
+            divides_p(h, b, el)
+            omega_element(h, el, b)
+        tame_element(h, el, pattern)
+        for kind in (DistanceKind.LENGTH, DistanceKind.PERMUTABLE):
+            catenary(h, el, kind)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_presentation_class_multisets_come_off_the_rigid_facts(name):
+    # a presentation keeps one fact per element; no query walks its class
+    # multisets a second time
+    h = engine(name)
+    els, _ = h.enumerate_elements(4)
+    gens = h.presentation.generators
+    atoms = [q for q in (h.element((g,)) for g in gens) if h.is_atom(q)]
+    _ask_class_queries(h, els, atoms + [h.element(gens[:1] * 2)], atoms[:1])
+    assert h.memo.rigid and not h.memo.classes
+
+
+def test_t2_class_multisets_come_off_the_rigid_facts():
+    h = TriangularMatrixHandle(2)
+    rng = random.Random(29)
+    sample = []
+    while len(sample) < 40:
+        m = ((rng.randint(-6, 6), rng.randint(-6, 6)),
+             (0, rng.randint(-6, 6)))
+        if 2 <= abs(mat_det(m)) <= 24:
+            sample.append(m)
+    atoms = [((2, 0), (0, 1)), ((1, 1), (0, 3))]
+    _ask_class_queries(h, sample, atoms + [((2, 0), (0, 2))], atoms[:1])
+    assert h.memo.rigid and not h.memo.classes
 
 
 # the sweep's shortcuts against the computations they replace ---------------
@@ -228,11 +272,11 @@ TRUNCATING = ExplorationBudget(6, 5)
 
 
 def _reference_profile(h, a):
-    """length_profile from a walk of the class multisets alone, as it was
-    computed before it could read a complete rigid set."""
+    """length_profile from a cold walk of the class multisets alone, as it
+    was computed before it could read a rigid set."""
     if h.is_unit(a):
         return LengthSet((0,), (), Fraction(0), True)
-    return _profile_of(*permutable_class_multisets(h, a))
+    return _profile_of(*_cold_class_multisets(h, a))
 
 
 def _profile_of(sets, complete):
@@ -246,7 +290,8 @@ def _profile_of(sets, complete):
 
 def _replay(h, ref, ops, element):
     """Ask h and ref the same queries in the same order; h answers lengths
-    with length_profile, ref with the class-multiset walk."""
+    and class multisets from its rigid facts, ref with a cold walk of the
+    class multisets."""
     for op, raw in ops:
         x, y = element(h, raw), element(ref, raw)
         if op in ("rigid", "both"):
@@ -258,7 +303,7 @@ def _replay(h, ref, ops, element):
             assert length_profile(h, x) == _reference_profile(ref, y)
         if op == "classes":
             assert permutable_class_multisets(h, x) == \
-                permutable_class_multisets(ref, y)
+                _cold_class_multisets(ref, y)
 
 
 _OPS = st.sampled_from(("rigid", "lengths", "both", "classes"))
@@ -323,13 +368,16 @@ def test_length_profile_reads_a_complete_rigid_set():
     calls = _counting_walks(h)
     assert length_profile(h, x) == _reference_profile(ref, y)
     assert calls == [] and h.memo.classes == {}
-    # The walk it did not make leaves no later walk a different answer.
-    # The class of c^10 a b a a escapes the word cap 16, so its class
-    # multisets are walked, down through the quotient a b a a.
+    # The class of c^10 a b a a escapes the word cap 16, so it is walked,
+    # and its class multisets come off that rigid walk.  The walk meets
+    # the quotient a b a a with 6 levels left, less than the 7 its fact
+    # needs, so it walks a b a a again, as a cold walk would; no class
+    # memo is filled.
     word = ("c",) * 10 + x.word
     assert permutable_class_multisets(h, h.element(word)) == \
-        permutable_class_multisets(ref, ref.element(word))
-    assert x in calls
+        _cold_class_multisets(ref, ref.element(word))
+    assert h.memo.rigid[h.key(x)][1] == 7
+    assert x in calls and h.memo.classes == {}
 
 
 def test_length_profile_walks_without_a_complete_rigid_set():
@@ -478,8 +526,7 @@ def _sorted_reference(h, a):
         cache[key] = (result, need, depth_left)
         return result, need
 
-    depth = h.length_cap(a)
-    return rec(a, 64 if depth is None else depth)
+    return rec(a, h.length_cap(a))
 
 
 def _tuples_spelled(h, tuples):
@@ -488,10 +535,10 @@ def _tuples_spelled(h, tuples):
 
 
 def _cold_class_multisets(h, a):
-    """permutable_class_multisets from a walk that starts with an empty
-    memo: the reference where the rigid walk does not complete."""
-    depth = h.length_cap(a)
-    sets, need = _class_walk(h, {}, {}, a, 64 if depth is None else depth)
+    """The class multisets of a and their certification from a walk of the
+    class multisets alone that starts with an empty memo: the reference
+    for handles that read them off their rigid facts."""
+    sets, need = _class_walk(h, {}, {}, a, h.length_cap(a))
     return frozenset(sets), need is not None and h.certified(a)
 
 
@@ -521,8 +568,9 @@ def _check_atom_tuples(make, elements, warm=True):
         if complete:
             # kept with the depth the walk needs
             assert h.memo.rigid[h.key(x)][1] == need
-            if isinstance(h, PresentationSemigroup):
-                assert h.memo.classes[h.key(x)][1] == need
+        # the class multisets are read off the rigid fact, and kept nowhere
+        # else
+        assert not h.memo.classes
         assert length_profile(h, x) == _profile_of(classes, complete)
         if isinstance(h, PresentationSemigroup):
             assert h.warnings == ref.warnings

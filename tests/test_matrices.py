@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from factorum import matrices
 from factorum.arith import big_omega, factor, is_prime
 from factorum.divisibility import omega_semigroup
-from factorum.factorizations import (LengthSet, length_profile,
+from factorum.factorizations import (LengthSet, _class_walk, length_profile,
                                      permutable_class_multisets,
                                      rigid_factorizations)
 from factorum.matrices import (_DET_CAP, AtomProfile, DetTooLargeError,
@@ -415,8 +415,9 @@ def test_mat_atom_iff_prime_det():
 
 
 def walked_length_profile(handle, a):
-    """``length_profile`` as the walk of the class multisets finds it."""
-    sets, complete = permutable_class_multisets(handle, a)
+    """``length_profile`` as a cold walk of the class multisets finds it."""
+    sets, need = _class_walk(handle, {}, {}, a, handle.length_cap(a))
+    complete = need is not None and handle.certified(a)
     lengths = tuple(sorted({len(m) for m in sets}))
     delta = tuple(b - c for c, b in zip(lengths, lengths[1:]))
     rho = Fraction(lengths[-1], lengths[0]) if lengths[0] else Fraction(0)
