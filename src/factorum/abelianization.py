@@ -94,11 +94,11 @@ class CommutativeVectorSemigroup(SemigroupHandle):
         self.budget = budget
         self.n = len(generators)
         self.relations: Tuple[Tuple[Vector, Vector], ...] = tuple(relations)
+        # as on the word engine, no rule for a relation with equal sides
         self._rules: List[Tuple[Vector, Vector]] = []
         for lhs, rhs in self.relations:
-            self._rules.append((lhs, rhs))
             if lhs != rhs:
-                self._rules.append((rhs, lhs))
+                self._rules += [(lhs, rhs), (rhs, lhs)]
         # the balls of facts, bound and kept as on the word engine (see
         # ``PresentationSemigroup.__init__``)
         self._canon: Dict[Vector, VectorBall] = {}

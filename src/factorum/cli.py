@@ -5,6 +5,14 @@ invariant computation; emit a human table or machine JSON ("factorum/1"
 schema, byte-identical across repeated runs).  Exit codes: 0 success, 2 on
 budget exhaustion with partial results, 1 on input errors (usage errors
 included).
+
+Every ``cmd_*`` returns its report, and ``main``, the one runner, prints
+it and reads the exit code off its certification (``regression`` prints
+its rows and returns its code).  ``pres_cmd`` hands each presentation
+command its engine and adds the engine's budget and warnings.
+``_element_or_sweep`` answers ``catenary``, ``omega`` and ``tame`` for one
+element or over a sweep; ``_sweep_verdict`` certifies ``primelike`` and
+``check-wth``.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from .divisibility import (is_almost_prime_like, is_prime_like, omega_element,
 from .factorizations import length_profile, rigid_factorizations
 from .matrices import (FullMatrixHandle, TriangularMatrixHandle, delta_map,
                        det_transfer, parse_matrix, snf, tri_is_atom)
-from .presentation import (BudgetOverride, Presentation, PresentationError,
+from .presentation import (BudgetOverride, PresentationError,
                            PresentationSemigroup, check_adyan,
                            parse_presentation)
 from .reports import Certification, InvariantReport, certification
@@ -31,24 +39,6 @@ from .zerosum import (BlockMonoidHandle, FiniteAbelianGroup, _block_catenary,
 
 _KINDS = {"len": DistanceKind.LENGTH, "perm": DistanceKind.PERMUTABLE,
           "rigid": DistanceKind.RIGID}
-
-
-def _load_engine(args) -> PresentationSemigroup:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        pres = parse_presentation(fh.read())
-    budget = BudgetOverride(args.budget_len, args.budget_ball).apply(pres.budget)
-    return PresentationSemigroup(pres, budget)
-
-
-def _report(h: PresentationSemigroup, invariant: str, value, cert,
-            witnesses=(), notes=()) -> InvariantReport:
-    """A presentation command's report: the engine's budget, then its
-    warnings (read after the computation, which may add some) and the
-    command's notes."""
-    budget = {"max_word_length": h.budget.max_word_length,
-              "max_ball_size": h.budget.max_ball_size}
-    return InvariantReport(invariant, value, cert, budget,
-                           list(witnesses), list(h.warnings) + list(notes))
 
 
 def _group_from_spec(spec: str) -> FiniteAbelianGroup:
@@ -62,11 +52,6 @@ def _group_from_spec(spec: str) -> FiniteAbelianGroup:
     return FiniteAbelianGroup(tuple(orders))
 
 
-def _emit(rep: InvariantReport, fmt: str) -> int:
-    print(rep.to_json() if fmt == "json" else rep.to_table())
-    return 0 if rep.certification is Certification.EXACT else 2
-
-
 def _fact_strings(h, fs) -> list:
     return [[h.format_element(u) for u in z.atoms] for z in fs]
 
@@ -76,12 +61,6 @@ def _length_value(L) -> dict:
             "elasticity": L.elasticity}
 
 
-_LOWER_BOUND_NOTE = ("semigroup-level value: certified lower bound over "
-                     "elements of length <= {}")
-_NONE_FOUND_NOTE = ("{}: no counterexample among the explored elements of "
-                    "length <= {}")
-
-
 def _swept_length(h: PresentationSemigroup, args) -> int:
     """The longest word a sweep meets: ``enumerate_elements`` stops at the
     budget's word cap whatever ``--max-length`` asks for."""
@@ -89,67 +68,84 @@ def _swept_length(h: PresentationSemigroup, args) -> int:
     return min(args.max_length or cap, cap)
 
 
-def _sweep_certification(h: PresentationSemigroup, args, counterexample,
-                         claim: str):
-    """A bounded sweep's certification and notes: a counterexample is
-    exact, and finding none up to the swept length is only a lower bound."""
-    if counterexample:
-        return Certification.EXACT, []
-    return Certification.LOWER_BOUND, [
-        _NONE_FOUND_NOTE.format(claim, _swept_length(h, args))]
+def _element_or_sweep(h: PresentationSemigroup, args, element, invariant,
+                      of_element, of_sweep, witness) -> InvariantReport:
+    """The value at ``element`` (``""`` is the unit), or with ``element``
+    None the supremum over the elements up to ``--max-length``: a lower
+    bound, which notes the length swept.  ``witness`` renders the
+    report's witness."""
+    if element is None:
+        els, _ = h.enumerate_elements(args.max_length)
+        rep = of_sweep(els)
+        invariant += "-semigroup"
+        cert = Certification.LOWER_BOUND
+        notes = ["semigroup-level value: certified lower bound over "
+                 f"elements of length <= {_swept_length(h, args)}"]
+    else:
+        rep = of_element(h.element_from_str(element))
+        cert, notes = certification(rep.certified), []
+    witnesses = [] if rep.witness is None else [witness(rep.witness)]
+    return InvariantReport(invariant, rep.value, cert, witnesses=witnesses,
+                           warnings=notes)
 
 
-def cmd_parse(args) -> int:
-    h = _load_engine(args)
+def _sweep_verdict(h: PresentationSemigroup, args, invariant, value,
+                   witnesses, claim, notes=()) -> InvariantReport:
+    """A bounded search for counterexamples, one witness each: finding one
+    is exact, and finding none up to the swept length is only a lower
+    bound, noted after ``notes``."""
+    notes = list(notes)
+    if not witnesses:
+        notes.append(f"{claim}: no counterexample among the explored "
+                     f"elements of length <= {_swept_length(h, args)}")
+    return InvariantReport(invariant, value, certification(bool(witnesses)),
+                           witnesses=witnesses, warnings=notes)
+
+
+def cmd_parse(h, args) -> InvariantReport:
     p = h.presentation
-    return _emit(_report(h, "presentation", {
+    return InvariantReport("presentation", {
         "generators": list(p.generators),
         "relations": [" ".join(r.lhs) + " = " + " ".join(r.rhs)
                       for r in p.relations],
-    }, Certification.EXACT), args.format)
+    }, Certification.EXACT)
 
 
-def cmd_adyan(args) -> int:
-    h = _load_engine(args)
+def cmd_adyan(h, args) -> InvariantReport:
     rep = check_adyan(h.presentation)
-    return _emit(_report(h, "adyan", {
+    return InvariantReport("adyan", {
         "is_adyan": rep.is_adyan,
         "left_graph": [list(e) for e in rep.left_edges],
         "right_graph": [list(e) for e in rep.right_edges],
         "cancellativity": "certified" if rep.is_adyan else "assumed",
-    }, Certification.EXACT), args.format)
+    }, Certification.EXACT)
 
 
-def cmd_elements(args) -> int:
-    h = _load_engine(args)
+def cmd_elements(h, args) -> InvariantReport:
     els, complete = h.enumerate_elements(args.max_length)
-    return _emit(_report(h, "elements", [h.format_element(e) for e in els],
-                         certification(complete)), args.format)
+    return InvariantReport("elements", [h.format_element(e) for e in els],
+                           certification(complete))
 
 
-def cmd_atoms(args) -> int:
-    h = _load_engine(args)
+def cmd_atoms(h, args) -> InvariantReport:
     atoms, complete = h.enumerate_atoms(args.max_length)
-    return _emit(_report(h, "atoms", [h.format_element(e) for e in atoms],
-                         certification(complete)), args.format)
+    return InvariantReport("atoms", [h.format_element(e) for e in atoms],
+                           certification(complete))
 
 
-def cmd_factorize(args) -> int:
-    h = _load_engine(args)
+def cmd_factorize(h, args) -> InvariantReport:
     fs = rigid_factorizations(h, h.element_from_str(args.element))
-    return _emit(_report(h, "rigid-factorizations", _fact_strings(h, fs),
-                         certification(fs.complete)), args.format)
+    return InvariantReport("rigid-factorizations", _fact_strings(h, fs),
+                           certification(fs.complete))
 
 
-def cmd_lengths(args) -> int:
-    h = _load_engine(args)
+def cmd_lengths(h, args) -> InvariantReport:
     L = length_profile(h, h.element_from_str(args.element))
-    return _emit(_report(h, "length-profile", _length_value(L),
-                         certification(L.certified)), args.format)
+    return InvariantReport("length-profile", _length_value(L),
+                           certification(L.certified))
 
 
-def cmd_distance(args) -> int:
-    h = _load_engine(args)
+def cmd_distance(h, args) -> InvariantReport:
     el = h.element_from_str(args.element)
     fs = rigid_factorizations(h, el)
     facts = list(fs)
@@ -170,93 +166,51 @@ def cmd_distance(args) -> int:
                           "gap_costs": list(alignment.gap_costs)})
     else:
         value = distance(h, kind, z, zp)
-    return _emit(_report(h, f"distance-{kind.value}", value,
-                         certification(fs.complete), witnesses), args.format)
+    return InvariantReport(f"distance-{kind.value}", value,
+                           certification(fs.complete), witnesses=witnesses)
 
 
-def cmd_catenary(args) -> int:
-    h = _load_engine(args)
-    kind = _KINDS[args.kind]
-    notes = []
-    if args.all:
-        els, complete = h.enumerate_elements(args.max_length)
-        rep = semigroup_catenary(h, els, kind, args.variant, complete)
-        name = f"catenary-{kind.value}-{args.variant}-semigroup"
-        cert = Certification.LOWER_BOUND
-        notes.append(_LOWER_BOUND_NOTE.format(_swept_length(h, args)))
-    elif args.element:
-        el = h.element_from_str(args.element)
-        rep = VARIANTS[args.variant](h, el, kind)
-        name = f"catenary-{kind.value}-{args.variant}"
-        cert = certification(rep.certified)
-    else:
+def cmd_catenary(h, args) -> InvariantReport:
+    if not args.all and args.element is None:
         raise ValueError("need --element or --all")
-    witnesses = []
-    if rep.witness is not None:
-        witnesses.append({"chain": _fact_strings(h, rep.witness.steps),
-                          "bound": rep.witness.bound})
-    return _emit(_report(h, name, rep.value, cert, witnesses, notes),
-                 args.format)
+    kind = _KINDS[args.kind]
+    return _element_or_sweep(
+        h, args, None if args.all else args.element,
+        f"catenary-{kind.value}-{args.variant}",
+        lambda el: VARIANTS[args.variant](h, el, kind),
+        lambda els: semigroup_catenary(h, els, kind, args.variant),
+        lambda w: {"chain": _fact_strings(h, w.steps), "bound": w.bound})
 
 
-def cmd_omega(args) -> int:
-    h = _load_engine(args)
+def cmd_omega(h, args) -> InvariantReport:
     divisor = h.element_from_str(args.divisor)
     mode = "nonunits" if args.nonunits else "atoms"
-    notes = []
-    if args.element:
-        el = h.element_from_str(args.element)
-        rep = omega_element(h, el, divisor, mode)
-        name = f"omega-{mode}"
-        cert = certification(rep.certified)
-    else:
-        els, complete = h.enumerate_elements(args.max_length)
-        rep = omega_semigroup(h, divisor, els, mode)
-        name = f"omega-{mode}-semigroup"
-        cert = Certification.LOWER_BOUND
-        notes.append(_LOWER_BOUND_NOTE.format(_swept_length(h, args)))
-    witnesses = []
-    if rep.witness:
-        witnesses.append({
-            "element": h.format_element(rep.witness.element),
-            "parts": [h.format_element(p) for p in rep.witness.parts],
-            "min_k": rep.witness.min_k,
-            "subproduct_indices": list(rep.witness.subproduct)})
-    return _emit(_report(h, name, rep.value, cert, witnesses, notes),
-                 args.format)
+    return _element_or_sweep(
+        h, args, args.element, f"omega-{mode}",
+        lambda el: omega_element(h, el, divisor, mode),
+        lambda els: omega_semigroup(h, divisor, els, mode),
+        lambda w: {"element": h.format_element(w.element),
+                   "parts": [h.format_element(p) for p in w.parts],
+                   "min_k": w.min_k,
+                   "subproduct_indices": list(w.subproduct)})
 
 
-def cmd_tame(args) -> int:
-    h = _load_engine(args)
+def cmd_tame(h, args) -> InvariantReport:
     pattern = [h.element_from_str(tok) for tok in args.pattern]
-    notes = []
-    if args.element:
-        el = h.element_from_str(args.element)
-        rep = tame_element(h, el, pattern)
-        name = "tame"
-        cert = certification(rep.certified)
-    else:
-        els, complete = h.enumerate_elements(args.max_length)
-        rep = tame_semigroup(h, pattern, els, scope_certified=complete)
-        name = "tame-semigroup"
-        cert = Certification.LOWER_BOUND
-        notes.append(_LOWER_BOUND_NOTE.format(_swept_length(h, args)))
-    witnesses = []
-    if rep.witness:
-        el, z, zp = rep.witness
-        # an atom's class on a presentation is its word
-        witnesses.append({"element": h.format_element(el),
-                          "from": [" ".join(w) for w in z],
-                          "to": [" ".join(w) for w in zp]})
-    return _emit(_report(h, name, rep.value, cert, witnesses, notes),
-                 args.format)
+    # an atom's class on a presentation is its word
+    return _element_or_sweep(
+        h, args, args.element, "tame",
+        lambda el: tame_element(h, el, pattern),
+        lambda els: tame_semigroup(h, pattern, els),
+        lambda w: {"element": h.format_element(w[0]),
+                   "from": [" ".join(u) for u in w[1]],
+                   "to": [" ".join(u) for u in w[2]]})
 
 
-def cmd_primelike(args) -> int:
-    h = _load_engine(args)
+def cmd_primelike(h, args) -> InvariantReport:
     q = h.element_from_str(args.atom)
-    els, complete = h.enumerate_elements(args.max_length)
-    rep = is_almost_prime_like(h, q, els, complete)
+    els, _ = h.enumerate_elements(args.max_length)
+    rep = is_almost_prime_like(h, q, els)
     value = {"almost_prime_like": rep.holds}
     witnesses = []
     if rep.counterexample:
@@ -265,84 +219,73 @@ def cmd_primelike(args) -> int:
                           "with": _fact_strings(h, [zw])[0],
                           "without": _fact_strings(h, [zwo])[0]})
     else:
-        pl = is_prime_like(h, q, els, complete)
-        value["prime_like"] = pl.holds
-    cert, notes = _sweep_certification(
-        h, args, rep.counterexample,
+        value["prime_like"] = is_prime_like(h, q, els).holds
+    return _sweep_verdict(
+        h, args, "prime-like", value, witnesses,
         "prime-likeness" if value.get("prime_like") else "almost prime-likeness")
-    return _emit(_report(h, "prime-like", value, cert, witnesses, notes),
-                 args.format)
 
 
-def cmd_abelianize(args) -> int:
-    h = _load_engine(args)
+def cmd_abelianize(h, args) -> InvariantReport:
     ab = abelianize(h)
 
     def monomial(vec):
         return " ".join(f"{g}^{e}" if e > 1 else g
                         for g, e in zip(ab.generators, vec) if e) or "1"
 
-    return _emit(_report(h, "abelianization", {
+    return InvariantReport("abelianization", {
         "generators": list(ab.generators),
         "relations": [f"{monomial(lhs)} = {monomial(rhs)}"
                       for lhs, rhs in ab.relations],
         "reduced_within_budget": ab.unit_scan(),
-    }, Certification.EXACT), args.format)
+    }, Certification.EXACT)
 
 
-def cmd_check_wth(args) -> int:
-    h = _load_engine(args)
+def cmd_check_wth(h, args) -> InvariantReport:
     rep = check_exwt(h, args.max_length)
     value = {"weak_transfer_within_budget": rep.passed,
              "equiv_p_transitive": rep.equiv_p_transitive,
              "abelianization_cancellative_within_budget":
                  rep.abelianization_cancellative_within_budget}
-    witnesses = []
-    for a, b, mset in rep.counterexamples[:5]:
-        witnesses.append({"pair": [h.format_element(a), h.format_element(b)],
-                          "unliftable_multiset": [" ".join(w) for w in mset]})
-    cert, notes = _sweep_certification(h, args, rep.counterexamples,
-                                       "the weak-transfer condition")
-    return _emit(_report(h, "check-wth", value, cert, witnesses,
-                         list(rep.notes) + notes), args.format)
+    witnesses = [{"pair": [h.format_element(a), h.format_element(b)],
+                  "unliftable_multiset": [" ".join(w) for w in mset]}
+                 for a, b, mset in rep.counterexamples[:5]]
+    return _sweep_verdict(h, args, "check-wth", value, witnesses,
+                          "the weak-transfer condition", rep.notes)
 
 
-def cmd_zss(args) -> int:
+def cmd_zss(args) -> InvariantReport:
     if args.zss_command == "order-bound":
         return cmd_order_bound(args)
     group = _group_from_spec(args.group)
     # one handle, so the atoms are enumerated once
     handle = BlockMonoidHandle(group)
     if args.zss_command == "atoms":
-        rep = InvariantReport(f"zss-atoms({group.describe()})",
-                              [handle.format_element(a) for a in handle.atoms],
-                              Certification.EXACT)
-    elif args.zss_command == "davenport":
-        rep = InvariantReport(f"davenport({group.describe()})",
-                              _davenport(handle.atoms), Certification.EXACT)
-    else:   # catenary
-        res = _block_catenary(handle, args.max_len or 6)
-        witnesses = []
-        if res.element is not None:
-            witnesses.append({"element": handle.format_element(res.element)})
-        rep = InvariantReport(f"block-catenary({group.describe()})", res.value,
-                              Certification.LOWER_BOUND, witnesses=witnesses,
-                              warnings=list(res.notes))
-    return _emit(rep, args.format)
+        return InvariantReport(f"zss-atoms({group.describe()})",
+                               [handle.format_element(a) for a in handle.atoms],
+                               Certification.EXACT)
+    if args.zss_command == "davenport":
+        return InvariantReport(f"davenport({group.describe()})",
+                               _davenport(handle.atoms), Certification.EXACT)
+    res = _block_catenary(handle, args.max_len or 6)
+    witnesses = []
+    if res.element is not None:
+        witnesses.append({"element": handle.format_element(res.element)})
+    return InvariantReport(f"block-catenary({group.describe()})", res.value,
+                           Certification.LOWER_BOUND, witnesses=witnesses,
+                           warnings=list(res.notes))
 
 
-def cmd_order_bound(args) -> int:
+def cmd_order_bound(args) -> InvariantReport:
     group = _group_from_spec(args.group)
     res = maximal_order_bound(group, args.max_len)
-    rep = InvariantReport(
+    return InvariantReport(
         f"order-bound({group.describe()})",
         {"bound": res.bound, "computed_catenary": res.computed_catenary,
          "classification": res.classification},
         certification(res.certified))
-    return _emit(rep, args.format)
 
 
-def cmd_tri(args) -> int:
+def cmd_tri(args) -> InvariantReport:
     m = parse_matrix(args.matrix)
     h = TriangularMatrixHandle(len(m))
     m = h.matrix(m)
@@ -352,36 +295,32 @@ def cmd_tri(args) -> int:
         if profile:
             value["profile"] = {"position": profile.position,
                                 "prime": profile.prime}
-        rep = InvariantReport("tri-atom", value, Certification.EXACT)
-    elif args.tri_command == "delta":
-        rep = InvariantReport("tri-delta", list(delta_map(m)),
-                              Certification.EXACT)
-    else:   # factorize
-        fs = rigid_factorizations(h, m)
-        rep = InvariantReport("tri-factorizations", _fact_strings(h, fs),
-                              certification(fs.complete))
-    return _emit(rep, args.format)
+        return InvariantReport("tri-atom", value, Certification.EXACT)
+    if args.tri_command == "delta":
+        return InvariantReport("tri-delta", list(delta_map(m)),
+                               Certification.EXACT)
+    fs = rigid_factorizations(h, m)
+    return InvariantReport("tri-factorizations", _fact_strings(h, fs),
+                           certification(fs.complete))
 
 
-def cmd_mat(args) -> int:
+def cmd_mat(args) -> InvariantReport:
     m = parse_matrix(args.matrix)
     h = FullMatrixHandle(len(m))
     m = h.matrix(m)
     if args.mat_command == "snf":
         res = snf(m)
-        rep = InvariantReport("mat-snf", {
+        return InvariantReport("mat-snf", {
             "U": [list(r) for r in res.u], "C": [list(r) for r in res.c],
             "V": [list(r) for r in res.v]}, Certification.EXACT)
-    elif args.mat_command == "atom":
-        rep = InvariantReport("mat-atom",
-                              {"atom": h.is_atom(m),
-                               "abs_det": det_transfer(m)},
-                              Certification.EXACT)
-    else:   # lengths
-        L = length_profile(h, m)
-        rep = InvariantReport("mat-lengths", _length_value(L),
-                              certification(L.certified))
-    return _emit(rep, args.format)
+    if args.mat_command == "atom":
+        return InvariantReport("mat-atom",
+                               {"atom": h.is_atom(m),
+                                "abs_det": det_transfer(m)},
+                               Certification.EXACT)
+    L = length_profile(h, m)
+    return InvariantReport("mat-lengths", _length_value(L),
+                           certification(L.certified))
 
 
 def cmd_regression(args) -> int:
@@ -394,22 +333,16 @@ def cmd_regression(args) -> int:
             raise ValueError(f"unknown case {args.case!r}; available: "
                              + ", ".join(names))
         names = [args.case]
-    any_fail = False
-    any_bound = False
-    for i, name in enumerate(names, start=1):
-        rows = regression_mod.run_case(name, budget)
-        for row in rows:
-            status = row.status
-            if status == "FAIL":
-                any_fail = True
-            if status == "lower-bound":
-                any_bound = True
+    statuses = set()
+    for name in names:
+        for row in regression_mod.run_case(name, budget):
+            statuses.add(row.status)
             rel = "" if row.relation == "==" else f" ({row.relation})"
-            print(f"[{status:>11}] {name}: {row.label}: expected{rel} "
+            print(f"[{row.status:>11}] {name}: {row.label}: expected{rel} "
                   f"{row.expected}, computed {row.computed}")
-    if any_fail:
+    if "FAIL" in statuses:
         return 1
-    return 2 if any_bound else 0
+    return 2 if "lower-bound" in statuses else 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -438,12 +371,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     def pres_cmd(name, fn, **options):
         # a presentation subcommand: the file, then one ``--option`` per
-        # keyword (underscores become dashes), in the order given
+        # keyword (underscores become dashes), in the order given.  ``fn``
+        # gets the file's engine, and its report gains the engine's
+        # budget and, before its own notes, the engine's warnings, read
+        # after the computation, which may add some
         p = sub.add_parser(name)
         p.add_argument("file", help="presentation file")
         for opt, kw in options.items():
             p.add_argument("--" + opt.replace("_", "-"), **kw)
-        p.set_defaults(func=fn)
+
+        def run(args) -> InvariantReport:
+            with open(args.file, "r", encoding="utf-8") as fh:
+                pres = parse_presentation(fh.read())
+            h = PresentationSemigroup(pres, BudgetOverride(
+                args.budget_len, args.budget_ball).apply(pres.budget))
+            rep = fn(h, args)
+            return rep._replace(
+                budget={"max_word_length": h.budget.max_word_length,
+                        "max_ball_size": h.budget.max_ball_size},
+                warnings=list(h.warnings) + rep.warnings)
+
+        p.set_defaults(func=run)
 
     def length(text: str) -> int:
         # a --max-length or --max-len bound: a sweep to 0 proves nothing
@@ -505,11 +453,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Run one command and return its exit code.  It may be called
-    repeatedly in one process."""
+    """Run one command, print its report and return the exit code: 0 for
+    an exact report, 2 for a bound.  It may be called repeatedly in one
+    process."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        rep = args.func(args)
+        if isinstance(rep, int):    # regression printed its own rows
+            return rep
+        print(rep.to_json() if args.format == "json" else rep.to_table())
+        return 0 if rep.certification is Certification.EXACT else 2
     except (PresentationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

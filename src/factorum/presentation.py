@@ -414,11 +414,12 @@ class PresentationSemigroup(SemigroupHandle):
         self.name = "<" + " ".join(presentation.generators) + " | " + ", ".join(
             " ".join(r.lhs) + "=" + " ".join(r.rhs) for r in presentation.relations) + ">"
         self._gidx = {g: i for i, g in enumerate(presentation.generators)}
+        # both directions of each relation; one with equal sides would
+        # only rewrite a word to itself
         self._rules = []
         for r in presentation.relations:
-            self._rules.append((r.lhs, r.rhs))
             if r.lhs != r.rhs:
-                self._rules.append((r.rhs, r.lhs))
+                self._rules += [(r.lhs, r.rhs), (r.rhs, r.lhs)]
         # The ball caches hold facts only, so every answer is a function of
         # the words asked about, not of what was explored before.  A closed
         # ball is a whole congruence class (rewriting is symmetric, and no

@@ -662,3 +662,15 @@ def test_first_letter_divisors_match_all_splits(case):
             assert _divisor_answer(h, word) == _divisor_answer(reference, word)
             assert h.warnings == reference.warnings
     _check_memo_keys(h)
+
+
+def test_a_relation_with_equal_sides_rewrites_nothing():
+    # <a | a a = a a> is the free monoid on a: the relation builds no
+    # rewrite rule, so a long word's ball is the word alone, built without
+    # trying a rule at every position
+    h = make("gens: a\nrel: a a = a a\n")
+    word = ("a",) * 300
+    ball = h.congruence_ball(word)
+    assert ball.members == {word} and ball.closed
+    profile = length_profile(h, h.element(word))
+    assert (profile.lengths, profile.certified) == ((300,), True)
