@@ -22,12 +22,14 @@ the multisets by the one comparison of class multisets,
 come from ``_class_walk``, one memoised recursion over the quotients by
 a cover of atoms that meets every factorization (on a block monoid, the
 atoms holding the element's least term), so the cost follows the
-factorization classes, not the rigid orderings.  On presentations and
-matrices they are read off the element's one rigid fact, its
-factorizations held as atom-key tuples with their classes.  Either way
-a rigid factorization is built only where atoms are read: for the two
-ends of a witness, and for every node when the in-fibers view takes its
-image.  A graph of fewer than two nodes answers 0 before any distance is
+factorization classes, not the rigid orderings.  On presentations
+they are read off the element's one rigid fact, its factorizations held
+as atom-key tuples with their classes.  On T_n(Z)* and M_n(Z)* the
+transfer map gives the one multiset (``transfer_classes``), so the
+graph has one node and answers 0 with no factorization listed.  Either
+way a rigid factorization is built only where atoms are read: for the
+two ends of a witness, and for every node when the in-fibers view takes
+its image.  A graph of fewer than two nodes answers 0 before any distance is
 computed.
 
 The bottleneck is Prim over parallel lists with ties broken by (weight,

@@ -9,7 +9,9 @@ included).
 Every ``cmd_*`` returns its report, and ``main``, the one runner, prints
 it and reads the exit code off its certification (``regression`` prints
 its rows and returns its code).  ``pres_cmd`` hands each presentation
-command its engine and adds the engine's budget and warnings.
+command its engine and adds the engine's budget and warnings; two of its
+options that contradict each other (``--element`` with ``--all`` or with
+``--max-length``) are a usage error.
 ``_element_or_sweep`` answers ``catenary``, ``omega`` and ``tame`` for one
 element or over a sweep; ``_sweep_verdict`` certifies ``primelike`` and
 ``check-wth``.
@@ -39,6 +41,9 @@ from .zerosum import (BlockMonoidHandle, FiniteAbelianGroup, _block_catenary,
 
 _KINDS = {"len": DistanceKind.LENGTH, "perm": DistanceKind.PERMUTABLE,
           "rigid": DistanceKind.RIGID}
+# the longest element an omega or tame sweep takes when --max-length is
+# not given; it has no parser default, so that --element rejects it
+_SWEEP_LENGTH = 6
 
 
 def _group_from_spec(spec: str) -> FiniteAbelianGroup:
@@ -61,26 +66,29 @@ def _length_value(L) -> dict:
             "elasticity": L.elasticity}
 
 
-def _swept_length(h: PresentationSemigroup, args) -> int:
-    """The longest word a sweep meets: ``enumerate_elements`` stops at the
-    budget's word cap whatever ``--max-length`` asks for."""
+def _swept_length(h: PresentationSemigroup, max_length) -> int:
+    """The longest word a sweep to ``max_length`` (None: no bound) meets:
+    ``enumerate_elements`` stops at the budget's word cap whatever
+    ``--max-length`` asks for."""
     cap = h.budget.max_word_length
-    return min(args.max_length or cap, cap)
+    return min(max_length or cap, cap)
 
 
 def _element_or_sweep(h: PresentationSemigroup, args, element, invariant,
-                      of_element, of_sweep, witness) -> InvariantReport:
+                      of_element, of_sweep, witness,
+                      max_length=None) -> InvariantReport:
     """The value at ``element`` (``""`` is the unit), or with ``element``
-    None the supremum over the elements up to ``--max-length``: a lower
-    bound, which notes the length swept.  ``witness`` renders the
-    report's witness."""
+    None the supremum over the elements up to ``--max-length`` (else
+    ``max_length``): a lower bound, which notes the length swept.
+    ``witness`` renders the report's witness."""
     if element is None:
-        els, _ = h.enumerate_elements(args.max_length)
+        max_length = args.max_length or max_length
+        els, _ = h.enumerate_elements(max_length)
         rep = of_sweep(els)
         invariant += "-semigroup"
         cert = Certification.LOWER_BOUND
         notes = ["semigroup-level value: certified lower bound over "
-                 f"elements of length <= {_swept_length(h, args)}"]
+                 f"elements of length <= {_swept_length(h, max_length)}"]
     else:
         rep = of_element(h.element_from_str(element))
         cert, notes = certification(rep.certified), []
@@ -97,7 +105,8 @@ def _sweep_verdict(h: PresentationSemigroup, args, invariant, value,
     notes = list(notes)
     if not witnesses:
         notes.append(f"{claim}: no counterexample among the explored "
-                     f"elements of length <= {_swept_length(h, args)}")
+                     f"elements of length <= "
+                     f"{_swept_length(h, args.max_length)}")
     return InvariantReport(invariant, value, certification(bool(witnesses)),
                            witnesses=witnesses, warnings=notes)
 
@@ -192,7 +201,8 @@ def cmd_omega(h, args) -> InvariantReport:
         lambda w: {"element": h.format_element(w.element),
                    "parts": [h.format_element(p) for p in w.parts],
                    "min_k": w.min_k,
-                   "subproduct_indices": list(w.subproduct)})
+                   "subproduct_indices": list(w.subproduct)},
+        _SWEEP_LENGTH)
 
 
 def cmd_tame(h, args) -> InvariantReport:
@@ -204,7 +214,8 @@ def cmd_tame(h, args) -> InvariantReport:
         lambda els: tame_semigroup(h, pattern, els),
         lambda w: {"element": h.format_element(w[0]),
                    "from": [" ".join(u) for u in w[1]],
-                   "to": [" ".join(u) for u in w[2]]})
+                   "to": [" ".join(u) for u in w[2]]},
+        _SWEEP_LENGTH)
 
 
 def cmd_primelike(h, args) -> InvariantReport:
@@ -369,16 +380,19 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override max congruence-ball size")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def pres_cmd(name, fn, **options):
+    def pres_cmd(name, fn, exclusive=(), **options):
         # a presentation subcommand: the file, then one ``--option`` per
-        # keyword (underscores become dashes), in the order given.  ``fn``
-        # gets the file's engine, and its report gains the engine's
-        # budget and, before its own notes, the engine's warnings, read
-        # after the computation, which may add some
+        # keyword (underscores become dashes), in the order given; the
+        # options named in ``exclusive`` contradict each other, so giving
+        # two is a usage error.  ``fn`` gets the file's engine, and its
+        # report gains the engine's budget and, before its own notes, the
+        # engine's warnings, read after the computation, which may add some
         p = sub.add_parser(name)
         p.add_argument("file", help="presentation file")
+        group = p.add_mutually_exclusive_group() if exclusive else None
         for opt, kw in options.items():
-            p.add_argument("--" + opt.replace("_", "-"), **kw)
+            (group if opt in exclusive else p).add_argument(
+                "--" + opt.replace("_", "-"), **kw)
 
         def run(args) -> InvariantReport:
             with open(args.file, "r", encoding="utf-8") as fh:
@@ -412,17 +426,20 @@ def build_parser() -> argparse.ArgumentParser:
              z=dict(type=int, required=True,
                     help="factorization index (enumeration order)"),
              zprime=dict(type=int, required=True))
-    pres_cmd("catenary", cmd_catenary, kind=kind,
+    sweep6 = dict(sweep, help=f"longest element swept (default "
+                              f"{_SWEEP_LENGTH}); not with --element")
+    pres_cmd("catenary", cmd_catenary, ("element", "all"), kind=kind,
              variant=dict(choices=tuple(VARIANTS), default="plain"),
              element=dict(default=None), all=dict(action="store_true"),
              max_length=sweep)
-    pres_cmd("omega", cmd_omega, divisor=dict(required=True),
+    pres_cmd("omega", cmd_omega, ("element", "max_length"),
+             divisor=dict(required=True),
              element=dict(default=None,
                           help="omit for the semigroup-level value"),
-             nonunits=dict(action="store_true"),
-             max_length=dict(sweep, default=6))
-    pres_cmd("tame", cmd_tame, pattern=dict(nargs="+", required=True),
-             element=dict(default=None), max_length=dict(sweep, default=6))
+             nonunits=dict(action="store_true"), max_length=sweep6)
+    pres_cmd("tame", cmd_tame, ("element", "max_length"),
+             pattern=dict(nargs="+", required=True),
+             element=dict(default=None), max_length=sweep6)
     pres_cmd("primelike", cmd_primelike, atom=dict(required=True),
              max_length=dict(sweep, default=6))
     pres_cmd("abelianize", cmd_abelianize)

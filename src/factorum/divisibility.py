@@ -30,10 +30,12 @@ about once.  Where b is a certified atom its one class
 multiset is (class of b,), so when a's fact is complete and certified, b
 |_p a holds iff b's class occurs in one of a's class tuples, and k = 1 at
 the first position holding it; a factorization without it starts the
-search at k = 2, and no product is built for either step.  Every other
+search at k = 2, and no product is built for either step.  A unit a is
+divided by no non-unit b: its one class multiset is empty.  Every other
 case asks ``_divides_p_cached``, which compares the class multisets of
-``permutable_class_multisets``: on a presentation or matrix handle they
-are read off each side's one rigid fact too.
+``permutable_class_multisets``: on a presentation they are read off each
+side's one rigid fact too, and on a matrix handle off its transfer map
+(``transfer_classes``).
 
 The permutable tame degree t_p(a, x) measures how far an arbitrary
 permutable factorization of a is from one containing the pattern x;
@@ -278,7 +280,9 @@ def omega_element(handle: SemigroupHandle, a, b,
                   mode: str = "atoms") -> OmegaReport:
     """omega_p(a, b) (mode "atoms") or omega'_p(a, b) (mode "nonunits").
 
-    A unit b divides the empty subproduct, so omega is then 0."""
+    A unit b divides the empty subproduct, so omega is then 0.  A unit a
+    has only the empty class multiset, so no non-unit b |_p-divides it,
+    and omega is exactly 0 there too."""
     _check_mode(mode)
     value, certified, best = _omega(handle, a, b, mode,
                                     _certified_atom_class(handle, b), {})
@@ -310,6 +314,9 @@ def _omega(handle: SemigroupHandle, a, b, mode: str, b_class,
         elif not any(b_class in c for c in classes):
             return 0, True, None
     if classes is None:
+        if handle.is_unit(a):
+            # a unit's one class multiset is empty, and b is no unit
+            return 0, True, None
         div = _divides_p_cached(handle, b, a)
         if div.holds is not True:
             return 0, div.certified, None

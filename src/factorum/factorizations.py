@@ -12,7 +12,11 @@ Each handle kind has one walk.  A commutative reduced handle
 recursing only on a cover: dividing atoms such that every factorization
 holds one of them (on a block monoid, the atoms holding the least term).
 Every other handle walks its rigid factorizations (``_rigid_walk``) on
-its left-divisor atoms and reads its class multisets off them.
+its left-divisor atoms and reads its class multisets off them, unless a
+transfer homomorphism to a factorial monoid gives an element's one class
+multiset (``transfer_classes``, on T_n(Z)* and M_n(Z)*): then its class
+multisets and lengths, and the d_len and d_p graphs, t_p and |_p built
+on them, need no walk, and only rigid sets, d* and omega walk.
 Completeness is certified exactly when every sub-search was certified
 and no recursion budget was hit (non-atomic inputs such as
 <a,b | aba=b> never certify).  Both walks are plain module-level
@@ -36,10 +40,10 @@ presentation these are words, so the fact holds only strings and ints,
 and the cyclic collector stops tracking it.  Almost-prime-likeness,
 valuation sets and omega (``factorization_keys``), length sets, and the
 class multisets behind d_len, d_p, t_p, |_p and equiv_p read that fact
-directly, so such an element has one memo entry; a ``RigidFactorization``
-is built from it only for a witness, a representative or a
-``rigid_factorizations`` answer, and a ``FactorizationSet`` only for the
-last.
+directly where no transfer map gives them, so such an element has one
+memo entry; a ``RigidFactorization`` is built from it only for a
+witness, a representative or a ``rigid_factorizations`` answer, and a
+``FactorizationSet`` only for the last.
 
 Where the handle spells out an element's rigid factorizations
 (``spelled_factorizations``), ``_fact``, their one reader, stores them
@@ -319,15 +323,24 @@ def _class_nodes(handle: SemigroupHandle, a
 
     On a commutative reduced handle (``_orderless``) the multisets come
     from ``permutable_class_multisets`` and a representative is its atoms
-    sorted by key.  Elsewhere they are read off a's rigid fact
-    (``factorization_keys``), and a representative is the first
-    factorization of its multiset there."""
+    sorted by key.  Elsewhere a representative is the first factorization
+    of its multiset in a's rigid fact (``factorization_keys``), and the
+    multisets are read off that fact too, unless the handle gives a's one
+    multiset (``transfer_classes``): then the fact is read only when the
+    representative is asked for, and the representative is its first
+    factorization."""
     if _orderless(handle):
         sets, complete = permutable_class_multisets(handle, a)
 
         def rigid(z: _ClassNode) -> RigidFactorization:
             return _least_rigid(handle, a, z.classes)
         return [_ClassNode(m, len(m)) for m in sorted(sets)], complete, rigid
+    m = handle.transfer_classes(a)
+    if m is not None:
+        def rigid(z: _ClassNode) -> RigidFactorization:
+            return _rigid_factorization(handle, a,
+                                        factorization_keys(handle, a)[0][0])
+        return [_ClassNode(m, len(m))], True, rigid
     tuples, classes, complete = factorization_keys(handle, a)
     first: Dict[Tuple, Tuple] = {}
     for t, c in zip(tuples, classes):
@@ -364,10 +377,14 @@ def permutable_class_multisets(handle: SemigroupHandle, a
     quotients by the covering atoms (``covering_divisor_atoms``): every
     factorization of x holds one of those atoms u, and drops to one of x/u
     without it.  There a's key is hashed once on a memo hit, and a is
-    checked (``require_element``) only on a miss.  Every other handle
-    reads them off a's one rigid fact (``factorization_keys``): a
+    checked (``require_element``) only on a miss.  A permutably factorial
+    handle gives a's one multiset (``transfer_classes``), and every other
+    handle reads them off a's one rigid fact (``factorization_keys``): a
     permutable factorization is a rigid one up to order and associates."""
     if not _orderless(handle):
+        m = handle.transfer_classes(a)
+        if m is not None:
+            return frozenset((m,)), True
         _, classes, complete = factorization_keys(handle, a)
         return frozenset([tuple(sorted(c)) for c in classes]), complete
     cache = handle.memo.classes
@@ -448,19 +465,20 @@ class LengthSet(NamedTuple):
 def length_profile(handle: SemigroupHandle, a) -> LengthSet:
     """L(a) with its distance set and elasticity rho = max/min.
 
-    A half-factorial handle gives its one length, ``length_cap`` (on
-    M_n(Z)* that is Omega(|det a|), past the determinant cap an error),
-    an orderless handle walks its class multisets, and any other handle
+    An orderless handle walks its class multisets, a permutably factorial
+    one gives the length of a's one multiset (``transfer_classes``: on
+    M_n(Z)* that is Omega(|det a|), on T_n(Z)* Omega of the diagonal's
+    product, past the determinant cap an error), and any other handle
     reads the lengths of a's one rigid fact (``_fact``).
     """
     handle.require_element(a)
     if handle.is_unit(a):
         return LengthSet((0,), (), Fraction(0), True)
-    if handle.half_factorial:
-        found, complete = {handle.length_cap(a)}, handle.certified(a)
-    elif _orderless(handle):
+    if _orderless(handle):
         sets, complete = permutable_class_multisets(handle, a)
         found = set(map(len, sets))
+    elif (m := handle.transfer_classes(a)) is not None:
+        found, complete = {len(m)}, True
     else:
         tuples, need, _ = _fact(handle, a)
         found = set(map(len, tuples))

@@ -10,12 +10,15 @@ a unit test, an atom test with an associate test on atoms, and enumeration
 of the atoms that left-divide a given element together with the unique
 left quotient (uniqueness is the cancellativity assumption).  A handle may
 narrow those atoms to a cover that meets every factorization
-(``covering_divisor_atoms``), and may spell out an element's rigid
+(``covering_divisor_atoms``), may spell out an element's rigid
 factorizations without recursing through them at all
-(``spelled_factorizations``).  A commutative reduced handle also maps an
-associate class back to its atom (``class_atom``).  Every handle keeps
-the answers derived from its factorization sets in one ``memo``, with
-atoms held by their keys (``atom_of_key`` finds an atom again).
+(``spelled_factorizations``), and, where a transfer homomorphism to a
+factorial monoid makes it permutably factorial, may give an element's one
+atom-class multiset (``transfer_classes``).  A commutative reduced handle
+also maps an associate class back to its atom (``class_atom``).  Every
+handle keeps the answers derived from its factorization sets in one
+``memo``, with atoms held by their keys (``atom_of_key`` finds an atom
+again).
 """
 
 from __future__ import annotations
@@ -63,8 +66,8 @@ class HandleMemo:
     where every atom's class is its key (as on a presentation).  This is
     the one fact per element that almost-prime-likeness, valuation sets,
     length sets, omega and the class multisets of non-orderless handles
-    read; a ``RigidFactorization`` is built from it only when one is
-    returned.
+    read (except where ``transfer_classes`` answers); a
+    ``RigidFactorization`` is built from it only when one is returned.
     ``classes``: key -> (class multisets, need), filled by ``_class_walk``
     on commutative reduced handles only (elsewhere it stays empty), for
     the elements whose walk completed, each set kept as a tuple: even an
@@ -89,9 +92,6 @@ class SemigroupHandle:
     # reduced: trivial unit group, so associate classes of atoms are elements
     reduced = True
     commutative = False
-    # half-factorial through a transfer homomorphism to a factorial monoid:
-    # every non-unit element has the one length ``length_cap``
-    half_factorial = False
     name = "semigroup"
 
     # the one place this handle's factorization sets, class multisets and
@@ -194,6 +194,14 @@ class SemigroupHandle:
         An answer is what the walk of x would find and keep (see
         ``factorizations``), so it may stand in for it.  The default reads
         nothing off."""
+        return None
+
+    def transfer_classes(self, x) -> Optional[Tuple]:
+        """The sorted atom-class multiset of x, where a transfer map to a
+        factorial monoid shows it is x's only one (the handle is
+        permutably factorial); None where the multisets must be walked.
+        An answer is certified, and x is checked (``require_element``)
+        first.  The default reads nothing off."""
         return None
 
     def length_cap(self, x) -> int:

@@ -13,6 +13,10 @@ Smith Normal Form A = U*C*V (U, V unimodular, descending divisibility
 c_{i+1,i+1} | c_{i,i}) makes |det| a transfer homomorphism to N_{>0};
 atoms are the matrices of prime |determinant|.
 
+Both semigroups are therefore permutably factorial: an element has one
+atom-class multiset, which each handle reads off its map
+(``transfer_classes``) with no factorization listed.
+
 Both semigroups list atom left divisors through one Hermite enumerator.
 An atom U of prime index p left-divides A iff A's column lattice lies in
 U's, an index-p lattice between it and Z^n; up to right units U is that
@@ -349,6 +353,16 @@ class TriangularMatrixHandle(_MatrixHandle):
     def left_divisor_atoms(self, x: Mat) -> DivisorPairs:
         return tri_left_divisors(x), True
 
+    def transfer_classes(self, x: Mat) -> Tuple[Tuple[int, int], ...]:
+        # delta is a weak transfer to (N_{>0})^n whose atom classes are the
+        # (position, prime) pairs of ``atom_class``: x has the one class
+        # multiset (i + 1, p), v_p(|x_ii|) times, for each i and p
+        self.require_element(x)
+        _capped(mat_det(x))
+        return tuple((i + 1, p) for i in range(self.n)
+                     for p, e in sorted(factor(x[i][i]).items())
+                     for _ in range(e))
+
     def right_normalize_key(self, x: Mat) -> Mat:
         """Canonical representative of x up to right units (memo key: the
         factorization class structure is invariant under right units)."""
@@ -504,9 +518,6 @@ class FullMatrixHandle(_MatrixHandle):
 
     _symbol = "M"
     _requirement = "need a square integer matrix with nonzero det"
-    # |det| is a transfer homomorphism onto the factorial monoid N_{>0}
-    # (``det_transfer_map``), so L(a) = {Omega(|det a|)}, the length cap
-    half_factorial = True
 
     def is_unit(self, x: Mat) -> bool:
         return abs(mat_det(x)) == 1
@@ -524,6 +535,14 @@ class FullMatrixHandle(_MatrixHandle):
 
     def left_divisor_atoms(self, x: Mat) -> DivisorPairs:
         return mat_left_divisors(x), True
+
+    def transfer_classes(self, x: Mat) -> Tuple[int, ...]:
+        # |det| is a transfer homomorphism onto the factorial monoid N_{>0}
+        # (``det_transfer_map``) and an atom's class is its prime |det|:
+        # x has the one class multiset, the primes of |det x|
+        self.require_element(x)
+        d = _capped(mat_det(x))
+        return tuple(p for p, e in sorted(factor(d).items()) for _ in range(e))
 
 
 # transfer maps and their verification ------------------------------------

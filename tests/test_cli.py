@@ -107,6 +107,18 @@ def test_an_empty_element_is_the_unit(capsys, command):
     assert not payload["invariant"].endswith("-semigroup")
 
 
+@pytest.mark.parametrize("element", ["", " "])
+def test_omega_of_the_unit_is_exact_where_the_divisor_does_not_close(
+        capsys, element):
+    # on <a, b | a b a = b>, b has no complete class multisets, but the
+    # unit has only the empty one, so no non-unit divides it
+    code, out, _ = run(capsys, "--format", "json", "omega", pres_path("aba_b"),
+                       "--divisor", "b", "--element", element)
+    payload = json.loads(out)
+    assert (code, payload["value"], payload["certification"]) == (0, 0,
+                                                                  "exact")
+
+
 def test_distance_index_out_of_range(capsys):
     code, _, err = run(capsys, "distance", pres_path("abc_cb"),
                        "--element", "a b c", "--z", "0", "--zprime", "2")
@@ -422,6 +434,17 @@ def test_regression_passes_only_the_given_fields(monkeypatch, capsys):
     (("lengths", pres_path("abc_cb")), "required"),
     (("zss", "--group", "2", "bogus"), "invalid choice"),
     (("catenary", pres_path("abc_cb"), "--kind", "bogus"), "invalid choice"),
+    # options that contradict each other
+    (("catenary", pres_path("abc_cb"), "--all", "--element", "a b c",
+      "--max-length", "2"), "--element: not allowed with argument --all"),
+    (("catenary", pres_path("abc_cb"), "--element", "", "--all"),
+     "--all: not allowed with argument --element"),
+    # an explicit bound equal to the sweep's default contradicts too
+    (("omega", pres_path("ab_cd_cede_ba"), "--divisor", "a", "--element",
+      "b a", "--max-length", "6"),
+     "--max-length: not allowed with argument --element"),
+    (("tame", pres_path("abc_de"), "--pattern", "a", "--max-length", "4",
+      "--element", "d e"), "--element: not allowed with argument --max-length"),
 ])
 def test_usage_errors_exit_one(capsys, argv, message):
     # exit code 2 is kept for partial results under an exhausted budget

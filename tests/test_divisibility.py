@@ -247,6 +247,19 @@ def test_omega_with_a_unit_divisor_is_zero(mode):
     assert (rep.value, rep.certified, rep.witness) == (0, True, None)
 
 
+@pytest.mark.parametrize("mode", ["atoms", "nonunits"])
+@pytest.mark.parametrize("name, divisor", [
+    ("aba_b", "b"), ("aba_b", "a b"), ("abc_cb", "a"), ("ab_cd_cede_ba", "c e"),
+])
+def test_omega_of_the_unit_against_a_non_unit_is_exactly_zero(name, divisor,
+                                                              mode):
+    # the unit has only the empty class multiset, so no non-unit divides
+    # it, even one whose own class multisets are incomplete (b on aba_b)
+    h = engine(name)
+    rep = omega_element(h, h.identity(), h.element_from_str(divisor), mode)
+    assert (rep.value, rep.certified, rep.witness) == (0, True, None)
+
+
 @pytest.mark.parametrize("mode", ["bogus", "", None])
 def test_omega_checks_its_mode_first(mode):
     # before the unit check and before any divisibility test, so a divisor

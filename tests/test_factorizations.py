@@ -126,7 +126,7 @@ def test_length_profile_abc_de():
     assert length_profile(h, h.element_from_str("b a c")).lengths == (3,)
 
 
-def test_half_factoriality_detector():
+def test_empty_delta_iff_every_length_set_is_a_singleton():
     # Delta empty for all explored elements iff all length sets singletons
     h = anbn(2)
     els, _ = h.enumerate_elements(6)

@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 
 from factorum import matrices
 from factorum.arith import big_omega, factor, is_prime
-from factorum.divisibility import omega_semigroup
+from factorum.catenary import VARIANTS, catenary_in_fibers
+from factorum.distances import DistanceKind
+from factorum.divisibility import divides_p, omega_semigroup, tame_element
 from factorum.factorizations import (LengthSet, _class_walk, length_profile,
                                      permutable_class_multisets,
+                                     permutable_factorizations,
                                      rigid_factorizations)
 from factorum.matrices import (_DET_CAP, AtomProfile, DetTooLargeError,
                                FullMatrixHandle, NotAtomError,
@@ -434,17 +437,92 @@ def _three_by_three_sample():
     return out
 
 
+def _m2_sample():
+    entries = range(-6, 7)
+    return [((a, b), (c, d))
+            for a, b, c, d in itertools.product(entries, repeat=4)
+            if 1 <= abs(a * d - b * c) <= 60]
+
+
 def test_full_matrix_lengths_through_det_match_the_class_walk():
     # det is a transfer homomorphism onto N_{>0}: L(a) = {Omega(|det a|)}
-    entries = range(-6, 7)
-    squares = [((a, b), (c, d))
-               for a, b, c, d in itertools.product(entries, repeat=4)
-               if 1 <= abs(a * d - b * c) <= 60]
-    for n, sample in ((2, squares), (3, _three_by_three_sample())):
+    for n, sample in ((2, _m2_sample()), (3, _three_by_three_sample())):
         read, walked = FullMatrixHandle(n), FullMatrixHandle(n)
         for a in sample:
             assert length_profile(read, a) == walked_length_profile(walked, a)
         assert not read.memo.classes
+
+
+def _t2_sample():
+    return [((a11, a12), (0, a22))
+            for a11, a22 in itertools.product(range(-12, 13), repeat=2)
+            if a11 and a22 and abs(a11 * a22) <= 60
+            for a12 in range(-3, 4)]
+
+
+def _t3_sample():
+    rng, out = random.Random(7), []
+    while len(out) < 120:
+        d = [rng.choice([x for x in range(-6, 7) if x]) for _ in range(3)]
+        if abs(d[0] * d[1] * d[2]) <= 60:
+            out.append(((d[0], rng.randint(-4, 4), rng.randint(-4, 4)),
+                        (0, d[1], rng.randint(-4, 4)), (0, 0, d[2])))
+    return out
+
+
+@pytest.mark.parametrize("kind, n, sample", [
+    (FullMatrixHandle, 2, _m2_sample),
+    (FullMatrixHandle, 3, _three_by_three_sample),
+    (TriangularMatrixHandle, 2, _t2_sample),
+    (TriangularMatrixHandle, 3, _t3_sample),
+], ids=["M2", "M3", "T2", "T3"])
+def test_transfer_classes_match_the_class_walk(kind, n, sample):
+    # a cold walk of the left divisors reads neither the transfer map nor
+    # the rigid fact; it finds exactly one class multiset, the hook's
+    handle = kind(n)
+    for a in sample():
+        sets, need = _class_walk(handle, {}, {}, a, handle.length_cap(a))
+        assert need is not None and len(sets) == 1
+        assert handle.transfer_classes(a) == sets[0]
+        assert permutable_class_multisets(handle, a) == (frozenset(sets),
+                                                         True)
+    assert not handle.memo.rigid and not handle.memo.classes
+
+
+_TWELVE = ((12, 0), (0, 12))
+
+
+@pytest.mark.parametrize("kind, transfer_map, classes", [
+    (TriangularMatrixHandle, delta_transfer_map,
+     ((1, 2), (1, 2), (1, 3), (2, 2), (2, 2), (2, 3))),
+    (FullMatrixHandle, det_transfer_map, (2, 2, 2, 2, 3, 3)),
+], ids=["T2", "M2"])
+def test_permutable_queries_of_twelve_list_no_rigid_factorization(
+        kind, transfer_map, classes):
+    # T2(Z) and M2(Z) are permutably factorial: 12 I has one class
+    # multiset, although it has hundreds of rigid factorizations
+    h = kind(2)
+    atom = ((2, 0), (0, 1))
+    assert permutable_class_multisets(h, _TWELVE) == (frozenset({classes}),
+                                                      True)
+    assert length_profile(h, _TWELVE) == LengthSet((6,), (), Fraction(1),
+                                                   True)
+    assert divides_p(h, atom, _TWELVE) == (True, True)
+    assert tame_element(h, _TWELVE, [atom]) == ((atom,), 0, True, None)
+    distances = (DistanceKind.LENGTH, DistanceKind.PERMUTABLE)
+    reports = [variant(h, _TWELVE, d)
+               for d in distances for variant in VARIANTS.values()]
+    reports += [catenary_in_fibers(h, _TWELVE, d, transfer_map(h))
+                for d in distances]
+    assert {(r.value, r.certified, r.witness) for r in reports} == {
+        (0, True, None)}
+    assert not h.memo.rigid
+    # the representative is still the first rigid factorization, read off
+    # the rigid fact only when it is asked for
+    (pf,), complete = permutable_factorizations(h, _TWELVE)
+    first = rigid_factorizations(h, _TWELVE).factorizations[0]
+    assert complete and pf == (classes, 6, first)
+    assert len(rigid_factorizations(h, _TWELVE)) > 1
 
 
 # 2^61 - 1 is prime, and 10^23 + ... has a large prime factor: trial
@@ -462,8 +540,14 @@ _HUGE = ((99999999999999999999999, 0), (0, 1))
     lambda a: FullMatrixHandle(2).length_cap(a),
     lambda a: length_profile(FullMatrixHandle(2), a),
     lambda a: rigid_factorizations(TriangularMatrixHandle(2), a),
+    lambda a: TriangularMatrixHandle(2).transfer_classes(a),
+    lambda a: FullMatrixHandle(2).transfer_classes(a),
+    lambda a: length_profile(TriangularMatrixHandle(2), a),
+    lambda a: permutable_class_multisets(TriangularMatrixHandle(2), a),
 ], ids=["tri_is_atom", "mat_is_atom", "atom_class", "tri_length_cap",
-        "mat_length_cap", "mat_lengths", "tri_factorize"])
+        "mat_length_cap", "mat_lengths", "tri_factorize",
+        "tri_transfer_classes", "mat_transfer_classes", "tri_lengths",
+        "tri_class_multisets"])
 def test_determinant_cap_is_checked_before_trial_division(a, query):
     with pytest.raises(DetTooLargeError, match=f"exceeds cap {_DET_CAP}"):
         query(a)
@@ -479,7 +563,8 @@ def test_determinant_cap_is_checked_before_trial_division(a, query):
 ], ids=["tri-lower", "tri-singular", "tri-3x3", "mat-singular", "mat-2x2"])
 @pytest.mark.parametrize("query", [
     rigid_factorizations, length_profile, permutable_class_multisets,
-], ids=["factorize", "lengths", "class-multisets"])
+    lambda handle, a: handle.transfer_classes(a),
+], ids=["factorize", "lengths", "class-multisets", "transfer-classes"])
 def test_matrix_handles_reject_non_elements(handle, a, message, query):
     # the same check as ``matrix()``, with the same message
     with pytest.raises(ValueError, match=message + ".* with nonzero det"):

@@ -189,7 +189,7 @@ def test_block_catenary_values():
     assert rep.value == 0   # half-factorial: computed Delta is empty
 
 
-def test_half_factorial_c2():
+def test_c2_block_monoid_has_one_length_per_element():
     group = FiniteAbelianGroup((2,))
     handle = BlockMonoidHandle(group)
     for seq in zero_sum_sequences(group, None, 8):
