@@ -11,10 +11,16 @@ it and reads the exit code off its certification (``regression`` prints
 its rows and returns its code).  ``pres_cmd`` hands each presentation
 command its engine and adds the engine's budget and warnings; two of its
 options that contradict each other (``--element`` with ``--all`` or with
-``--max-length``) are a usage error.
+``--max-length``) are a usage error, checked before the file is read.
 ``_element_or_sweep`` answers ``catenary``, ``omega`` and ``tame`` for one
 element or over a sweep; ``_sweep_verdict`` certifies ``primelike`` and
 ``check-wth``.
+
+Importing this module loads no layer: the commands read each name off the
+package (``factorum.<name>``), which imports its module on first use, so
+a command compiles only the layers it uses.  A read costs tens of
+nanoseconds once loaded, where an import statement in each command would
+cost microseconds on every call.
 """
 
 from __future__ import annotations
@@ -24,29 +30,26 @@ import functools
 import sys
 from typing import List, Optional
 
-from .abelianization import abelianize, check_exwt
-from .catenary import VARIANTS, semigroup_catenary
-from .distances import (DistanceKind, distance, rigid_distance_alignment)
-from .divisibility import (is_almost_prime_like, is_prime_like, omega_element,
-                           omega_semigroup, tame_element, tame_semigroup)
-from .factorizations import length_profile, rigid_factorizations
-from .matrices import (FullMatrixHandle, TriangularMatrixHandle, delta_map,
-                       det_transfer, parse_matrix, snf, tri_is_atom)
-from .presentation import (BudgetOverride, PresentationError,
-                           PresentationSemigroup, check_adyan,
-                           parse_presentation)
-from .reports import Certification, InvariantReport, certification
-from .zerosum import (BlockMonoidHandle, FiniteAbelianGroup, _block_catenary,
-                      _davenport, maximal_order_bound)
+import factorum
 
-_KINDS = {"len": DistanceKind.LENGTH, "perm": DistanceKind.PERMUTABLE,
-          "rigid": DistanceKind.RIGID}
+# the parser's choices are plain strings, resolved when the command runs:
+# --kind to a ``DistanceKind`` value and --variant to a key of
+# ``catenary.VARIANTS``
+_KINDS = {"len": "length", "perm": "permutable", "rigid": "rigid"}
+_VARIANTS = ("plain", "equal", "adjacent", "monotone")
 # the longest element an omega or tame sweep takes when --max-length is
 # not given; it has no parser default, so that --element rejects it
 _SWEEP_LENGTH = 6
 
 
-def _group_from_spec(spec: str) -> FiniteAbelianGroup:
+def _report(invariant, value, exact, **fields) -> factorum.InvariantReport:
+    """The report of ``value``, certified exact iff ``exact``."""
+    reports = factorum.reports
+    return reports.InvariantReport(invariant, value,
+                                   reports.certification(exact), **fields)
+
+
+def _group_from_spec(spec: str) -> factorum.FiniteAbelianGroup:
     orders = []
     for entry in spec.split(","):
         try:
@@ -54,7 +57,7 @@ def _group_from_spec(spec: str) -> FiniteAbelianGroup:
         except ValueError:
             raise ValueError(f"--group {spec!r}: entry {entry!r} is not "
                              f"an integer") from None
-    return FiniteAbelianGroup(tuple(orders))
+    return factorum.FiniteAbelianGroup(tuple(orders))
 
 
 def _fact_strings(h, fs) -> list:
@@ -66,7 +69,7 @@ def _length_value(L) -> dict:
             "elasticity": L.elasticity}
 
 
-def _swept_length(h: PresentationSemigroup, max_length) -> int:
+def _swept_length(h: factorum.PresentationSemigroup, max_length) -> int:
     """The longest word a sweep to ``max_length`` (None: no bound) meets:
     ``enumerate_elements`` stops at the budget's word cap whatever
     ``--max-length`` asks for."""
@@ -74,9 +77,9 @@ def _swept_length(h: PresentationSemigroup, max_length) -> int:
     return min(max_length or cap, cap)
 
 
-def _element_or_sweep(h: PresentationSemigroup, args, element, invariant,
-                      of_element, of_sweep, witness,
-                      max_length=None) -> InvariantReport:
+def _element_or_sweep(h: factorum.PresentationSemigroup, args, element,
+                      invariant, of_element, of_sweep, witness,
+                      max_length=None) -> factorum.InvariantReport:
     """The value at ``element`` (``""`` is the unit), or with ``element``
     None the supremum over the elements up to ``--max-length`` (else
     ``max_length``): a lower bound, which notes the length swept.
@@ -86,19 +89,19 @@ def _element_or_sweep(h: PresentationSemigroup, args, element, invariant,
         els, _ = h.enumerate_elements(max_length)
         rep = of_sweep(els)
         invariant += "-semigroup"
-        cert = Certification.LOWER_BOUND
+        exact = False
         notes = ["semigroup-level value: certified lower bound over "
                  f"elements of length <= {_swept_length(h, max_length)}"]
     else:
         rep = of_element(h.element_from_str(element))
-        cert, notes = certification(rep.certified), []
+        exact, notes = rep.certified, []
     witnesses = [] if rep.witness is None else [witness(rep.witness)]
-    return InvariantReport(invariant, rep.value, cert, witnesses=witnesses,
-                           warnings=notes)
+    return _report(invariant, rep.value, exact, witnesses=witnesses,
+                   warnings=notes)
 
 
-def _sweep_verdict(h: PresentationSemigroup, args, invariant, value,
-                   witnesses, claim, notes=()) -> InvariantReport:
+def _sweep_verdict(h: factorum.PresentationSemigroup, args, invariant, value,
+                   witnesses, claim, notes=()) -> factorum.InvariantReport:
     """A bounded search for counterexamples, one witness each: finding one
     is exact, and finding none up to the swept length is only a lower
     bound, noted after ``notes``."""
@@ -107,56 +110,52 @@ def _sweep_verdict(h: PresentationSemigroup, args, invariant, value,
         notes.append(f"{claim}: no counterexample among the explored "
                      f"elements of length <= "
                      f"{_swept_length(h, args.max_length)}")
-    return InvariantReport(invariant, value, certification(bool(witnesses)),
-                           witnesses=witnesses, warnings=notes)
+    return _report(invariant, value, bool(witnesses), witnesses=witnesses,
+                   warnings=notes)
 
 
-def cmd_parse(h, args) -> InvariantReport:
+def cmd_parse(h, args) -> factorum.InvariantReport:
     p = h.presentation
-    return InvariantReport("presentation", {
+    return _report("presentation", {
         "generators": list(p.generators),
         "relations": [" ".join(r.lhs) + " = " + " ".join(r.rhs)
                       for r in p.relations],
-    }, Certification.EXACT)
+    }, True)
 
 
-def cmd_adyan(h, args) -> InvariantReport:
-    rep = check_adyan(h.presentation)
-    return InvariantReport("adyan", {
+def cmd_adyan(h, args) -> factorum.InvariantReport:
+    rep = factorum.check_adyan(h.presentation)
+    return _report("adyan", {
         "is_adyan": rep.is_adyan,
         "left_graph": [list(e) for e in rep.left_edges],
         "right_graph": [list(e) for e in rep.right_edges],
         "cancellativity": "certified" if rep.is_adyan else "assumed",
-    }, Certification.EXACT)
+    }, True)
 
 
-def cmd_elements(h, args) -> InvariantReport:
+def cmd_elements(h, args) -> factorum.InvariantReport:
     els, complete = h.enumerate_elements(args.max_length)
-    return InvariantReport("elements", [h.format_element(e) for e in els],
-                           certification(complete))
+    return _report("elements", [h.format_element(e) for e in els], complete)
 
 
-def cmd_atoms(h, args) -> InvariantReport:
+def cmd_atoms(h, args) -> factorum.InvariantReport:
     atoms, complete = h.enumerate_atoms(args.max_length)
-    return InvariantReport("atoms", [h.format_element(e) for e in atoms],
-                           certification(complete))
+    return _report("atoms", [h.format_element(e) for e in atoms], complete)
 
 
-def cmd_factorize(h, args) -> InvariantReport:
-    fs = rigid_factorizations(h, h.element_from_str(args.element))
-    return InvariantReport("rigid-factorizations", _fact_strings(h, fs),
-                           certification(fs.complete))
+def cmd_factorize(h, args) -> factorum.InvariantReport:
+    fs = factorum.rigid_factorizations(h, h.element_from_str(args.element))
+    return _report("rigid-factorizations", _fact_strings(h, fs), fs.complete)
 
 
-def cmd_lengths(h, args) -> InvariantReport:
-    L = length_profile(h, h.element_from_str(args.element))
-    return InvariantReport("length-profile", _length_value(L),
-                           certification(L.certified))
+def cmd_lengths(h, args) -> factorum.InvariantReport:
+    L = factorum.length_profile(h, h.element_from_str(args.element))
+    return _report("length-profile", _length_value(L), L.certified)
 
 
-def cmd_distance(h, args) -> InvariantReport:
+def cmd_distance(h, args) -> factorum.InvariantReport:
     el = h.element_from_str(args.element)
-    fs = rigid_factorizations(h, el)
+    fs = factorum.rigid_factorizations(h, el)
     facts = list(fs)
     if not facts:
         scope = "" if fs.complete else " within budget"
@@ -165,39 +164,42 @@ def cmd_distance(h, args) -> InvariantReport:
     if not (0 <= args.z < len(facts) and 0 <= args.zprime < len(facts)):
         raise ValueError(
             f"factorization index out of range (0..{len(facts)-1})")
-    kind = _KINDS[args.kind]
+    kind = factorum.DistanceKind(_KINDS[args.kind])
     z, zp = facts[args.z], facts[args.zprime]
     witnesses = [{"z": _fact_strings(h, [z])[0],
                   "zprime": _fact_strings(h, [zp])[0]}]
-    if kind is DistanceKind.RIGID:
-        value, alignment = rigid_distance_alignment(h, z, zp)
+    if kind is factorum.DistanceKind.RIGID:
+        value, alignment = factorum.rigid_distance_alignment(h, z, zp)
         witnesses.append({"alignment_blocks": [list(b) for b in alignment.blocks],
                           "gap_costs": list(alignment.gap_costs)})
     else:
-        value = distance(h, kind, z, zp)
-    return InvariantReport(f"distance-{kind.value}", value,
-                           certification(fs.complete), witnesses=witnesses)
+        value = factorum.distance(h, kind, z, zp)
+    return _report(f"distance-{kind.value}", value, fs.complete,
+                   witnesses=witnesses)
 
 
-def cmd_catenary(h, args) -> InvariantReport:
+def cmd_catenary(h, args) -> factorum.InvariantReport:
     if not args.all and args.element is None:
         raise ValueError("need --element or --all")
-    kind = _KINDS[args.kind]
+    # ``factorum.catenary`` is the function, so the module's table is
+    # imported
+    from .catenary import VARIANTS
+    kind = factorum.DistanceKind(_KINDS[args.kind])
     return _element_or_sweep(
         h, args, None if args.all else args.element,
         f"catenary-{kind.value}-{args.variant}",
         lambda el: VARIANTS[args.variant](h, el, kind),
-        lambda els: semigroup_catenary(h, els, kind, args.variant),
+        lambda els: factorum.semigroup_catenary(h, els, kind, args.variant),
         lambda w: {"chain": _fact_strings(h, w.steps), "bound": w.bound})
 
 
-def cmd_omega(h, args) -> InvariantReport:
+def cmd_omega(h, args) -> factorum.InvariantReport:
     divisor = h.element_from_str(args.divisor)
     mode = "nonunits" if args.nonunits else "atoms"
     return _element_or_sweep(
         h, args, args.element, f"omega-{mode}",
-        lambda el: omega_element(h, el, divisor, mode),
-        lambda els: omega_semigroup(h, divisor, els, mode),
+        lambda el: factorum.omega_element(h, el, divisor, mode),
+        lambda els: factorum.omega_semigroup(h, divisor, els, mode),
         lambda w: {"element": h.format_element(w.element),
                    "parts": [h.format_element(p) for p in w.parts],
                    "min_k": w.min_k,
@@ -205,23 +207,23 @@ def cmd_omega(h, args) -> InvariantReport:
         _SWEEP_LENGTH)
 
 
-def cmd_tame(h, args) -> InvariantReport:
+def cmd_tame(h, args) -> factorum.InvariantReport:
     pattern = [h.element_from_str(tok) for tok in args.pattern]
     # an atom's class on a presentation is its word
     return _element_or_sweep(
         h, args, args.element, "tame",
-        lambda el: tame_element(h, el, pattern),
-        lambda els: tame_semigroup(h, pattern, els),
+        lambda el: factorum.tame_element(h, el, pattern),
+        lambda els: factorum.tame_semigroup(h, pattern, els),
         lambda w: {"element": h.format_element(w[0]),
                    "from": [" ".join(u) for u in w[1]],
                    "to": [" ".join(u) for u in w[2]]},
         _SWEEP_LENGTH)
 
 
-def cmd_primelike(h, args) -> InvariantReport:
+def cmd_primelike(h, args) -> factorum.InvariantReport:
     q = h.element_from_str(args.atom)
     els, _ = h.enumerate_elements(args.max_length)
-    rep = is_almost_prime_like(h, q, els)
+    rep = factorum.is_almost_prime_like(h, q, els)
     value = {"almost_prime_like": rep.holds}
     witnesses = []
     if rep.counterexample:
@@ -230,29 +232,29 @@ def cmd_primelike(h, args) -> InvariantReport:
                           "with": _fact_strings(h, [zw])[0],
                           "without": _fact_strings(h, [zwo])[0]})
     else:
-        value["prime_like"] = is_prime_like(h, q, els).holds
+        value["prime_like"] = factorum.is_prime_like(h, q, els).holds
     return _sweep_verdict(
         h, args, "prime-like", value, witnesses,
         "prime-likeness" if value.get("prime_like") else "almost prime-likeness")
 
 
-def cmd_abelianize(h, args) -> InvariantReport:
-    ab = abelianize(h)
+def cmd_abelianize(h, args) -> factorum.InvariantReport:
+    ab = factorum.abelianize(h)
 
     def monomial(vec):
         return " ".join(f"{g}^{e}" if e > 1 else g
                         for g, e in zip(ab.generators, vec) if e) or "1"
 
-    return InvariantReport("abelianization", {
+    return _report("abelianization", {
         "generators": list(ab.generators),
         "relations": [f"{monomial(lhs)} = {monomial(rhs)}"
                       for lhs, rhs in ab.relations],
         "reduced_within_budget": ab.unit_scan(),
-    }, Certification.EXACT)
+    }, True)
 
 
-def cmd_check_wth(h, args) -> InvariantReport:
-    rep = check_exwt(h, args.max_length)
+def cmd_check_wth(h, args) -> factorum.InvariantReport:
+    rep = factorum.check_exwt(h, args.max_length)
     value = {"weak_transfer_within_budget": rep.passed,
              "equiv_p_transitive": rep.equiv_p_transitive,
              "abelianization_cancellative_within_budget":
@@ -264,81 +266,75 @@ def cmd_check_wth(h, args) -> InvariantReport:
                           "the weak-transfer condition", rep.notes)
 
 
-def cmd_zss(args) -> InvariantReport:
+def cmd_zss(args) -> factorum.InvariantReport:
     if args.zss_command == "order-bound":
         return cmd_order_bound(args)
     group = _group_from_spec(args.group)
     # one handle, so the atoms are enumerated once
-    handle = BlockMonoidHandle(group)
+    handle = factorum.BlockMonoidHandle(group)
     if args.zss_command == "atoms":
-        return InvariantReport(f"zss-atoms({group.describe()})",
-                               [handle.format_element(a) for a in handle.atoms],
-                               Certification.EXACT)
+        return _report(f"zss-atoms({group.describe()})",
+                       [handle.format_element(a) for a in handle.atoms], True)
+    zerosum = factorum.zerosum
     if args.zss_command == "davenport":
-        return InvariantReport(f"davenport({group.describe()})",
-                               _davenport(handle.atoms), Certification.EXACT)
-    res = _block_catenary(handle, args.max_len or 6)
+        return _report(f"davenport({group.describe()})",
+                       zerosum._davenport(handle.atoms), True)
+    res = zerosum._block_catenary(handle, args.max_len or 6)
     witnesses = []
     if res.element is not None:
         witnesses.append({"element": handle.format_element(res.element)})
-    return InvariantReport(f"block-catenary({group.describe()})", res.value,
-                           Certification.LOWER_BOUND, witnesses=witnesses,
-                           warnings=list(res.notes))
+    return _report(f"block-catenary({group.describe()})", res.value, False,
+                   witnesses=witnesses, warnings=list(res.notes))
 
 
-def cmd_order_bound(args) -> InvariantReport:
+def cmd_order_bound(args) -> factorum.InvariantReport:
     group = _group_from_spec(args.group)
-    res = maximal_order_bound(group, args.max_len)
-    return InvariantReport(
+    res = factorum.maximal_order_bound(group, args.max_len)
+    return _report(
         f"order-bound({group.describe()})",
         {"bound": res.bound, "computed_catenary": res.computed_catenary,
          "classification": res.classification},
-        certification(res.certified))
+        res.certified)
 
 
-def cmd_tri(args) -> InvariantReport:
-    m = parse_matrix(args.matrix)
-    h = TriangularMatrixHandle(len(m))
+def cmd_tri(args) -> factorum.InvariantReport:
+    m = factorum.parse_matrix(args.matrix)
+    h = factorum.TriangularMatrixHandle(len(m))
     m = h.matrix(m)
     if args.tri_command == "atom":
-        profile = tri_is_atom(m)
+        profile = factorum.tri_is_atom(m)
         value = {"atom": profile is not None}
         if profile:
             value["profile"] = {"position": profile.position,
                                 "prime": profile.prime}
-        return InvariantReport("tri-atom", value, Certification.EXACT)
+        return _report("tri-atom", value, True)
     if args.tri_command == "delta":
-        return InvariantReport("tri-delta", list(delta_map(m)),
-                               Certification.EXACT)
-    fs = rigid_factorizations(h, m)
-    return InvariantReport("tri-factorizations", _fact_strings(h, fs),
-                           certification(fs.complete))
+        return _report("tri-delta", list(factorum.delta_map(m)), True)
+    fs = factorum.rigid_factorizations(h, m)
+    return _report("tri-factorizations", _fact_strings(h, fs), fs.complete)
 
 
-def cmd_mat(args) -> InvariantReport:
-    m = parse_matrix(args.matrix)
-    h = FullMatrixHandle(len(m))
+def cmd_mat(args) -> factorum.InvariantReport:
+    m = factorum.parse_matrix(args.matrix)
+    h = factorum.FullMatrixHandle(len(m))
     m = h.matrix(m)
     if args.mat_command == "snf":
-        res = snf(m)
-        return InvariantReport("mat-snf", {
+        res = factorum.snf(m)
+        return _report("mat-snf", {
             "U": [list(r) for r in res.u], "C": [list(r) for r in res.c],
-            "V": [list(r) for r in res.v]}, Certification.EXACT)
+            "V": [list(r) for r in res.v]}, True)
     if args.mat_command == "atom":
-        return InvariantReport("mat-atom",
-                               {"atom": h.is_atom(m),
-                                "abs_det": det_transfer(m)},
-                               Certification.EXACT)
-    L = length_profile(h, m)
-    return InvariantReport("mat-lengths", _length_value(L),
-                           certification(L.certified))
+        return _report("mat-atom", {"atom": h.is_atom(m),
+                                    "abs_det": factorum.det_transfer(m)},
+                       True)
+    L = factorum.length_profile(h, m)
+    return _report("mat-lengths", _length_value(L), L.certified)
 
 
 def cmd_regression(args) -> int:
-    # imported here, so that no other command compiles the regression cases
-    from . import regression as regression_mod
-    budget = BudgetOverride(args.budget_len, args.budget_ball)
-    names = regression_mod.CRITERIA
+    regression = factorum.regression
+    budget = factorum.BudgetOverride(args.budget_len, args.budget_ball)
+    names = regression.CRITERIA
     if args.case:
         if args.case not in names:
             raise ValueError(f"unknown case {args.case!r}; available: "
@@ -346,7 +342,7 @@ def cmd_regression(args) -> int:
         names = [args.case]
     statuses = set()
     for name in names:
-        for row in regression_mod.run_case(name, budget):
+        for row in regression.run_case(name, budget):
             statuses.add(row.status)
             rel = "" if row.relation == "==" else f" ({row.relation})"
             print(f"[{row.status:>11}] {name}: {row.label}: expected{rel} "
@@ -394,10 +390,17 @@ def build_parser() -> argparse.ArgumentParser:
             (group if opt in exclusive else p).add_argument(
                 "--" + opt.replace("_", "-"), **kw)
 
-        def run(args) -> InvariantReport:
+        def run(args) -> factorum.InvariantReport:
+            if (getattr(args, "element", None) is not None
+                    and getattr(args, "max_length", None) is not None):
+                # one element leaves no sweep to bound; argparse puts an
+                # option in one exclusive group only, and catenary's
+                # --element is already grouped with --all
+                p.error("argument --max-length: not allowed with argument "
+                        "--element")
             with open(args.file, "r", encoding="utf-8") as fh:
-                pres = parse_presentation(fh.read())
-            h = PresentationSemigroup(pres, BudgetOverride(
+                pres = factorum.parse_presentation(fh.read())
+            h = factorum.PresentationSemigroup(pres, factorum.BudgetOverride(
                 args.budget_len, args.budget_ball).apply(pres.budget))
             rep = fn(h, args)
             return rep._replace(
@@ -429,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep6 = dict(sweep, help=f"longest element swept (default "
                               f"{_SWEEP_LENGTH}); not with --element")
     pres_cmd("catenary", cmd_catenary, ("element", "all"), kind=kind,
-             variant=dict(choices=tuple(VARIANTS), default="plain"),
+             variant=dict(choices=_VARIANTS, default="plain"),
              element=dict(default=None), all=dict(action="store_true"),
              max_length=sweep)
     pres_cmd("omega", cmd_omega, ("element", "max_length"),
@@ -479,8 +482,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if isinstance(rep, int):    # regression printed its own rows
             return rep
         print(rep.to_json() if args.format == "json" else rep.to_table())
-        return 0 if rep.certification is Certification.EXACT else 2
-    except (PresentationError, ValueError, OSError) as exc:
+        return 0 if rep.certification is factorum.Certification.EXACT else 2
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:

@@ -13,7 +13,9 @@ divide a factor; equivalently (for atomic semigroups), q occurs in one
 rigid factorization of an element iff it occurs in all of them, which is
 how the bounded check works.  The q-adic valuation set V_q(a) collects the
 number of q-associates across factorizations of a; q is prime-like when
-every valuation set is a singleton.
+every valuation set is a singleton.  Where a transfer map gives an
+element's one class multiset (``transfer_classes``, on T_n(Z) and
+M_n(Z)), both are read off that multiset and no rigid ordering is walked.
 
 omega_p(a, b) takes, over all rigid factorizations u_1...u_n of a, the
 worst minimal k such that b divides (up to permutation) a subproduct
@@ -141,14 +143,19 @@ def is_almost_prime_like(handle: SemigroupHandle, q,
                          scope_elements: Sequence,
                          scope_certified: bool = True) -> AlmostPrimeLikeReport:
     """Bounded almost-prime-like check: over every scoped element, q occurs
-    in one rigid factorization iff it occurs in all of them.  Each
-    element's atom classes are read off its fact (``factorization_keys``);
-    only a counterexample's two factorizations are built."""
+    in one rigid factorization iff it occurs in all of them.  An element
+    whose handle gives its one class multiset (``transfer_classes``) is no
+    counterexample: q's class is in every factorization or in none.  Every
+    other element's atom classes are read off its fact
+    (``factorization_keys``); only a counterexample's two factorizations
+    are built."""
     if not handle.is_atom(q):
         raise NotAlmostPrimeLikeError("q must be a certified atom")
     certified = scope_certified
     cls = handle.atom_class(q)
     for a in scope_elements:
+        if handle.transfer_classes(a) is not None:
+            continue
         tuples, classes, complete = factorization_keys(handle, a)
         certified = certified and complete
         with_q = without_q = None
@@ -173,9 +180,14 @@ class ValuationSet(NamedTuple):
 
 
 def valuation_set(handle: SemigroupHandle, q, a) -> ValuationSet:
-    """V_q(a): counts of q-associates across the rigid factorizations of a."""
+    """V_q(a): counts of q-associates across the rigid factorizations of a;
+    where the handle gives a's one class multiset (``transfer_classes``),
+    the one count of q's class in it."""
     if handle.is_unit(a):
         return ValuationSet(q, a, (0,), True)
+    m = handle.transfer_classes(a)
+    if m is not None:
+        return ValuationSet(q, a, (m.count(handle.atom_class(q)),), True)
     _, classes, complete = factorization_keys(handle, a)
     cls = handle.atom_class(q)
     values = sorted({c.count(cls) for c in classes})

@@ -445,6 +445,13 @@ def test_regression_passes_only_the_given_fields(monkeypatch, capsys):
      "--max-length: not allowed with argument --element"),
     (("tame", pres_path("abc_de"), "--pattern", "a", "--max-length", "4",
       "--element", "d e"), "--element: not allowed with argument --max-length"),
+    # checked after parsing, since --element is grouped with --all
+    (("catenary", pres_path("abc_cb"), "--element", "a b c", "--max-length",
+      "1"), "--max-length: not allowed with argument --element"),
+    (("catenary", pres_path("abc_cb"), "--max-length", "3", "--element", ""),
+     "--max-length: not allowed with argument --element"),
+    (("catenary", "no-such-file.pres", "--element", "a", "--max-length", "2"),
+     "--max-length: not allowed with argument --element"),
 ])
 def test_usage_errors_exit_one(capsys, argv, message):
     # exit code 2 is kept for partial results under an exhausted budget

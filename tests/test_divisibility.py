@@ -517,6 +517,31 @@ def test_matrix_sweep_queries_match_the_per_atom_loops(make):
     assert all(r.holds for r in reports)
 
 
+@pytest.mark.parametrize("make", [TriangularMatrixHandle, FullMatrixHandle])
+def test_matrix_valuations_are_read_off_the_transfer(make):
+    # one class multiset per element: V_q(a) is one count and no element is
+    # a counterexample, so the answers walk no rigid ordering, and they are
+    # the rigid walk's reports, field for field
+    rng = random.Random(11)
+    lower = (lambda: 0) if make is TriangularMatrixHandle \
+        else (lambda: rng.randint(-6, 6))
+    matrices = [((12, 0), (0, 12)), ((1, 0), (0, 1))]
+    while len(matrices) < 30:
+        m = ((rng.randint(-8, 8), rng.randint(-8, 8)),
+             (lower(), rng.randint(-8, 8)))
+        if 1 <= abs(mat_det(m)) <= 60:
+            matrices.append(m)
+    atoms = (((2, 0), (0, 1)), ((1, 0), (0, 2)), ((3, 1), (0, 1)),
+             ((1, 1), (0, 5)))
+    h, ref = make(2), make(2)
+    for q in atoms:
+        for m in matrices:
+            assert valuation_set(h, q, m) == _valuation_reference(ref, q, m)
+        assert is_almost_prime_like(h, q, matrices) \
+            == _apl_reference(ref, q, matrices)
+    assert not h.memo.rigid and ref.memo.rigid
+
+
 # omega_p from its definition ---------------------------------------------
 
 

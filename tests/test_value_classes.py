@@ -3,7 +3,7 @@ define their own length or equality, or carry the CLI's reports: fields
 that cannot be assigned, the equality and hash of the records they
 replaced, their length and iteration, their repr, validation on
 construction and on ``_replace``, and an import path that never loads
-``dataclasses``."""
+``dataclasses``, nor any layer module."""
 
 import copy
 import os
@@ -197,7 +197,11 @@ def test_copies_are_equal(name, obj, text):
 def test_cold_import_loads_no_dataclasses():
     src = os.path.dirname(os.path.dirname(factorum.__file__))
     env = dict(os.environ, PYTHONPATH=src)
+    # nor any layer module, nor what the reports need to render
     code = ("import sys, factorum, factorum.cli; "
-            "loaded = {'dataclasses', 'inspect'} & set(sys.modules); "
+            "loaded = {'dataclasses', 'inspect', 'json', 'fractions'} "
+            "& set(sys.modules); "
+            "loaded |= {m for m in sys.modules if m.startswith('factorum.')} "
+            "- {'factorum.cli'}; "
             "assert not loaded, loaded")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
