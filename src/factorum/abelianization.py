@@ -38,7 +38,8 @@ from typing import (Dict, FrozenSet, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
 from .factorizations import permutable_class_multisets
-from .handles import DivisorPairs, FrozenSlots, SemigroupHandle
+from .handles import (DivisorPairs, FrozenSlots, SemigroupHandle,
+                      _require_vector)
 from .presentation import (Element, ExplorationBudget, Presentation,
                            PresentationSemigroup, _bind_closed_class, _closure)
 
@@ -140,6 +141,9 @@ class CommutativeVectorSemigroup(SemigroupHandle):
         return self.element(_vec_of(word, index, self.n))
 
     # SemigroupHandle interface
+
+    def require_element(self, x: VectorElement) -> None:
+        _require_vector(x.coords, self.n, 0)
 
     def identity(self) -> VectorElement:
         return VectorElement((0,) * self.n, True)
@@ -319,18 +323,6 @@ class EquivPAnswer(NamedTuple):
     certified: bool
 
 
-def _multiset_map(handle: PresentationSemigroup, elements: Sequence[Element]
-                  ) -> Tuple[Dict, bool]:
-    """element -> set of atom-class multisets of its factorizations, and
-    whether every set is complete."""
-    out = {}
-    complete = True
-    for a in elements:
-        out[a], a_complete = permutable_class_multisets(handle, a)
-        complete = complete and a_complete
-    return out, complete
-
-
 def equiv_p(handle: PresentationSemigroup, a: Element, b: Element
             ) -> EquivPAnswer:
     """a equiv_p b iff they admit factorizations matching up to permutation
@@ -361,10 +353,16 @@ def weak_transfer_counterexample(handle: PresentationSemigroup,
     mb, _ = permutable_class_multisets(handle, b)
     if not ma & mb:     # not equiv_p-related
         return None
-    missing = sorted(ma - mb) + sorted(mb - ma)
-    if missing:
-        return (a, b, missing[0])
-    return None
+    missing = _unmatched(ma, mb)
+    return None if missing is None else (a, b, missing)
+
+
+def _unmatched(ma: FrozenSet, mb: FrozenSet) -> Optional[Tuple]:
+    """The counterexample multiset of two equiv_p-related elements with
+    the atom-class multiset sets ma and mb: the least of ma's with no
+    match among mb's, else the least of mb's with none among ma's; None
+    where the sets agree."""
+    return min(ma - mb or mb - ma, default=None)
 
 
 def check_exwt(handle: PresentationSemigroup, max_length: Optional[int] = None
@@ -372,10 +370,13 @@ def check_exwt(handle: PresentationSemigroup, max_length: Optional[int] = None
     """Is the canonical map to the reduced abelianization a weak transfer
     homomorphism?  Verified over all explored equiv_p-related pairs."""
     elements, scope_complete = handle.enumerate_elements(max_length)
-    msets, facts_complete = _multiset_map(handle, elements)
+    msets = {}      # element -> its set of atom-class multisets
+    facts_complete = True
     by_multiset: Dict[Tuple, List[Element]] = {}
-    for el, mset in msets.items():
-        for m in mset:
+    for el in elements:
+        msets[el], complete = permutable_class_multisets(handle, el)
+        facts_complete = facts_complete and complete
+        for m in msets[el]:
             by_multiset.setdefault(m, []).append(el)
 
     counterexamples = []
@@ -387,9 +388,9 @@ def check_exwt(handle: PresentationSemigroup, max_length: Optional[int] = None
             if kp in seen_pairs:
                 continue
             seen_pairs.add(kp)
-            if msets[x] != msets[y]:
-                missing = sorted(msets[x] - msets[y]) + sorted(msets[y] - msets[x])
-                counterexamples.append((x, y, missing[0]))
+            missing = _unmatched(msets[x], msets[y])
+            if missing is not None:
+                counterexamples.append((x, y, missing))
 
     transitive = _equiv_p_transitive(msets)
     ab = abelianize(handle)

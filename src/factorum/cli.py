@@ -344,9 +344,7 @@ def cmd_regression(args) -> int:
     for name in names:
         for row in regression.run_case(name, budget):
             statuses.add(row.status)
-            rel = "" if row.relation == "==" else f" ({row.relation})"
-            print(f"[{row.status:>11}] {name}: {row.label}: expected{rel} "
-                  f"{row.expected}, computed {row.computed}")
+            print(regression.format_row(name, row))
     if "FAIL" in statuses:
         return 1
     return 2 if "lower-bound" in statuses else 0

@@ -23,12 +23,12 @@ u_{s(1)}...u_{s(k)} taken along increasing positions s(1) < ... < s(k).
 omega'_p(a, b) ranges over all decompositions of a into non-unit factors
 instead.  The factorizations of a are read off its one fact as atom-key
 tuples with their classes (``factorization_keys``), and atoms are built
-only for the witness: a query, and a sweep of ``omega_semigroup``, keeps
-its running maximiser's parts and indices and builds one witness at the
-end.  A subproduct is known by its parts' keys: one dict per
-``omega_element`` call, shared by the whole sweep of ``omega_semigroup``,
-keeps each subproduct's |_p answer, so its product is built and asked
-about once.  Where b is a certified atom its one class
+only for the witness.  ``omega_element`` is ``omega_semigroup`` over
+the one element a: the sweep keeps its running maximiser's parts and
+indices and builds one witness at the end.  A subproduct is known by its
+parts' keys: one dict per ``omega_semigroup`` call, shared by its whole
+sweep, keeps each subproduct's |_p answer, so its product is built and
+asked about once.  Where b is a certified atom its one class
 multiset is (class of b,), so when a's fact is complete and certified, b
 |_p a holds iff b's class occurs in one of a's class tuples, and k = 1 at
 the first position holding it; a factorization without it starts the
@@ -236,14 +236,6 @@ class OmegaReport(NamedTuple):
     witness: Optional[OmegaWitness] = None
 
 
-_MODES = ("atoms", "nonunits")
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in _MODES:
-        raise ValueError("mode must be 'atoms' or 'nonunits'")
-
-
 def min_subproduct_k(handle: SemigroupHandle, parts: Sequence, b
                       ) -> Tuple[int, Tuple[int, ...], bool]:
     """Smallest k with b |_p a subproduct of the parts taken along
@@ -290,27 +282,25 @@ def _certified_atom_class(handle: SemigroupHandle, b):
 
 def omega_element(handle: SemigroupHandle, a, b,
                   mode: str = "atoms") -> OmegaReport:
-    """omega_p(a, b) (mode "atoms") or omega'_p(a, b) (mode "nonunits").
+    """omega_p(a, b) (mode "atoms") or omega'_p(a, b) (mode "nonunits"):
+    ``omega_semigroup`` over the one element a.
 
     A unit b divides the empty subproduct, so omega is then 0.  A unit a
     has only the empty class multiset, so no non-unit b |_p-divides it,
     and omega is exactly 0 there too."""
-    _check_mode(mode)
-    value, certified, best = _omega(handle, a, b, mode,
-                                    _certified_atom_class(handle, b), {})
-    return OmegaReport(b, mode, value, certified,
-                       _omega_witness(handle, a, mode, value, best))
+    return omega_semigroup(handle, b, (a,), mode)
 
 
 def _omega(handle: SemigroupHandle, a, b, mode: str, b_class,
            answers: Dict) -> Tuple[int, bool, Optional[Tuple]]:
-    """``omega_element`` for a checked mode, with b's class where b is a
-    certified atom (``_certified_atom_class``) and the dict of subproduct
-    answers of the caller's divisor b (``_least_subproduct``).  Returns
-    (value, certified, best): best is (parts, indices) of the first
-    factorization or decomposition reaching the value, its parts atom
-    keys in mode "atoms" and elements in mode "nonunits", and None where
-    the value is 0; ``_omega_witness`` makes it the witness.
+    """omega of the one element a against b, for a checked mode, with b's
+    class where b is a certified atom (``_certified_atom_class``) and the
+    dict of subproduct answers of the caller's divisor b
+    (``_least_subproduct``).  Returns (value, certified, best): best is
+    (parts, indices) of the first factorization or decomposition reaching
+    the value, its parts atom keys in mode "atoms" and elements in mode
+    "nonunits", and None where the value is 0; ``omega_semigroup`` makes
+    the sweep's best the witness.
 
     In mode "atoms", for such a b and an a whose fact is complete and
     certified, b |_p a and the k = 1 step are read off a's class tuples:
@@ -359,18 +349,6 @@ def _omega(handle: SemigroupHandle, a, b, mode: str, b_class,
     return value, certified, best
 
 
-def _omega_witness(handle: SemigroupHandle, a, mode: str, value: int,
-                   best: Optional[Tuple]) -> Optional[OmegaWitness]:
-    """The witness of a's omega ``value`` from ``_omega``'s best, None if
-    there is none; in mode "atoms" its atom keys become atoms here."""
-    if best is None:
-        return None
-    parts, idxs = best
-    if mode == "atoms":
-        parts = tuple(map(handle.atom_of_key, parts))
-    return OmegaWitness(a, parts, value, idxs)
-
-
 def _nonunit_decompositions(handle, a) -> Tuple[List[Tuple], bool]:
     """All decompositions of a into at most _MAX_PARTS non-unit elements.
 
@@ -402,8 +380,11 @@ def _nonunit_decompositions(handle, a) -> Tuple[List[Tuple], bool]:
 def omega_semigroup(handle: SemigroupHandle, b, scope_elements: Sequence,
                     mode: str = "atoms") -> OmegaReport:
     """Semigroup-level omega: max over the explored elements (lower bound).
-    The elements share one dict of subproduct answers."""
-    _check_mode(mode)
+    The elements share one dict of subproduct answers.  The witness is
+    built from the first element reaching the value, its atom keys made
+    atoms in mode "atoms"; a value of 0 has none."""
+    if mode not in ("atoms", "nonunits"):
+        raise ValueError("mode must be 'atoms' or 'nonunits'")
     b_class, answers = _certified_atom_class(handle, b), {}
     value, certified, worst, best = 0, True, None, None
     for a in scope_elements:
@@ -411,8 +392,13 @@ def omega_semigroup(handle: SemigroupHandle, b, scope_elements: Sequence,
         certified = certified and cert
         if v > value:
             value, worst, best = v, a, a_best
+    if best is None:
+        return OmegaReport(b, mode, value, certified)
+    parts, idxs = best
+    if mode == "atoms":
+        parts = tuple(map(handle.atom_of_key, parts))
     return OmegaReport(b, mode, value, certified,
-                       _omega_witness(handle, worst, mode, value, best))
+                       OmegaWitness(worst, parts, value, idxs))
 
 
 # tame degree --------------------------------------------------------------

@@ -7,16 +7,21 @@ factorizations are rigid ones up to permutation and associativity of the
 atoms, i.e. multisets of associate classes.  Length sets, distance sets
 and elasticities are derived from these.
 
-Each handle kind has one walk.  A commutative reduced handle
-(``_orderless``) walks its class multisets alone (``_class_walk``),
-recursing only on a cover: dividing atoms such that every factorization
-holds one of them (on a block monoid, the atoms holding the least term).
-Every other handle walks its rigid factorizations (``_rigid_walk``) on
-its left-divisor atoms and reads its class multisets off them, unless a
-transfer homomorphism to a factorial monoid gives an element's one class
-multiset (``transfer_classes``, on T_n(Z)* and M_n(Z)*): then its class
-multisets and lengths, and the d_len and d_p graphs, t_p and |_p built
-on them, need no walk, and only rigid sets, d* and omega walk.
+A commutative reduced handle (``_orderless``: block monoids, free
+abelian monoids, abelianizations) runs two walks.  Its class multisets,
+lengths and d_len/d_p graphs come from a walk of the class multisets
+alone (``_class_walk``), recursing only on a cover: dividing atoms such
+that every factorization holds one of them (on a block monoid, the atoms
+holding the least term).  Its rigid factorizations, d*, omega, valuation
+sets and almost-prime-likeness come from the rigid walk
+(``_rigid_walk``); reading that layer off the class multisets too would
+leave one walk (ROADMAP item 16).  Every other handle kind has one walk:
+it walks its rigid factorizations (``_rigid_walk``) on its left-divisor
+atoms and reads its class multisets off them, unless a transfer
+homomorphism to a factorial monoid gives an element's one class multiset
+(``transfer_classes``, on T_n(Z)* and M_n(Z)*): then its class multisets
+and lengths, and the d_len and d_p graphs, t_p and |_p built on them,
+need no walk, and only rigid sets, d* and omega walk.
 Completeness is certified exactly when every sub-search was certified
 and no recursion budget was hit (non-atomic inputs such as
 <a,b | aba=b> never certify).  Both walks are plain module-level

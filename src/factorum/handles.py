@@ -34,6 +34,14 @@ class UnsupportedOperation(NotImplementedError):
     pass
 
 
+def _require_vector(v, n: int, least: int) -> None:
+    """Raise ValueError unless v is a tuple of n integers, each >= least:
+    the element check of the vector handles."""
+    if not (type(v) is tuple and len(v) == n
+            and all(type(c) is int and c >= least for c in v)):
+        raise ValueError(f"vector {v!r} is not {n} integers >= {least}")
+
+
 class FrozenSlots:
     """Base of the immutable ``__slots__`` value classes (``Element``,
     ``FactorizationSet``, ``VectorElement``): a field cannot be assigned
@@ -234,6 +242,9 @@ class FactorialVectorHandle(SemigroupHandle):
         self.n = n
         self.name = f"positive-int-vectors^{n}"
 
+    def require_element(self, x) -> None:
+        _require_vector(x, self.n, 1)
+
     def identity(self):
         return (1,) * self.n
 
@@ -270,14 +281,9 @@ class FactorialVectorHandle(SemigroupHandle):
 
     def covering_divisor_atoms(self, x) -> DivisorPairs:
         # every factorization of x holds e_i(p), for the first nontrivial
-        # slot i and the least prime p dividing it
-        for i, c in enumerate(x):
-            if c != 1:
-                p = min(factor(c))
-                atom = tuple(p if j == i else 1 for j in range(self.n))
-                quot = tuple(v // p if j == i else v for j, v in enumerate(x))
-                return [(atom, quot)], True
-        return [], True
+        # slot i and the least prime p dividing it: the first left divisor
+        pairs, complete = self.left_divisor_atoms(x)
+        return pairs[:1], complete
 
     def length_cap(self, x) -> int:
         return sum(sum(factor(c).values()) for c in x if c != 1)

@@ -177,11 +177,8 @@ def tri_associate_normal_form(a: Mat) -> Tuple[Mat, Tuple[Mat, Mat]]:
     multiplication, exactly the elimination by unit matrices from the
     structure theory of T_n.
     """
-    profile = tri_is_atom(a)
-    if profile is None:
-        raise NotAtomError(f"{a} is not an atom of T_n(Z)")
     n = len(a)
-    m = profile.position - 1
+    m = annihilator_profile(a).position - 1
     # normalize diagonal signs first
     signs = tuple(tuple((1 if a[i][i] > 0 else -1) if i == j else 0
                         for j in range(n)) for i in range(n))
@@ -383,19 +380,28 @@ class TriangularMatrixHandle(_MatrixHandle):
 
 
 class SnfResult(NamedTuple):
-    """A = U * C * V with U, V unimodular and c_{i+1,i+1} | c_{i,i}."""
+    """A = U * C * V with U, V unimodular and C diagonal: c_{i+1,i+1} |
+    c_{i,i} from ``snf``, c_{i,i} | c_{i+1,i+1} from ``snf_ascending``."""
     u: Mat
     c: Mat
     v: Mat
 
 
 def snf(a: Mat) -> SnfResult:
-    """Smith Normal Form with the descending divisibility convention.
+    """Smith Normal Form with the descending divisibility convention: the
+    ascending form of ``snf_ascending`` with its diagonal reversed.  The
+    reversal permutation R is its own inverse, so A = U C V gives
+    A = (U R)(R C R)(R V): U's columns, C's rows and columns and V's rows
+    in reverse order."""
+    u, c, v = snf_ascending(a)
+    return SnfResult(tuple(row[::-1] for row in u),
+                     tuple(row[::-1] for row in c[::-1]), v[::-1])
 
-    The usual ascending form (d_1 | d_2 | ...) is computed by exact row and
-    column reduction while accumulating the inverse operations, then the
-    diagonal is reversed by permutation matrices.
-    """
+
+def snf_ascending(a: Mat) -> SnfResult:
+    """Smith Normal Form with the usual ascending convention d_1 | d_2 |
+    ..., by exact row and column reduction while accumulating the inverse
+    operations."""
     n = len(a)
     if mat_det(a) == 0:
         raise ValueError("need nonzero determinant")
@@ -470,23 +476,8 @@ def snf(a: Mat) -> SnfResult:
             if offender is None:
                 break
             add_row(offender, t, 1)
-    # ascending d_1 | d_2 | ... achieved; reverse to the descending convention
-    rev = tuple(tuple(1 if i + j == n - 1 else 0 for j in range(n))
-                for i in range(n))
-    c = mat_mul(rev, mat_mul(tuple(tuple(r) for r in m), rev))
-    u = mat_mul(tuple(tuple(r) for r in left), rev)
-    v = mat_mul(rev, tuple(tuple(r) for r in right))
-    return SnfResult(u, c, v)
-
-
-def snf_ascending(a: Mat) -> SnfResult:
-    """Converter to the common ascending convention d_1 | d_2 | ..."""
-    res = snf(a)
-    n = len(a)
-    rev = tuple(tuple(1 if i + j == n - 1 else 0 for j in range(n))
-                for i in range(n))
-    return SnfResult(mat_mul(res.u, rev), mat_mul(rev, mat_mul(res.c, rev)),
-                     mat_mul(rev, res.v))
+    return SnfResult(tuple(map(tuple, left)), tuple(map(tuple, m)),
+                     tuple(map(tuple, right)))
 
 
 def det_transfer(a: Mat) -> int:

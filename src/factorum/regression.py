@@ -4,8 +4,9 @@ Each case evaluates one acceptance criterion and yields rows of
 (label, expected, computed, certification).  A row passes when the values
 agree and the computation certified as exact; a budget-starved run leaves
 rows flagged as lower bounds instead of failing them.  The CLI command
-``factorum regression`` prints the matrix; the pytest acceptance module
-asserts every row.  A ``CheckRow`` is a named tuple.
+``factorum regression`` prints the matrix, one ``format_row`` line per
+row; the pytest acceptance module asserts every row and compares each
+case's lines with the pinned output.  A ``CheckRow`` is a named tuple.
 """
 
 from __future__ import annotations
@@ -44,14 +45,12 @@ class CheckRow(NamedTuple):
     expected: object
     computed: object
     certification: Certification
-    relation: str = "=="      # "==", ">=", "<="
+    relation: str = "=="      # "==" or ">="
 
     @property
     def matches(self) -> bool:
         if self.relation == ">=":
             return self.computed >= self.expected
-        if self.relation == "<=":
-            return self.computed <= self.expected
         return self.computed == self.expected
 
     @property
@@ -59,6 +58,13 @@ class CheckRow(NamedTuple):
         if self.certification is not Certification.EXACT:
             return "lower-bound"
         return "pass" if self.matches else "FAIL"
+
+
+def format_row(case: str, row: CheckRow) -> str:
+    """The line ``factorum regression`` prints for one row of a case."""
+    rel = "" if row.relation == "==" else f" ({row.relation})"
+    return (f"[{row.status:>11}] {case}: {row.label}: expected{rel} "
+            f"{row.expected}, computed {row.computed}")
 
 
 def _budget(override: Optional[BudgetOverride], default_len: int,

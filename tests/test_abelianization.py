@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from factorum.abelianization import (_vectors_up_to, abelianize, check_exwt,
                                      equiv_p, length_map,
                                      weak_transfer_counterexample)
+from factorum.catenary import catenary
 from factorum.factorizations import (class_multiset, length_profile,
+                                     permutable_class_multisets,
                                      permutable_factorizations,
                                      rigid_factorizations)
 from factorum.presentation import (ExplorationBudget, PresentationSemigroup,
@@ -17,6 +19,19 @@ from factorum.presets import engine, load_preset, preset_names
 
 def make(text):
     return PresentationSemigroup(parse_presentation(text))
+
+
+@pytest.mark.parametrize("coords", [(1, 0, 0, 0), (-1, 0, 0), (-1, 1, 0)])
+@pytest.mark.parametrize("query", [length_profile, rigid_factorizations,
+                                   permutable_class_multisets, catenary])
+def test_abelianization_rejects_a_non_element(query, coords):
+    # the coordinates of an element are one integer >= 0 per generator: a
+    # vector of the wrong length or with a negative entry is refused by name
+    ab = abelianize(engine("abc_cb"))
+    with pytest.raises(ValueError,
+                       match=rf"vector \({coords[0]}, .* is not 3 integers >= 0"):
+        query(ab, ab.element(coords))
+    assert length_profile(ab, ab.element((1, 0, 0))).lengths == (1,)
 
 
 def test_abelianize_ab_cd():

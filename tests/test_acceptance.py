@@ -4,11 +4,25 @@ Every row must hold with exact certification at the stated tolerances
 (exact equality throughout).  Run with ``pytest -s tests/test_acceptance.py``
 to see the per-criterion lines, or ``factorum regression`` for the same
 matrix from the CLI.
+
+Each case's printed lines must also match ``data/regression.txt``, the
+output of ``factorum regression`` pinned byte for byte, so an answer or a
+label that changes shows up here; the cases run once, for both checks.
 """
+
+import pathlib
 
 import pytest
 
-from factorum.regression import CRITERIA, run_case
+from factorum.regression import CRITERIA, format_row, run_case
+
+PINNED = (pathlib.Path(__file__).parent / "data" / "regression.txt"
+          ).read_text("utf-8").splitlines()
+
+
+def _case_of(line):
+    """The case a printed line belongs to: ``[<status>] <case>: ...``."""
+    return line.split("] ", 1)[1].split(": ", 1)[0]
 
 _DESCRIPTIONS = {
     "abc_cb": "criterion 1: <a,b,c | abc=cb> lengths, Delta, c_p, d_p",
@@ -31,6 +45,8 @@ _DESCRIPTIONS = {
 @pytest.mark.parametrize("case", CRITERIA)
 def test_acceptance(case):
     rows = run_case(case)
+    assert [format_row(case, r) for r in rows] == [
+        line for line in PINNED if _case_of(line) == case]
     failures = [r for r in rows if r.status == "FAIL"]
     bounds = [r for r in rows if r.status == "lower-bound"]
     status = "PASS" if not failures and not bounds else "FAIL"
@@ -41,3 +57,11 @@ def test_acceptance(case):
     assert not failures, failures
     assert not bounds, ("criterion must be decided exactly at the stated "
                         "budgets", bounds)
+
+
+def test_pinned_output_is_every_case_in_order():
+    # with the per-case comparison above, the whole printed output is the
+    # pinned file: its lines are grouped by case, in the CLI's order
+    cases = [_case_of(line) for line in PINNED]
+    assert sorted(set(cases), key=cases.index) == CRITERIA
+    assert cases == sorted(cases, key=CRITERIA.index)

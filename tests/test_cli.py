@@ -1,5 +1,6 @@
 import importlib
 import json
+import pathlib
 from unittest import mock
 
 import pytest
@@ -318,6 +319,11 @@ def test_regression_single_case(capsys):
     code, out, _ = run(capsys, "regression", "--case", "abc_cb")
     assert code == 0
     assert out.count("pass") == 4
+    # the case's lines of the pinned output of ``factorum regression``
+    pinned = (pathlib.Path(__file__).parent / "data" / "regression.txt"
+              ).read_text("utf-8").splitlines()
+    assert out.splitlines() == [line for line in pinned
+                                if line.startswith("[       pass] abc_cb: ")]
 
 
 def test_regression_unknown_case(capsys):

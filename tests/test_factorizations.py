@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -789,6 +790,20 @@ def test_vector_cover_recursion_matches_the_all_divisor_recursion(x):
     cover, complete = h.covering_divisor_atoms(x)
     assert complete and len(cover) == (0 if h.is_unit(x) else 1)
     assert cover == pairs[:1]
+
+
+@pytest.mark.parametrize("x", [(4,), (4, 1, 1), (2.0, 3), (-4, 1), (0, 2),
+                               (True, 2), [4, 1]])
+@pytest.mark.parametrize("query", [length_profile, rigid_factorizations,
+                                   permutable_class_multisets, catenary])
+def test_vector_handle_rejects_a_non_element(query, x):
+    # only two integers >= 1 are an element of (N_{>0})^2: a short, long,
+    # float, non-positive or boolean vector, or a list, is refused by name
+    h = FactorialVectorHandle(2)
+    with pytest.raises(ValueError, match=re.escape(
+            f"vector {x!r} is not 2 integers >= 1")):
+        query(h, x)
+    assert length_profile(h, (4, 1)).lengths == (2,)
 
 
 def _walked(h, word):

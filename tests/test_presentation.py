@@ -148,6 +148,9 @@ def test_equal_reflexive():
 def test_not_equal_certified():
     h = engine("ab_cd")
     assert h.equal(("a", "b"), ("d", "c")) is Equality.NOT_EQUAL
+    h = engine("abc_cb")
+    assert h.congruence_ball(("a",)).closed
+    assert h.equal(("a",), ("b",)) is Equality.NOT_EQUAL
 
 
 def test_unknown_on_truncation():
@@ -156,6 +159,19 @@ def test_unknown_on_truncation():
     assert h.equal(("b",), ("a", "b")) is Equality.UNKNOWN
     # ...but a closed ball on either side still certifies inequality
     assert h.equal(("b",), ("a",)) is Equality.NOT_EQUAL
+
+
+def test_equal_through_the_second_ball():
+    # neither ball of b and a b closes, so nothing is certified; the ball
+    # of b is open and misses a a b a a, but that word's ball holds b
+    h = engine("aba_b", ExplorationBudget(3, 5))
+    assert h.equal(("b",), ("a", "b")) is Equality.UNKNOWN
+    assert not h.congruence_ball(("b",)).closed
+    assert not h.congruence_ball(("a", "b")).closed
+    w = ("a", "a", "b", "a", "a")
+    assert w not in h.congruence_ball(("b",)).members
+    assert ("b",) in h.congruence_ball(w).members
+    assert h.equal(("b",), w) is Equality.EQUAL
 
 
 # atoms ----------------------------------------------------------------------
