@@ -1,11 +1,13 @@
 """Abelianization of a presentation and the weak-transfer criterion.
 
 The abelianization of <X | R> is the commutative semigroup on exponent
-vectors N^X modulo the vector rewrites induced by R; equality is again a
-bounded congruence closure, mirroring the word engine's certification
-semantics.  Under the reduced-presentation restriction no nontrivial units
-arise inside certified balls (a unit scan guards this), so the reduced
-abelianization coincides with the abelianization.
+vectors N^X modulo the vector rewrites induced by R; equality is decided
+by the word engine's own ball engine (``presentation._BallEngine``),
+which builds, certifies and keeps vector balls by the same rule as word
+balls, with a vector's total as its size.  Under the reduced-presentation
+restriction no nontrivial units arise inside certified balls (a unit scan
+guards this), so the reduced abelianization coincides with the
+abelianization.
 
 Two elements are related by equiv_p when they admit rigid factorizations
 with the same multiset of atom associate-classes, i.e. share a permutable
@@ -38,10 +40,9 @@ from typing import (Dict, FrozenSet, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
 from .factorizations import permutable_class_multisets
-from .handles import (DivisorPairs, FrozenSlots, SemigroupHandle,
-                      _require_vector)
-from .presentation import (Element, ExplorationBudget, Presentation,
-                           PresentationSemigroup, _bind_closed_class, _closure)
+from .handles import DivisorPairs, FrozenSlots, _require_vector
+from .presentation import (Element, ExplorationBudget, PresentationSemigroup,
+                           _BallEngine)
 
 Vector = Tuple[int, ...]
 _LENGTH_MAP_SCOPE = 5    # the longest elements on which length_map is checked
@@ -81,29 +82,21 @@ _set_coords = VectorElement.coords.__set__
 _set_certified = VectorElement.certified.__set__
 
 
-class CommutativeVectorSemigroup(SemigroupHandle):
-    """Free commutative monoid N^k modulo vector rewrites, with bounded
-    congruence closure.  Elements are exponent vectors."""
+class CommutativeVectorSemigroup(_BallEngine):
+    """Free commutative monoid N^k modulo vector rewrites, on the ball
+    engine of the word engine.  Elements are exponent vectors; the size of
+    a vector is its total, and its ball (``ball``) is a ``VectorBall``."""
 
-    reduced = True
     commutative = True
+    _size = sum
 
     def __init__(self, generators: Tuple[str, ...],
                  relations: Sequence[Tuple[Vector, Vector]],
                  budget: ExplorationBudget):
         self.generators = generators
-        self.budget = budget
         self.n = len(generators)
         self.relations: Tuple[Tuple[Vector, Vector], ...] = tuple(relations)
-        # as on the word engine, no rule for a relation with equal sides
-        self._rules: List[Tuple[Vector, Vector]] = []
-        for lhs, rhs in self.relations:
-            if lhs != rhs:
-                self._rules += [(lhs, rhs), (rhs, lhs)]
-        # the balls of facts, bound and kept as on the word engine (see
-        # ``PresentationSemigroup.__init__``)
-        self._canon: Dict[Vector, VectorBall] = {}
-        self._open_balls: Dict[Vector, VectorBall] = {}
+        super().__init__(self.relations, budget)
         self.name = "abelianization(" + " ".join(generators) + ")"
 
     def _key(self, v: Vector):
@@ -114,23 +107,11 @@ class CommutativeVectorSemigroup(SemigroupHandle):
             if all(a >= b for a, b in zip(v, lhs)):
                 yield tuple(a - b + c for a, b, c in zip(v, lhs, rhs))
 
-    def ball(self, v: Vector) -> VectorBall:
-        ball = self._canon.get(v)
-        if ball is not None:
-            return ball
-        ball = self._open_balls.get(v)
-        if ball is not None:
-            return ball
-        members, escaped, truncated = _closure(v, self._rewrites, sum,
-                                               self.budget, sum(v))
-        ball = VectorBall(frozenset(members), not escaped and not truncated,
+    ball = _BallEngine._ball
+
+    def _new_ball(self, v: Vector, members, closed, truncated):
+        return VectorBall(frozenset(members), closed,
                           min(members, key=self._key))
-        if ball.closed:
-            _bind_closed_class(self._canon, ball, self.budget.max_word_length,
-                               sum)
-        else:
-            self._open_balls[v] = ball
-        return ball
 
     def element(self, v: Vector) -> VectorElement:
         ball = self.ball(v)
@@ -143,6 +124,8 @@ class CommutativeVectorSemigroup(SemigroupHandle):
     # SemigroupHandle interface
 
     def require_element(self, x: VectorElement) -> None:
+        if not isinstance(x, VectorElement):
+            raise ValueError(f"{x!r} is not a VectorElement of {self.name}")
         _require_vector(x.coords, self.n, 0)
 
     def identity(self) -> VectorElement:
@@ -154,16 +137,10 @@ class CommutativeVectorSemigroup(SemigroupHandle):
     def is_unit(self, x: VectorElement) -> bool:
         return sum(x.coords) == 0
 
-    def atom_of_key(self, k):
-        return self.element(k)
-
-    class_atom = atom_of_key    # an atom's class is its key
+    class_atom = _BallEngine.atom_of_key    # an atom's class is its key
 
     def multiply(self, x: VectorElement, y: VectorElement) -> VectorElement:
         return self.element(tuple(a + b for a, b in zip(x.coords, y.coords)))
-
-    def certified(self, x: VectorElement) -> bool:
-        return x.certified
 
     def is_atom(self, x: VectorElement) -> bool:
         if self.is_unit(x):

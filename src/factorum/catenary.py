@@ -149,8 +149,10 @@ def _graph(handle: SemigroupHandle, a, kind: DistanceKind) -> _Graph:
     if kind is DistanceKind.RIGID:
         fs = rigid_factorizations(handle, a)
         nodes, complete, rigid = fs.factorizations, fs.complete, _itself
-    else:
+    elif kind is DistanceKind.PERMUTABLE or kind is DistanceKind.LENGTH:
         nodes, complete, rigid = _class_nodes(handle, a)
+    else:
+        raise ValueError(f"unknown distance kind {kind!r}")
     if len(nodes) < 2:
         return _Graph(nodes, None, complete, rigid)
     mat = _permutable_matrix(nodes) if kind is DistanceKind.PERMUTABLE \
@@ -290,7 +292,10 @@ def semigroup_catenary(handle, elements: Sequence, kind: DistanceKind,
     variant's view as in its own report, but only the first element of
     the largest value keeps its graph and edge, and its witness is the
     one built."""
-    view = _VIEWS[variant]
+    view = _VIEWS.get(variant)
+    if view is None:
+        raise ValueError(f"unknown catenary variant {variant!r}; "
+                         f"expected one of {', '.join(_VIEWS)}")
     value, best, certified = 0, None, scope_complete
     for a in elements:
         g = _graph(handle, a, kind)

@@ -302,7 +302,9 @@ def distance(handle: SemigroupHandle, kind: DistanceKind,
         return length_distance(z, zp)
     if kind is DistanceKind.PERMUTABLE:
         return permutable_distance(handle, z, zp)
-    return rigid_distance(handle, z, zp)
+    if kind is DistanceKind.RIGID:
+        return rigid_distance(handle, z, zp)
+    raise ValueError(f"unknown distance kind {kind!r}")
 
 
 class AxiomReport(NamedTuple):

@@ -393,10 +393,10 @@ def permutable_class_multisets(handle: SemigroupHandle, a
         _, classes, complete = factorization_keys(handle, a)
         return frozenset([tuple(sorted(c)) for c in classes]), complete
     cache = handle.memo.classes
-    key = handle.key(a)
     try:
+        key = handle.key(a)
         hit = cache.get(key)
-    except TypeError:   # unhashable, so no element: the check says why
+    except (TypeError, AttributeError):   # no element: the check says why
         hit = None
     if hit is None:
         handle.require_element(a)

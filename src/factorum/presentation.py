@@ -15,14 +15,18 @@ Canonical forms are shortlex-minimal ball members, with the generator
 order taken from the declaration order.  The word problem is undecidable
 in general; every answer therefore carries a certification flag.
 
-Of a class, the engine keeps its balls only.  A closed ball is the
-engine's one record of its class and holds the class's one ``Element``;
-atom answers and left-divisor lists are read off the balls on every
-call.  What the engine keeps per closed class is thus its ball, the
-ball's member set and its ``Element``, the only objects of a class that
-the cyclic collector tracks.  A class's rigid factorizations are kept in the
-handle's memo as one fact of words and ints (see ``factorizations``),
-which the sweep queries read directly.
+The rewrite rules, the ball caches and the rule that binds a closed ball
+to its members are written once, in ``_BallEngine``, under this engine
+and the abelianization's vector engine alike; each gives only its seed
+size, its rewrites and its ball record.  Of a class, the engine keeps
+its balls only.  A closed ball is the engine's one record of its class
+and holds the class's one ``Element``; atom answers and left-divisor
+lists are read off the balls on every call.  What the engine keeps per
+closed class is thus its ball, the ball's member set and its
+``Element``, the only objects of a class that the cyclic collector
+tracks.  A class's rigid factorizations are kept in the handle's memo
+as one fact of words and ints (see ``factorizations``), which the sweep
+queries read directly.
 
 Cancellativity is assumed, not decided.  ``check_adyan`` provides the one
 sufficient certificate used throughout: if each relation contributes an
@@ -301,17 +305,16 @@ class CongruenceBall(NamedTuple):
     element: Optional[Element] = None
 
 
-def _closure(seed, rewrites, size, budget: ExplorationBudget,
-             seed_size: int):
+def _closure(seed, rewrites, size, budget: ExplorationBudget):
     """The bounded congruence closure of seed, for the word engine and the
     abelianization alike: the elements reached from seed by ``rewrites``
     (each yields every single relation application, in both directions)
-    whose ``size`` is at most the cap max(word cap, seed_size), and at
-    most ``max_ball_size`` of them.  Returns (members, escaped,
-    truncated): escaped when a rewrite went past the cap, truncated when
-    the size cap stopped the search.  The ball is closed iff neither
-    holds."""
-    cap = max(budget.max_word_length, seed_size)
+    whose ``size`` is at most the cap max(word cap, size(seed)), and at
+    most ``max_ball_size`` of them.  Returns (members, closed,
+    truncated): truncated when the size cap stopped the search, and
+    closed when neither it nor the word cap did (no rewrite went past
+    the cap)."""
+    cap = max(budget.max_word_length, size(seed))
     members = {seed}
     queue = [seed]
     escaped = False
@@ -328,20 +331,7 @@ def _closure(seed, rewrites, size, budget: ExplorationBudget,
                     break
                 members.add(nb)
                 queue.append(nb)
-    return members, escaped, truncated
-
-
-def _bind_closed_class(canon: Dict, ball, word_cap: int, size) -> None:
-    """Bind the members of a closed ball to the ball in ``canon``, each
-    only when its own build would close the ball too: when its cap
-    max(word_cap, size(member)) reaches the longest member.  A word is
-    then answered from the cache exactly as a cold engine answers it, and
-    a class is built at most once."""
-    members = ball.members
-    longest = max(map(size, members))
-    for m in members:
-        if max(word_cap, size(m)) >= longest:
-            canon[m] = ball
+    return members, not escaped and not truncated, truncated
 
 
 class Equality(Enum):
@@ -399,38 +389,80 @@ _YES = AtomAnswer(AtomKind.YES)
 _UNKNOWN = AtomAnswer(AtomKind.UNKNOWN)
 
 
-class PresentationSemigroup(SemigroupHandle):
-    """SemigroupHandle over a finite presentation with bounded closure."""
+class _BallEngine(SemigroupHandle):
+    """The bounded congruence engine under the word engine and the
+    abelianization: the rewrite rules, the ball caches and the one way a
+    ball is looked up, built and kept.  A subclass gives the size of a
+    seed (``_size``), the single rewrites of a seed (``_rewrites``) and
+    the ball record (``_new_ball``), and binds ``_ball`` under its own
+    public name.
+
+    The ball caches hold facts only, so every answer is a function of the
+    seeds asked about, not of what was explored before.  A closed ball is
+    a whole congruence class (rewriting is symmetric, and no rewrite of a
+    member leaves it), and its ball is the engine's one record of it.
+    ``_canon`` binds that ball to each member whose own build closes it
+    too: whose cap max(word cap, its size) reaches the longest member.  A
+    seed is then answered from the cache exactly as a cold engine answers
+    it, and a class is built at most once.  Any other ball is kept in
+    ``_open_balls`` under its seed alone and never shared."""
 
     reduced = True
+
+    def __init__(self, relations, budget: ExplorationBudget):
+        self.budget = budget
+        # both directions of each relation; one with equal sides would
+        # only rewrite a seed to itself
+        self._rules = [rule for lhs, rhs in relations if lhs != rhs
+                       for rule in ((lhs, rhs), (rhs, lhs))]
+        self._canon: Dict = {}
+        self._open_balls: Dict = {}
+
+    def _ball(self, seed):
+        ball = self._canon.get(seed)
+        if ball is not None:
+            return ball
+        ball = self._open_balls.get(seed)
+        if ball is not None:
+            return ball
+        size = self._size
+        members, closed, truncated = _closure(seed, self._rewrites, size,
+                                              self.budget)
+        ball = self._new_ball(seed, members, closed, truncated)
+        if ball.closed:
+            cap = self.budget.max_word_length
+            longest = max(map(size, ball.members))
+            for m in ball.members:
+                if max(cap, size(m)) >= longest:
+                    self._canon[m] = ball
+        else:
+            self._open_balls[seed] = ball
+        return ball
+
+    def certified(self, x) -> bool:
+        return x.certified
+
+    def atom_of_key(self, k):
+        # an atom's class is closed and binds its canonical key k
+        return self.element(k)
+
+
+class PresentationSemigroup(_BallEngine):
+    """SemigroupHandle over a finite presentation with bounded closure."""
+
+    _size = len
 
     def __init__(self, presentation: Presentation,
                  budget: Optional[ExplorationBudget] = None):
         self.presentation = presentation
-        self.budget = budget or presentation.budget
+        super().__init__(presentation.relations,
+                         budget or presentation.budget)
         for rel in presentation.relations:
             if max(len(rel.lhs), len(rel.rhs)) > self.budget.max_word_length:
                 raise BudgetError("max_word_length is below a relation side")
         self.name = "<" + " ".join(presentation.generators) + " | " + ", ".join(
             " ".join(r.lhs) + "=" + " ".join(r.rhs) for r in presentation.relations) + ">"
         self._gidx = {g: i for i, g in enumerate(presentation.generators)}
-        # both directions of each relation; one with equal sides would
-        # only rewrite a word to itself
-        self._rules = []
-        for r in presentation.relations:
-            if r.lhs != r.rhs:
-                self._rules += [(r.lhs, r.rhs), (r.rhs, r.lhs)]
-        # The ball caches hold facts only, so every answer is a function of
-        # the words asked about, not of what was explored before.  A closed
-        # ball is a whole congruence class (rewriting is symmetric, and no
-        # rewrite of a member leaves it), and its ball is the engine's one
-        # record of it, holding the class's one Element.  ``_canon`` binds
-        # that ball to the members whose own build closes it too
-        # (``_bind_closed_class``).  Any other ball is kept in
-        # ``_open_balls`` under its seed alone and never shared.  Atom
-        # answers and left divisors are read off these balls on every call.
-        self._canon: Dict[Word, CongruenceBall] = {}
-        self._open_balls: Dict[Word, CongruenceBall] = {}
         self.adyan = check_adyan(presentation)
         self.warnings: List[str] = []
         if not self.adyan.is_adyan:
@@ -466,30 +498,17 @@ class PresentationSemigroup(SemigroupHandle):
 
     # balls -----------------------------------------------------------
 
-    def congruence_ball(self, word: Word) -> CongruenceBall:
-        ball = self._canon.get(word)
-        if ball is not None:
-            return ball
-        ball = self._open_balls.get(word)
-        if ball is not None:
-            return ball
-        members, escaped, truncated = _closure(word, self._rewrites, len,
-                                               self.budget, len(word))
-        closed = not escaped and not truncated
+    congruence_ball = _BallEngine._ball
+
+    def _new_ball(self, word: Word, members, closed, truncated):
         canonical = word if len(members) == 1 else min(
             members, key=self.shortlex_key)
         least_long = canonical if len(canonical) >= 2 else min(
             (m for m in members if len(m) >= 2), key=self.shortlex_key,
             default=None)
-        ball = CongruenceBall(word, frozenset(members), closed, canonical,
+        return CongruenceBall(word, frozenset(members), closed, canonical,
                               truncated, least_long,
                               Element(canonical) if closed else None)
-        if closed:
-            _bind_closed_class(self._canon, ball, self.budget.max_word_length,
-                               len)
-        else:
-            self._open_balls[word] = ball
-        return ball
 
     def element(self, word: Word) -> Element:
         ball = self._canon.get(word)
@@ -652,10 +671,6 @@ class PresentationSemigroup(SemigroupHandle):
     def key(self, x: Element):
         return x.word
 
-    def atom_of_key(self, k: Word) -> Element:
-        # an atom's class is closed and binds its canonical word k
-        return self.element(k)
-
     def atom_class(self, u: Element):
         return u.word           # reduced: an atom's class is its element
 
@@ -664,9 +679,6 @@ class PresentationSemigroup(SemigroupHandle):
 
     def multiply(self, x: Element, y: Element) -> Element:
         return self.element(x.word + y.word)
-
-    def certified(self, x: Element) -> bool:
-        return x.certified
 
     def is_atom(self, x: Element) -> bool:
         return self.atom_answer(x).kind is AtomKind.YES

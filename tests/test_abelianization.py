@@ -34,6 +34,22 @@ def test_abelianization_rejects_a_non_element(query, coords):
     assert length_profile(ab, ab.element((1, 0, 0))).lengths == (1,)
 
 
+@pytest.mark.parametrize("x", [(1, 0, 0), "a", None])
+@pytest.mark.parametrize("query", [length_profile, rigid_factorizations,
+                                   permutable_class_multisets, catenary])
+def test_abelianization_rejects_what_is_not_a_vector_element(query, x):
+    ab = abelianize(engine("abc_cb"))
+    with pytest.raises(ValueError, match="is not a VectorElement"):
+        query(ab, x)
+
+
+def test_both_engines_share_one_ball_method():
+    from factorum.abelianization import CommutativeVectorSemigroup
+    from factorum.presentation import _BallEngine
+    assert PresentationSemigroup.__dict__["congruence_ball"] \
+        is CommutativeVectorSemigroup.__dict__["ball"] is _BallEngine._ball
+
+
 def test_abelianize_ab_cd():
     h = engine("ab_cd")
     ab = abelianize(h)

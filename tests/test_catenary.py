@@ -1,3 +1,5 @@
+import pytest
+
 from factorum.catenary import (VARIANTS, adjacent_catenary, catenary,
                                catenary_in_fibers, equal_catenary,
                                monotone_catenary, semigroup_catenary)
@@ -208,6 +210,24 @@ def test_semigroup_catenary():
     fels, _ = free.enumerate_elements(5)
     for kind in DistanceKind:
         assert semigroup_catenary(free, fels, kind).value == 0
+
+
+@pytest.mark.parametrize("kind", ["length", "permutable", "rigid"])
+def test_catenary_refuses_a_kind_that_is_not_a_distance_kind(kind):
+    h = engine("abc_cb")
+    el = h.element_from_str("a b c")
+    with pytest.raises(ValueError, match=f"unknown distance kind {kind!r}"):
+        catenary(h, el, kind)
+    with pytest.raises(ValueError, match=f"unknown distance kind {kind!r}"):
+        semigroup_catenary(h, [el], kind)
+
+
+def test_semigroup_catenary_refuses_an_unknown_variant():
+    h = engine("abc_cb")
+    el = h.element_from_str("a b c")
+    with pytest.raises(ValueError, match="'foo'.*plain, equal, adjacent, "
+                                         "monotone"):
+        semigroup_catenary(h, [el], DistanceKind.PERMUTABLE, "foo")
 
 
 def _element_sup(fn, handle, elements, kind):

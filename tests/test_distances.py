@@ -45,6 +45,18 @@ def test_rigid_distance_aba_b():
     assert rigid_distance_oracle(h, z, zp) == 2
 
 
+@pytest.mark.parametrize("kind", ["length", "permutable", "rigid", None])
+def test_distance_refuses_a_kind_that_is_not_a_distance_kind(kind):
+    # c b and a b c both factor a b c on abc_cb; a string is not coerced
+    h = engine("abc_cb")
+    z, zp = facts_of(h, "a b c")
+    with pytest.raises(ValueError, match=f"unknown distance kind {kind!r}"):
+        distance(h, kind, z, zp)
+    with pytest.raises(ValueError, match=f"unknown distance kind {kind!r}"):
+        verify_axioms(h, kind, [[z, zp]])
+    assert distance(h, DistanceKind.LENGTH, z, zp) == 1
+
+
 def test_distance_identity_axiom():
     h = engine("abc_cb")
     for z in facts_of(h, "a b c"):

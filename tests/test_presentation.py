@@ -321,6 +321,19 @@ def test_budget_below_relation_side_rejected():
         make("gens: a b\nrel: a b a = b\n", ExplorationBudget(2, 100))
 
 
+def test_families_parse_under_their_own_word_cap():
+    from factorum.presets import anbn, b_an_c
+    assert anbn(7).budget.max_word_length == 14
+    assert anbn(7, 40).budget == ExplorationBudget(40, 100_000)
+    assert b_an_c(13).budget.max_word_length == 13
+    h = ab_ban(13, 40)
+    assert h.budget == h.presentation.budget == ExplorationBudget(40, 100_000)
+    assert len(h.presentation.relations[0].rhs) == 13
+    # below the default cap the family is what its text alone gives
+    assert anbn(2).presentation == parse_presentation(
+        "gens: a b\nrel: a a b b = b b a a\n")
+
+
 def _closed_balls(h):
     """Every closed ball the engine keeps, once each: each is bound to the
     members whose own build closes it."""
