@@ -137,8 +137,6 @@ class CommutativeVectorSemigroup(_BallEngine):
     def is_unit(self, x: VectorElement) -> bool:
         return sum(x.coords) == 0
 
-    class_atom = _BallEngine.atom_of_key    # an atom's class is its key
-
     def multiply(self, x: VectorElement, y: VectorElement) -> VectorElement:
         return self.element(tuple(a + b for a, b in zip(x.coords, y.coords)))
 

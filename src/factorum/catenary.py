@@ -45,7 +45,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
-from .distances import DistanceKind, distance
+from .distances import DistanceKind, _require_kind, distance
 from .factorizations import (RigidFactorization, _class_nodes,
                              _class_occurrences, rigid_factorizations)
 from .handles import SemigroupHandle
@@ -292,6 +292,7 @@ def semigroup_catenary(handle, elements: Sequence, kind: DistanceKind,
     variant's view as in its own report, but only the first element of
     the largest value keeps its graph and edge, and its witness is the
     one built."""
+    _require_kind(kind)
     view = _VIEWS.get(variant)
     if view is None:
         raise ValueError(f"unknown catenary variant {variant!r}; "

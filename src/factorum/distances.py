@@ -296,6 +296,14 @@ def _oracle_walk(handle: SemigroupHandle, a: Sequence, b: Sequence,
     return best
 
 
+def _require_kind(kind) -> None:
+    """Raise ValueError unless kind is a ``DistanceKind`` member, the only
+    kinds ``distance`` accepts: a query that may reach no distance (an
+    empty scope) asks this once at its top."""
+    if type(kind) is not DistanceKind:
+        raise ValueError(f"unknown distance kind {kind!r}")
+
+
 def distance(handle: SemigroupHandle, kind: DistanceKind,
              z: RigidFactorization, zp: RigidFactorization) -> int:
     if kind is DistanceKind.LENGTH:
@@ -321,6 +329,7 @@ def verify_axioms(handle: SemigroupHandle, kind: DistanceKind,
     (D4) translation invariance under prefixing/suffixing by extension
     atoms, and (D5) the length bounds, over all factorization pairs and
     triples of each sample element.  Reports the first violation."""
+    _require_kind(kind)
 
     def d(x, y):
         return distance(handle, kind, x, y)

@@ -182,7 +182,10 @@ class ValuationSet(NamedTuple):
 def valuation_set(handle: SemigroupHandle, q, a) -> ValuationSet:
     """V_q(a): counts of q-associates across the rigid factorizations of a;
     where the handle gives a's one class multiset (``transfer_classes``),
-    the one count of q's class in it."""
+    the one count of q's class in it.  Only an atom q has a valuation, so
+    any other q is refused, the unit a included."""
+    if not handle.is_atom(q):
+        raise ValueError(f"{handle.format_element(q)} is not an atom")
     if handle.is_unit(a):
         return ValuationSet(q, a, (0,), True)
     m = handle.transfer_classes(a)
@@ -415,39 +418,39 @@ def tame_element(handle: SemigroupHandle, a,
                  pattern: Sequence) -> TameReport:
     """t_p(a, x) for a pattern x given as a sequence of atoms: 0 when no
     permutable factorization of a contains x, else the worst distance from
-    an arbitrary one to a qualifying one."""
-    for u in pattern:
-        if not handle.is_atom(u):
-            raise ValueError(
-                f"pattern entry {handle.format_element(u)} is not an atom")
-    pat = _class_occurrences(sorted(map(handle.atom_class, pattern)))
-    nodes, complete, _ = _class_nodes(handle, a)
-    occs = [_class_occurrences(z.classes) for z in nodes]
-    qualifying = [(zp, op) for zp, op in zip(nodes, occs) if pat <= op]
-    if not qualifying:
-        return TameReport(tuple(pattern), 0, complete, None)
-    value, witness = 0, None
-    for z, oz in zip(nodes, occs):
-        # d_p(z, z') = max(|z|, |z'|) - |gcd(z, z')|; the first nearest wins
-        best, arg = None, None
-        for zp, op in qualifying:
-            d = max(z.length, zp.length) - len(oz & op)
-            if best is None or d < best:
-                best, arg = d, zp
-        if best > value:
-            value = best
-            witness = (a, z.classes, arg.classes)
-    return TameReport(tuple(pattern), value, complete, witness)
+    an arbitrary one to a qualifying one.  ``tame_semigroup`` over the one
+    element a."""
+    return tame_semigroup(handle, pattern, (a,))
 
 
 def tame_semigroup(handle: SemigroupHandle, pattern: Sequence,
                    scope_elements: Sequence,
                    scope_certified: bool = True) -> TameReport:
-    """t_p(H, x) over the explored elements (certified lower bound)."""
+    """t_p(H, x) over the explored elements (certified lower bound).  The
+    pattern is checked once, before the sweep: each entry must be an
+    atom.  The witness is the first element reaching the value, with its
+    first permutable factorization that does."""
+    for u in pattern:
+        if not handle.is_atom(u):
+            raise ValueError(
+                f"pattern entry {handle.format_element(u)} is not an atom")
+    pat = _class_occurrences(sorted(map(handle.atom_class, pattern)))
     value, witness, certified = 0, None, scope_certified
     for a in scope_elements:
-        rep = tame_element(handle, a, pattern)
-        certified = certified and rep.certified
-        if rep.value > value:
-            value, witness = rep.value, rep.witness
+        nodes, complete, _ = _class_nodes(handle, a)
+        certified = certified and complete
+        occs = [_class_occurrences(z.classes) for z in nodes]
+        qualifying = [(zp, op) for zp, op in zip(nodes, occs) if pat <= op]
+        if not qualifying:
+            continue
+        for z, oz in zip(nodes, occs):
+            # d_p(z, z') = max(|z|, |z'|) - |gcd(z, z')|, and the first
+            # nearest qualifying node wins
+            best, arg = None, None
+            for zp, op in qualifying:
+                d = max(z.length, zp.length) - len(oz & op)
+                if best is None or d < best:
+                    best, arg = d, zp
+            if best > value:
+                value, witness = best, (a, z.classes, arg.classes)
     return TameReport(tuple(pattern), value, certified, witness)

@@ -2,10 +2,13 @@
 
 A rigid factorization of a is an ordered sequence of atoms composing to a;
 the engine is reduced (or the handle supplies associate classes), so a
-sequence of concrete atom representatives identifies it.  Permutable
-factorizations are rigid ones up to permutation and associativity of the
-atoms, i.e. multisets of associate classes.  Length sets, distance sets
-and elasticities are derived from these.
+sequence of concrete atom representatives identifies it.  On a reduced
+handle an atom's associate class is its key, so a factorization's atom
+keys are its classes too; only a handle with units (T_n(Z)*, M_n(Z)*)
+maps keys to classes.  Permutable factorizations are rigid ones up to
+permutation and associativity of the atoms, i.e. multisets of associate
+classes.  Length sets, distance sets and elasticities are derived from
+these.
 
 A commutative reduced handle (``_orderless``: block monoids, free
 abelian monoids, abelianizations) runs two walks.  Its class multisets,
@@ -38,23 +41,24 @@ a cold walk would find exactly that result.  An incomplete result is
 kept only for the rest of its query, in a dict made for that query, and
 read back where no more depth is left than it was searched to.
 
-The rigid walk's fact about an element is held as plain keys: each
-factorization is the tuple of its atoms' keys, kept with its need, and
-with the tuple of its atoms' classes once a query asks for them.  On a
-presentation these are words, so the fact holds only strings and ints,
-and the cyclic collector stops tracking it.  Almost-prime-likeness,
-valuation sets and omega (``factorization_keys``), length sets, and the
-class multisets behind d_len, d_p, t_p, |_p and equiv_p read that fact
-directly where no transfer map gives them, so such an element has one
-memo entry; a ``RigidFactorization`` is built from it only for a
-witness, a representative or a ``rigid_factorizations`` answer, and a
-``FactorizationSet`` only for the last.
+The rigid walk's fact about an element is held as plain keys, as
+(factorizations, need): each factorization is the tuple of its atoms'
+keys.  On a presentation these are words, so the fact holds only
+strings and ints, and the cyclic collector stops tracking it.
+Almost-prime-likeness, valuation sets and omega (``factorization_keys``),
+length sets, and the class multisets behind d_len, d_p, t_p, |_p and
+equiv_p read that fact directly where no transfer map gives them, so
+such an element has one memo entry; a ``RigidFactorization`` is built
+from it only for a witness, a representative or a
+``rigid_factorizations`` answer, and a ``FactorizationSet`` only for the
+last.
 
 Where the handle spells out an element's rigid factorizations
 (``spelled_factorizations``), ``_fact``, their one reader, stores them
-in the memo with the need the handle gives.  ``PresentationSemigroup`` spells a class out when (a)
-the presentation is Adyan and no relation side is a single letter, and
-(b) the element's ball is closed with its longest member within the word
+in the memo as they are: an answer has the fact's (factorizations,
+need) shape.  ``PresentationSemigroup`` spells a class out when (a) the
+presentation is Adyan and no relation side is a single letter, and (b)
+the element's ball is closed with its longest member within the word
 cap.  Then the atoms are exactly the letters and every left quotient is
 unique, and every ball below the element closes.  So the walk would find
 each word of the class, letter by letter, as one factorization, in the
@@ -150,23 +154,22 @@ def _class_occurrences(classes: Tuple) -> FrozenSet[Tuple]:
 
 def _fact(handle: SemigroupHandle, a) -> Tuple:
     """The rigid fact of a non-unit a: its memo entry (factorizations as
-    atom-key tuples, need, their atom classes or None) where a's walk
-    completes, read back where the walk would read it or stored by the
-    walk, and otherwise the walk's incomplete result as (tuples, None,
-    None).  Where the handle spells a's factorizations out, they are
-    stored first, as the walk would store them, and read back at once."""
+    atom-key tuples, need) where a's walk completes, read back where the
+    walk would read it or stored by the walk, and otherwise the walk's
+    incomplete result as (tuples, None).  Where the handle spells a's
+    factorizations out, they are stored first, as the walk would store
+    them, and read back at once."""
     cache = handle.memo.rigid
     key = handle.key(a)
     hit = cache.get(key)
     if hit is None:
         spelled = handle.spelled_factorizations(a)
         if spelled is not None:
-            hit = cache[key] = spelled + (spelled[0],)   # classes are keys
+            hit = cache[key] = spelled
     depth = handle.length_cap(a)
     if hit is not None and hit[1] <= depth:
         return hit
-    tuples, need = _rigid_walk(handle, cache, {}, set(), a, depth)
-    return (tuples, None, None) if need is None else cache[key]
+    return _rigid_walk(handle, cache, {}, set(), a, depth)
 
 
 def _rigid_walk(handle: SemigroupHandle, cache: Dict, partial: Dict,
@@ -188,7 +191,7 @@ def _rigid_walk(handle: SemigroupHandle, cache: Dict, partial: Dict,
     key = handle.key(x)
     hit = cache.get(key)
     if hit is not None and hit[1] <= depth_left:
-        return hit[0], hit[1]
+        return hit
     hit = partial.get(key)
     if hit is not None and hit[1] >= depth_left:
         return hit[0], None
@@ -231,7 +234,7 @@ def _rigid_walk(handle: SemigroupHandle, cache: Dict, partial: Dict,
     facts.sort(key=len)
     result = tuple(facts)
     if complete:
-        cache[key] = (result, need, None)
+        cache[key] = (result, need)
         return result, need
     partial[key] = (result, depth_left)
     return result, None
@@ -239,12 +242,10 @@ def _rigid_walk(handle: SemigroupHandle, cache: Dict, partial: Dict,
 
 def _classes_of(handle: SemigroupHandle, tuples: Tuple) -> Tuple:
     """The atom classes of each factorization in ``tuples`` (atom-key
-    tuples), in order: ``tuples`` itself where every atom's class is its
-    key."""
+    tuples), in order, on a handle with units, where a class is not its
+    atom's key."""
     atom_of_key, atom_class = handle.atom_of_key, handle.atom_class
     of = {k: atom_class(atom_of_key(k)) for k in set().union(*tuples)}
-    if all(k == c for k, c in of.items()):
-        return tuples
     get = of.__getitem__
     return tuple([tuple(map(get, t)) for t in tuples])
 
@@ -255,19 +256,17 @@ def factorization_keys(handle: SemigroupHandle, a
     (length, atom keys), the atom classes of each, and whether they are
     all of a's factorizations.
 
-    Where a's walk completed this is a's one fact in the memo, and the
-    classes are worked out once and kept in it.  Almost-prime-likeness
-    and valuation sets read it, and build a ``RigidFactorization`` only
-    for a witness (``_rigid_factorization``).
+    Where a's walk completed the tuples are a's one fact in the memo.  On
+    a reduced handle they are their own classes; on a handle with units
+    the classes are worked out on each call.  Almost-prime-likeness and
+    valuation sets read them, and build a ``RigidFactorization`` only for
+    a witness (``_rigid_factorization``).
     """
     handle.require_element(a)
     if handle.is_unit(a):
         return ((),), ((),), True
-    tuples, need, classes = _fact(handle, a)
-    if classes is None:
-        classes = _classes_of(handle, tuples)
-        if need is not None:
-            handle.memo.rigid[handle.key(a)] = (tuples, need, classes)
+    tuples, need = _fact(handle, a)
+    classes = tuples if handle.reduced else _classes_of(handle, tuples)
     return tuples, classes, need is not None and handle.certified(a)
 
 
@@ -288,7 +287,7 @@ def rigid_factorizations(handle: SemigroupHandle, a) -> FactorizationSet:
     handle.require_element(a)
     if handle.is_unit(a):
         return FactorizationSet((RigidFactorization((), a),), True)
-    tuples, need, _ = _fact(handle, a)
+    tuples, need = _fact(handle, a)
     return FactorizationSet(
         tuple([_rigid_factorization(handle, a, t) for t in tuples]),
         need is not None and handle.certified(a))
@@ -300,15 +299,6 @@ def _orderless(handle: SemigroupHandle) -> bool:
     every ordering of a factorization is one, and the multisets need no
     rigid ordering listed."""
     return handle.commutative and handle.reduced
-
-
-def _least_rigid(handle: SemigroupHandle, a, classes: Tuple
-                 ) -> RigidFactorization:
-    """On an orderless handle (see ``_orderless``), the least rigid
-    factorization of a with the class multiset ``classes`` in the order
-    (length, atom keys): the atoms of those classes sorted by key."""
-    return RigidFactorization(
-        tuple(sorted(map(handle.class_atom, classes), key=handle.key)), a)
 
 
 class _ClassNode(NamedTuple):
@@ -327,18 +317,19 @@ def _class_nodes(handle: SemigroupHandle, a
     (length, atom keys), built only when the map is called.
 
     On a commutative reduced handle (``_orderless``) the multisets come
-    from ``permutable_class_multisets`` and a representative is its atoms
-    sorted by key.  Elsewhere a representative is the first factorization
-    of its multiset in a's rigid fact (``factorization_keys``), and the
-    multisets are read off that fact too, unless the handle gives a's one
-    multiset (``transfer_classes``): then the fact is read only when the
+    from ``permutable_class_multisets``, and since a class is its atom's
+    key, a representative is the atoms of its sorted multiset.  Elsewhere
+    a representative is the first factorization of its multiset in a's
+    rigid fact (``factorization_keys``), and the multisets are read off
+    that fact too, unless the handle gives a's one multiset
+    (``transfer_classes``): then the fact is read only when the
     representative is asked for, and the representative is its first
     factorization."""
     if _orderless(handle):
         sets, complete = permutable_class_multisets(handle, a)
 
         def rigid(z: _ClassNode) -> RigidFactorization:
-            return _least_rigid(handle, a, z.classes)
+            return _rigid_factorization(handle, a, z.classes)
         return [_ClassNode(m, len(m)) for m in sorted(sets)], complete, rigid
     m = handle.transfer_classes(a)
     if m is not None:
@@ -485,7 +476,7 @@ def length_profile(handle: SemigroupHandle, a) -> LengthSet:
     elif (m := handle.transfer_classes(a)) is not None:
         found, complete = {len(m)}, True
     else:
-        tuples, need, _ = _fact(handle, a)
+        tuples, need = _fact(handle, a)
         found = set(map(len, tuples))
         complete = need is not None and handle.certified(a)
     lengths = tuple(sorted(found))

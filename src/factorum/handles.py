@@ -14,11 +14,12 @@ narrow those atoms to a cover that meets every factorization
 factorizations without recursing through them at all
 (``spelled_factorizations``), and, where a transfer homomorphism to a
 factorial monoid makes it permutably factorial, may give an element's one
-atom-class multiset (``transfer_classes``).  A commutative reduced handle
-also maps an associate class back to its atom (``class_atom``).  Every
-handle keeps the answers derived from its factorization sets in one
-``memo``, with atoms held by their keys (``atom_of_key`` finds an atom
-again).
+atom-class multiset (``transfer_classes``).  On a reduced handle (trivial
+unit group) an atom's associate class is its key, so a class is told
+apart from its key only on a handle with units (T_n(Z)*, M_n(Z)*).
+Every handle keeps the answers derived from its factorization sets in
+one ``memo``, with atoms held by their keys (``atom_of_key`` finds an
+atom again).
 """
 
 from __future__ import annotations
@@ -67,15 +68,14 @@ class FrozenSlots:
 class HandleMemo:
     """The factorization-derived answers kept for one handle instance.
 
-    ``rigid``: key -> (factorizations, need, their atom classes once a
-    sweep query asked, else None), for the elements whose rigid walk
-    completed.  Each factorization is the tuple of its atoms' keys, and
-    each is matched by the tuple of those atoms' classes, the same tuples
-    where every atom's class is its key (as on a presentation).  This is
-    the one fact per element that almost-prime-likeness, valuation sets,
-    length sets, omega and the class multisets of non-orderless handles
-    read (except where ``transfer_classes`` answers); a
-    ``RigidFactorization`` is built from it only when one is returned.
+    ``rigid``: key -> (factorizations, need), for the elements whose
+    rigid walk completed, the shape of a ``spelled_factorizations``
+    answer.  Each factorization is the tuple of its atoms' keys, which on
+    a reduced handle is also the tuple of their classes.  This is the one
+    fact per element that almost-prime-likeness, valuation sets, length
+    sets, omega and the class multisets of non-orderless handles read
+    (except where ``transfer_classes`` answers); a ``RigidFactorization``
+    is built from it only when one is returned.
     ``classes``: key -> (class multisets, need), filled by ``_class_walk``
     on commutative reduced handles only (elsewhere it stays empty), for
     the elements whose walk completed, each set kept as a tuple: even an
@@ -83,8 +83,8 @@ class HandleMemo:
     it met.  ``need`` is the depth the walk needs (see ``factorizations``).
     ``divides_p``: (key of b, key of a) -> ``DivisibilityAnswer``.
 
-    On a presentation, atom keys and classes are words, so an entry of
-    ``rigid`` holds only tuples of strings and ints, which CPython stops
+    On a presentation, atom keys are words, so an entry of ``rigid``
+    holds only tuples of strings and ints, which CPython stops
     tracking for the cyclic collector.
     """
 
@@ -97,7 +97,8 @@ class HandleMemo:
 
 
 class SemigroupHandle:
-    # reduced: trivial unit group, so associate classes of atoms are elements
+    # reduced: trivial unit group, so an atom's associate class is its key
+    # (``atom_class`` is ``key``); a handle with units sets it False
     reduced = True
     commutative = False
     name = "semigroup"
@@ -155,17 +156,12 @@ class SemigroupHandle:
         raise NotImplementedError
 
     def atom_class(self, u) -> Hashable:
-        """Associate-class key of an atom (an equivalence relation on atoms)."""
+        """Associate-class key of an atom (an equivalence relation on atoms):
+        the atom's key on a reduced handle."""
         return self.key(u)
 
     def atoms_associated(self, u, v) -> bool:
         return self.atom_class(u) == self.atom_class(v)
-
-    def class_atom(self, c):
-        """The atom of associate class c, on a reduced handle (the inverse
-        of ``atom_class``).  Commutative reduced handles provide it: their
-        permutable factorizations are built from class multisets alone."""
-        raise NotImplementedError
 
     # divisibility backbone ---------------------------------------------
     def leftright_divides(self, b, a) -> Optional[bool]:
@@ -195,9 +191,9 @@ class SemigroupHandle:
         """Every rigid factorization of x as the tuple of its atoms' keys,
         in the order (length, atom keys), with the depth a walk of x
         needs, when the handle reads them off x itself; None for a unit
-        and where they must be walked.  A handle answers only where the
-        class of each atom is its key, so the tuples are their own atom
-        classes too.
+        and where they must be walked.  The answer has the shape of a
+        ``memo.rigid`` entry, (factorizations, need), and is stored as it
+        is; on a reduced handle the tuples are their own atom classes.
 
         An answer is what the walk of x would find and keep (see
         ``factorizations``), so it may stand in for it.  The default reads
@@ -257,16 +253,6 @@ class FactorialVectorHandle(SemigroupHandle):
     def is_atom(self, x) -> bool:
         nontrivial = [c for c in x if c != 1]
         return len(nontrivial) == 1 and is_prime(nontrivial[0])
-
-    def atom_class(self, u):
-        for i, c in enumerate(u):
-            if c != 1:
-                return (i, c)
-        raise ValueError("unit is not an atom")
-
-    def class_atom(self, c):
-        i, p = c
-        return tuple(p if j == i else 1 for j in range(self.n))
 
     def left_divisor_atoms(self, x) -> DivisorPairs:
         pairs = []

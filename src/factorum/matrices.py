@@ -351,9 +351,10 @@ class TriangularMatrixHandle(_MatrixHandle):
         return tri_left_divisors(x), True
 
     def transfer_classes(self, x: Mat) -> Tuple[Tuple[int, int], ...]:
-        # delta is a weak transfer to (N_{>0})^n whose atom classes are the
-        # (position, prime) pairs of ``atom_class``: x has the one class
-        # multiset (i + 1, p), v_p(|x_ii|) times, for each i and p
+        # delta is a weak transfer to (N_{>0})^n, whose atom with p in slot
+        # i is the image of the atoms of class (i + 1, p) (``atom_class``):
+        # x has the one class multiset (i + 1, p), v_p(|x_ii|) times, for
+        # each i and p
         self.require_element(x)
         _capped(mat_det(x))
         return tuple((i + 1, p) for i in range(self.n)

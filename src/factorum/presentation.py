@@ -671,8 +671,7 @@ class PresentationSemigroup(_BallEngine):
     def key(self, x: Element):
         return x.word
 
-    def atom_class(self, u: Element):
-        return u.word           # reduced: an atom's class is its element
+    atom_class = key            # reduced: an atom's class is its key
 
     def is_unit(self, x: Element) -> bool:
         return not x.word

@@ -277,9 +277,6 @@ class BlockMonoidHandle(SemigroupHandle):
     def is_atom(self, x) -> bool:
         return x in self._atom_set
 
-    def class_atom(self, c):
-        return c
-
     def left_divisor_atoms(self, x) -> DivisorPairs:
         return self._dividing(x, self._atom_counts)
 

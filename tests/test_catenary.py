@@ -220,6 +220,9 @@ def test_catenary_refuses_a_kind_that_is_not_a_distance_kind(kind):
         catenary(h, el, kind)
     with pytest.raises(ValueError, match=f"unknown distance kind {kind!r}"):
         semigroup_catenary(h, [el], kind)
+    # refused at the top, though an empty scope reaches no graph
+    with pytest.raises(ValueError, match=f"unknown distance kind {kind!r}"):
+        semigroup_catenary(h, [], kind)
 
 
 def test_semigroup_catenary_refuses_an_unknown_variant():

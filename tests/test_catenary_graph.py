@@ -343,13 +343,14 @@ def test_bottleneck_matches_reference(graph, data):
 
 
 def test_class_nodes_build_only_the_witness():
-    # on an orderless handle a node is a class multiset: the atoms of a
-    # class (``class_atom``) are asked for only to show a witness's ends
+    # on an orderless handle a node is a class multiset, a class being its
+    # atom's key: atoms (``atom_of_key``) are built only to show a
+    # witness's ends
     group = FiniteAbelianGroup((2, 4))
     h = BlockMonoidHandle(group)
     idmap = identity_transfer_map(h)
     seen = {"one": 0, "several": 0}
-    with mock.patch.object(h, "class_atom", wraps=h.class_atom) as asked:
+    with mock.patch.object(h, "atom_of_key", wraps=h.atom_of_key) as asked:
         for seq in zero_sum_sequences(group, None, 7):
             classes, _ = permutable_class_multisets(h, seq)
             several = len(classes) > 1

@@ -54,6 +54,9 @@ def test_distance_refuses_a_kind_that_is_not_a_distance_kind(kind):
         distance(h, kind, z, zp)
     with pytest.raises(ValueError, match=f"unknown distance kind {kind!r}"):
         verify_axioms(h, kind, [[z, zp]])
+    # refused at the top, though an empty sample reaches no distance
+    with pytest.raises(ValueError, match=f"unknown distance kind {kind!r}"):
+        verify_axioms(h, kind, [])
     assert distance(h, DistanceKind.LENGTH, z, zp) == 1
 
 

@@ -172,6 +172,17 @@ def test_valuations_aba_ba3bc():
     assert valuation_set(h, a, a).values == (1,)
 
 
+@pytest.mark.parametrize("word", ["a b c", ""])
+def test_valuation_set_refuses_a_non_atom(word):
+    # a b has no valuation on abc_cb, the unit's included
+    h = engine("abc_cb")
+    q, a = h.element_from_str("a b"), h.element_from_str(word)
+    with pytest.raises(ValueError, match="a b is not an atom"):
+        valuation_set(h, q, a)
+    assert valuation_set(h, h.element_from_str("b"), a).values \
+        == ((1,) if word else (0,))
+
+
 def test_valuation_precheck_raises():
     # prime-likeness reads valuation sets only after the almost-prime-like
     # check over the scope passed
@@ -359,6 +370,22 @@ def test_tame_banc():
     assert tame_semigroup(h, [h.element_from_str("a")], els).value == 0
     assert tame_semigroup(h, [h.element_from_str("b")], els).value == 1
     assert tame_semigroup(h, [h.element_from_str("c")], els).value == 1
+
+
+def test_tame_semigroup_checks_the_pattern_once_before_the_sweep(
+        monkeypatch):
+    h = engine("abc_cb")
+    ab, a = h.element_from_str("a b"), h.element_from_str("a")
+    # an empty scope reaches no element, yet a b is refused
+    with pytest.raises(ValueError, match="pattern entry a b is not an atom"):
+        tame_semigroup(h, [ab], [])
+    els, complete = h.enumerate_elements(4)
+    want = tame_semigroup(h, [a], els, complete)
+    asked = []
+    monkeypatch.setattr(h, "is_atom", lambda x: asked.append(x) or True)
+    assert tame_semigroup(h, [a], els, complete) == want
+    assert asked == [a]
+    assert tame_element(h, ab, [a]) == tame_semigroup(h, [a], (ab,))
 
 
 def test_tame_single_class_zero():

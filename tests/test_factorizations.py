@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from factorum.abelianization import _vectors_up_to, abelianize
 from factorum.catenary import catenary
 from factorum.distances import DistanceKind
 from factorum.divisibility import (divides_p, is_almost_prime_like,
@@ -15,7 +16,8 @@ from factorum.divisibility import (divides_p, is_almost_prime_like,
                                    valuation_set)
 from factorum.handles import FactorialVectorHandle
 from factorum.factorizations import (FactorizationSet, LengthSet,
-                                     RigidFactorization, _class_walk,
+                                     RigidFactorization, _class_nodes,
+                                     _class_walk, class_multiset,
                                      length_profile,
                                      permutable_class_multisets,
                                      permutable_factorizations,
@@ -26,7 +28,7 @@ from factorum.presentation import (Element, ExplorationBudget,
                                    PresentationSemigroup, parse_presentation)
 from factorum.presets import ab_ban, anbn, b_an_c, engine, preset_names
 from factorum.zerosum import (BlockMonoidHandle, FiniteAbelianGroup,
-                              sequence_sum)
+                              sequence_sum, zero_sum_sequences)
 
 
 def test_rigid_abc_cb():
@@ -854,3 +856,56 @@ def test_the_walk_runs_where_nothing_is_read_off():
     assert h.congruence_ball(x.word).closed
     assert not rigid_factorizations(h, x).complete
     assert not permutable_class_multisets(h, x)[1]
+
+
+# an atom's class is its key on every reduced handle -------------------------
+
+
+def _presentation_elements():
+    h = engine("ab_cd")
+    return h, h.enumerate_elements(4)[0]
+
+
+def _abelianization_elements():
+    ab = abelianize(engine("ab_cd"))
+    return ab, [ab.element(v) for v in _vectors_up_to(ab.n, 4)[1:]]
+
+
+def _block_elements():
+    group = FiniteAbelianGroup((2, 2))
+    return BlockMonoidHandle(group), list(zero_sum_sequences(group, None, 6))
+
+
+def _vector_elements():
+    h = FactorialVectorHandle(2)
+    return h, h.enumerate_elements(12)[0]
+
+
+@pytest.mark.parametrize("reduced_handle", [
+    _presentation_elements, _abelianization_elements, _block_elements,
+    _vector_elements], ids=["presentation", "abelianization", "B(C2+C2)",
+                            "(N>0)^2"])
+def test_an_atom_class_is_its_key_on_a_reduced_handle(reduced_handle):
+    # so a rigid fact is (atom-key tuples, need), its tuples are their own
+    # classes, and a class node is shown by the atoms of its multiset
+    h, elements = reduced_handle()
+    assert h.reduced and elements
+    for a in elements:
+        for z in rigid_factorizations(h, a):
+            assert [h.atom_class(u) for u in z.atoms] \
+                == [h.key(u) for u in z.atoms]
+        nodes, _, rigid = _class_nodes(h, a)
+        for node in nodes:
+            z = rigid(node)
+            assert class_multiset(h, z) == node.classes
+            assert h.key(h.product(z.atoms)) == h.key(a)
+    assert h.memo.rigid
+    for fact in h.memo.rigid.values():
+        tuples, need = fact
+        assert type(tuples) is tuple and type(need) is int
+
+
+def test_factorial_vector_classes_are_atom_vectors():
+    h = FactorialVectorHandle(2)
+    assert permutable_class_multisets(h, (6, 5)) == (
+        frozenset({((1, 5), (2, 1), (3, 1))}), True)
