@@ -17,16 +17,18 @@ Under d* the graph's nodes are the rigid factorizations.  Under d_len and
 d_p there is one node per atom-class multiset, the multiset and its
 length alone (``factorizations._class_nodes``), and d_p is computed from
 the multisets by the one comparison of class multisets,
-``factorizations._class_occurrences``.  On commutative reduced handles
-(block monoids, free abelian monoids, abelianizations) the multisets
-come from ``_class_walk``, one memoised recursion over the quotients by
+``factorizations._class_occurrences``.  The nodes are read off the
+element's one fact.  On commutative reduced handles (block monoids,
+free abelian monoids, abelianizations) that fact is its class multisets,
+built by ``_class_walk``, one memoised recursion over the quotients by
 a cover of atoms that meets every factorization (on a block monoid, the
-atoms holding the element's least term), so the cost follows the
-factorization classes, not the rigid orderings.  On presentations
-they are read off the element's one rigid fact, its factorizations held
-as atom-key tuples with their classes.  On T_n(Z)* and M_n(Z)* the
-transfer map gives the one multiset (``transfer_classes``), so the
-graph has one node and answers 0 with no factorization listed.  Either
+atoms holding the element's least term), so the d_len and d_p cost
+follows the factorization classes, not the rigid orderings; the d*
+nodes are the orderings of those multisets.  On presentations the fact
+is the rigid factorizations, held as atom-key tuples with their
+classes.  On T_n(Z)* and M_n(Z)* the transfer map gives the one
+multiset instead (``transfer_classes``), so the graph has one node and
+answers 0 with no factorization listed.  Either
 way a rigid factorization is built only where atoms are read: for the
 two ends of a witness, and for every node when the in-fibers view takes
 its image.  A graph of fewer than two nodes answers 0 before any distance is

@@ -23,7 +23,12 @@ u_{s(1)}...u_{s(k)} taken along increasing positions s(1) < ... < s(k).
 omega'_p(a, b) ranges over all decompositions of a into non-unit factors
 instead.  The factorizations of a are read off its one fact as atom-key
 tuples with their classes (``factorization_keys``), and atoms are built
-only for the witness.  ``omega_element`` is ``omega_semigroup`` over
+only for the witness.  On a commutative reduced handle that fact holds
+one ordering per class multiset, its sorted atom keys: reordering a
+factorization changes neither its valuation, nor whether q occurs in
+it, nor its least subproduct k, and the least ordering of a multiset is
+the multiset itself, so values and witnesses are those over every
+ordering.  ``omega_element`` is ``omega_semigroup`` over
 the one element a: the sweep keeps its running maximiser's parts and
 indices and builds one witness at the end.  A subproduct is known by its
 parts' keys: one dict per ``omega_semigroup`` call, shared by its whole

@@ -10,27 +10,34 @@ permutation and associativity of the atoms, i.e. multisets of associate
 classes.  Length sets, distance sets and elasticities are derived from
 these.
 
-A commutative reduced handle (``_orderless``: block monoids, free
-abelian monoids, abelianizations) runs two walks.  Its class multisets,
-lengths and d_len/d_p graphs come from a walk of the class multisets
-alone (``_class_walk``), recursing only on a cover: dividing atoms such
-that every factorization holds one of them (on a block monoid, the atoms
-holding the least term).  Its rigid factorizations, d*, omega, valuation
-sets and almost-prime-likeness come from the rigid walk
-(``_rigid_walk``); reading that layer off the class multisets too would
-leave one walk (ROADMAP item 16).  Every other handle kind has one walk:
-it walks its rigid factorizations (``_rigid_walk``) on its left-divisor
-atoms and reads its class multisets off them, unless a transfer
-homomorphism to a factorial monoid gives an element's one class multiset
-(``transfer_classes``, on T_n(Z)* and M_n(Z)*): then its class multisets
-and lengths, and the d_len and d_p graphs, t_p and |_p built on them,
-need no walk, and only rigid sets, d* and omega walk.
+Every handle keeps one fact per element, in one memo slot, and
+``_fact``, its one reader, decides where the fact comes from.
 Completeness is certified exactly when every sub-search was certified
 and no recursion budget was hit (non-atomic inputs such as
-<a,b | aba=b> never certify).  Both walks are plain module-level
-recursions that take their state as arguments, so a query leaves no
-reference cycle and its memory is freed as soon as the caller drops the
-handle.
+<a,b | aba=b> never certify).
+
+* A commutative reduced handle (``_orderless``: block monoids, free
+  abelian monoids, abelianizations) walks its class multisets alone
+  (``_class_walk``), recursing only on a cover: dividing atoms such that
+  every factorization holds one of them (on a block monoid, the atoms
+  holding the least term).  Its fact holds each class multiset once, as
+  its sorted atom-key tuple (an atom's class is its key there).  Every
+  ordering of a factorization is one, so its rigid factorizations are
+  the distinct orderings of those multisets, listed only for a
+  ``rigid_factorizations`` answer; valuation sets, almost-prime-likeness
+  and omega do not change under reordering, and the least ordering of a
+  multiset is the multiset itself, so they read the multisets.
+* Every other handle walks its rigid factorizations (``_rigid_walk``) on
+  its left-divisor atoms, and reads its class multisets off them, unless
+  a transfer homomorphism to a factorial monoid gives an element's one
+  class multiset (``transfer_classes``, on T_n(Z)* and M_n(Z)*): then its
+  class multisets and lengths, and the d_len and d_p graphs, t_p and |_p
+  built on them, need no walk, and only rigid sets, d* and omega walk.
+
+Both walks are plain module-level recursions that take their state as
+arguments, so a query leaves no reference cycle and its memory is freed
+as soon as the caller drops the handle.  Either runs on any handle, so
+the tests use each as a reference.
 
 Both walks keep their results by one rule, so that every answer depends
 on the element alone.  A complete result is a fact: it goes into the
@@ -39,24 +46,26 @@ handle's memo with ``need``, the depth its walk needs (0 for a unit, else
 none), and is read back wherever at least that much depth is left, where
 a cold walk would find exactly that result.  An incomplete result is
 kept only for the rest of its query, in a dict made for that query, and
-read back where no more depth is left than it was searched to.
+read back where no more depth is left than it was searched to.  A memo
+key is always an element the handle checked or produced, so ``_fact``
+checks its element (``require_element``) only where the memo misses,
+and a hit hashes the key once.
 
-The rigid walk's fact about an element is held as plain keys, as
-(factorizations, need): each factorization is the tuple of its atoms'
-keys.  On a presentation these are words, so the fact holds only
+A fact is held as plain keys, as (factorizations, need): each
+factorization is the tuple of its atoms' keys, in the order (length,
+atom keys).  On a presentation these are words, so the fact holds only
 strings and ints, and the cyclic collector stops tracking it.
 Almost-prime-likeness, valuation sets and omega (``factorization_keys``),
 length sets, and the class multisets behind d_len, d_p, t_p, |_p and
 equiv_p read that fact directly where no transfer map gives them, so
-such an element has one memo entry; a ``RigidFactorization`` is built
-from it only for a witness, a representative or a
-``rigid_factorizations`` answer, and a ``FactorizationSet`` only for the
-last.
+an element has one memo entry; a ``RigidFactorization`` is built from it
+only for a witness, a representative or a ``rigid_factorizations``
+answer, and a ``FactorizationSet`` only for the last.
 
 Where the handle spells out an element's rigid factorizations
-(``spelled_factorizations``), ``_fact``, their one reader, stores them
-in the memo as they are: an answer has the fact's (factorizations,
-need) shape.  ``PresentationSemigroup`` spells a class out when (a) the
+(``spelled_factorizations``), ``_fact`` stores them in the memo as they
+are: an answer has the fact's (factorizations, need) shape.
+``PresentationSemigroup`` spells a class out when (a) the
 presentation is Adyan and no relation side is a single letter, and (b)
 the element's ball is closed with its longest member within the word
 cap.  Then the atoms are exactly the letters and every left quotient is
@@ -75,8 +84,9 @@ hashed by both its fields and sized and iterated as its factorizations.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
-                    Tuple)
+from itertools import groupby
+from typing import (Callable, Dict, FrozenSet, Iterator, List, NamedTuple,
+                    Optional, Tuple)
 
 from .handles import FrozenSlots, SemigroupHandle
 
@@ -152,24 +162,38 @@ def _class_occurrences(classes: Tuple) -> FrozenSet[Tuple]:
     return frozenset(out)
 
 
-def _fact(handle: SemigroupHandle, a) -> Tuple:
-    """The rigid fact of a non-unit a: its memo entry (factorizations as
-    atom-key tuples, need) where a's walk completes, read back where the
-    walk would read it or stored by the walk, and otherwise the walk's
-    incomplete result as (tuples, None).  Where the handle spells a's
-    factorizations out, they are stored first, as the walk would store
-    them, and read back at once."""
-    cache = handle.memo.rigid
-    key = handle.key(a)
-    hit = cache.get(key)
+def _fact(handle: SemigroupHandle, a
+          ) -> Tuple[Tuple[Tuple, ...], bool]:
+    """The fact of a as atom-key tuples in the order (length, atom keys),
+    and whether they are all of a's: its memo entry where a's walk
+    completes, read back where the walk would read it or stored by the
+    walk, and otherwise the walk's incomplete result.  An orderless
+    handle walks its class multisets, one sorted tuple each; any other
+    handle stores the factorizations it spells out (as the walk would
+    store them, and reads them back at once) or walks its rigid ones.
+    A hit hashes a's key once and checks nothing, since a memo key is an
+    element; a miss checks a first (``require_element``)."""
+    cache = handle.memo.facts
+    try:
+        key = handle.key(a)
+        hit = cache.get(key)
+    except (TypeError, AttributeError):   # no element: the check says why
+        hit = None
     if hit is None:
+        handle.require_element(a)
+        if handle.is_unit(a):
+            return ((),), True
         spelled = handle.spelled_factorizations(a)
         if spelled is not None:
             hit = cache[key] = spelled
     depth = handle.length_cap(a)
     if hit is not None and hit[1] <= depth:
-        return hit
-    return _rigid_walk(handle, cache, {}, set(), a, depth)
+        tuples, need = hit
+    elif _orderless(handle):
+        tuples, need = _class_step(handle, cache, {}, a, key, depth)
+    else:
+        tuples, need = _rigid_walk(handle, cache, {}, set(), a, depth)
+    return tuples, need is not None and handle.certified(a)
 
 
 def _rigid_walk(handle: SemigroupHandle, cache: Dict, partial: Dict,
@@ -178,10 +202,10 @@ def _rigid_walk(handle: SemigroupHandle, cache: Dict, partial: Dict,
     """The atom-key tuples of x's factorizations and the depth their walk
     needs, None when they are incomplete, recursing on its left-divisor
     atoms.  Complete results are kept in ``cache`` (the handle's
-    ``memo.rigid``), the query's incomplete ones in ``partial`` (see the
-    module docstring).  ``in_progress`` holds the keys on the current
-    path: meeting one again is a product cycle, below which nothing is
-    certified.
+    ``memo.facts`` on a handle that is not orderless), the query's
+    incomplete ones in ``partial`` (see the module docstring).
+    ``in_progress`` holds the keys on the current path: meeting one again
+    is a product cycle, below which nothing is certified.
 
     A plain module-level recursion taking its state as arguments: a call
     makes no closure, so it leaves no reference cycle and its garbage is
@@ -252,22 +276,20 @@ def _classes_of(handle: SemigroupHandle, tuples: Tuple) -> Tuple:
 
 def factorization_keys(handle: SemigroupHandle, a
                        ) -> Tuple[Tuple[Tuple, ...], Tuple[Tuple, ...], bool]:
-    """The rigid factorizations of a as atom-key tuples, in the order
-    (length, atom keys), the atom classes of each, and whether they are
-    all of a's factorizations.
+    """a's fact (``_fact``): atom-key tuples in the order (length, atom
+    keys), the atom classes of each, and whether they are all of a's.
+    They are a's rigid factorizations, or on an orderless handle one
+    ordering of each of a's class multisets.
 
-    Where a's walk completed the tuples are a's one fact in the memo.  On
-    a reduced handle they are their own classes; on a handle with units
-    the classes are worked out on each call.  Almost-prime-likeness and
-    valuation sets read them, and build a ``RigidFactorization`` only for
-    a witness (``_rigid_factorization``).
+    On a reduced handle the tuples are their own classes; on a handle
+    with units the classes are worked out on each call.
+    Almost-prime-likeness, valuation sets and omega read them, and build
+    a ``RigidFactorization`` only for a witness
+    (``_rigid_factorization``).
     """
-    handle.require_element(a)
-    if handle.is_unit(a):
-        return ((),), ((),), True
-    tuples, need = _fact(handle, a)
+    tuples, complete = _fact(handle, a)
     classes = tuples if handle.reduced else _classes_of(handle, tuples)
-    return tuples, classes, need is not None and handle.certified(a)
+    return tuples, classes, complete
 
 
 def _rigid_factorization(handle: SemigroupHandle, a, keys: Tuple
@@ -276,28 +298,50 @@ def _rigid_factorization(handle: SemigroupHandle, a, keys: Tuple
     return RigidFactorization(tuple(map(handle.atom_of_key, keys)), a)
 
 
+def _orderings(m: Tuple) -> Iterator[Tuple]:
+    """The distinct orderings of the sorted tuple m, in lexicographic
+    order: each is the next permutation of the one before, which steps
+    over equal entries, so a multiset with many repeats costs only its
+    distinct orderings."""
+    p, n = list(m), len(m)
+    while True:
+        yield tuple(p)
+        i = n - 2
+        while i >= 0 and p[i] >= p[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while p[j] <= p[i]:
+            j -= 1
+        p[i], p[j] = p[j], p[i]
+        p[i + 1:] = reversed(p[i + 1:])
+
+
 def rigid_factorizations(handle: SemigroupHandle, a) -> FactorizationSet:
-    """The set Z*(a) of rigid factorizations of a, within budget.
+    """The set Z*(a) of rigid factorizations of a, within budget, in the
+    order (length, atom keys).
 
     Every returned sequence recomposes to a; the set is exhaustive iff
     ``complete`` is True.  The answer does not depend on earlier queries.
-    The set is built on every call, from a's fact in the memo where a's
-    walk completed.
+    The set is built on every call from a's fact (``_fact``): on an
+    orderless handle, from the distinct orderings of each class multiset.
     """
-    handle.require_element(a)
-    if handle.is_unit(a):
-        return FactorizationSet((RigidFactorization((), a),), True)
-    tuples, need = _fact(handle, a)
-    return FactorizationSet(
-        tuple([_rigid_factorization(handle, a, t) for t in tuples]),
-        need is not None and handle.certified(a))
+    tuples, complete = _fact(handle, a)
+    if _orderless(handle):
+        # the fact is ordered by length: sort each length's orderings
+        tuples = [t for _, ms in groupby(tuples, len)
+                  for t in sorted(o for m in ms for o in _orderings(m))]
+    # each atom is built once, however many factorizations hold it
+    atom = {k: handle.atom_of_key(k) for k in set().union(*tuples)}
+    return FactorizationSet(tuple([RigidFactorization(
+        tuple(map(atom.__getitem__, t)), a) for t in tuples]), complete)
 
 
 def _orderless(handle: SemigroupHandle) -> bool:
-    """Whether the permutable factorizations of the handle's elements come
-    from their class multisets alone: on a commutative reduced handle
-    every ordering of a factorization is one, and the multisets need no
-    rigid ordering listed."""
+    """Whether the handle's facts are class multisets: on a commutative
+    reduced handle every ordering of a factorization is one, and an
+    atom's class is its key."""
     return handle.commutative and handle.reduced
 
 
@@ -316,21 +360,17 @@ def _class_nodes(handle: SemigroupHandle, a
     the least rigid factorization of a with that multiset, in the order
     (length, atom keys), built only when the map is called.
 
-    On a commutative reduced handle (``_orderless``) the multisets come
-    from ``permutable_class_multisets``, and since a class is its atom's
-    key, a representative is the atoms of its sorted multiset.  Elsewhere
-    a representative is the first factorization of its multiset in a's
-    rigid fact (``factorization_keys``), and the multisets are read off
-    that fact too, unless the handle gives a's one multiset
+    A representative is the first factorization of its multiset in a's
+    fact (``factorization_keys``), and the multisets are read off that
+    fact too, unless the handle gives a's one multiset
     (``transfer_classes``): then the fact is read only when the
     representative is asked for, and the representative is its first
-    factorization."""
-    if _orderless(handle):
-        sets, complete = permutable_class_multisets(handle, a)
-
-        def rigid(z: _ClassNode) -> RigidFactorization:
-            return _rigid_factorization(handle, a, z.classes)
-        return [_ClassNode(m, len(m)) for m in sorted(sets)], complete, rigid
+    factorization.  On an orderless handle the fact's tuples are the
+    sorted multisets themselves, each its own representative."""
+    if _orderless(handle):      # each tuple is its own sorted multiset
+        tuples, complete = _fact(handle, a)
+        return ([_ClassNode(m, len(m)) for m in sorted(tuples)], complete,
+                lambda z: _rigid_factorization(handle, a, z.classes))
     m = handle.transfer_classes(a)
     if m is not None:
         def rigid(z: _ClassNode) -> RigidFactorization:
@@ -368,48 +408,30 @@ def permutable_class_multisets(handle: SemigroupHandle, a
                                ) -> Tuple[FrozenSet[Tuple], bool]:
     """The set of atom-class multisets of a and whether they are all of a's.
 
-    On a commutative reduced handle (``_orderless``) they are one memoised
-    set per element, built by ``_class_walk`` from the sets of the
-    quotients by the covering atoms (``covering_divisor_atoms``): every
-    factorization of x holds one of those atoms u, and drops to one of x/u
-    without it.  There a's key is hashed once on a memo hit, and a is
-    checked (``require_element``) only on a miss.  A permutably factorial
-    handle gives a's one multiset (``transfer_classes``), and every other
-    handle reads them off a's one rigid fact (``factorization_keys``): a
-    permutable factorization is a rigid one up to order and associates."""
-    if not _orderless(handle):
-        m = handle.transfer_classes(a)
-        if m is not None:
-            return frozenset((m,)), True
-        _, classes, complete = factorization_keys(handle, a)
-        return frozenset([tuple(sorted(c)) for c in classes]), complete
-    cache = handle.memo.classes
-    try:
-        key = handle.key(a)
-        hit = cache.get(key)
-    except (TypeError, AttributeError):   # no element: the check says why
-        hit = None
-    if hit is None:
-        handle.require_element(a)
-    depth = handle.length_cap(a)
-    if hit is not None and hit[1] <= depth:
-        sets, need = hit
-    elif handle.is_unit(a):
-        sets, need = ((),), 0
-    else:
-        sets, need = _class_step(handle, cache, {}, a, key, depth)
-    return frozenset(sets), need is not None and handle.certified(a)
+    A permutably factorial handle gives a's one multiset
+    (``transfer_classes``), and every other handle reads them off a's one
+    fact (``factorization_keys``): a permutable factorization is a rigid
+    one up to order and associates, and on an orderless handle the fact
+    holds the sorted multisets themselves."""
+    m = handle.transfer_classes(a)
+    if m is not None:
+        return frozenset((m,)), True
+    _, classes, complete = factorization_keys(handle, a)
+    return frozenset([tuple(sorted(c)) for c in classes]), complete
 
 
 def _class_walk(handle: SemigroupHandle, cache: Dict, partial: Dict, x,
                 depth_left: int
                 ) -> Tuple[Tuple[Tuple, ...], Optional[int]]:
-    """The walk of orderless handles: the class multisets of x and the
-    depth their walk needs, None when they are incomplete.  Complete
-    results are kept in ``cache`` (the handle's ``memo.classes``), the
-    query's incomplete ones in ``partial`` (see the module docstring).
-    Like ``_rigid_walk`` a plain module-level recursion, so a call leaves
-    no reference cycle."""
+    """The walk of orderless handles: the class multisets of x, each a
+    sorted tuple, in the order (length, classes), and the depth their walk
+    needs, None when they are incomplete, recursing on x's covering atoms
+    (``covering_divisor_atoms``): every factorization of x holds one of
+    those atoms u, and drops to one of x/u without it.  Complete results
+    are kept in ``cache`` (the handle's ``memo.facts`` on an orderless
+    handle), the query's incomplete ones in ``partial`` (see the module
+    docstring).  Like ``_rigid_walk`` a plain module-level recursion, so a
+    call leaves no reference cycle."""
     if handle.is_unit(x):
         return ((),), 0
     key = handle.key(x)
@@ -443,7 +465,10 @@ def _class_step(handle: SemigroupHandle, cache: Dict, partial: Dict, x,
             need = sub_need + 1
         for m in sub:
             out.add(tuple(sorted(m + (cls,))))
-    result = tuple(out)
+    # a stable sort by length keeps each length's multisets in order
+    facts = sorted(out)
+    facts.sort(key=len)
+    result = tuple(facts)
     if complete:
         cache[key] = (result, need)
         return result, need
@@ -461,28 +486,21 @@ class LengthSet(NamedTuple):
 def length_profile(handle: SemigroupHandle, a) -> LengthSet:
     """L(a) with its distance set and elasticity rho = max/min.
 
-    An orderless handle walks its class multisets, a permutably factorial
-    one gives the length of a's one multiset (``transfer_classes``: on
-    M_n(Z)* that is Omega(|det a|), on T_n(Z)* Omega of the diagonal's
-    product, past the determinant cap an error), and any other handle
-    reads the lengths of a's one rigid fact (``_fact``).
+    A permutably factorial handle gives the length of a's one multiset
+    (``transfer_classes``: on M_n(Z)* that is Omega(|det a|), on T_n(Z)*
+    Omega of the diagonal's product, past the determinant cap an error),
+    and any other handle reads the lengths of a's one fact (``_fact``).
     """
-    handle.require_element(a)
-    if handle.is_unit(a):
-        return LengthSet((0,), (), Fraction(0), True)
-    if _orderless(handle):
-        sets, complete = permutable_class_multisets(handle, a)
-        found = set(map(len, sets))
-    elif (m := handle.transfer_classes(a)) is not None:
+    m = handle.transfer_classes(a)
+    if m is not None:
         found, complete = {len(m)}, True
     else:
-        tuples, need = _fact(handle, a)
+        tuples, complete = _fact(handle, a)
         found = set(map(len, tuples))
-        complete = need is not None and handle.certified(a)
     lengths = tuple(sorted(found))
     delta = tuple(b - c for c, b in zip(lengths, lengths[1:]))
-    if lengths:
-        elasticity = Fraction(max(lengths), min(lengths))
+    if lengths and lengths[0]:
+        elasticity = Fraction(lengths[-1], lengths[0])
     else:
         elasticity = Fraction(0)
     return LengthSet(lengths, delta, elasticity, complete)

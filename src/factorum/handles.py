@@ -68,31 +68,27 @@ class FrozenSlots:
 class HandleMemo:
     """The factorization-derived answers kept for one handle instance.
 
-    ``rigid``: key -> (factorizations, need), for the elements whose
-    rigid walk completed, the shape of a ``spelled_factorizations``
-    answer.  Each factorization is the tuple of its atoms' keys, which on
-    a reduced handle is also the tuple of their classes.  This is the one
-    fact per element that almost-prime-likeness, valuation sets, length
-    sets, omega and the class multisets of non-orderless handles read
-    (except where ``transfer_classes`` answers); a ``RigidFactorization``
-    is built from it only when one is returned.
-    ``classes``: key -> (class multisets, need), filled by ``_class_walk``
-    on commutative reduced handles only (elsewhere it stays empty), for
-    the elements whose walk completed, each set kept as a tuple: even an
-    empty frozenset takes 216 bytes, and a sweep keeps one set per element
-    it met.  ``need`` is the depth the walk needs (see ``factorizations``).
+    ``facts``: key -> (factorizations, need), for the elements whose walk
+    completed, the shape of a ``spelled_factorizations`` answer: the one
+    fact per element (see ``factorizations``).  Each factorization is the
+    tuple of its atoms' keys, which on a reduced handle is also the tuple
+    of their classes.  On a commutative reduced handle the fact holds each
+    class multiset once, as its sorted tuple; on every other handle it
+    holds every rigid factorization.  Almost-prime-likeness, valuation
+    sets, length sets, omega and class multisets read it (except where
+    ``transfer_classes`` answers); a ``RigidFactorization`` is built from
+    it only when one is returned.  ``need`` is the depth the walk needs.
     ``divides_p``: (key of b, key of a) -> ``DivisibilityAnswer``.
 
-    On a presentation, atom keys are words, so an entry of ``rigid``
-    holds only tuples of strings and ints, which CPython stops
-    tracking for the cyclic collector.
+    On a presentation, atom keys are words, so an entry of ``facts``
+    holds only tuples of strings and ints, which CPython stops tracking
+    for the cyclic collector.
     """
 
-    __slots__ = ("rigid", "classes", "divides_p")
+    __slots__ = ("facts", "divides_p")
 
     def __init__(self):
-        self.rigid: Dict = {}
-        self.classes: Dict = {}
+        self.facts: Dict = {}
         self.divides_p: Dict = {}
 
 
@@ -103,8 +99,8 @@ class SemigroupHandle:
     commutative = False
     name = "semigroup"
 
-    # the one place this handle's factorization sets, class multisets and
-    # ``divides_p`` answers are kept; a new handle starts cold
+    # the one place this handle's factorization facts and ``divides_p``
+    # answers are kept; a new handle starts cold
     memo: HandleMemo
 
     def __new__(cls, *args, **kwargs):
@@ -192,7 +188,7 @@ class SemigroupHandle:
         in the order (length, atom keys), with the depth a walk of x
         needs, when the handle reads them off x itself; None for a unit
         and where they must be walked.  The answer has the shape of a
-        ``memo.rigid`` entry, (factorizations, need), and is stored as it
+        ``memo.facts`` entry, (factorizations, need), and is stored as it
         is; on a reduced handle the tuples are their own atom classes.
 
         An answer is what the walk of x would find and keep (see

@@ -1,4 +1,6 @@
 import itertools
+import math
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -115,6 +117,43 @@ def test_vector_permutable_factorizations_match_the_rigid_sets(name):
     assert checked
 
 
+_LISTABLE = 40_000    # the most rigid orderings the check below lists
+
+
+def _ordering_count(sets):
+    """How many distinct orderings the class multisets ``sets`` have."""
+    total = 0
+    for m in sets:
+        n = math.factorial(len(m))
+        for k in Counter(m).values():
+            n //= math.factorial(k)
+        total += n
+    return total
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_rigid_factorizations_agree_with_the_class_multisets(name):
+    # an answer depends on the element alone, certified or not: on the
+    # commutative abelianization the rigid factorizations are the
+    # orderings of the class multisets, so their lengths are the length
+    # set and their sorted key tuples the class multisets (b c^2 on abc_cb
+    # is uncertified, with 21 multisets of lengths 3 to 23)
+    ab = abelianize(engine(name))
+    checked = 0
+    for v in _vectors_up_to(ab.n, 3)[1:]:
+        el = ab.element(v)
+        sets, complete = permutable_class_multisets(ab, el)
+        if _ordering_count(sets) > _LISTABLE:
+            continue
+        fs = rigid_factorizations(ab, el)
+        assert {class_multiset(ab, z) for z in fs} == sets
+        assert sorted({z.length for z in fs}) \
+            == list(length_profile(ab, el).lengths)
+        assert fs.complete == complete
+        checked += 1
+    assert checked
+
+
 def test_equiv_p_examples():
     h = engine("ab_cd")
     ab_el = h.element_from_str("a b")
@@ -194,6 +233,17 @@ def test_length_map_examples():
     free = make("gens: a b\n")
     rep3 = length_map(free)
     assert rep3 is not None and rep3.transfer_certified
+
+
+@pytest.mark.parametrize("name", ["a2b2", "ab_cd", "aba_bab"])
+def test_length_map_is_certified_by_its_proof_at_any_budget(name):
+    # length-preserving relations make word length a transfer homomorphism
+    # by proof, so a budget whose balls hold one word still certifies it
+    sides = [side for rel in load_preset(name).relations
+             for side in (rel.lhs, rel.rhs)]
+    h = engine(name, ExplorationBudget(max(map(len, sides)), 1))
+    rep = length_map(h)
+    assert rep is not None and rep.exists and rep.transfer_certified
 
 
 def reference_cancellativity_scan(ab, max_total=5):

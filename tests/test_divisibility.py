@@ -566,7 +566,7 @@ def test_matrix_valuations_are_read_off_the_transfer(make):
             assert valuation_set(h, q, m) == _valuation_reference(ref, q, m)
         assert is_almost_prime_like(h, q, matrices) \
             == _apl_reference(ref, q, matrices)
-    assert not h.memo.rigid and ref.memo.rigid
+    assert not h.memo.facts and ref.memo.facts
 
 
 # omega_p from its definition ---------------------------------------------

@@ -8,13 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from factorum import factorizations
 from factorum.abelianization import _vectors_up_to, abelianize
 from factorum.catenary import catenary
 from factorum.distances import DistanceKind
-from factorum.divisibility import (divides_p, is_almost_prime_like,
+from factorum.divisibility import (OmegaReport, OmegaWitness, divides_p,
+                                   is_almost_prime_like, min_subproduct_k,
                                    omega_element, tame_element,
                                    valuation_set)
-from factorum.handles import FactorialVectorHandle
+from factorum.handles import FactorialVectorHandle, HandleMemo
 from factorum.factorizations import (FactorizationSet, LengthSet,
                                      RigidFactorization, _class_nodes,
                                      _class_walk, class_multiset,
@@ -28,7 +30,8 @@ from factorum.presentation import (Element, ExplorationBudget,
                                    PresentationSemigroup, parse_presentation)
 from factorum.presets import ab_ban, anbn, b_an_c, engine, preset_names
 from factorum.zerosum import (BlockMonoidHandle, FiniteAbelianGroup,
-                              sequence_sum, zero_sum_sequences)
+                              atoms_of_block_monoid, sequence_sum,
+                              zero_sum_sequences)
 
 
 def test_rigid_abc_cb():
@@ -222,11 +225,20 @@ def test_memo_belongs_to_one_handle():
     for el in els:
         length_profile(h, el)
         divides_p(h, q, el)
-    # a presentation reads its class multisets off the rigid memo
-    assert h.memo.rigid and h.memo.divides_p and not h.memo.classes
+    assert h.memo.facts and h.memo.divides_p
     memo = other.memo
-    assert (memo.rigid, memo.classes, memo.divides_p) == ({}, {}, {})
+    assert (memo.facts, memo.divides_p) == ({}, {})
     assert memo is not h.memo
+    # one slot holds every handle's facts
+    assert HandleMemo.__slots__ == ("facts", "divides_p")
+
+
+def _refuse_class_walks(h):
+    """Make every walk of h's class multisets fail: only ``_class_walk``
+    asks a handle for its covering atoms."""
+    def refuse(x):
+        raise AssertionError(f"the class multisets of {x!r} were walked")
+    h.covering_divisor_atoms = refuse
 
 
 def _ask_class_queries(h, elements, divisors, pattern):
@@ -251,8 +263,9 @@ def test_presentation_class_multisets_come_off_the_rigid_facts(name):
     els, _ = h.enumerate_elements(4)
     gens = h.presentation.generators
     atoms = [q for q in (h.element((g,)) for g in gens) if h.is_atom(q)]
+    _refuse_class_walks(h)
     _ask_class_queries(h, els, atoms + [h.element(gens[:1] * 2)], atoms[:1])
-    assert h.memo.rigid and not h.memo.classes
+    assert h.memo.facts
 
 
 def test_t2_class_multisets_come_off_the_rigid_facts():
@@ -265,8 +278,9 @@ def test_t2_class_multisets_come_off_the_rigid_facts():
         if 2 <= abs(mat_det(m)) <= 24:
             sample.append(m)
     atoms = [((2, 0), (0, 1)), ((1, 1), (0, 3))]
+    _refuse_class_walks(h)
     _ask_class_queries(h, sample, atoms + [((2, 0), (0, 2))], atoms[:1])
-    assert h.memo.rigid and not h.memo.classes
+    assert h.memo.facts
 
 
 # the sweep's shortcuts against the computations they replace ---------------
@@ -369,18 +383,20 @@ def test_length_profile_reads_a_complete_rigid_set():
     x, y = h.element_from_str("a b a a"), ref.element_from_str("a b a a")
     rigid_factorizations(h, x)
     calls = _counting_walks(h)
+    _refuse_class_walks(h)
+    facts = dict(h.memo.facts)
     assert length_profile(h, x) == _reference_profile(ref, y)
-    assert calls == [] and h.memo.classes == {}
+    assert calls == [] and h.memo.facts == facts
     # The class of c^10 a b a a escapes the word cap 16, so it is walked,
     # and its class multisets come off that rigid walk.  The walk meets
     # the quotient a b a a with 6 levels left, less than the 7 its fact
     # needs, so it walks a b a a again, as a cold walk would; no class
-    # memo is filled.
+    # multiset is walked.
     word = ("c",) * 10 + x.word
     assert permutable_class_multisets(h, h.element(word)) == \
         _cold_class_multisets(ref, ref.element(word))
-    assert h.memo.rigid[h.key(x)][1] == 7
-    assert x in calls and h.memo.classes == {}
+    assert h.memo.facts[h.key(x)][1] == 7
+    assert x in calls
 
 
 def test_length_profile_walks_without_a_complete_rigid_set():
@@ -412,7 +428,7 @@ def test_a_complete_result_is_read_back_only_with_its_depth_left():
     fs, (_, complete), profile = _factorization_answers(warm, (16,))
     assert fs.complete and complete and profile.certified
     # the walks of 16 kept 8's complete results, which need depth 3
-    assert warm.memo.rigid[(8,)][1] == warm.memo.classes[(8,)][1] == 3
+    assert warm.memo.facts[(8,)] == ((((2,),) * 3,), 3)
     answers = _factorization_answers(warm, (8,))
     assert answers == _factorization_answers(_ShortCapIntegers(1), (8,))
     fs, (_, complete), profile = answers
@@ -557,6 +573,7 @@ def _check_atom_tuples(make, elements, warm=True):
     for element in elements:
         if not warm:
             h, ref = make(), make()
+        _refuse_class_walks(h)
         x, y = element(h), element(ref)
         fs = rigid_factorizations(h, x)
         want, need = _sorted_reference(ref, y)
@@ -569,11 +586,10 @@ def _check_atom_tuples(make, elements, warm=True):
             classes, complete = _cold_class_multisets(ref, y)
         assert permutable_class_multisets(h, x) == (classes, complete)
         if complete:
-            # kept with the depth the walk needs
-            assert h.memo.rigid[h.key(x)][1] == need
-        # the class multisets are read off the rigid fact, and kept nowhere
-        # else
-        assert not h.memo.classes
+            # the one fact is the rigid set, kept with the depth the walk
+            # needs, and the class multisets are read off it
+            assert h.memo.facts[h.key(x)] == (
+                tuple(tuple(map(h.key, z.atoms)) for z in fs), need)
         assert length_profile(h, x) == _profile_of(classes, complete)
         if isinstance(h, PresentationSemigroup):
             assert h.warnings == ref.warnings
@@ -899,10 +915,82 @@ def test_an_atom_class_is_its_key_on_a_reduced_handle(reduced_handle):
             z = rigid(node)
             assert class_multiset(h, z) == node.classes
             assert h.key(h.product(z.atoms)) == h.key(a)
-    assert h.memo.rigid
-    for fact in h.memo.rigid.values():
+    assert h.memo.facts
+    for fact in h.memo.facts.values():
         tuples, need = fact
         assert type(tuples) is tuple and type(need) is int
+
+
+_ORDERLESS = {
+    "B(C3)": lambda: BlockMonoidHandle(FiniteAbelianGroup((3,))),
+    "B(C2+C2)": lambda: BlockMonoidHandle(FiniteAbelianGroup((2, 2))),
+    "B(C2+C4)": lambda: BlockMonoidHandle(FiniteAbelianGroup((2, 4))),
+    "(N>0)^1": lambda: FactorialVectorHandle(1),
+    "(N>0)^2": lambda: FactorialVectorHandle(2),
+}
+
+
+def _orderless_sample(h):
+    """Certified elements of the orderless handle h, and atoms to ask
+    about: zero-sum sequences to length 6, or small vectors."""
+    if isinstance(h, BlockMonoidHandle):
+        return (list(zero_sum_sequences(h.group, None, 6)),
+                atoms_of_block_monoid(h.group)[:3])
+    if h.n == 1:
+        return [(k,) for k in range(2, 200)], [(2,), (3,), (7,)]
+    return h.enumerate_elements(12)[0], [(2, 1), (3, 1), (1, 2)]
+
+
+def _brute_omega(h, a, b, listing):
+    """omega_p(a, b) as its definition reads over the full rigid listing:
+    the worst least subproduct k, and the first factorization reaching
+    it; 0 where b does not divide a up to permutation."""
+    if not divides_p(h, b, a).holds:
+        return OmegaReport(b, "atoms", 0, True)
+    value, certified, witness = 0, listing.complete, None
+    for z in listing:
+        k, idxs, cert = min_subproduct_k(h, z.atoms, b)
+        certified = certified and cert
+        if k > value:
+            value, witness = k, OmegaWitness(a, z.atoms, k, idxs)
+    return OmegaReport(b, "atoms", value, certified, witness)
+
+
+@pytest.mark.parametrize("make", _ORDERLESS.values(), ids=_ORDERLESS)
+def test_the_orderless_rigid_layer_is_the_orderings_of_the_multisets(
+        make, monkeypatch):
+    # an orderless handle keeps one sorted tuple per class multiset; its
+    # rigid factorizations, valuation sets, almost-prime-likeness and
+    # omega are read off them, with no rigid walk, and equal the rigid
+    # walk's answers and the definitions over the full rigid listing
+    h, ref = make(), make()
+    walk = factorizations._rigid_walk
+
+    def reference_walk(handle, *args):
+        assert handle is ref, "an orderless handle walked its rigid layer"
+        return walk(handle, *args)
+    monkeypatch.setattr(factorizations, "_rigid_walk", reference_walk)
+    elements, atoms = _orderless_sample(h)
+    divisors = atoms + [h.multiply(atoms[0], atoms[1])]
+    for a in elements:
+        if h.is_unit(a):
+            continue
+        listing = rigid_factorizations(h, a)
+        tuples, need = reference_walk(ref, {}, {}, set(), a,
+                                      ref.length_cap(a))
+        assert listing.complete and need is not None
+        assert [tuple(map(h.key, z.atoms)) for z in listing] == list(tuples)
+        for q in atoms:
+            counts = [z.atoms.count(q) for z in listing]
+            assert valuation_set(h, q, a) == (
+                q, a, tuple(sorted(set(counts))), True)
+            with_q = [z for z, c in zip(listing, counts) if c]
+            without_q = [z for z, c in zip(listing, counts) if not c]
+            want = (q, True, True, None) if not (with_q and without_q) \
+                else (q, False, True, (a, with_q[0], without_q[0]))
+            assert is_almost_prime_like(h, q, [a]) == want
+        for b in divisors:
+            assert omega_element(h, a, b) == _brute_omega(ref, a, b, listing)
 
 
 def test_factorial_vector_classes_are_atom_vectors():

@@ -450,7 +450,7 @@ def test_full_matrix_lengths_through_det_match_the_class_walk():
         read, walked = FullMatrixHandle(n), FullMatrixHandle(n)
         for a in sample:
             assert length_profile(read, a) == walked_length_profile(walked, a)
-        assert not read.memo.classes
+        assert not read.memo.facts
 
 
 def _t2_sample():
@@ -486,7 +486,7 @@ def test_transfer_classes_match_the_class_walk(kind, n, sample):
         assert handle.transfer_classes(a) == sets[0]
         assert permutable_class_multisets(handle, a) == (frozenset(sets),
                                                          True)
-    assert not handle.memo.rigid and not handle.memo.classes
+    assert not handle.memo.facts
 
 
 _TWELVE = ((12, 0), (0, 12))
@@ -516,7 +516,7 @@ def test_permutable_queries_of_twelve_list_no_rigid_factorization(
                 for d in distances]
     assert {(r.value, r.certified, r.witness) for r in reports} == {
         (0, True, None)}
-    assert not h.memo.rigid
+    assert not h.memo.facts
     # the representative is still the first rigid factorization, read off
     # the rigid fact only when it is asked for
     (pf,), complete = permutable_factorizations(h, _TWELVE)

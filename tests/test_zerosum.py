@@ -312,8 +312,8 @@ def test_require_element_rejects_non_members_on_a_warm_memo(x, message):
     h = BlockMonoidHandle(_C2_C4)
     catenary(h, _MEMBER)
     # the sequence and its quotients are memo keys, and pass at once
-    assert _MEMBER in h.memo.classes and len(h.memo.classes) > 1
-    for key in h.memo.classes:
+    assert _MEMBER in h.memo.facts and len(h.memo.facts) > 1
+    for key in h.memo.facts:
         h.require_element(key)
     with pytest.raises(ValueError, match=message):
         h.require_element(x)
@@ -349,7 +349,7 @@ def test_a_class_query_hashes_its_key_once_on_a_hit():
     # A hit is one lookup and no check: a memo key is an element.  A miss
     # is checked, then walked from the lookup it made, and stored.
     h = BlockMonoidHandle(_C2_C4)
-    memo = h.memo.classes = _CountedMemo()
+    memo = h.memo.facts = _CountedMemo()
     checked = []
     check = h.require_element
     h.require_element = lambda x: checked.append(x) or check(x)
