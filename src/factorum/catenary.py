@@ -16,9 +16,12 @@ partition of its nodes and the bottleneck inside each part.
 Under d* the graph's nodes are the rigid factorizations.  Under d_len and
 d_p there is one node per atom-class multiset, the multiset and its
 length alone (``factorizations._class_nodes``), and d_p is computed from
-the multisets by the one comparison of class multisets,
+the multisets by ``factorizations._permutable_matrix`` (which t_p reads
+too) through the one comparison of class multisets,
 ``factorizations._class_occurrences``.  The nodes are read off the
-element's one fact.  On commutative reduced handles (block monoids,
+element's class view (``factorizations._class_view``), the one place a
+handle is asked for a transfer map's multiset, and otherwise its one
+fact.  On commutative reduced handles (block monoids,
 free abelian monoids, abelianizations) that fact is its class multisets,
 built by ``_class_walk``, one memoised recursion over the quotients by
 a cover of atoms that meets every factorization (on a block monoid, the
@@ -27,7 +30,8 @@ follows the factorization classes, not the rigid orderings; the d*
 nodes are the orderings of those multisets.  On presentations the fact
 is the rigid factorizations, held as atom-key tuples with their
 classes.  On T_n(Z)* and M_n(Z)* the transfer map gives the one
-multiset instead (``transfer_classes``), so the graph has one node and
+multiset instead (``transfer_classes``, through the class view), so the
+graph has one node and
 answers 0 with no factorization listed.  Either
 way a rigid factorization is built only where atoms are read: for the
 two ends of a witness, and for every node when the in-fibers view takes
@@ -49,7 +53,7 @@ from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .distances import DistanceKind, _require_kind, distance
 from .factorizations import (RigidFactorization, _class_nodes,
-                             _class_occurrences, rigid_factorizations)
+                             _permutable_matrix, rigid_factorizations)
 from .handles import SemigroupHandle
 
 
@@ -107,21 +111,6 @@ def _bottleneck(nodes: Sequence[int], mat) -> Tuple[int, Optional[Tuple[int, int
             if row[u] < best[i]:
                 best[i], parent[i] = row[u], v
     return value, arg
-
-
-def _permutable_matrix(nodes: Sequence):
-    """d_p between the nodes, read off their class multisets
-    (``classes``, each counted once): the larger length minus the size of
-    the common sub-multiset."""
-    sets = [_class_occurrences(p.classes) for p in nodes]
-    n = len(nodes)
-    mat = [[0] * n for _ in range(n)]
-    for i in range(n):
-        si, li, row = sets[i], nodes[i].length, mat[i]
-        for j in range(i + 1, n):
-            lj = nodes[j].length
-            row[j] = mat[j][i] = (li if li > lj else lj) - len(si & sets[j])
-    return mat
 
 
 class _Graph(NamedTuple):

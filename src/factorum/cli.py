@@ -445,14 +445,25 @@ def build_parser() -> argparse.ArgumentParser:
              max_length=dict(sweep, default=6))
     pres_cmd("abelianize", cmd_abelianize)
     pres_cmd("check-wth", cmd_check_wth, max_length=dict(sweep, default=4))
-    p = sub.add_parser("zss")
-    p.add_argument("--group", required=True, help="cyclic orders, e.g. 2,2")
-    p.add_argument("zss_command", choices=("atoms", "davenport", "catenary",
-                                           "order-bound"))
-    p.add_argument("--max-len", type=length, default=None,
-                   help="longest zero-sum sequence swept (default: 6 for "
-                        "catenary, 2*D(G) for order-bound)")
-    p.set_defaults(func=cmd_zss)
+    zss = sub.add_parser("zss")
+    zss.add_argument("--group", required=True, help="cyclic orders, e.g. 2,2")
+    zss.add_argument("zss_command", choices=("atoms", "davenport", "catenary",
+                                             "order-bound"))
+    zss.add_argument("--max-len", type=length, default=None,
+                     help="longest zero-sum sequence swept by catenary "
+                          "(default 6) or order-bound (default 2*D(G)); "
+                          "not with atoms or davenport")
+
+    def run_zss(args) -> factorum.InvariantReport:
+        # atoms and davenport sweep no sequence, so a bound there would be
+        # ignored; refused before the group's atoms are listed
+        if args.max_len is not None \
+                and args.zss_command in ("atoms", "davenport"):
+            zss.error(f"argument --max-len: not allowed with "
+                      f"{args.zss_command}")
+        return cmd_zss(args)
+
+    zss.set_defaults(func=run_zss)
     p = sub.add_parser("order-bound")
     p.add_argument("--group", required=True)
     p.set_defaults(func=cmd_order_bound, max_len=None)

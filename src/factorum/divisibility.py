@@ -13,9 +13,11 @@ divide a factor; equivalently (for atomic semigroups), q occurs in one
 rigid factorization of an element iff it occurs in all of them, which is
 how the bounded check works.  The q-adic valuation set V_q(a) collects the
 number of q-associates across factorizations of a; q is prime-like when
-every valuation set is a singleton.  Where a transfer map gives an
-element's one class multiset (``transfer_classes``, on T_n(Z) and
-M_n(Z)), both are read off that multiset and no rigid ordering is walked.
+every valuation set is a singleton.  Both read an element's class view
+(``factorizations._class_view``), the one place a handle is asked
+whether a transfer map gives its one class multiset
+(``transfer_classes``, on T_n(Z) and M_n(Z)): then both are read off
+that multiset and no rigid ordering is walked.
 
 omega_p(a, b) takes, over all rigid factorizations u_1...u_n of a, the
 worst minimal k such that b divides (up to permutation) a subproduct
@@ -40,15 +42,17 @@ the first position holding it; a factorization without it starts the
 search at k = 2, and no product is built for either step.  A unit a is
 divided by no non-unit b: its one class multiset is empty.  Every other
 case asks ``_divides_p_cached``, which compares the class multisets of
-``permutable_class_multisets``: on a presentation they are read off each
-side's one rigid fact too, and on a matrix handle off its transfer map
-(``transfer_classes``).
+``permutable_class_multisets`` on each call, keeping no answer: they
+come from each side's class view, on a presentation its one rigid fact
+and on a matrix handle its transfer map.
 
 The permutable tame degree t_p(a, x) measures how far an arbitrary
-permutable factorization of a is from one containing the pattern x;
-containment and distance both compare the occurrence sets of a's class
-multisets (``factorizations._class_nodes``), and no rigid factorization
-is built.
+permutable factorization of a is from one containing the pattern x:
+containment compares the occurrence sets of a's class multisets
+(``factorizations._class_nodes``), and each node's first nearest
+qualifying node is read off the d_p matrix of the catenary graph
+(``factorizations._permutable_matrix``), so no rigid factorization is
+built.
 
 Semigroup-level values are suprema, certified lower bounds over a bounded
 enumeration; the CLI, which chose the scope, adds the note naming it.
@@ -66,7 +70,8 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
 from .factorizations import (RigidFactorization, _class_nodes,
-                             _class_occurrences, _rigid_factorization,
+                             _class_occurrences, _class_view,
+                             _permutable_matrix, _rigid_factorization,
                              factorization_keys, permutable_class_multisets)
 from .handles import SemigroupHandle, UnsupportedOperation
 from .presentation import PresentationSemigroup
@@ -89,26 +94,21 @@ class DivisibilityAnswer(NamedTuple):
 
 
 def _divides_p_cached(handle: SemigroupHandle, b, a) -> DivisibilityAnswer:
-    cache = handle.memo.divides_p
-    key = (handle.key(b), handle.key(a))
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+    """b |_p a, off the class multisets of both sides: some multiset of b
+    is a sub-multiset of some multiset of a.  It caches nothing now (each
+    side's multisets come from its memoised fact, or from a transfer map)
+    and keeps its name because ``bench/tracing.py`` wraps it by that name
+    (``_PRIVATE``)."""
     if handle.is_unit(b):
-        ans = DivisibilityAnswer(True, True)
-        cache[key] = ans
-        return ans
+        return DivisibilityAnswer(True, True)
     b_sets, b_complete = permutable_class_multisets(handle, b)
     a_sets, a_complete = permutable_class_multisets(handle, a)
     a_occs = [_class_occurrences(m) for m in a_sets]
     if any(ob <= oa for ob in map(_class_occurrences, b_sets)
            for oa in a_occs):
-        ans = DivisibilityAnswer(True, True)
-    else:
-        certified = b_complete and a_complete
-        ans = DivisibilityAnswer(False if certified else None, certified)
-    cache[key] = ans
-    return ans
+        return DivisibilityAnswer(True, True)
+    certified = b_complete and a_complete
+    return DivisibilityAnswer(False if certified else None, certified)
 
 
 def divides(handle: SemigroupHandle, kind: DivisibilityKind, b, a
@@ -148,23 +148,23 @@ def is_almost_prime_like(handle: SemigroupHandle, q,
                          scope_elements: Sequence,
                          scope_certified: bool = True) -> AlmostPrimeLikeReport:
     """Bounded almost-prime-like check: over every scoped element, q occurs
-    in one rigid factorization iff it occurs in all of them.  An element
-    whose handle gives its one class multiset (``transfer_classes``) is no
-    counterexample: q's class is in every factorization or in none.  Every
-    other element's atom classes are read off its fact
-    (``factorization_keys``); only a counterexample's two factorizations
-    are built."""
+    in one rigid factorization iff it occurs in all of them.  Each
+    element's atom classes are read off its class view
+    (``_class_view``); where a transfer map gave its one class multiset
+    it is no counterexample, since q's class is in every factorization
+    or in none.  Only a counterexample's two factorizations are built."""
     if not handle.is_atom(q):
-        raise NotAlmostPrimeLikeError("q must be a certified atom")
+        raise NotAlmostPrimeLikeError(
+            f"{handle.format_element(q)} is not a certified atom")
     certified = scope_certified
     cls = handle.atom_class(q)
     for a in scope_elements:
-        if handle.transfer_classes(a) is not None:
+        classes, complete, keys = _class_view(handle, a)
+        if keys is None:        # one multiset, and it is certified
             continue
-        tuples, classes, complete = factorization_keys(handle, a)
         certified = certified and complete
         with_q = without_q = None
-        for t, c in zip(tuples, classes):
+        for t, c in zip(keys, classes):
             if cls in c:
                 if with_q is None:
                     with_q = t
@@ -185,18 +185,14 @@ class ValuationSet(NamedTuple):
 
 
 def valuation_set(handle: SemigroupHandle, q, a) -> ValuationSet:
-    """V_q(a): counts of q-associates across the rigid factorizations of a;
-    where the handle gives a's one class multiset (``transfer_classes``),
-    the one count of q's class in it.  Only an atom q has a valuation, so
-    any other q is refused, the unit a included."""
+    """V_q(a): counts of q-associates across the rigid factorizations of a,
+    read off a's class view (``_class_view``): where a transfer map gives
+    a's one class multiset, the one count of q's class in it, and for the
+    unit a, whose one factorization is empty, 0.  Only an atom q has a
+    valuation, so any other q is refused, the unit a included."""
     if not handle.is_atom(q):
         raise ValueError(f"{handle.format_element(q)} is not an atom")
-    if handle.is_unit(a):
-        return ValuationSet(q, a, (0,), True)
-    m = handle.transfer_classes(a)
-    if m is not None:
-        return ValuationSet(q, a, (m.count(handle.atom_class(q)),), True)
-    _, classes, complete = factorization_keys(handle, a)
+    classes, complete, _ = _class_view(handle, a)
     cls = handle.atom_class(q)
     values = sorted({c.count(cls) for c in classes})
     return ValuationSet(q, a, tuple(values), complete)
@@ -444,18 +440,14 @@ def tame_semigroup(handle: SemigroupHandle, pattern: Sequence,
     for a in scope_elements:
         nodes, complete, _ = _class_nodes(handle, a)
         certified = certified and complete
-        occs = [_class_occurrences(z.classes) for z in nodes]
-        qualifying = [(zp, op) for zp, op in zip(nodes, occs) if pat <= op]
-        if not qualifying:
+        qualifying = [j for j, z in enumerate(nodes)
+                      if pat <= _class_occurrences(z.classes)]
+        # t_p(a, x) is 0 unless some node holds x and some does not
+        if not 0 < len(qualifying) < len(nodes):
             continue
-        for z, oz in zip(nodes, occs):
-            # d_p(z, z') = max(|z|, |z'|) - |gcd(z, z')|, and the first
-            # nearest qualifying node wins
-            best, arg = None, None
-            for zp, op in qualifying:
-                d = max(z.length, zp.length) - len(oz & op)
-                if best is None or d < best:
-                    best, arg = d, zp
-            if best > value:
-                value, witness = best, (a, z.classes, arg.classes)
+        for z, row in zip(nodes, _permutable_matrix(nodes)):
+            # the first nearest qualifying node
+            j = min(qualifying, key=row.__getitem__)
+            if row[j] > value:
+                value, witness = row[j], (a, z.classes, nodes[j].classes)
     return TameReport(tuple(pattern), value, certified, witness)

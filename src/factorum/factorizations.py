@@ -31,8 +31,16 @@ and no recursion budget was hit (non-atomic inputs such as
   its left-divisor atoms, and reads its class multisets off them, unless
   a transfer homomorphism to a factorial monoid gives an element's one
   class multiset (``transfer_classes``, on T_n(Z)* and M_n(Z)*): then its
-  class multisets and lengths, and the d_len and d_p graphs, t_p and |_p
-  built on them, need no walk, and only rigid sets, d* and omega walk.
+  class multisets and lengths, and the d_len and d_p graphs, t_p, |_p,
+  valuation sets and almost-prime-likeness built on them, need no walk,
+  and only rigid sets, d* and omega walk.
+
+Every class-level reader takes one view of an element, ``_class_view``:
+its class tuples, whether they are complete, and the key tuples they
+come from.  It is the one place a handle is asked for a transfer map's
+multiset, and otherwise it reads the element's one fact.  d_p between
+class multisets is computed in one place too, ``_permutable_matrix``,
+for the d_p graph and t_p alike.
 
 Both walks are plain module-level recursions that take their state as
 arguments, so a query leaves no reference cycle and its memory is freed
@@ -54,13 +62,14 @@ and a hit hashes the key once.
 A fact is held as plain keys, as (factorizations, need): each
 factorization is the tuple of its atoms' keys, in the order (length,
 atom keys).  On a presentation these are words, so the fact holds only
-strings and ints, and the cyclic collector stops tracking it.
-Almost-prime-likeness, valuation sets and omega (``factorization_keys``),
-length sets, and the class multisets behind d_len, d_p, t_p, |_p and
-equiv_p read that fact directly where no transfer map gives them, so
-an element has one memo entry; a ``RigidFactorization`` is built from it
-only for a witness, a representative or a ``rigid_factorizations``
-answer, and a ``FactorizationSet`` only for the last.
+strings and ints, and the cyclic collector stops tracking it.  Omega
+(``factorization_keys``) and the class view behind almost-prime-likeness,
+valuation sets, length sets, and the class multisets of d_len, d_p,
+t_p, |_p and equiv_p read that fact directly where no transfer map
+gives them, so an element has one memo entry; a ``RigidFactorization``
+is built from it only for a witness, a representative or a
+``rigid_factorizations`` answer, and a ``FactorizationSet`` only for
+the last.
 
 Where the handle spells out an element's rigid factorizations
 (``spelled_factorizations``), ``_fact`` stores them in the memo as they
@@ -86,7 +95,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import groupby
 from typing import (Callable, Dict, FrozenSet, Iterator, List, NamedTuple,
-                    Optional, Tuple)
+                    Optional, Sequence, Tuple)
 
 from .handles import FrozenSlots, SemigroupHandle
 
@@ -160,6 +169,22 @@ def _class_occurrences(classes: Tuple) -> FrozenSet[Tuple]:
         out.append((cls, k))
         prev = cls
     return frozenset(out)
+
+
+def _permutable_matrix(nodes: Sequence) -> List[List[int]]:
+    """d_p between the nodes, read off their class multisets
+    (``classes``, each counted once): the larger length minus the size of
+    the common sub-multiset.  The one d_p between class multisets, behind
+    the d_p graph and t_p."""
+    sets = [_class_occurrences(p.classes) for p in nodes]
+    n = len(nodes)
+    mat = [[0] * n for _ in range(n)]
+    for i in range(n):
+        si, li, row = sets[i], nodes[i].length, mat[i]
+        for j in range(i + 1, n):
+            lj = nodes[j].length
+            row[j] = mat[j][i] = (li if li > lj else lj) - len(si & sets[j])
+    return mat
 
 
 def _fact(handle: SemigroupHandle, a
@@ -282,14 +307,38 @@ def factorization_keys(handle: SemigroupHandle, a
     ordering of each of a's class multisets.
 
     On a reduced handle the tuples are their own classes; on a handle
-    with units the classes are worked out on each call.
-    Almost-prime-likeness, valuation sets and omega read them, and build
-    a ``RigidFactorization`` only for a witness
+    with units the classes are worked out on each call.  Omega reads
+    them for the positions of a's atoms, where no transfer map helps, and
+    builds a ``RigidFactorization`` only for a witness
     (``_rigid_factorization``).
     """
     tuples, complete = _fact(handle, a)
     classes = tuples if handle.reduced else _classes_of(handle, tuples)
     return tuples, classes, complete
+
+
+def _class_view(handle: SemigroupHandle, a
+                ) -> Tuple[Tuple[Tuple, ...], bool, Optional[Tuple]]:
+    """The atom-class tuples of a, whether they are all of a's, and the
+    atom-key tuples of the factorizations they come from: the one view of
+    a's permutable layer, and the one place a transfer map is asked.
+
+    A handle that is permutably factorial through a transfer map gives
+    a's one sorted multiset m (``transfer_classes``): the view is then
+    ((m,), True, None), and no factorization is listed.  Every other
+    handle gives the classes of a's one fact (``_fact``, as
+    ``factorization_keys`` does, inlined here because the view is on the
+    almost-prime-like sweep's per-query path), in its order (length, atom
+    keys), each in its factorization's order (its keys on a reduced
+    handle), with the key tuples.  Lengths, class multisets, the d_len
+    and d_p nodes, valuation sets and almost-prime-likeness read this
+    view."""
+    m = handle.transfer_classes(a)
+    if m is not None:
+        return (m,), True, None
+    keys, complete = _fact(handle, a)
+    return (keys if handle.reduced else _classes_of(handle, keys)), \
+        complete, keys
 
 
 def _rigid_factorization(handle: SemigroupHandle, a, keys: Tuple
@@ -360,30 +409,24 @@ def _class_nodes(handle: SemigroupHandle, a
     the least rigid factorization of a with that multiset, in the order
     (length, atom keys), built only when the map is called.
 
-    A representative is the first factorization of its multiset in a's
-    fact (``factorization_keys``), and the multisets are read off that
-    fact too, unless the handle gives a's one multiset
-    (``transfer_classes``): then the fact is read only when the
-    representative is asked for, and the representative is its first
+    The multisets are read off a's class view (``_class_view``), and a
+    representative is the first factorization of its multiset there.
+    Where a transfer map gave the one multiset, a's fact is read only
+    when the representative is asked for, and it is its first
     factorization.  On an orderless handle the fact's tuples are the
     sorted multisets themselves, each its own representative."""
     if _orderless(handle):      # each tuple is its own sorted multiset
         tuples, complete = _fact(handle, a)
         return ([_ClassNode(m, len(m)) for m in sorted(tuples)], complete,
                 lambda z: _rigid_factorization(handle, a, z.classes))
-    m = handle.transfer_classes(a)
-    if m is not None:
-        def rigid(z: _ClassNode) -> RigidFactorization:
-            return _rigid_factorization(handle, a,
-                                        factorization_keys(handle, a)[0][0])
-        return [_ClassNode(m, len(m))], True, rigid
-    tuples, classes, complete = factorization_keys(handle, a)
-    first: Dict[Tuple, Tuple] = {}
-    for t, c in zip(tuples, classes):
-        first.setdefault(tuple(sorted(c)), t)
+    classes, complete, keys = _class_view(handle, a)
+    first: Dict[Tuple, int] = {}
+    for i, c in enumerate(classes):
+        first.setdefault(tuple(sorted(c)), i)
 
     def rigid(z: _ClassNode) -> RigidFactorization:
-        return _rigid_factorization(handle, a, first[z.classes])
+        tuples = keys if keys is not None else _fact(handle, a)[0]
+        return _rigid_factorization(handle, a, tuples[first[z.classes]])
     return [_ClassNode(m, len(m)) for m in sorted(first)], complete, rigid
 
 
@@ -406,17 +449,10 @@ def permutable_factorizations(handle: SemigroupHandle, a
 
 def permutable_class_multisets(handle: SemigroupHandle, a
                                ) -> Tuple[FrozenSet[Tuple], bool]:
-    """The set of atom-class multisets of a and whether they are all of a's.
-
-    A permutably factorial handle gives a's one multiset
-    (``transfer_classes``), and every other handle reads them off a's one
-    fact (``factorization_keys``): a permutable factorization is a rigid
-    one up to order and associates, and on an orderless handle the fact
-    holds the sorted multisets themselves."""
-    m = handle.transfer_classes(a)
-    if m is not None:
-        return frozenset((m,)), True
-    _, classes, complete = factorization_keys(handle, a)
+    """The set of atom-class multisets of a and whether they are all of a's,
+    read off a's class view (``_class_view``): a permutable factorization
+    is a rigid one up to order and associates."""
+    classes, complete, _ = _class_view(handle, a)
     return frozenset([tuple(sorted(c)) for c in classes]), complete
 
 
@@ -486,18 +522,13 @@ class LengthSet(NamedTuple):
 def length_profile(handle: SemigroupHandle, a) -> LengthSet:
     """L(a) with its distance set and elasticity rho = max/min.
 
-    A permutably factorial handle gives the length of a's one multiset
-    (``transfer_classes``: on M_n(Z)* that is Omega(|det a|), on T_n(Z)*
-    Omega of the diagonal's product, past the determinant cap an error),
-    and any other handle reads the lengths of a's one fact (``_fact``).
+    The lengths are read off a's class view (``_class_view``): where a
+    transfer map gives a's one multiset, on M_n(Z)* its length is
+    Omega(|det a|) and on T_n(Z)* Omega of the diagonal's product (past
+    the determinant cap an error).
     """
-    m = handle.transfer_classes(a)
-    if m is not None:
-        found, complete = {len(m)}, True
-    else:
-        tuples, complete = _fact(handle, a)
-        found = set(map(len, tuples))
-    lengths = tuple(sorted(found))
+    classes, complete, _ = _class_view(handle, a)
+    lengths = tuple(sorted(set(map(len, classes))))
     delta = tuple(b - c for c, b in zip(lengths, lengths[1:]))
     if lengths and lengths[0]:
         elasticity = Fraction(lengths[-1], lengths[0])

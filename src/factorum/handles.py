@@ -14,10 +14,11 @@ narrow those atoms to a cover that meets every factorization
 factorizations without recursing through them at all
 (``spelled_factorizations``), and, where a transfer homomorphism to a
 factorial monoid makes it permutably factorial, may give an element's one
-atom-class multiset (``transfer_classes``).  On a reduced handle (trivial
-unit group) an atom's associate class is its key, so a class is told
-apart from its key only on a handle with units (T_n(Z)*, M_n(Z)*).
-Every handle keeps the answers derived from its factorization sets in
+atom-class multiset (``transfer_classes``, asked only by
+``factorizations._class_view``).  On a reduced handle (trivial unit
+group) an atom's associate class is its key, so a class is told apart
+from its key only on a handle with units (T_n(Z)*, M_n(Z)*).  Every
+handle keeps its factorization facts, and nothing derived from them, in
 one ``memo``, with atoms held by their keys (``atom_of_key`` finds an
 atom again).
 """
@@ -66,7 +67,7 @@ class FrozenSlots:
 
 
 class HandleMemo:
-    """The factorization-derived answers kept for one handle instance.
+    """The factorization facts kept for one handle instance, in one slot.
 
     ``facts``: key -> (factorizations, need), for the elements whose walk
     completed, the shape of a ``spelled_factorizations`` answer: the one
@@ -74,22 +75,23 @@ class HandleMemo:
     tuple of its atoms' keys, which on a reduced handle is also the tuple
     of their classes.  On a commutative reduced handle the fact holds each
     class multiset once, as its sorted tuple; on every other handle it
-    holds every rigid factorization.  Almost-prime-likeness, valuation
-    sets, length sets, omega and class multisets read it (except where
-    ``transfer_classes`` answers); a ``RigidFactorization`` is built from
-    it only when one is returned.  ``need`` is the depth the walk needs.
-    ``divides_p``: (key of b, key of a) -> ``DivisibilityAnswer``.
+    holds every rigid factorization.  Omega and the class view
+    (``factorizations._class_view``) behind almost-prime-likeness,
+    valuation sets, length sets and class multisets read it (the view
+    does not where ``transfer_classes`` answers); a ``RigidFactorization``
+    is built from it only when one is returned.  ``need`` is the depth
+    the walk needs.  No answer derived from facts is kept: |_p reads the
+    facts of both sides on each call.
 
     On a presentation, atom keys are words, so an entry of ``facts``
     holds only tuples of strings and ints, which CPython stops tracking
     for the cyclic collector.
     """
 
-    __slots__ = ("facts", "divides_p")
+    __slots__ = ("facts",)
 
     def __init__(self):
         self.facts: Dict = {}
-        self.divides_p: Dict = {}
 
 
 class SemigroupHandle:
@@ -99,8 +101,8 @@ class SemigroupHandle:
     commutative = False
     name = "semigroup"
 
-    # the one place this handle's factorization facts and ``divides_p``
-    # answers are kept; a new handle starts cold
+    # the one place this handle's factorization facts are kept; a new
+    # handle starts cold
     memo: HandleMemo
 
     def __new__(cls, *args, **kwargs):
@@ -201,7 +203,8 @@ class SemigroupHandle:
         factorial monoid shows it is x's only one (the handle is
         permutably factorial); None where the multisets must be walked.
         An answer is certified, and x is checked (``require_element``)
-        first.  The default reads nothing off."""
+        first.  Only ``factorizations._class_view`` asks it.  The default
+        reads nothing off."""
         return None
 
     def length_cap(self, x) -> int:

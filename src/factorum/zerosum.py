@@ -143,6 +143,20 @@ def _check_order(group: FiniteAbelianGroup) -> None:
         raise GroupTooLarge(f"group order {group.order} exceeds cap {_MAX_ORDER}")
 
 
+def _support(group: FiniteAbelianGroup,
+             subset: Optional[Sequence[GroupElement]]) -> List[GroupElement]:
+    """The distinct terms of ``subset`` in order, or all of G when it is
+    None; ValueError names a term that is not a reduced element of G."""
+    if subset is None:
+        return group.elements()
+    support = sorted(set(subset))
+    for g in support:
+        if not (type(g) is tuple and len(g) == len(group.orders)
+                and group.element(g) == g):
+            raise ValueError(f"{g} is not a reduced element of the group")
+    return support
+
+
 def atoms_of_block_monoid(group: FiniteAbelianGroup,
                           subset: Optional[Sequence[GroupElement]] = None
                           ) -> List[ZeroSumSequence]:
@@ -153,10 +167,7 @@ def atoms_of_block_monoid(group: FiniteAbelianGroup,
     capped at |G|.
     """
     _check_order(group)
-    support = sorted(set(subset)) if subset is not None else group.elements()
-    for g in support:
-        if group.element(g) != g:
-            raise ValueError(f"{g} is not a reduced element of the group")
+    support = _support(group, subset)
     zero = group.zero()
     atoms: List[ZeroSumSequence] = []
     if zero in support:
@@ -235,8 +246,7 @@ class BlockMonoidHandle(SemigroupHandle):
                  subset: Optional[Sequence[GroupElement]] = None):
         _check_order(group)
         self.group = group
-        self.subset = tuple(sorted(set(subset))) if subset is not None \
-            else tuple(group.elements())
+        self.subset = tuple(_support(group, subset))
         self._support = frozenset(self.subset)
         self.atoms = atoms_of_block_monoid(group, self.subset)
         self._atom_set = set(self.atoms)
@@ -326,10 +336,12 @@ def zero_sum_sequences(group: FiniteAbelianGroup,
                        subset: Optional[Sequence[GroupElement]],
                        max_length: int) -> Iterator[ZeroSumSequence]:
     """All nonempty zero-sum sequences of length <= max_length over the
-    subset, or over the whole group when it is None."""
-    support = sorted(set(subset)) if subset is not None else group.elements()
+    subset, or over the whole group when it is None.  The subset is
+    checked before the first sequence is yielded: this stays a generator
+    function, which ``bench/tracing.py`` counts one sequence at a time."""
     zero = group.zero()
-    yield from _zero_sum_walk(group, support, zero, max_length, 0, [], zero)
+    yield from _zero_sum_walk(group, _support(group, subset), zero,
+                              max_length, 0, [], zero)
 
 
 def _zero_sum_walk(group: FiniteAbelianGroup, support: List[GroupElement],

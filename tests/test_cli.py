@@ -183,6 +183,27 @@ def test_primelike_command(capsys):
     assert "a b a" in out
 
 
+@pytest.mark.parametrize("command", ["atoms", "davenport"])
+def test_zss_max_len_is_refused_before_the_atoms_are_listed(capsys, command):
+    # atoms and davenport sweep nothing, so --max-len would bound nothing;
+    # B(C3^3) takes seconds to list, and is not listed
+    listed = mock.Mock(wraps=importlib.import_module(
+        "factorum.zerosum").atoms_of_block_monoid)
+    with mock.patch("factorum.zerosum.atoms_of_block_monoid", listed), \
+            pytest.raises(SystemExit) as exc:
+        main(["zss", "--group", "3,3,3", command, "--max-len", "2"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1 and out == "" and not listed.called
+    assert f"--max-len: not allowed with {command}" in err and "usage:" in err
+
+
+def test_primelike_names_a_non_atom(capsys):
+    code, out, err = run(capsys, "primelike", pres_path("abc_cb"),
+                         "--atom", "a b")
+    assert (code, out) == (1, "")
+    assert err == "error: a b is not a certified atom\n"
+
+
 @pytest.mark.parametrize("argv, exit_code", [
     (("zss", "--group", "2,2", "atoms"), 0),
     (("zss", "--group", "2,2", "davenport"), 0),

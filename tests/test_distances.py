@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from factorum.abelianization import abelianize
 from factorum.distances import (Alignment, DistanceKind, InstanceTooLarge,
                                 distance, length_distance, permutable_distance,
                                 rigid_distance, rigid_distance_alignment,
@@ -14,9 +15,12 @@ from factorum.divisibility import tame_element
 from factorum.factorizations import (RigidFactorization, _class_occurrences,
                                      class_multiset, permutable_factorizations,
                                      rigid_factorizations)
+from factorum.handles import FactorialVectorHandle
 from factorum.matrices import FullMatrixHandle, TriangularMatrixHandle, mat_det
 from factorum.presentation import ExplorationBudget
 from factorum.presets import ab_ban, anbn, engine, preset_names
+from factorum.zerosum import (BlockMonoidHandle, FiniteAbelianGroup,
+                              zero_sum_sequences)
 
 
 def facts_of(h, text):
@@ -541,3 +545,41 @@ def test_tame_element_matches_the_loop_over_representatives_on_t2():
     patterns = [[u] for u in atoms] + [[atoms[0], atoms[2]],
                                        [atoms[0], atoms[0]]]
     _tame_cases(lambda: TriangularMatrixHandle(2), elements, patterns)
+
+
+def _orderless_tame_case(name):
+    """An orderless handle's maker, elements and first atoms: the class
+    walk's handles, whose facts are their sorted class multisets."""
+    if name.startswith("B("):
+        group = FiniteAbelianGroup(
+            tuple(int(n) for n in name[3:-1].split("+C")))
+        atoms = [u for u in BlockMonoidHandle(group).atoms if len(u) > 1]
+        elements = list(zero_sum_sequences(group, None, 6))
+        return lambda: BlockMonoidHandle(group), elements, atoms[:4]
+    if name == "N^2":
+        elements = [(x, y) for x in range(1, 13) for y in range(1, 13)
+                    if x * y > 1]
+        return (lambda: FactorialVectorHandle(2), elements,
+                [(2, 1), (3, 1), (1, 2), (1, 3)])
+    h = abelianize(engine(name))
+    elements = [h.element(v) for v in itertools.product(range(4), repeat=4)
+                if 0 < sum(v) <= 4]
+    return (lambda: abelianize(engine(name)), elements,
+            [x for x in elements if h.is_atom(x)][:4])
+
+
+@pytest.mark.parametrize("name", ["B(C3+C3)", "B(C2+C4)", "N^2", "ab_cd"])
+def test_tame_element_matches_the_loop_over_representatives_when_orderless(
+        name):
+    # the orderless handles, where an element may have many class
+    # multisets: B(G) sequences of length <= 6 (below length 6 every
+    # value here is 0), (N_{>0})^2, which is factorial, and the
+    # abelianization of ab_cd (a + b = c + d)
+    make_handle, elements, atoms = _orderless_tame_case(name)
+    assert len(atoms) == 4 and all(make_handle().is_atom(u) for u in atoms)
+    patterns = [[u] for u in atoms] + [list(p) for p in
+                                       itertools.combinations(atoms, 2)]
+    _tame_cases(make_handle, elements, patterns)
+    h = make_handle()
+    assert any(tame_element(h, a, [u]).value for a in elements
+               for u in atoms) == (name != "N^2")

@@ -183,6 +183,16 @@ def test_valuation_set_refuses_a_non_atom(word):
         == ((1,) if word else (0,))
 
 
+@pytest.mark.parametrize("scope", [[], ["a b c"]])
+def test_almost_prime_like_names_a_non_atom(scope):
+    # refused before the scope is read, naming q as valuation_set does
+    h = engine("abc_cb")
+    q = h.element_from_str("a b")
+    with pytest.raises(NotAlmostPrimeLikeError,
+                       match="^a b is not a certified atom$"):
+        is_almost_prime_like(h, q, [h.element_from_str(w) for w in scope])
+
+
 def test_valuation_precheck_raises():
     # prime-likeness reads valuation sets only after the almost-prime-like
     # check over the scope passed

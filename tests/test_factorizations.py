@@ -225,12 +225,12 @@ def test_memo_belongs_to_one_handle():
     for el in els:
         length_profile(h, el)
         divides_p(h, q, el)
-    assert h.memo.facts and h.memo.divides_p
+    assert h.memo.facts
     memo = other.memo
-    assert (memo.facts, memo.divides_p) == ({}, {})
-    assert memo is not h.memo
-    # one slot holds every handle's facts
-    assert HandleMemo.__slots__ == ("facts", "divides_p")
+    assert memo.facts == {}
+    assert memo is not h.memo and memo.facts is not h.memo.facts
+    # one slot holds every handle's facts, and nothing derived from them
+    assert HandleMemo.__slots__ == ("facts",)
 
 
 def _refuse_class_walks(h):

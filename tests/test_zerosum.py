@@ -63,6 +63,21 @@ def test_atoms_trivial_group():
     assert atoms_of_block_monoid(group) == [((0,),)]
 
 
+@pytest.mark.parametrize("orders,term", [((3,), (3,)), ((3,), (0, 5))],
+                         ids=["unreduced", "wrong-rank"])
+def test_every_subset_reader_refuses_a_non_element(orders, term):
+    # one rule for the subset, checked before anything is listed or yielded
+    group = FiniteAbelianGroup(orders)
+    message = re.escape(f"{term} is not a reduced element of the group")
+    for make in (lambda s: next(zero_sum_sequences(group, s, 3)),
+                 lambda s: atoms_of_block_monoid(group, s),
+                 lambda s: BlockMonoidHandle(group, s)):
+        with pytest.raises(ValueError, match=message):
+            make([term, (1,)])
+    assert list(zero_sum_sequences(group, [(2,), (1,), (1,)], 3)) == [
+        ((1,), (1,), (1,)), ((1,), (2,)), ((2,), (2,), (2,))]
+
+
 def test_atoms_are_minimal_zero_sum():
     group = FiniteAbelianGroup((3, 3))
     for atom in atoms_of_block_monoid(group):
